@@ -49,7 +49,10 @@ def _parse_params(text: str) -> dict:
         if "=" not in piece:
             raise SpecError(f"malformed parameter {piece!r}")
         key, value = piece.split("=", 1)
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise SpecError(f"duplicate parameter {key!r}")
+        params[key] = value.strip()
     return params
 
 
@@ -150,7 +153,7 @@ def parse_spec(text: str):
 
 def build_group(kind: str, spec, closure_cap: int) -> FiniteGroup:
     if kind == "trivial":
-        return FiniteGroup([0], lambda a, b: 0, name="1")
+        return FiniteGroup([0], [[0]], name="1")
     if kind == "reference":
         name, p = spec
         return reference_group(name, p)

@@ -1,11 +1,17 @@
 """Generic finite-group engine.
 
 A group is materialized from a canonical list of opaque hashable element
-keys plus a multiplication oracle; everything downstream (centers, derived
-and Frattini subgroups, subgroup lattices, quotients, isomorphism tests)
-works on the index-based multiplication table.  This module is the
-brute-force oracle: a structural claim about any group in the package is
-checked here by exhaustive computation, never assumed.
+keys plus its index-based multiplication table; everything downstream
+(centers, derived and Frattini subgroups, subgroup lattices, quotients,
+isomorphism tests) works on that table.  The table comes either from
+``tabulate``, one call of a scalar multiplication oracle per pair, or, for
+the Pauli, Heisenberg and lifted families, from
+``central_extension_table``, which builds it by whole-array operations
+from a carrier, a centre and a 2-cocycle.  Every table is verified at
+construction by whole-array checks: Latin square, identity, inverses, and
+associativity decided exactly at every order by Light's test.  This module
+is the brute-force oracle: a structural claim about any group in the
+package is checked here by exhaustive computation, never assumed.
 
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
 full subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be
@@ -23,9 +29,6 @@ import numpy as np
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
-_ASSOC_EXHAUSTIVE_LIMIT = 256
-_ASSOC_SAMPLES = 100_000
-_ASSOC_SEED = 0
 _ISO_ORDER_CAP = 1024
 
 
@@ -56,74 +59,72 @@ class FiniteGroup:
     """Immutable materialized finite group.
 
     ``elements`` is the canonical indexed list of opaque keys and ``table``
-    the index-based multiplication table.  The Latin-square property and
-    associativity are verified at construction (exhaustively up to order
-    256, by fixed-seed sampling of 1e5 triples above).
+    the index-based multiplication table (``table[i, j]`` is the index of
+    ``elements[i] * elements[j]``).  The table is verified at construction:
+    it must be a Latin square, associative (decided exactly at every order
+    by Light's test), with a unique identity and two-sided inverses.
+    Groups given by a scalar multiplication oracle are tabulated first with
+    ``tabulate``.
     """
 
-    def __init__(self, elements, mul, name: str = ""):
+    def __init__(self, elements, table, name: str = ""):
         elements = list(elements)
         if len(set(elements)) != len(elements):
             raise GroupStructureError("duplicate element keys")
         self.elements = tuple(elements)
         self.name = name
-        n = len(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        table = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                c = mul(a, b)
-                k = index.get(c)
-                if k is None:
-                    raise GroupStructureError(
-                        "multiplication left the element set: not closed")
-                table[i, j] = k
-        self._finish_init(table, index)
-
-    @classmethod
-    def _from_table(cls, elements, table: np.ndarray, name: str = "") -> "FiniteGroup":
-        self = cls.__new__(cls)
-        self.elements = tuple(elements)
-        self.name = name
         index = {e: i for i, e in enumerate(self.elements)}
-        self._finish_init(np.asarray(table, dtype=np.int32), index)
-        return self
+        self._finish_init(np.array(table, dtype=np.int32), index)
 
     def _finish_init(self, table: np.ndarray, index: dict) -> None:
         n = len(self.elements)
+        if table.shape != (n, n):
+            raise GroupStructureError(
+                f"table of shape {table.shape} for {n} elements")
         self.index = index
         self.table = table
         self.table.setflags(write=False)
         full = np.arange(n, dtype=np.int32)
-        for i in range(n):
-            if (np.sort(table[i]) != full).any() or (np.sort(table[:, i]) != full).any():
-                raise GroupStructureError("multiplication table is not a Latin square")
+        if ((np.sort(table, axis=1) != full).any()
+                or (np.sort(table, axis=0) != full[:, None]).any()):
+            raise GroupStructureError("multiplication table is not a Latin square")
         self._verify_associativity()
-        ident = [i for i in range(n) if (table[i] == full).all()]
+        ident = np.flatnonzero((table == full).all(axis=1))
         if len(ident) != 1:
             raise GroupStructureError("no unique identity element")
-        self.identity = ident[0]
-        inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            js = np.nonzero(table[i] == self.identity)[0]
-            if len(js) != 1 or table[js[0], i] != self.identity:
-                raise GroupStructureError(f"element {i} lacks a two-sided inverse")
-            inv[i] = js[0]
+        self.identity = int(ident[0])
+        # the Latin property leaves exactly one j with i * j = identity
+        inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
+        bad = np.flatnonzero(table[inv, full] != self.identity)
+        if len(bad):
+            raise GroupStructureError(
+                f"element {bad[0]} lacks a two-sided inverse")
         self.inverse = inv
         self.inverse.setflags(write=False)
 
     def _verify_associativity(self) -> None:
+        """Light's test, exact at every order.  The elements s with
+        (xy)s = x(ys) for all x, y are closed under multiplication, so it
+        suffices to check a set S whose left-nested products
+        (..((s1 s2) s3)..) cover the table.  S is picked greedily: the
+        first uncovered element joins S until everything is covered."""
         t = self.table
         n = len(self.elements)
-        if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            lhs = t[t]            # lhs[a,b,c] = t[t[a,b], c]
-            rhs = t[:, t]         # rhs[a,b,c] = t[a, t[b,c]]
-            if (lhs != rhs).any():
-                raise GroupStructureError("multiplication is not associative")
-        else:
-            rng = np.random.default_rng(_ASSOC_SEED)
-            a, b, c = rng.integers(0, n, size=(3, _ASSOC_SAMPLES))
-            if (t[t[a, b], c] != t[a, t[b, c]]).any():
+        gens: list[int] = []
+        covered = np.zeros(n, dtype=bool)
+        while not covered.all():
+            gens.append(int(np.argmin(covered)))
+            covered[:] = False
+            covered[gens] = True
+            frontier = np.array(gens, dtype=np.int32)
+            while len(frontier):
+                prod = np.unique(t[np.ix_(frontier, gens)])
+                frontier = prod[~covered[prod]]
+                covered[frontier] = True
+        for s in gens:
+            col = t[:, s]
+            # [x, y] entries: (xy)s on the left, x(ys) on the right
+            if (np.take(col, t) != np.take(t, col, axis=1)).any():
                 raise GroupStructureError("multiplication is not associative")
 
     # -- basic structure ---------------------------------------------------
@@ -331,22 +332,18 @@ class FiniteGroup:
         if not n_sub.is_normal():
             raise ValueError("quotient requires a normal subgroup")
         mem = np.fromiter(n_sub.members, dtype=np.int32)
-        coset_of = {}
+        coset_of = np.full(self.order, -1, dtype=np.int32)
         cosets = []
         for g in range(self.order):
-            if g in coset_of:
+            if coset_of[g] >= 0:
                 continue
-            coset = tuple(int(x) for x in np.sort(self.table[g, mem]))
-            for x in coset:
-                coset_of[x] = len(cosets)
-            cosets.append(coset)
-        k = len(cosets)
-        table = np.empty((k, k), dtype=np.int32)
-        for a, ca in enumerate(cosets):
-            for b, cb in enumerate(cosets):
-                table[a, b] = coset_of[self.mul(ca[0], cb[0])]
-        return FiniteGroup._from_table(cosets, table,
-                                       name=f"{self.name}/N" if self.name else "")
+            coset = np.sort(self.table[g, mem])
+            coset_of[coset] = len(cosets)
+            cosets.append(tuple(int(x) for x in coset))
+        reps = [c[0] for c in cosets]
+        table = coset_of[self.table[np.ix_(reps, reps)]]
+        return FiniteGroup(cosets, table,
+                           name=f"{self.name}/N" if self.name else "")
 
     def semidirect_witness(self, a_sub: "SubgroupHandle",
                            cap: int = DEFAULT_SUBGROUP_CAP):
@@ -487,7 +484,81 @@ def group_close(generators, mul, cap: int = DEFAULT_CLOSURE_CAP,
         frontier = new
     # canonicalize: sort keys so identical generator sets give identical groups
     elements = sorted(elem_set)
-    return FiniteGroup(elements, mul, name=name)
+    return FiniteGroup(elements, tabulate(elements, mul), name=name)
+
+
+def tabulate(elements, mul) -> np.ndarray:
+    """Index multiplication table of ``elements`` under the scalar oracle
+    ``mul``: one oracle call per pair."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            k = index.get(mul(a, b))
+            if k is None:
+                raise GroupStructureError(
+                    "multiplication left the element set: not closed")
+            table[i, j] = k
+    return table
+
+
+def central_extension_table(add, n: int, centre_add, cocycle,
+                            centre_first: bool) -> np.ndarray:
+    """Multiplication table of the central extension of R^n x R^n by a
+    centre C through a 2-cocycle, built by whole-array operations:
+
+        (c1, v1)(c2, v2) = (c1 + c2 + cocycle[v1, v2], v1 + v2).
+
+    ``add`` is the q x q addition table of the carrier R.  A vector v in
+    R^(2n) is indexed by its 2n coordinates read as base-q digits, most
+    significant first, so that sorted coordinate tuples get increasing
+    indices.  ``centre_add`` is the M x M addition table of C and
+    ``cocycle`` a q^(2n) x q^(2n) array of centre indices (see
+    ``vector_dot``).  The element (c, v) has index c * q^(2n) + v when
+    ``centre_first``, else v * M + c: the positions of the keys
+    (c, alpha, beta) and (a, b, c) in sorted order."""
+    add = np.asarray(add, dtype=np.int32)
+    centre_add = np.asarray(centre_add, dtype=np.int32)
+    d = _digits(len(add), 2 * n)
+    vadd = np.zeros((len(d), len(d)), dtype=np.int32)
+    for i in range(2 * n):
+        vadd = vadd * len(add) + add[d[:, i, None], d[None, :, i]]
+    size, m = len(d), len(centre_add)
+    # broadcast over the axes [c1, v1, c2, v2]
+    c1 = np.arange(m)[:, None, None, None]
+    c2 = np.arange(m)[None, None, :, None]
+    centre = centre_add[centre_add[c1, c2], cocycle[None, :, None, :]]
+    if centre_first:
+        table = centre * size + vadd[None, :, None, :]
+    else:
+        table = (vadd[None, :, None, :] * m + centre).transpose(1, 0, 3, 2)
+    return table.reshape(size * m, size * m)
+
+
+def vector_dot(add, mul, n: int, left: int, right: int) -> np.ndarray:
+    """Bilinear form on R^(2n) as a q^(2n) x q^(2n) array of carrier
+    elements, vectors indexed as in ``central_extension_table``: entry
+    [v, w] is the dot product of block ``left`` of v with block ``right``
+    of w, where block 0 holds the first n coordinates (alpha, or a) and
+    block 1 the last n (beta, or b)."""
+    add = np.asarray(add, dtype=np.int32)
+    mul = np.asarray(mul, dtype=np.int32)
+    d = _digits(len(add), 2 * n)
+    out = np.zeros((len(d), len(d)), dtype=np.int32)
+    for i in range(n):
+        out = add[out, mul[d[:, left * n + i, None], d[None, :, right * n + i]]]
+    return out
+
+
+def cyclic_add(m: int) -> np.ndarray:
+    """Addition table of Z/m."""
+    return (np.arange(m)[:, None] + np.arange(m)) % m
+
+
+def _digits(q: int, k: int) -> np.ndarray:
+    """Row v holds the k base-q digits of v, most significant first."""
+    return (np.arange(q ** k)[:, None] // q ** np.arange(k - 1, -1, -1)) % q
 
 
 @dataclass(frozen=True)
@@ -532,11 +603,11 @@ class SubgroupHandle:
     def as_group(self, name: str = "") -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the
         parent's element keys."""
-        remap = {m: i for i, m in enumerate(self.members)}
-        sub = self.parent.table[np.ix_(self.members, self.members)]
-        table = np.vectorize(remap.__getitem__, otypes=[np.int32])(sub)
+        remap = np.zeros(self.parent.order, dtype=np.int32)
+        remap[list(self.members)] = np.arange(self.order)
+        table = remap[self.parent.table[np.ix_(self.members, self.members)]]
         keys = [self.parent.elements[m] for m in self.members]
-        return FiniteGroup._from_table(keys, table, name=name)
+        return FiniteGroup(keys, table, name=name)
 
     def intersect(self, other: "SubgroupHandle") -> "SubgroupHandle":
         return SubgroupHandle(self.parent, tuple(sorted(

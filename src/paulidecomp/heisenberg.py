@@ -20,8 +20,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .algebra import FieldSpec, ZmodRing, field_make
-from .groupcore import FiniteGroup, group_close
+from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
+                        tabulate, vector_dot)
 
 HeisKey = tuple  # (a tuple, b tuple, t)
 
@@ -43,6 +46,10 @@ class HeisenbergSpec:
             raise ValueError(f"cocycle must be one of {COCYCLES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.reduced and isinstance(self.carrier, ZmodRing) \
+                and self.carrier.k > 1:
+            raise ValueError("the reduced variant needs a field carrier: the "
+                             f"trace is not defined on Z/{self.carrier.size}")
 
     @property
     def center_modulus(self) -> int:
@@ -104,10 +111,28 @@ def heis_mul(spec: HeisenbergSpec, g: HeisKey, h: HeisKey) -> HeisKey:
 
 
 def heis_group(spec: HeisenbergSpec, closure_cap: int = 4096) -> FiniteGroup:
+    """Materialize H(R^n); the table is built from the cocycle as a whole
+    array, and ``spec.mul`` is the scalar oracle the tests compare it
+    with."""
     if spec.order > closure_cap:
         from .groupcore import ClosureCapError
         raise ClosureCapError(closure_cap)
-    return FiniteGroup(sorted(spec.elements()), spec.mul, name=spec.name())
+    r = spec.carrier
+    codes = range(r.size)
+    add = np.array([[r.add(x, y) for y in codes] for x in codes])
+    mul = np.array([[r.mul(x, y) for y in codes] for x in codes])
+    cocycle = vector_dot(add, mul, spec.n, 0, 1)  # a1 . b2
+    if spec.cocycle == "symplectic":
+        neg = np.array([r.neg(x) for x in codes])
+        cocycle = add[cocycle, neg[vector_dot(add, mul, spec.n, 1, 0)]]
+    if spec.reduced:
+        cocycle = np.array([r.trace(x) for x in codes])[cocycle]
+        centre_add = cyclic_add(r.p)
+    else:
+        centre_add = add
+    table = central_extension_table(add, spec.n, centre_add, cocycle,
+                                    centre_first=False)
+    return FiniteGroup(sorted(spec.elements()), table, name=spec.name())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +231,7 @@ def dihedral8() -> FiniteGroup:
         return ((i1 + i2) % 4, (j1 + j2) % 2)
 
     elems = [(i, j) for i in range(4) for j in range(2)]
-    return FiniteGroup(elems, mul, name="D8")
+    return FiniteGroup(elems, tabulate(elems, mul), name="D8")
 
 
 _Q8_MUL = {}
@@ -238,7 +263,7 @@ def quaternion8() -> FiniteGroup:
         return (s1 * s2 * s3, a3)
 
     elems = [(s, a) for s in (1, -1) for a in range(4)]
-    return FiniteGroup(elems, mul, name="Q8")
+    return FiniteGroup(elems, tabulate(elems, mul), name="Q8")
 
 
 def extraspecial_e1(p: int) -> FiniteGroup:
@@ -265,4 +290,4 @@ def extraspecial_e2(p: int) -> FiniteGroup:
         return ((x1 + x2 * pow(1 + p, y1, p2)) % p2, (y1 + y2) % p)
 
     elems = [(x, y) for x in range(p2) for y in range(p)]
-    return FiniteGroup(elems, mul, name=f"E2({p})")
+    return FiniteGroup(elems, tabulate(elems, mul), name=f"E2({p})")

@@ -25,7 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import FieldSpec, field_make
-from .groupcore import FiniteGroup
+import numpy as np
+
+from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
+                        vector_dot)
 from .pauli import PauliGroupSpec, pauli_group
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
@@ -92,10 +95,17 @@ def lifted_mul(spec: LiftedPauliSpec, g: LiftedKey, h: LiftedKey) -> LiftedKey:
 
 
 def lifted_group(spec: LiftedPauliSpec, closure_cap: int = 4096) -> FiniteGroup:
+    """Materialize the lifted group; the table is built from the cross term
+    b1.a2 as a whole array, and ``spec.mul`` is the scalar oracle the
+    tests compare it with."""
     if spec.order > closure_cap:
         from .groupcore import ClosureCapError
         raise ClosureCapError(closure_cap)
-    return FiniteGroup(sorted(spec.elements()), spec.mul, name=spec.name())
+    f = spec.field
+    cross = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)
+    table = central_extension_table(f.add_table, spec.n, f.add_table, cross,
+                                    centre_first=True)
+    return FiniteGroup(sorted(spec.elements()), table, name=spec.name())
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +200,14 @@ def pi_image_group(spec: LiftedPauliSpec, closure_cap: int = 4096) -> FiniteGrou
         name = f"Re Plift-image({spec.n},{spec.q})"
     else:
         name = f"P({spec.n},{spec.q})"
-    return FiniteGroup(keys, pi_target_mul(spec), name=name)
+    # centre Z_p in both cases: the phase index is the trace of eta (the
+    # key stores it doubled for p = 2), and the cross term is tr(b1.a2)
+    f = spec.field
+    dot = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)
+    table = central_extension_table(
+        f.add_table, spec.n, cyclic_add(spec.p),
+        np.asarray(f.trace_table)[dot], centre_first=True)
+    return FiniteGroup(keys, table, name=name)
 
 
 def pi_is_homomorphism(spec: LiftedPauliSpec, samples=None) -> bool:

@@ -25,7 +25,10 @@ from functools import cached_property
 
 from .algebra import FieldSpec, field_make
 from .cyclotomic import CyclotomicMatrix
-from .groupcore import FiniteGroup
+import numpy as np
+
+from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
+                        vector_dot)
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
@@ -161,13 +164,20 @@ def pauli_order(spec: PauliGroupSpec, g: PauliKey) -> int:
 def pauli_group(spec: PauliGroupSpec, closure_cap: int = 4096) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is
     known in closed form); the generation claim is covered separately by
-    tests that close the generators and compare."""
+    tests that close the generators and compare.  The table is built from
+    the cross term as a whole array; ``spec.mul`` is the scalar oracle the
+    tests compare it with."""
     if spec.order > closure_cap:
         from .groupcore import ClosureCapError
         raise ClosureCapError(closure_cap)
-    elems = sorted(spec.elements())
-    name = f"P({spec.n},{spec.q})"
-    return FiniteGroup(elems, spec.mul, name=name)
+    f = spec.field
+    dot = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)  # beta1 . alpha2
+    cross = 2 * dot if spec.p == 2 else np.asarray(f.trace_table)[dot]
+    table = central_extension_table(
+        f.add_table, spec.n, cyclic_add(spec.phase_modulus), cross,
+        centre_first=True)
+    return FiniteGroup(sorted(spec.elements()), table,
+                       name=f"P({spec.n},{spec.q})")
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,15 @@ def identify_factor(g: FiniteGroup) -> str:
 
 
 def _cube_root(n: int) -> int | None:
-    k = round(n ** (1 / 3))
-    for c in (k - 1, k, k + 1):
-        if c > 0 and c ** 3 == n:
-            return c
-    return None
+    """The positive integer c with c^3 = n, or None; exact bisection."""
+    lo, hi = 1, 1 << (n.bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** 3 <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo ** 3 == n else None
 
 
 def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,

@@ -39,6 +39,8 @@ def test_parse_error_exit_2():
     assert run_cli("build", "nosuch").returncode == 2
     assert run_cli("build", "pauli:p=2,n=1,bogus=3").returncode == 2
     assert run_cli("build", "pauli:p=4,n=1").returncode == 2
+    assert run_cli("build", "e1:p=3,p=5").returncode == 2
+    assert run_cli("build", "heis:R=z(9),reduced=true").returncode == 2
     assert run_cli("verify", "nosuchclaim").returncode == 2
 
 

@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from paulidecomp.groupcore import (ClosureCapError, FiniteGroup,
-                                   SubgroupCapError, abelian_invariants,
-                                   group_close, isomorphic)
+                                   GroupStructureError, SubgroupCapError,
+                                   abelian_invariants, group_close,
+                                   isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, quaternion8
 
 
 def cyclic(n):
-    return FiniteGroup(range(n), lambda a, b: (a + b) % n, name=f"Z{n}")
+    return FiniteGroup(range(n), tabulate(range(n), lambda a, b: (a + b) % n),
+                       name=f"Z{n}")
 
 
 def test_cyclic_basics():
@@ -22,8 +25,50 @@ def test_cyclic_basics():
 
 def test_bad_table_rejected():
     # not a Latin square: constant row
-    with pytest.raises(Exception):
-        FiniteGroup([0, 1], lambda a, b: 0)
+    with pytest.raises(GroupStructureError):
+        FiniteGroup([0, 1], tabulate([0, 1], lambda a, b: 0))
+
+
+def test_table_without_inverses_rejected():
+    # max is associative with identity 0, but only 0 has an inverse
+    with pytest.raises(GroupStructureError):
+        FiniteGroup(range(4), tabulate(range(4), max))
+
+
+def test_wrong_table_shape_rejected():
+    with pytest.raises(GroupStructureError):
+        FiniteGroup(range(3), np.zeros((2, 2), dtype=np.int32))
+
+
+# A Latin square with identity 0 that is not associative: every element is
+# its own inverse, which no group of order 5 allows.
+LOOP5 = np.array([[int(c) for c in row]
+                  for row in ("01234", "10342", "24013", "32401", "43120")])
+
+
+def test_light_rejects_loop5():
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(5), LOOP5)
+
+
+def test_light_rejects_loop5_times_z60():
+    # order 300, above the order where associativity used to be sampled
+    z = np.arange(60)
+    table = (LOOP5[:, None, :, None] * 60
+             + (z[:, None] + z[None, :])[None, :, None, :] % 60)
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(300), table.reshape(300, 300))
+
+
+def test_light_rejects_single_intercalate_swap():
+    # Z_2^10 with one 2x2 subsquare swapped stays a Latin square with
+    # identity 0; only O(n) of the n^3 triples fail associativity
+    x = np.arange(1024)
+    table = x[:, None] ^ x[None, :]
+    a, d, b, c = 1, 2, 4, 7          # a^b = d^c and a^c = d^b
+    table[[a, a, d, d], [b, c, b, c]] = table[[a, a, d, d], [c, b, c, b]]
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(1024), table)
 
 
 def test_d8_invariants():
@@ -63,7 +108,7 @@ def test_isomorphism_oracle():
     perm = [3, 1, 4, 0, 6, 2, 7, 5]
     table = {(perm[i], perm[j]): perm[d8.mul(i, j)]
              for i in range(8) for j in range(8)}
-    d8b = FiniteGroup(range(8), lambda a, b: table[(a, b)])
+    d8b = FiniteGroup(range(8), tabulate(range(8), lambda a, b: table[(a, b)]))
     ok, phi = isomorphic(d8, d8b)
     assert ok
     assert phi is not None

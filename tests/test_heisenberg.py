@@ -65,6 +65,12 @@ def test_reduced_center():
     assert g.center().order == 3
 
 
+def test_reduced_rejects_ring_carrier():
+    with pytest.raises(ValueError, match="field carrier"):
+        HeisenbergSpec(ZmodRing(3, 2), reduced=True)
+    assert HeisenbergSpec(ZmodRing(3, 1), reduced=True).order == 27
+
+
 def test_semidirect_report():
     rep = heis_semidirect_report(HeisenbergSpec(field_make(3, 1)))
     assert rep.status == "confirmed"

@@ -1,0 +1,67 @@
+"""The whole-array central-extension tables against the scalar ``mul``
+oracles, exhaustively, for every family up to order 1024."""
+
+import pytest
+
+from paulidecomp.algebra import ZmodRing, field_make
+from paulidecomp.groupcore import tabulate
+from paulidecomp.heisenberg import COCYCLES, HeisenbergSpec, heis_group
+from paulidecomp.lifted import (LiftedPauliSpec, lifted_group, pi_image_group,
+                                pi_target_mul)
+from paulidecomp.pauli import PauliGroupSpec, pauli_group
+
+
+def assert_oracle_table(g, mul):
+    assert (g.table == tabulate(g.elements, mul)).all()
+
+
+@pytest.mark.parametrize("p,m,n", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
+    (3, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 1), (7, 1, 1),
+])
+def test_pauli_table(p, m, n):
+    spec = PauliGroupSpec(p, m, n)
+    assert_oracle_table(pauli_group(spec), spec.mul)
+
+
+@pytest.mark.parametrize("p,m,n", [
+    (2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1),
+])
+def test_lifted_table(p, m, n):
+    spec = LiftedPauliSpec(p, m, n)
+    assert_oracle_table(lifted_group(spec), spec.mul)
+
+
+@pytest.mark.parametrize("p,m,n", [
+    (2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1),
+])
+def test_pi_image_table(p, m, n):
+    spec = LiftedPauliSpec(p, m, n)
+    assert_oracle_table(pi_image_group(spec), pi_target_mul(spec))
+
+
+CARRIERS = {
+    "gf(3)": field_make(3, 1), "gf(4)": field_make(2, 2),
+    "gf(5)": field_make(5, 1), "gf(9)": field_make(3, 2),
+    "z(4)": ZmodRing(2, 2), "z(9)": ZmodRing(3, 2),
+}
+
+
+def heisenberg_cases():
+    for name, carrier in CARRIERS.items():
+        for n in (1, 2):
+            for cocycle in COCYCLES:
+                for reduced in (False, True):
+                    if reduced and isinstance(carrier, ZmodRing):
+                        continue
+                    centre = carrier.p if reduced else carrier.size
+                    if carrier.size ** (2 * n) * centre <= 1024:
+                        yield pytest.param(
+                            carrier, n, cocycle, reduced,
+                            id=f"{name}-n{n}-{cocycle}-{reduced}")
+
+
+@pytest.mark.parametrize("carrier,n,cocycle,reduced", heisenberg_cases())
+def test_heisenberg_table(carrier, n, cocycle, reduced):
+    spec = HeisenbergSpec(carrier, n, cocycle, reduced)
+    assert_oracle_table(heis_group(spec), spec.mul)
