@@ -25,6 +25,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with p prime, k >= 1 and n = p^k, or None when n is not such
+    a power."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else None
+        p += 1
+    return (n, 1) if n >= 2 else None
+
+
 def sigma_tau(r: int) -> tuple[int, int]:
     """Return (sum of divisors, number of divisors) of r >= 1."""
     if r < 1:
@@ -252,20 +267,8 @@ class FieldSpec:
         in [0, p)."""
         return self.trace_table[x]
 
-    def element(self, x) -> "FieldElement":
-        if isinstance(x, (list, tuple)):
-            x = self.encode(x)
-        return FieldElement(self, x % self.q)
-
     def elements(self) -> list[int]:
         return list(range(self.q))
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "FieldSpec":
-        return cls(d["p"], d["m"], tuple(d["modulus"]))
 
 
 def field_make(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
@@ -276,49 +279,6 @@ def field_make(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpe
     if modulus is None:
         modulus = default_modulus(p, m)
     return FieldSpec(p, m, tuple(modulus))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value of GF(p^m) bound to its FieldSpec."""
-
-    spec: FieldSpec
-    val: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("field elements belong to different fields")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs(self.val)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.val, other.val))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.val, other.val))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.val, other.val))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg(self.val))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.val))
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.val, k))
-
-    def trace(self) -> int:
-        return self.spec.trace(self.val)
-
-    def __repr__(self) -> str:
-        return f"GF({self.spec.p}^{self.spec.m})[{self.val}]"
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +333,3 @@ class ZmodRing:
 
     def elements(self) -> list[int]:
         return list(range(self.size))
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A residue in Z/p^k."""
-
-    ring: ZmodRing
-    val: int
-
-    def __post_init__(self):
-        if not (0 <= self.val < self.ring.size):
-            raise ValueError(f"value {self.val} out of range for Z/{self.ring.size}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.ring != other.ring:
-            raise ValueError("ring elements belong to different rings")
-        return RingElement(self.ring, self.ring.add(self.val, other.val))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        if self.ring != other.ring:
-            raise ValueError("ring elements belong to different rings")
-        return RingElement(self.ring, self.ring.mul(self.val, other.val))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.neg(self.val))

@@ -14,8 +14,15 @@ cocycle ("symplectic" | "polarized"); reduced ("true" | "false").
 Examples: "pauli:p=2,n=1", "heis:R=gf(3),n=1,cocycle=symplectic,
 reduced=true", "lifted:p=3,m=2,n=1", "e1:p=3".
 
-Exit codes: 0 success (including refuted paper claims), 2 parse error,
-3 size cap exceeded, 4 oracle self-inconsistency.
+Options: --out PATH on every subcommand; --format json|text on build and
+json|dot on lattice; --cap-closure N on every subcommand that builds a
+group, and --cap-subgroups N on census and lattice.  The environment
+variable PAULIDECOMP_CAP_OVERRIDE, a positive integer, sets both caps;
+explicit flags win.
+
+Exit codes: 0 success (including refuted paper claims), 2 spec or
+argument error, 3 a cap or size limit exceeded, 4 oracle
+self-inconsistency.
 """
 
 from __future__ import annotations
@@ -25,12 +32,11 @@ import json
 import os
 import sys
 
-from .algebra import ZmodRing, field_make, is_prime
+from .algebra import ZmodRing, field_make, is_prime, prime_power
 from .census import (abelian_census, bounds_check, export_dot, export_json,
                      hasse, paper_figure_lattice)
-from .groupcore import (ClosureCapError, DEFAULT_CLOSURE_CAP,
-                        DEFAULT_SUBGROUP_CAP, FiniteGroup,
-                        GroupStructureError, SubgroupCapError)
+from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
+                        FiniteGroup, GroupStructureError)
 from .heisenberg import HeisenbergSpec, heis_group
 from .lifted import LiftedPauliSpec, lifted_group, pi_image_group, pi_kernel
 from .pauli import PauliGroupSpec, pauli_group
@@ -81,23 +87,11 @@ def _parse_carrier(text: str):
                 q = int(text[len(prefix):-1])
             except ValueError:
                 raise SpecError(f"bad carrier size in {text!r}")
-            p, m = _prime_power(q)
-            return field_make(p, m) if kind == "field" else ZmodRing(p, m)
+            pm = prime_power(q)
+            if pm is None:
+                raise SpecError(f"{q} is not a prime power")
+            return field_make(*pm) if kind == "field" else ZmodRing(*pm)
     raise SpecError(f"carrier must be gf(q) or z(q), got {text!r}")
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1:
-                break
-            return p, m
-    raise SpecError(f"{q} is not a prime power")
 
 
 def parse_spec(text: str):
@@ -268,56 +262,46 @@ def make_parser() -> argparse.ArgumentParser:
                     "verification for Pauli and Heisenberg groups.",
         epilog=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
+    default_cap = {"closure": DEFAULT_CLOSURE_CAP,
+                   "subgroups": DEFAULT_SUBGROUP_CAP}
     env_cap = os.environ.get("PAULIDECOMP_CAP_OVERRIDE")
-    default_closure = DEFAULT_CLOSURE_CAP
-    default_subgroups = DEFAULT_SUBGROUP_CAP
     if env_cap:
         try:
-            default_closure = default_subgroups = int(env_cap)
+            override = int(env_cap)
         except ValueError:
-            pass
+            override = 0
+        if override < 1:
+            parser.error("PAULIDECOMP_CAP_OVERRIDE must be a positive "
+                         f"integer, got {env_cap!r}")
+        default_cap = dict.fromkeys(default_cap, override)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True):
-        if needs_spec:
+    def add(name, func, summary, formats=(), caps=("closure",), spec=True):
+        p = sub.add_parser(name, help=summary)
+        if spec:
             p.add_argument("spec", help="group spec string")
-        p.add_argument("--format", choices=("json", "dot", "text"),
-                       default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--cap-closure", type=int, default=default_closure)
-        p.add_argument("--cap-subgroups", type=int, default=default_subgroups)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks (outputs stay "
-                            "deterministic)")
-        p.add_argument("--exhaustive", action="store_true")
+        for cap in caps:
+            p.add_argument(f"--cap-{cap}", type=int, default=default_cap[cap])
+        p.set_defaults(func=func)
+        return p
 
-    p_build = sub.add_parser("build", help="construct a group, print report")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_dec = sub.add_parser("decompose", help="weak central decomposition")
-    common(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_cen = sub.add_parser("census", help="abelian subgroup census")
-    common(p_cen)
-    p_cen.set_defaults(func=cmd_census)
-
-    p_lat = sub.add_parser("lattice", help="Hasse diagram export")
-    common(p_lat)
+    add("build", cmd_build, "construct a group, print report",
+        formats=("json", "text"))
+    add("decompose", cmd_decompose, "weak central decomposition")
+    add("census", cmd_census, "abelian subgroup census",
+        caps=("closure", "subgroups"))
+    p_lat = add("lattice", cmd_lattice, "Hasse diagram export",
+                formats=("json", "dot"), caps=("closure", "subgroups"))
     p_lat.add_argument("--filter", choices=("all", "paper_figure"),
                        default="all")
-    p_lat.set_defaults(func=cmd_lattice)
-
-    p_lift = sub.add_parser("lifted", help="lifted group projection report")
-    common(p_lift)
-    p_lift.set_defaults(func=cmd_lifted)
-
-    p_ver = sub.add_parser("verify", help="run registered claim verdicts")
+    add("lifted", cmd_lifted, "lifted group projection report")
+    p_ver = add("verify", cmd_verify, "run registered claim verdicts",
+                caps=(), spec=False)
     p_ver.add_argument("scope", nargs="?", default="all",
                        help="claim id or 'all'")
-    common(p_ver, needs_spec=False)
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -329,7 +313,7 @@ def main(argv=None) -> int:
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureCapError, SubgroupCapError) as exc:
+    except CapError as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return 3
     except GroupStructureError as exc:

@@ -82,18 +82,6 @@ def zeta_power(n: int, k: int) -> tuple[int, ...]:
     return _reduce((0,) * k + (1,), n)
 
 
-ZERO = ()
-
-
-def _ring_add(a, b, n):
-    la, lb = list(a), list(b)
-    if len(la) < len(lb):
-        la, lb = lb, la
-    for i, c in enumerate(lb):
-        la[i] += c
-    return _reduce(la, n)
-
-
 def _ring_mul(a, b, n):
     return _reduce(_int_poly_mul(tuple(a), tuple(b)), n)
 
@@ -120,15 +108,6 @@ class CyclotomicMatrix:
         one = _reduce((1,), order)
         zero = _reduce((), order)
         rows = tuple(tuple(one if i == j else zero for j in range(dim))
-                     for i in range(dim))
-        return cls(order, dim, rows)
-
-    @classmethod
-    def zeta_scalar(cls, order: int, dim: int, k: int) -> "CyclotomicMatrix":
-        """w^k times the identity."""
-        z = zeta_power(order, k)
-        zero = _reduce((), order)
-        rows = tuple(tuple(z if i == j else zero for j in range(dim))
                      for i in range(dim))
         return cls(order, dim, rows)
 
@@ -176,10 +155,3 @@ class CyclotomicMatrix:
                 rows.append(tuple(row))
         return CyclotomicMatrix(n, d1 * d2, tuple(rows))
 
-
-def cyclo_mul(a: CyclotomicMatrix, b: CyclotomicMatrix) -> CyclotomicMatrix:
-    return a @ b
-
-
-def cyclo_equal(a: CyclotomicMatrix, b: CyclotomicMatrix) -> bool:
-    return a == b

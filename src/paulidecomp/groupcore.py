@@ -13,26 +13,38 @@ associativity decided exactly at every order by Light's test.  This module
 is the brute-force oracle: a structural claim about any group in the
 package is checked here by exhaustive computation, never assumed.
 
+Conjugation and commutators are whole-array operations: ``conjugates``
+and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
+conjugacy classes, derived subgroup, normal closures, normality tests and
+the nilpotency bound are read off those arrays.
+
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
 full subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be
-overridden per call.
+overridden per call.  Isomorphism search is limited to order
+``_ISO_ORDER_CAP``.  Every cap or size limit raises a ``CapError``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
 import numpy as np
 
+from .algebra import prime_power
+
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
 _ISO_ORDER_CAP = 1024
 
 
-class ClosureCapError(RuntimeError):
+class CapError(RuntimeError):
+    """A cap or size limit was exceeded: the input is valid but too large
+    for the exhaustive computation asked of it."""
+
+
+class ClosureCapError(CapError):
     """Generated set exceeded the configured closure cap."""
 
     def __init__(self, cap: int):
@@ -40,7 +52,7 @@ class ClosureCapError(RuntimeError):
         self.cap = cap
 
 
-class SubgroupCapError(RuntimeError):
+class SubgroupCapError(CapError):
     """Group too large for full subgroup enumeration."""
 
     def __init__(self, order: int, cap: int):
@@ -136,24 +148,30 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def conjugate(self, i: int, by: int) -> int:
+    def conjugates(self, members) -> np.ndarray:
+        """Entry [x, k] is x^-1 members[k] x, for every element x."""
         t = self.table
-        return int(t[t[self.inverse[by], i], by])
+        mem = np.asarray(members, dtype=np.int32)
+        return t[t[self.inverse[:, None], mem], np.arange(self.order)[:, None]]
 
-    def commutator(self, i: int, j: int) -> int:
+    def commutators(self, left, right) -> np.ndarray:
+        """Entry [i, j] is the commutator [left[i], right[j]] =
+        left[i]^-1 right[j]^-1 left[i] right[j]."""
         t = self.table
-        return int(t[t[t[self.inverse[i], self.inverse[j]], i], j])
+        a = np.asarray(left, dtype=np.int32)[:, None]
+        b = np.asarray(right, dtype=np.int32)[None, :]
+        return t[t[t[self.inverse[a], self.inverse[b]], a], b]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.order):
-            k, x = 1, i
-            while x != self.identity:
-                x = self.mul(x, i)
-                k += 1
-            out.append(k)
-        return tuple(out)
+        full = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        x, k = full, 1
+        while not orders.all():
+            orders[(x == self.identity) & (orders == 0)] = k
+            x = self.table[x, full]
+            k += 1
+        return tuple(int(o) for o in orders)
 
     def order_of(self, element) -> int:
         """Order of an element given by key or index."""
@@ -168,24 +186,12 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    def is_elementary_abelian(self) -> bool:
-        if self.order == 1:
-            return True
-        p = min(o for o in self.element_orders if o > 1)
-        return self.is_abelian and self.exponent == p and is_prime_int(p)
-
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.order
-        classes = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            cls = sorted({self.conjugate(i, g) for g in range(self.order)})
-            for x in cls:
-                seen[x] = True
-            classes.append(tuple(cls))
-        return tuple(classes)
+        """Classes as sorted index tuples, listed by least member."""
+        least = self.conjugates(np.arange(self.order)).min(axis=0)
+        return tuple(tuple(int(x) for x in np.flatnonzero(least == r))
+                     for r in np.unique(least))
 
     @cached_property
     def class_size_of(self) -> tuple[int, ...]:
@@ -245,21 +251,16 @@ class FiniteGroup:
 
     @cached_property
     def derived_indices(self) -> tuple[int, ...]:
-        comms = {self.commutator(i, j)
-                 for i in range(self.order) for j in range(self.order)}
-        return self.closure_indices(comms)
+        full = np.arange(self.order)
+        return self.closure_indices(self.commutators(full, full))
 
     def derived_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.derived_indices)
 
     def normal_closure(self, generators) -> "SubgroupHandle":
-        idx = {g if isinstance(g, (int, np.integer)) else self.index[g]
-               for g in generators}
-        gens = set(idx)
-        for i in idx:
-            for g in range(self.order):
-                gens.add(self.conjugate(i, g))
-        return SubgroupHandle(self, self.closure_indices(gens))
+        idx = [g if isinstance(g, (int, np.integer)) else self.index[g]
+               for g in generators]
+        return SubgroupHandle(self, self.closure_indices(self.conjugates(idx)))
 
     def subgroups_all(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         """Every subgroup exactly once, canonically sorted by
@@ -286,9 +287,6 @@ class FiniteGroup:
         handles = [SubgroupHandle(self, m) for m in sorted(found, key=lambda m: (len(m), m))]
         return handles
 
-    def normal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
-        return [h for h in self.subgroups_all(cap) if h.is_normal()]
-
     def maximal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         subs = [h for h in self.subgroups_all(cap) if h.order < self.order]
         out = []
@@ -308,21 +306,19 @@ class FiniteGroup:
         for h in maximal[1:]:
             inter &= set(h.members)
         handle = SubgroupHandle(self, tuple(sorted(inter)))
-        p = _p_group_prime(self.order)
-        if p is not None:
-            powers = {self._power(i, p) for i in range(self.order)}
-            agemo = self.closure_indices(powers | set(self.derived_indices))
+        pk = prime_power(self.order)
+        if pk is not None:
+            full = np.arange(self.order)
+            powers = full
+            for _ in range(pk[0] - 1):
+                powers = self.table[powers, full]
+            agemo = self.closure_indices(
+                np.concatenate([powers, self.derived_indices]))
             if agemo != handle.members:
                 raise GroupStructureError(
                     "Frattini cross-check failed: maximal-subgroup intersection "
                     "differs from G^p[G,G] on a p-group")
         return handle
-
-    def _power(self, i: int, k: int) -> int:
-        x = self.identity
-        for _ in range(k):
-            x = self.mul(x, i)
-        return x
 
     def quotient(self, n_sub: "SubgroupHandle") -> "FiniteGroup":
         """Coset group G/N for a normal subgroup N.  Element keys of the
@@ -399,11 +395,8 @@ class FiniteGroup:
         """Nilpotency class if <= 2, else 3 meaning 'larger than 2'."""
         if self.is_abelian:
             return 0 if self.order == 1 else 1
-        derived = self.derived_indices
-        comms = {self.commutator(i, j) for i in derived for j in range(self.order)}
-        if comms == {self.identity}:
-            return 2
-        return 3
+        comms = self.commutators(self.derived_indices, np.arange(self.order))
+        return 2 if (comms == self.identity).all() else 3
 
     def fingerprint(self) -> "GroupFingerprint":
         derived = SubgroupHandle(self, self.derived_indices)
@@ -435,32 +428,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
         return f"<{label} of order {self.order}>"
-
-
-def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _p_group_prime(order: int):
-    """The prime p if order is a nontrivial power of p, else None."""
-    if order < 2:
-        return None
-    p = 2
-    n = order
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return order  # order itself prime
 
 
 def group_close(generators, mul, cap: int = DEFAULT_CLOSURE_CAP,
@@ -572,12 +539,6 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, other: "SubgroupHandle") -> bool:
-        return set(other.members) <= set(self.members)
-
-    def element_keys(self) -> tuple:
-        return tuple(self.parent.elements[i] for i in self.members)
-
     def is_abelian(self) -> bool:
         sub = self.parent.table[np.ix_(self.members, self.members)]
         return bool((sub == sub.T).all())
@@ -586,19 +547,10 @@ class SubgroupHandle:
         return any(self.parent.element_orders[i] == self.order
                    for i in self.members)
 
-    def is_elementary_abelian(self) -> bool:
-        if self.order == 1:
-            return True
-        orders = {self.parent.element_orders[i] for i in self.members}
-        nontriv = sorted(o for o in orders if o > 1)
-        return (self.is_abelian() and len(nontriv) == 1
-                and is_prime_int(nontriv[0]))
-
     def is_normal(self) -> bool:
-        g = self.parent
-        mem = set(self.members)
-        return all(g.conjugate(i, x) in mem
-                   for i in self.members for x in range(g.order))
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[list(self.members)] = True
+        return bool(inside[self.parent.conjugates(self.members)].all())
 
     def as_group(self, name: str = "") -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the
@@ -622,7 +574,7 @@ class SubgroupHandle:
 
     def commutator_with(self, other: "SubgroupHandle") -> "SubgroupHandle":
         g = self.parent
-        comms = {g.commutator(i, j) for i in self.members for j in other.members}
+        comms = g.commutators(self.members, other.members)
         return SubgroupHandle(g, g.closure_indices(comms))
 
 
@@ -723,7 +675,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     and checking multiplication consistency.
     """
     if g.order > _ISO_ORDER_CAP or h.order > _ISO_ORDER_CAP:
-        raise ValueError(f"isomorphism search capped at order {_ISO_ORDER_CAP}")
+        raise CapError(f"isomorphism search capped at order {_ISO_ORDER_CAP}")
     if g.order != h.order:
         return False, None
     if g.fingerprint() != h.fingerprint():

@@ -106,10 +106,6 @@ class HeisenbergSpec:
         return f"{tag}({rname}^{self.n},{self.cocycle})"
 
 
-def heis_mul(spec: HeisenbergSpec, g: HeisKey, h: HeisKey) -> HeisKey:
-    return spec.mul(g, h)
-
-
 def heis_group(spec: HeisenbergSpec, closure_cap: int = 4096) -> FiniteGroup:
     """Materialize H(R^n); the table is built from the cocycle as a whole
     array, and ``spec.mul`` is the scalar oracle the tests compare it
@@ -139,13 +135,9 @@ def heis_group(spec: HeisenbergSpec, closure_cap: int = 4096) -> FiniteGroup:
 # matrix model (characteristic != 2)
 # ---------------------------------------------------------------------------
 
-def unitriangular_matrix(carrier, a: int, b: int, t: int):
-    """M(a,b;t): upper unitriangular 3x3 matrix over the carrier, encoded
-    as the entry tuple (a, b, t)."""
-    return (a, b, t)
-
-
 def unitriangular_mul(carrier, m1, m2):
+    """Product of the upper unitriangular 3x3 matrices M(a, b; t) over the
+    carrier, each given as its entry tuple (a, b, t)."""
     a1, b1, t1 = m1
     a2, b2, t2 = m2
     return (
@@ -234,32 +226,21 @@ def dihedral8() -> FiniteGroup:
     return FiniteGroup(elems, tabulate(elems, mul), name="D8")
 
 
-_Q8_MUL = {}
-
-
-def _q8_table():
-    # units +-1, +-i, +-j, +-k as (sign, axis) with axis 0=1, 1=i, 2=j, 3=k
-    if _Q8_MUL:
-        return _Q8_MUL
-    table = {
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    }
-    for a in range(4):
-        table.setdefault((0, a), (1, a))
-        table.setdefault((a, 0), (1, a))
-        table.setdefault((a, a), table.get((a, a), (1, 0)))
-    _Q8_MUL.update(table)
-    return _Q8_MUL
+# products of the units 1, i, j, k (axes 0-3) as (sign, axis)
+_Q8_UNITS = {
+    (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
+    (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+    (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
+    **{(0, a): (1, a) for a in range(4)},
+    **{(a, 0): (1, a) for a in range(1, 4)},
+}
 
 
 def quaternion8() -> FiniteGroup:
-    table = _q8_table()
     def mul(g, h):
         s1, a1 = g
         s2, a2 = h
-        s3, a3 = table[(a1, a2)]
+        s3, a3 = _Q8_UNITS[(a1, a2)]
         return (s1 * s2 * s3, a3)
 
     elems = [(s, a) for s in (1, -1) for a in range(4)]

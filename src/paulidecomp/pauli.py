@@ -145,21 +145,6 @@ class PauliGroupSpec:
                 for beta in vecs:
                     yield (c, alpha, beta)
 
-    def format_element(self, g: PauliKey) -> str:
-        return f"w^{g[0]} X{list(g[1])} Z{list(g[2])}"
-
-
-def pauli_mul(spec: PauliGroupSpec, g: PauliKey, h: PauliKey) -> PauliKey:
-    return spec.mul(g, h)
-
-
-def pauli_inverse(spec: PauliGroupSpec, g: PauliKey) -> PauliKey:
-    return spec.inverse(g)
-
-
-def pauli_order(spec: PauliGroupSpec, g: PauliKey) -> int:
-    return spec.order_of(g)
-
 
 def pauli_group(spec: PauliGroupSpec, closure_cap: int = 4096) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is

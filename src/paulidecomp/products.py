@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import time
 
-from .groupcore import (DEFAULT_SUBGROUP_CAP, FiniteGroup, GroupStructureError,
-                        SubgroupHandle, abelian_invariants, group_close,
-                        isomorphic)
+from .groupcore import (DEFAULT_SUBGROUP_CAP, CapError, FiniteGroup,
+                        GroupStructureError, SubgroupHandle,
+                        abelian_invariants, group_close, isomorphic)
 from .heisenberg import (HeisenbergSpec, dihedral8, extraspecial_e1,
                          extraspecial_e2, heis_group, quaternion8)
-from .algebra import ZmodRing, field_make, is_prime
+from .algebra import ZmodRing, field_make, is_prime, prime_power
 from .pauli import PauliGroupSpec, pauli_group
 from .reports import (CLAIMS, ClassificationFlags, DecompositionReport,
                       VerdictReport)
@@ -124,7 +124,7 @@ def decompose_pauli_chain(n: int) -> DecompositionReport:
     commutator subgroup of two distinct register factors has order at
     most 2 and never equals the order-4 link."""
     if n < 1 or n > 3:
-        raise ValueError("chain decomposition implemented for 1 <= n <= 3")
+        raise CapError("chain decomposition implemented for 1 <= n <= 3")
     spec = PauliGroupSpec(2, 1, n)
     g = pauli_group(spec)
     factors = pauli_chain_subgroups(g, spec)
@@ -178,20 +178,6 @@ def decompose_pauli_chain(n: int) -> DecompositionReport:
 # classification flags
 # ---------------------------------------------------------------------------
 
-def _p_of(g: FiniteGroup) -> int | None:
-    n = g.order
-    for p in range(2, n + 1):
-        if n % p == 0:
-            return p if _is_power(n, p) else None
-    return None
-
-
-def _is_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     """Nonabelian with every proper quotient abelian.  Equivalent test:
     the derived subgroup is contained in the normal closure of every
@@ -229,7 +215,7 @@ def minimal_nonabelian(g: FiniteGroup,
                 return False, {"nonabelian_subgroup_order": h.order}, "exhaustive"
         return True, {}, "exhaustive"
     if g.order > 1024:
-        raise GroupStructureError("minimal-nonabelian test capped at 1024")
+        raise CapError("minimal-nonabelian test capped at 1024")
     t = g.table
     for i in range(g.order):
         for j in range(i + 1, g.order):
@@ -248,7 +234,7 @@ def classify_special(g: FiniteGroup,
                      cap: int = DEFAULT_SUBGROUP_CAP) -> ClassificationFlags:
     """Extraspecial / generalized extraspecial / just nonabelian / minimal
     nonabelian flags with evidence for the False cases."""
-    p = _p_of(g)
+    p, _ = prime_power(g.order) or (None, None)
     center = g.center()
     derived = g.derived_subgroup()
     evidence: dict = {}
@@ -307,15 +293,14 @@ def extraspecial_decompose(g: FiniteGroup) -> DecompositionReport:
     factors: take the subgroup generated by the first noncommuting pair
     (canonical order) and recurse on its centralizer.  Factors are
     identified against the reference families."""
-    flags_p = _p_of(g)
+    p, _ = prime_power(g.order) or (None, None)
     center = g.center()
-    if flags_p is None or center.order != flags_p or \
+    if p is None or center.order != p or \
             set(center.members) != set(g.derived_subgroup().members):
         raise ValueError("input is not extraspecial")
-    if g.order > 256 and flags_p == 2:
-        raise ValueError("extraspecial decomposition capped at order 256 "
-                         "for p = 2")
-    p = flags_p
+    if g.order > 256 and p == 2:
+        raise CapError("extraspecial decomposition capped at order 256 "
+                       "for p = 2")
     factor_groups = []
     current = g.whole_subgroup()
     while not current.is_abelian():

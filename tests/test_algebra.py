@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from paulidecomp.algebra import FieldSpec, ZmodRing, field_make, is_prime
+from paulidecomp.algebra import (FieldSpec, ZmodRing, field_make, is_prime,
+                                 prime_power)
 
 # every prime power up to 25
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -95,3 +96,20 @@ def test_zmod_ring():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while n > 1:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out
+
+
+def test_prime_power_against_factoring():
+    for n in range(1, 501):
+        f = _prime_factors(n)
+        expected = (f[0], len(f)) if f and len(set(f)) == 1 else None
+        assert prime_power(n) == expected, n

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from paulidecomp.cli import main, parse_spec
 
 CLI = [sys.executable, "-m", "paulidecomp.cli"]
@@ -115,3 +117,59 @@ def test_help_documents_grammar():
     assert "spec" in r.stdout.lower()
     for sub in ("build", "decompose", "census", "lattice", "verify", "lifted"):
         assert sub in r.stdout
+
+
+# argv, PAULIDECOMP_CAP_OVERRIDE (None: unset), exit code
+EXIT_CODES = [
+    (["build", "d8"], None, 0),
+    (["build", "d8", "--format", "text"], None, 0),
+    (["lattice", "heis:R=gf(3),n=1", "--format", "dot"], None, 0),
+    (["build", "pauli:p=2,n=1", "--cap-closure", "4096"], "10", 0),
+    (["build", "d8"], "", 0),
+    # bad specs
+    (["build", "nosuch"], None, 2),
+    (["build", "pauli:p=2,n=1,bogus=3"], None, 2),
+    (["build", "pauli:p=4,n=1"], None, 2),
+    (["build", "e1:p=3,p=5"], None, 2),
+    (["build", "heis:R=z(9),reduced=true"], None, 2),
+    (["build", "heis:R=gf(6)"], None, 2),
+    (["verify", "nosuchclaim"], None, 2),
+    # removed flags and formats a subcommand does not produce
+    (["build", "d8", "--seed", "1"], None, 2),
+    (["build", "d8", "--exhaustive"], None, 2),
+    (["build", "d8", "--cap-subgroups", "10"], None, 2),
+    (["build", "d8", "--format", "dot"], None, 2),
+    (["lattice", "d8", "--format", "text"], None, 2),
+    (["census", "d8", "--format", "json"], None, 2),
+    (["decompose", "d8", "--format", "json"], None, 2),
+    (["lifted", "p=3,m=1,n=1", "--format", "json"], None, 2),
+    (["verify", "eq19", "--format", "json"], None, 2),
+    (["verify", "eq19", "--cap-closure", "10"], None, 2),
+    (["verify", "eq19", "--cap-subgroups", "10"], None, 2),
+    # malformed cap override
+    (["build", "d8"], "abc", 2),
+    (["build", "d8"], "0", 2),
+    (["build", "d8"], "-5", 2),
+    # caps and size limits
+    (["build", "pauli:p=2,n=2", "--cap-closure", "10"], None, 3),
+    (["build", "pauli:p=2,n=1"], "10", 3),
+    (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
+    (["decompose", "pauli:p=2,n=4"], None, 3),
+    (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 3),
+]
+
+
+@pytest.mark.parametrize("argv,env,code", EXIT_CODES,
+                         ids=[" ".join(a) + (f" [env={e}]" if e is not None
+                                             else "")
+                              for a, e, _ in EXIT_CODES])
+def test_exit_codes(argv, env, code, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("PAULIDECOMP_CAP_OVERRIDE", raising=False)
+    else:
+        monkeypatch.setenv("PAULIDECOMP_CAP_OVERRIDE", env)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        got = exc.code
+    assert got == code

@@ -1,7 +1,7 @@
 import itertools
 
-from paulidecomp.cyclotomic import (CyclotomicMatrix, cyclo_equal, cyclo_mul,
-                                    cyclotomic_polynomial, zeta_power)
+from paulidecomp.cyclotomic import (CyclotomicMatrix, cyclotomic_polynomial,
+                                    zeta_power)
 
 
 def test_cyclotomic_polynomials():
@@ -31,13 +31,13 @@ def test_matrix_identity_and_mul():
     zero = tuple([0] * len(one))
     x = CyclotomicMatrix(4, 2, ((zero, one), (one, zero)))
     z = CyclotomicMatrix(4, 2, ((one, zero), (zero, zr)))
-    assert cyclo_equal(cyclo_mul(ident, x), x)
-    assert cyclo_equal(cyclo_mul(x, ident), x)
+    assert ident @ x == x
+    assert x @ ident == x
     # (XZ)^2 should be -(ZX)^2 times identity squared relation: just check
     # associativity on a sample triple instead of a named relation
-    lhs = cyclo_mul(cyclo_mul(x, z), x)
-    rhs = cyclo_mul(x, cyclo_mul(z, x))
-    assert cyclo_equal(lhs, rhs)
+    lhs = (x @ z) @ x
+    rhs = x @ (z @ x)
+    assert lhs == rhs
 
 
 def test_matrix_scalar_and_order():
@@ -45,8 +45,8 @@ def test_matrix_scalar_and_order():
     m = ident.scale(1)
     acc = m
     for _ in range(3):
-        acc = cyclo_mul(acc, m)
-    assert cyclo_equal(acc, ident)
+        acc = acc @ m
+    assert acc == ident
 
 
 def test_exact_integer_entries():

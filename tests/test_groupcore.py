@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from paulidecomp.groupcore import (ClosureCapError, FiniteGroup,
+from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
                                    GroupStructureError, SubgroupCapError,
                                    abelian_invariants, group_close,
                                    isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, quaternion8
+from paulidecomp.pauli import PauliGroupSpec, pauli_group
 
 
 def cyclic(n):
@@ -147,3 +148,64 @@ def test_semidirect_witness():
     comp = d8.semidirect_witness(normal4)
     assert comp is not None
     assert comp.order == 2
+
+
+def test_isomorphic_caps_order():
+    x = np.arange(2048)
+    z2048 = FiniteGroup(range(2048), (x[:, None] + x) % 2048)
+    with pytest.raises(CapError):
+        isomorphic(z2048, z2048)
+
+
+# -- conjugation and commutators against their definitions -------------------
+
+def _closure(t, e, gens):
+    members = {e, *gens}
+    while True:
+        grown = members | {t[a][b] for a in members for b in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def _check_against_definitions(g, subgroups=()):
+    """Conjugates, commutators, classes, the derived subgroup, normal
+    closures, and normality and commutators with G of the given
+    subgroups, each written from its definition straight off the
+    multiplication table."""
+    t, e, n = g.table.tolist(), g.identity, g.order
+    inv = [next(y for y in range(n) if t[x][y] == e) for x in range(n)]
+    conj = [[t[t[inv[x]][m]][x] for m in range(n)] for x in range(n)]
+    comm = [[t[t[t[inv[a]][inv[b]]][a]][b] for b in range(n)]
+            for a in range(n)]
+    assert g.conjugates(range(n)).tolist() == conj
+    assert g.commutators(range(n), range(n)).tolist() == comm
+    classes = sorted({tuple(sorted({conj[x][m] for x in range(n)}))
+                      for m in range(n)})
+    assert g.conjugacy_classes == tuple(classes)
+    assert g.derived_subgroup().members == \
+        _closure(t, e, {c for row in comm for c in row})
+    for m in range(n):
+        assert g.normal_closure([m]).members == \
+            _closure(t, e, {conj[x][m] for x in range(n)})
+    whole = g.whole_subgroup()
+    for h in subgroups:
+        assert h.is_normal() == all(conj[x][m] in h.members
+                                    for x in range(n) for m in h.members)
+        assert h.commutator_with(whole).members == _closure(
+            t, e, {comm[a][b] for a in h.members for b in range(n)})
+
+
+@pytest.mark.parametrize("make", [
+    dihedral8, quaternion8,
+    lambda: pauli_group(PauliGroupSpec(3, 1, 1)),
+    lambda: pauli_group(PauliGroupSpec(2, 1, 2)),
+], ids=["D8", "Q8", "P(1,3)", "P(2,2)"])
+def test_conjugation_against_definitions(make):
+    g = make()
+    _check_against_definitions(g, g.subgroups_all())
+
+
+def test_conjugation_against_definitions_p22_subgroups():
+    for h in pauli_group(PauliGroupSpec(2, 1, 2)).subgroups_all():
+        _check_against_definitions(h.as_group())

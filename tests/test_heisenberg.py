@@ -6,8 +6,7 @@ from paulidecomp.algebra import ZmodRing, field_make
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.heisenberg import (HeisenbergSpec, dihedral8,
                                     extraspecial_e1, extraspecial_e2,
-                                    heis_group, heis_mul,
-                                    heis_semidirect_report, phi_map,
+                                    heis_group, heis_semidirect_report, phi_map,
                                     quaternion8, unitriangular_mul)
 
 

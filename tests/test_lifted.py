@@ -5,7 +5,7 @@ import pytest
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.lifted import (LiftedPauliSpec, corollary52_53_check,
                                 lifted_group, lifted_matrix,
-                                lifted_matrix_mul, lifted_mul, pi_image_group,
+                                lifted_matrix_mul, pi_image_group,
                                 pi_is_homomorphism, pi_kernel, pi_map)
 from paulidecomp.pauli import PauliGroupSpec, pauli_group
 
@@ -24,7 +24,7 @@ def test_matrix_oracle_agreement(p, m, n):
     els = list(spec.elements())
     step = 7 if len(els) > 100 else 1
     for g, h in itertools.product(els[::step], repeat=2):
-        prod = lifted_mul(spec, g, h)
+        prod = spec.mul(g, h)
         assert lifted_matrix(spec, prod) == \
             lifted_matrix_mul(spec, lifted_matrix(spec, g),
                               lifted_matrix(spec, h))

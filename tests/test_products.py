@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from paulidecomp.groupcore import CapError, FiniteGroup
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
 from paulidecomp.pauli import PauliGroupSpec, pauli_group
@@ -129,3 +131,12 @@ def test_cor43_m2_reduced_reading():
     assert rep.witness["reduced_variant_isomorphic"]
     assert not rep.witness["full_variant_isomorphic"]
     assert "supported_reading" in rep.witness
+
+
+def test_minimal_nonabelian_caps_order():
+    # dihedral group of order 1200: r^i s^j has index i + 600 j
+    i, j = np.arange(1200) % 600, np.arange(1200) // 600
+    table = ((i[:, None] + np.where(j[:, None], -i, i)) % 600
+             + 600 * (j[:, None] ^ j))
+    with pytest.raises(CapError):
+        minimal_nonabelian(FiniteGroup(range(1200), table))
