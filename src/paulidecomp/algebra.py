@@ -306,6 +306,16 @@ class ZmodRing:
     def m(self) -> int:
         return self.k
 
+    @cached_property
+    def add_table(self) -> list[list[int]]:
+        s = self.size
+        return [[(x + y) % s for y in range(s)] for x in range(s)]
+
+    @cached_property
+    def mul_table(self) -> list[list[int]]:
+        s = self.size
+        return [[x * y % s for y in range(s)] for x in range(s)]
+
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.size
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .groupcore import DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle
-from .pauli import PauliGroupSpec, p12_named_elements, pauli_group
+from .pauli import p12_named_elements, pauli_group, pauli_spec
 from .products import pauli_chain_subgroups
 from .reports import CLAIMS, VerdictReport
 
@@ -73,7 +73,7 @@ def constructive_abelian_subgroups(n: int) -> list[tuple]:
     """Distinct abelian subgroups of P_{n,2} exhibited from the register
     factors H_j (each holding a full P_{1,2} sublattice), without
     enumerating the whole lattice.  Returns sorted member-index tuples."""
-    spec = PauliGroupSpec(2, 1, n)
+    spec = pauli_spec(2, 1, n)
     g = pauli_group(spec)
     found = set()
     for h in pauli_chain_subgroups(g, spec):
@@ -86,20 +86,18 @@ def constructive_abelian_subgroups(n: int) -> list[tuple]:
     return sorted(found)
 
 
-def bounds_check(n: int, exhaustive: bool = False,
-                 cap: int = DEFAULT_SUBGROUP_CAP) -> VerdictReport:
+def bounds_check(n: int, cap: int = DEFAULT_SUBGROUP_CAP) -> VerdictReport:
     """Adjudicate 2(c_ab(P_{n-1,2}) + 1) >= c_ab(P_{n,2}) >= 10 n.
 
-    For n <= 2 both counts are exact.  For n = 3 the default mode checks
-    the lower bound constructively (the full order-256 lattice is only
-    enumerated when ``exhaustive`` is set)."""
+    For n <= 2 both counts are exact.  For n = 3 the lower bound is
+    checked constructively, without enumerating the order-256 lattice."""
     t0 = time.perf_counter()
     if n < 1 or n > 3:
         raise ValueError("bounds implemented for 1 <= n <= 3")
     witness: dict = {"n": n, "lower_bound": 10 * n}
-    exact = n <= 2 or exhaustive
+    exact = n <= 2
     if exact:
-        g = pauli_group(PauliGroupSpec(2, 1, n))
+        g = pauli_group(pauli_spec(2, 1, n))
         c_ab = abelian_census(g, cap).c_ab
         witness["c_ab_exact"] = c_ab
         witness["mode"] = "exhaustive"
@@ -112,7 +110,7 @@ def bounds_check(n: int, exhaustive: bool = False,
 
     upper_ok = None
     if n >= 2 and exact:
-        prev = pauli_group(PauliGroupSpec(2, 1, n - 1))
+        prev = pauli_group(pauli_spec(2, 1, n - 1))
         c_prev = abelian_census(prev, cap).c_ab
         bound = 2 * (c_prev + 1)
         upper_ok = c_ab <= bound
@@ -218,7 +216,7 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
         g = dihedral8()
         return hasse(g)
     if kind == "p12":
-        s = PauliGroupSpec(2, 1, 1)
+        s = pauli_spec(2, 1, 1)
         g = pauli_group(s)
         e = p12_named_elements()
         u, a, b = e["u"], e["a"], e["b"]
@@ -248,8 +246,8 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
         return hasse(g, [h for _, h in named], [n for n, _ in named])
     if kind == "heis":
         from .algebra import field_make
-        from .heisenberg import HeisenbergSpec, heis_group
-        hs = HeisenbergSpec(field_make(3, 1))
+        from .heisenberg import heis_group, heis_spec
+        hs = heis_spec(field_make(3, 1))
         g = heis_group(hs)
         x = hs.element([1], [0])
         y = hs.element([0], [1])

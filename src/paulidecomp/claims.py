@@ -10,11 +10,11 @@ import time
 from .algebra import field_make, sigma_tau
 from .census import bounds_check
 from .groupcore import isomorphic
-from .heisenberg import (HeisenbergSpec, dihedral8, extraspecial_e1,
-                         extraspecial_e2, heis_group, heis_semidirect_report)
+from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
+                         heis_group, heis_semidirect_report, heis_spec)
 from .lifted import corollary52_53_check
-from .pauli import (PauliGroupSpec, lemma31_presentation_check, pauli_group,
-                    p22_relations_check)
+from .pauli import (lemma31_presentation_check, p22_relations_check,
+                    pauli_group, pauli_spec)
 from .products import (classify_special, corollary43_check,
                        decompose_pauli_chain)
 from .reports import CLAIMS, VerdictReport
@@ -23,9 +23,9 @@ from .reports import CLAIMS, VerdictReport
 def check_thm41() -> VerdictReport:
     """P_{1,2} just nonabelian, not minimal; P_{1,p} both for odd p."""
     t0 = time.perf_counter()
-    f12 = classify_special(pauli_group(PauliGroupSpec(2, 1, 1)))
-    f13 = classify_special(pauli_group(PauliGroupSpec(3, 1, 1)))
-    f15 = classify_special(pauli_group(PauliGroupSpec(5, 1, 1)))
+    f12 = classify_special(pauli_group(pauli_spec(2, 1, 1)))
+    f13 = classify_special(pauli_group(pauli_spec(3, 1, 1)))
+    f15 = classify_special(pauli_group(pauli_spec(5, 1, 1)))
     ok = (f12.just_nonabelian and not f12.minimal_nonabelian
           and f13.just_nonabelian and f13.minimal_nonabelian
           and f15.just_nonabelian and f15.minimal_nonabelian)
@@ -117,9 +117,9 @@ def check_cor44() -> VerdictReport:
     as well (every nontrivial normal subgroup contains -I, hence the
     derived subgroup), refuting the 'only if' direction."""
     t0 = time.perf_counter()
-    f12 = classify_special(pauli_group(PauliGroupSpec(2, 1, 1)))
-    f22 = classify_special(pauli_group(PauliGroupSpec(2, 1, 2)))
-    f23 = classify_special(pauli_group(PauliGroupSpec(3, 1, 2)))
+    f12 = classify_special(pauli_group(pauli_spec(2, 1, 1)))
+    f22 = classify_special(pauli_group(pauli_spec(2, 1, 2)))
+    f23 = classify_special(pauli_group(pauli_spec(3, 1, 2)))
     odd_ok = f23.just_nonabelian
     iff_ok = f12.just_nonabelian and not f22.just_nonabelian
     witness = {
@@ -141,8 +141,8 @@ def check_cor54() -> VerdictReport:
     """Registered: P_{n,p^m} minimal nonabelian for all odd p, n, m.
     The oracle exhibits a proper nonabelian subgroup of P_{2,3}."""
     t0 = time.perf_counter()
-    f13 = classify_special(pauli_group(PauliGroupSpec(3, 1, 1)))
-    f23 = classify_special(pauli_group(PauliGroupSpec(3, 1, 2)))
+    f13 = classify_special(pauli_group(pauli_spec(3, 1, 1)))
+    f23 = classify_special(pauli_group(pauli_spec(3, 1, 2)))
     witness = {
         "P(1,3)_minimal_nonabelian": f13.minimal_nonabelian,
         "P(2,3)_minimal_nonabelian": f23.minimal_nonabelian,
@@ -156,12 +156,11 @@ def check_cor54() -> VerdictReport:
         witness=witness, wall_time_s=time.perf_counter() - t0)
 
 
-def check_cor56(exhaustive_n3: bool = False) -> VerdictReport:
+def check_cor56() -> VerdictReport:
     """Both registered bound inequalities at n = 1, 2 (exact) and the lower
-    bound at n = 3 (constructive by default)."""
+    bound at n = 3 (constructive)."""
     t0 = time.perf_counter()
-    sub = {f"n={n}": bounds_check(n, exhaustive=(exhaustive_n3 and n == 3))
-           for n in (1, 2, 3)}
+    sub = {f"n={n}": bounds_check(n) for n in (1, 2, 3)}
     statuses = {v.status for v in sub.values()}
     status = "confirmed" if statuses <= {"confirmed"} else \
         "refuted_at_desk_scale"
@@ -190,10 +189,10 @@ def check_remark39() -> VerdictReport:
     and the isomorphism oracle both select E_1 (the exponent-p group), so
     the registered label contradicts the registered exponent."""
     t0 = time.perf_counter()
-    pg = pauli_group(PauliGroupSpec(3, 1, 1))
+    pg = pauli_group(pauli_spec(3, 1, 1))
     e1 = extraspecial_e1(3)
     e2 = extraspecial_e2(3)
-    h = heis_group(HeisenbergSpec(field_make(3, 1)))
+    h = heis_group(heis_spec(field_make(3, 1)))
     iso_e1, _ = isomorphic(pg, e1)
     iso_e2, _ = isomorphic(pg, e2)
     iso_h, _ = isomorphic(pg, h)
@@ -236,7 +235,7 @@ def check_remark32() -> VerdictReport:
 
 
 def check_eq6() -> VerdictReport:
-    return heis_semidirect_report(HeisenbergSpec(field_make(3, 1)))
+    return heis_semidirect_report(heis_spec(field_make(3, 1)))
 
 
 def check_cor52() -> VerdictReport:

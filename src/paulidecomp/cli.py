@@ -28,20 +28,19 @@ self-inconsistency.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .algebra import ZmodRing, field_make, is_prime, prime_power
-from .census import (abelian_census, bounds_check, export_dot, export_json,
-                     hasse, paper_figure_lattice)
+from .census import (abelian_census, export_dot, export_json, hasse,
+                     paper_figure_lattice)
 from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                         FiniteGroup, GroupStructureError)
-from .heisenberg import HeisenbergSpec, heis_group
-from .lifted import LiftedPauliSpec, lifted_group, pi_image_group, pi_kernel
-from .pauli import PauliGroupSpec, pauli_group
-from .products import (classify_special, decompose_pauli_chain,
-                       extraspecial_decompose, reference_group)
+from .heisenberg import heis_group, heis_spec
+from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
+from .pauli import pauli_group, pauli_spec
+from .products import (decompose_pauli_chain, extraspecial_decompose,
+                       reference_group)
 from .reports import dump_json
 
 
@@ -116,7 +115,7 @@ def parse_spec(text: str):
         m = _int_param(params, "m", 1)
         n = _int_param(params, "n", 1)
         try:
-            return "pauli", PauliGroupSpec(p, m, n)
+            return "pauli", pauli_spec(p, m, n)
         except ValueError as exc:
             raise SpecError(str(exc))
     if head == "heis":
@@ -125,9 +124,11 @@ def parse_spec(text: str):
         carrier = _parse_carrier(params.get("R", "gf(3)"))
         n = _int_param(params, "n", 1)
         cocycle = params.get("cocycle", "symplectic")
-        reduced = params.get("reduced", "false").lower() == "true"
+        reduced = params.get("reduced", "false").lower()
+        if reduced not in ("true", "false"):
+            raise SpecError(f"reduced must be true or false, got {reduced!r}")
         try:
-            return "heis", HeisenbergSpec(carrier, n, cocycle, reduced)
+            return "heis", heis_spec(carrier, n, cocycle, reduced == "true")
         except ValueError as exc:
             raise SpecError(str(exc))
     if head == "lifted":
@@ -139,7 +140,7 @@ def parse_spec(text: str):
         m = _int_param(params, "m", 1)
         n = _int_param(params, "n", 1)
         try:
-            return "lifted", LiftedPauliSpec(p, m, n)
+            return "lifted", lifted_spec(p, m, n)
         except ValueError as exc:
             raise SpecError(str(exc))
     raise SpecError(f"unknown spec {text!r}")
@@ -186,8 +187,8 @@ def cmd_build(args) -> int:
 
 def cmd_decompose(args) -> int:
     kind, spec = parse_spec(args.spec)
-    if kind == "pauli" and spec.p == 2:
-        rep = decompose_pauli_chain(spec.n)
+    if kind == "pauli" and spec.carrier.p == 2:
+        rep = decompose_pauli_chain(spec.n, args.cap_closure)
     else:
         g = build_group(kind, spec, args.cap_closure)
         rep = extraspecial_decompose(g)
@@ -208,7 +209,7 @@ def cmd_lattice(args) -> int:
     if args.filter == "paper_figure":
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
-        elif kind == "pauli" and (spec.p, spec.m, spec.n) == (2, 1, 1):
+        elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
             lat = paper_figure_lattice("p12")
         elif kind == "heis" and spec.n == 1 and spec.carrier.size == 3:
             lat = paper_figure_lattice("heis")
@@ -233,7 +234,7 @@ def cmd_lifted(args) -> int:
     image = pi_image_group(spec, args.cap_closure)
     kernel = pi_kernel(spec)
     report = {
-        "spec": {"p": spec.p, "m": spec.m, "n": spec.n},
+        "spec": {"p": spec.carrier.p, "m": spec.carrier.m, "n": spec.n},
         "order": g.order,
         "exponent": g.exponent,
         "kernel_order": len(kernel),

@@ -4,14 +4,22 @@ A group is materialized from a canonical list of opaque hashable element
 keys plus its index-based multiplication table; everything downstream
 (centers, derived and Frattini subgroups, subgroup lattices, quotients,
 isomorphism tests) works on that table.  The table comes either from
-``tabulate``, one call of a scalar multiplication oracle per pair, or, for
-the Pauli, Heisenberg and lifted families, from
-``central_extension_table``, which builds it by whole-array operations
-from a carrier, a centre and a 2-cocycle.  Every table is verified at
+``tabulate``, one call of a scalar multiplication oracle per pair, or
+from a ``CentralExtension`` spec.  Every table is verified at
 construction by whole-array checks: Latin square, identity, inverses, and
 associativity decided exactly at every order by Light's test.  This module
 is the brute-force oracle: a structural claim about any group in the
 package is checked here by exhaustive computation, never assumed.
+
+The Pauli, Heisenberg and lifted families are one object: a central
+extension of R^n x R^n by a centre C through a bilinear form, given by
+its carrier R, n, the form (signed pairs of blocks), the centre (R
+itself, Z_p through the trace, or Z_4 through the doubled trace) and the
+key layout.  The spec lists its element keys in the order of its table's
+indices, has one scalar ``mul`` (the oracle) and one table path: the form
+as an array, mapped into the centre, then extended by
+``central_extension_table``.  The family modules only choose the
+parameters.
 
 Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
@@ -26,9 +34,11 @@ overridden per call.  Isomorphism search is limited to order
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -470,6 +480,143 @@ def tabulate(elements, mul) -> np.ndarray:
     return table
 
 
+class Centre(NamedTuple):
+    """The centre C of a central extension: ``map`` sends each carrier
+    value to an element of C, and ``add`` is the addition table of C.
+    Elements of C are the integers 0 .. |C| - 1, with 0 the identity."""
+
+    map: tuple[int, ...]
+    add: tuple[tuple[int, ...], ...]
+
+
+def carrier_centre(carrier) -> Centre:
+    """C = R, through the identity map."""
+    return Centre(tuple(range(carrier.size)), _frozen(carrier.add_table))
+
+
+def trace_centre(carrier) -> Centre:
+    """C = Z_p, through the absolute trace."""
+    return Centre(tuple(carrier.trace(x) for x in range(carrier.size)),
+                  _frozen(cyclic_add(carrier.p)))
+
+
+def doubled_trace_centre(carrier) -> Centre:
+    """C = Z_4, through twice the absolute trace (characteristic 2: the
+    phases i^k, with the Z_2-valued trace landing on +-1)."""
+    return Centre(tuple(2 * carrier.trace(x) for x in range(carrier.size)),
+                  _frozen(cyclic_add(4)))
+
+
+@dataclass(frozen=True)
+class CentralExtension:
+    """The central extension of R^n x R^n by a centre C through a bilinear
+    form on R^(2n):
+
+        (c1, v1)(c2, v2) = (c1 + c2 + centre.map[form(v1, v2)], v1 + v2).
+
+    ``carrier`` is a ``FieldSpec`` or a ``ZmodRing``.  A vector v in R^(2n)
+    is split into block 0 (its first n coordinates: alpha, or a) and
+    block 1 (the last n: beta, or b).  ``form`` is a tuple of signed block
+    pairs (sign, left, right), and form(v, w) sums sign * (block left of
+    v) . (block right of w) over its terms: ((1, 1, 0),) is b1.a2,
+    ((1, 0, 1), (-1, 1, 0)) is a1.b2 - b1.a2.
+
+    Keys are plain-int tuples: (c, alpha, beta) when ``centre_first``,
+    else (a, b, c).  ``elements()`` lists them in sorted order, which is
+    also the index layout of ``table()``: (c, v) has index c * q^(2n) + v
+    when ``centre_first``, else v * |C| + c, with v read as 2n base-q
+    digits.  ``mul`` is the scalar oracle; ``table`` builds the same law
+    by whole-array operations."""
+
+    carrier: object
+    n: int
+    form: tuple[tuple[int, int, int], ...]
+    centre: Centre
+    centre_first: bool
+    name: str
+
+    @property
+    def order(self) -> int:
+        return self.carrier.size ** (2 * self.n) * len(self.centre.add)
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(carrier code of the sign, coordinate of v, coordinate of w)
+        for each product the form sums."""
+        n = self.n
+        return tuple((self.carrier.scalar(sign), left * n + i, right * n + i)
+                     for sign, left, right in self.form for i in range(n))
+
+    def _split(self, g) -> tuple[int, tuple]:
+        """(centre element, the 2n carrier coordinates) of a key."""
+        if self.centre_first:
+            return g[0], g[1] + g[2]
+        return g[2], g[0] + g[1]
+
+    def _join(self, c: int, v: tuple) -> tuple:
+        a, b = v[:self.n], v[self.n:]
+        return (c, a, b) if self.centre_first else (a, b, c)
+
+    def _cocycle(self, v: tuple, w: tuple) -> int:
+        add, mul = self.carrier.add_table, self.carrier.mul_table
+        x = 0
+        for coeff, i, j in self._terms:
+            x = add[x][mul[coeff][mul[v[i]][w[j]]]]
+        return self.centre.map[x]
+
+    def mul(self, g, h):
+        c1, v1 = self._split(g)
+        c2, v2 = self._split(h)
+        add, cadd = self.carrier.add_table, self.centre.add
+        v = tuple(add[x][y] for x, y in zip(v1, v2))
+        return self._join(cadd[cadd[c1][c2]][self._cocycle(v1, v2)], v)
+
+    def inverse(self, g):
+        c, v = self._split(g)
+        w = tuple(self.carrier.neg(x) for x in v)
+        # g g^-1 = (c + c' + cocycle(v, w), 0) is the identity
+        s = self.centre.add[c][self._cocycle(v, w)]
+        return self._join(self.centre.add[s].index(0), w)
+
+    def identity(self):
+        return self._join(0, (0,) * (2 * self.n))
+
+    def element(self, a, b, c: int = 0):
+        """The key with vector blocks a, b and centre element c."""
+        if len(a) != self.n or len(b) != self.n:
+            raise ValueError(f"vectors must have length n = {self.n}")
+        size = self.carrier.size
+        v = tuple(int(x) % size for x in (*a, *b))
+        return self._join(int(c) % len(self.centre.add), v)
+
+    def elements(self) -> list:
+        vecs = list(itertools.product(range(self.carrier.size),
+                                      repeat=2 * self.n))
+        centre = range(len(self.centre.add))
+        if self.centre_first:
+            return [self._join(c, v) for c in centre for v in vecs]
+        return [self._join(c, v) for v in vecs for c in centre]
+
+    def table(self) -> np.ndarray:
+        """The index table of ``elements()``: the form as a q^(2n) x q^(2n)
+        array of carrier values, mapped into the centre, then extended."""
+        r = self.carrier
+        add = np.asarray(r.add_table, dtype=np.int32)
+        mul = np.asarray(r.mul_table, dtype=np.int32)
+        d = _digits(r.size, 2 * self.n)
+        form = np.zeros((len(d), len(d)), dtype=np.int32)
+        for coeff, i, j in self._terms:
+            form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
+        cocycle = np.asarray(self.centre.map, dtype=np.int32)[form]
+        return central_extension_table(add, self.n, self.centre.add, cocycle,
+                                       self.centre_first)
+
+    def group(self, closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+        if self.order > closure_cap:
+            raise ClosureCapError(closure_cap)
+        return FiniteGroup(self.elements(), self.table(), name=self.name)
+
+
 def central_extension_table(add, n: int, centre_add, cocycle,
                             centre_first: bool) -> np.ndarray:
     """Multiplication table of the central extension of R^n x R^n by a
@@ -477,14 +624,10 @@ def central_extension_table(add, n: int, centre_add, cocycle,
 
         (c1, v1)(c2, v2) = (c1 + c2 + cocycle[v1, v2], v1 + v2).
 
-    ``add`` is the q x q addition table of the carrier R.  A vector v in
-    R^(2n) is indexed by its 2n coordinates read as base-q digits, most
-    significant first, so that sorted coordinate tuples get increasing
-    indices.  ``centre_add`` is the M x M addition table of C and
-    ``cocycle`` a q^(2n) x q^(2n) array of centre indices (see
-    ``vector_dot``).  The element (c, v) has index c * q^(2n) + v when
-    ``centre_first``, else v * M + c: the positions of the keys
-    (c, alpha, beta) and (a, b, c) in sorted order."""
+    ``add`` is the q x q addition table of the carrier R, ``centre_add``
+    the M x M addition table of C and ``cocycle`` a q^(2n) x q^(2n) array
+    of centre elements; indices follow the layout of
+    ``CentralExtension``."""
     add = np.asarray(add, dtype=np.int32)
     centre_add = np.asarray(centre_add, dtype=np.int32)
     d = _digits(len(add), 2 * n)
@@ -503,24 +646,13 @@ def central_extension_table(add, n: int, centre_add, cocycle,
     return table.reshape(size * m, size * m)
 
 
-def vector_dot(add, mul, n: int, left: int, right: int) -> np.ndarray:
-    """Bilinear form on R^(2n) as a q^(2n) x q^(2n) array of carrier
-    elements, vectors indexed as in ``central_extension_table``: entry
-    [v, w] is the dot product of block ``left`` of v with block ``right``
-    of w, where block 0 holds the first n coordinates (alpha, or a) and
-    block 1 the last n (beta, or b)."""
-    add = np.asarray(add, dtype=np.int32)
-    mul = np.asarray(mul, dtype=np.int32)
-    d = _digits(len(add), 2 * n)
-    out = np.zeros((len(d), len(d)), dtype=np.int32)
-    for i in range(n):
-        out = add[out, mul[d[:, left * n + i, None], d[None, :, right * n + i]]]
-    return out
-
-
 def cyclic_add(m: int) -> np.ndarray:
     """Addition table of Z/m."""
     return (np.arange(m)[:, None] + np.arange(m)) % m
+
+
+def _frozen(table) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(x) for x in row) for row in table)
 
 
 def _digits(q: int, k: int) -> np.ndarray:

@@ -2,133 +2,58 @@
 used to identify factors of central-product decompositions.
 
 The carrier R is a finite field GF(p^m) or a residue ring Z/p^k (duck
-typed: the code only needs add, mul, neg, trace, elements, p, size).
+typed: the code needs add_table, mul_table, add, mul, neg, inv, scalar,
+trace, p and size).
 Elements are triples ``(a, b, t)`` with a, b in R^n and the central entry
 t either in R (plain variant) or in Z_p (reduced variant, where the
 cocycle is composed with the trace form).  The product is
 
     (a1,b1,t1)(a2,b2,t2) = (a1+a2, b1+b2, t1+t2+c((a1,b1),(a2,b2)))
 
-with cocycle c = a1.b2 - b1.a2 (symplectic) or c = a1.b2 (polarized).
+with cocycle c = a1.b2 - b1.a2 (symplectic) or c = a1.b2 (polarized): a
+``groupcore.CentralExtension`` with the centre last in the key.
 The two cocycles give isomorphic groups in odd characteristic; the
 polarized one matches the upper unitriangular 3x3 matrix model.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
-
 from .algebra import FieldSpec, ZmodRing, field_make
-from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
-                        tabulate, vector_dot)
+from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
+                        tabulate, trace_centre)
 
 HeisKey = tuple  # (a tuple, b tuple, t)
 
-COCYCLES = ("symplectic", "polarized")
+# the cocycles as signed block pairs (see ``CentralExtension``)
+COCYCLES = {
+    "symplectic": ((1, 0, 1), (-1, 1, 0)),  # a1.b2 - b1.a2
+    "polarized": ((1, 0, 1),),              # a1.b2
+}
 
 
-@dataclass(frozen=True)
-class HeisenbergSpec:
-    """Parameters of H(R^n) with a chosen cocycle and optional trace
-    reduction of the central coordinate."""
-
-    carrier: object
-    n: int = 1
-    cocycle: str = "symplectic"
-    reduced: bool = False
-
-    def __post_init__(self):
-        if self.cocycle not in COCYCLES:
-            raise ValueError(f"cocycle must be one of {COCYCLES}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.reduced and isinstance(self.carrier, ZmodRing) \
-                and self.carrier.k > 1:
-            raise ValueError("the reduced variant needs a field carrier: the "
-                             f"trace is not defined on Z/{self.carrier.size}")
-
-    @property
-    def center_modulus(self) -> int:
-        return self.carrier.p if self.reduced else self.carrier.size
-
-    @property
-    def order(self) -> int:
-        return self.carrier.size ** (2 * self.n) * self.center_modulus
-
-    def identity(self) -> HeisKey:
-        zero = (0,) * self.n
-        return (zero, zero, 0)
-
-    def _cocycle_value(self, g: HeisKey, h: HeisKey) -> int:
-        r = self.carrier
-        x = 0
-        for a1, a2 in zip(g[0], h[1]):
-            x = r.add(x, r.mul(a1, a2))
-        if self.cocycle == "symplectic":
-            for b1, b2 in zip(g[1], h[0]):
-                x = r.sub(x, r.mul(b1, b2))
-        return x
-
-    def mul(self, g: HeisKey, h: HeisKey) -> HeisKey:
-        r = self.carrier
-        a = tuple(r.add(x, y) for x, y in zip(g[0], h[0]))
-        b = tuple(r.add(x, y) for x, y in zip(g[1], h[1]))
-        x = self._cocycle_value(g, h)
-        if self.reduced:
-            t = (g[2] + h[2] + r.trace(x)) % r.p
-        else:
-            t = r.add(r.add(g[2], h[2]), x)
-        return (a, b, t)
-
-    def element(self, a, b, t: int = 0) -> HeisKey:
-        size = self.carrier.size
-        a = tuple(int(x) % size for x in a)
-        b = tuple(int(x) % size for x in b)
-        if len(a) != self.n or len(b) != self.n:
-            raise ValueError(f"vectors must have length n = {self.n}")
-        return (a, b, t % self.center_modulus)
-
-    def elements(self):
-        vecs = list(itertools.product(range(self.carrier.size), repeat=self.n))
-        for a in vecs:
-            for b in vecs:
-                for t in range(self.center_modulus):
-                    yield (a, b, t)
-
-    def name(self) -> str:
-        tag = "Hred" if self.reduced else "H"
-        r = self.carrier
-        rname = f"gf({r.size})" if isinstance(r, FieldSpec) else f"z{r.size}"
-        return f"{tag}({rname}^{self.n},{self.cocycle})"
+def heis_spec(carrier, n: int = 1, cocycle: str = "symplectic",
+              reduced: bool = False) -> CentralExtension:
+    """H(R^n) with a chosen cocycle and optional trace reduction of the
+    central coordinate."""
+    if cocycle not in COCYCLES:
+        raise ValueError(f"cocycle must be one of {tuple(COCYCLES)}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reduced and isinstance(carrier, ZmodRing) and carrier.k > 1:
+        raise ValueError("the reduced variant needs a field carrier: the "
+                         f"trace is not defined on Z/{carrier.size}")
+    tag = "Hred" if reduced else "H"
+    rname = (f"gf({carrier.size})" if isinstance(carrier, FieldSpec)
+             else f"z{carrier.size}")
+    centre = trace_centre(carrier) if reduced else carrier_centre(carrier)
+    return CentralExtension(carrier, n, COCYCLES[cocycle], centre,
+                            centre_first=False,
+                            name=f"{tag}({rname}^{n},{cocycle})")
 
 
-def heis_group(spec: HeisenbergSpec, closure_cap: int = 4096) -> FiniteGroup:
-    """Materialize H(R^n); the table is built from the cocycle as a whole
-    array, and ``spec.mul`` is the scalar oracle the tests compare it
-    with."""
-    if spec.order > closure_cap:
-        from .groupcore import ClosureCapError
-        raise ClosureCapError(closure_cap)
-    r = spec.carrier
-    codes = range(r.size)
-    add = np.array([[r.add(x, y) for y in codes] for x in codes])
-    mul = np.array([[r.mul(x, y) for y in codes] for x in codes])
-    cocycle = vector_dot(add, mul, spec.n, 0, 1)  # a1 . b2
-    if spec.cocycle == "symplectic":
-        neg = np.array([r.neg(x) for x in codes])
-        cocycle = add[cocycle, neg[vector_dot(add, mul, spec.n, 1, 0)]]
-    if spec.reduced:
-        cocycle = np.array([r.trace(x) for x in codes])[cocycle]
-        centre_add = cyclic_add(r.p)
-    else:
-        centre_add = add
-    table = central_extension_table(add, spec.n, centre_add, cocycle,
-                                    centre_first=False)
-    return FiniteGroup(sorted(spec.elements()), table, name=spec.name())
+def heis_group(spec: CentralExtension, closure_cap: int = 4096) -> FiniteGroup:
+    """Materialize H(R^n)."""
+    return spec.group(closure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +72,12 @@ def unitriangular_mul(carrier, m1, m2):
     )
 
 
-def phi_map(spec: HeisenbergSpec, g: HeisKey):
+def phi_map(spec: CentralExtension, g: HeisKey):
     """The classical isomorphism (a, b, t) -> M(a, b; (t + a b)/2) from
     the symplectic cocycle model to the matrix model.  Defined for n = 1,
     plain variant, odd characteristic."""
     r = spec.carrier
-    if spec.n != 1 or spec.reduced or spec.cocycle != "symplectic":
+    if spec != heis_spec(r):
         raise ValueError("phi_map applies to the plain symplectic model, n = 1")
     if r.p == 2:
         raise ValueError("phi_map requires odd characteristic")
@@ -162,7 +87,7 @@ def phi_map(spec: HeisenbergSpec, g: HeisKey):
     return (a, b, s)
 
 
-def heis_semidirect_report(spec: HeisenbergSpec):
+def heis_semidirect_report(spec: CentralExtension):
     """Verify the two semidirect splittings G = A x| <y> = B x| <x> with
     A = <z, x>, B = <z, y> the maximal abelian normal subgroups, plus the
     central-product facts [A,B] = A cap B = <z> = Z(G).  n = 1 only."""
@@ -175,7 +100,7 @@ def heis_semidirect_report(spec: HeisenbergSpec):
     g = heis_group(spec)
     x = spec.element([1], [0])
     y = spec.element([0], [1])
-    z = ((0,), (0,), 1 % spec.center_modulus)
+    z = spec.element([0], [0], 1)
     a_sub = g.generated_subgroup([z, x])
     b_sub = g.generated_subgroup([z, y])
     x_sub = g.generated_subgroup([x])
@@ -204,7 +129,7 @@ def heis_semidirect_report(spec: HeisenbergSpec):
         claim="eq6",
         locator=CLAIMS["eq6"],
         status="confirmed" if ok else "refuted_at_desk_scale",
-        witness={"group": spec.name(), "facts": facts},
+        witness={"group": spec.name, "facts": facts},
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -252,9 +177,7 @@ def extraspecial_e1(p: int) -> FiniteGroup:
     group over GF(p)), for odd p."""
     if p == 2:
         raise ValueError("E1 is defined for odd p")
-    spec = HeisenbergSpec(field_make(p, 1), 1, cocycle="polarized")
-    g = heis_group(spec)
-    return g
+    return heis_group(heis_spec(field_make(p, 1), cocycle="polarized"))
 
 
 def extraspecial_e2(p: int) -> FiniteGroup:

@@ -7,7 +7,8 @@ alpha, beta in GF(q)^n.  Matrix multiplication gives
     (e1,a1,b1)(e2,a2,b2) = (e1 + e2 + a1.b2, a1+a2, b1+b2).
 
 Here we keep the cross term on the beta-alpha side, matching the Pauli
-phase-space convention:
+phase-space convention (a ``groupcore.CentralExtension`` with the Pauli
+form and the carrier as centre):
 
     (e1,a1,b1)(e2,a2,b2) = (e1 + e2 + b1.a2, a1+a2, b1+b2).
 
@@ -21,94 +22,35 @@ corner entry through the field trace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
-from .algebra import FieldSpec, field_make
-import numpy as np
-
-from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
-                        vector_dot)
-from .pauli import PauliGroupSpec, pauli_group
+from .algebra import field_make
+from .groupcore import (CentralExtension, ClosureCapError, FiniteGroup,
+                        carrier_centre, trace_centre)
+from .pauli import PAULI_FORM, pauli_group, pauli_law, pauli_spec
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
 
 
-@dataclass(frozen=True)
-class LiftedPauliSpec:
-    """Parameters of the lifted Pauli group over GF(p^m) on n registers."""
-
-    p: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be >= 1")
-
-    @cached_property
-    def field(self) -> FieldSpec:
-        return field_make(self.p, self.m)
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.m
-
-    @property
-    def order(self) -> int:
-        return self.q ** (2 * self.n + 1)
-
-    def identity(self) -> LiftedKey:
-        zero = (0,) * self.n
-        return (0, zero, zero)
-
-    def element(self, eta: int, alpha, beta) -> LiftedKey:
-        alpha = tuple(int(a) % self.q for a in alpha)
-        beta = tuple(int(b) % self.q for b in beta)
-        if len(alpha) != self.n or len(beta) != self.n:
-            raise ValueError(f"vectors must have length n = {self.n}")
-        return (int(eta) % self.q, alpha, beta)
-
-    def mul(self, g: LiftedKey, h: LiftedKey) -> LiftedKey:
-        f = self.field
-        eta = f.add(g[0], h[0])
-        for b, a in zip(g[2], h[1]):
-            eta = f.add(eta, f.mul(b, a))
-        alpha = tuple(f.add(x, y) for x, y in zip(g[1], h[1]))
-        beta = tuple(f.add(x, y) for x, y in zip(g[2], h[2]))
-        return (eta, alpha, beta)
-
-    def elements(self):
-        q, n = self.q, self.n
-        vecs = list(itertools.product(range(q), repeat=n))
-        for eta in range(q):
-            for alpha in vecs:
-                for beta in vecs:
-                    yield (eta, alpha, beta)
-
-    def name(self) -> str:
-        return f"Plift({self.n},{self.q})"
+def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
+    """The lifted Pauli group over GF(p^m) on n registers."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    f = field_make(p, m)
+    return CentralExtension(f, n, PAULI_FORM, carrier_centre(f),
+                            centre_first=True, name=f"Plift({n},{f.q})")
 
 
-def lifted_group(spec: LiftedPauliSpec, closure_cap: int = 4096) -> FiniteGroup:
-    """Materialize the lifted group; the table is built from the cross term
-    b1.a2 as a whole array, and ``spec.mul`` is the scalar oracle the
-    tests compare it with."""
-    if spec.order > closure_cap:
-        from .groupcore import ClosureCapError
-        raise ClosureCapError(closure_cap)
-    f = spec.field
-    cross = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)
-    table = central_extension_table(f.add_table, spec.n, f.add_table, cross,
-                                    centre_first=True)
-    return FiniteGroup(sorted(spec.elements()), table, name=spec.name())
+def lifted_group(spec: CentralExtension,
+                 closure_cap: int = 4096) -> FiniteGroup:
+    """Materialize the lifted group."""
+    return spec.group(closure_cap)
 
 
 # ---------------------------------------------------------------------------
 # independent matrix oracle
 # ---------------------------------------------------------------------------
 
-def lifted_matrix(spec: LiftedPauliSpec, g: LiftedKey):
+def lifted_matrix(spec: CentralExtension, g: LiftedKey):
     """(n+2)x(n+2) unitriangular matrix over GF(q), row vector first.
     The alpha <-> beta swap aligns the matrix cross term a1.b2 with the
     phase-space cross term b1.a2 used by ``mul``."""
@@ -124,8 +66,8 @@ def lifted_matrix(spec: LiftedPauliSpec, g: LiftedKey):
     return tuple(tuple(r) for r in rows)
 
 
-def lifted_matrix_mul(spec: LiftedPauliSpec, m1, m2):
-    f = spec.field
+def lifted_matrix_mul(spec: CentralExtension, m1, m2):
+    f = spec.carrier
     size = spec.n + 2
     out = []
     for i in range(size):
@@ -143,74 +85,48 @@ def lifted_matrix_mul(spec: LiftedPauliSpec, m1, m2):
 # projection onto the ordinary Pauli group
 # ---------------------------------------------------------------------------
 
-def pi_map(spec: LiftedPauliSpec, g: LiftedKey) -> tuple:
+def pi_map(spec: CentralExtension, g: LiftedKey) -> tuple:
     """The trace epimorphism onto P_{n,q}.  For odd p the phase is the
     absolute trace of eta; for p = 2 the Z_2-valued trace is doubled into
     the i-phase group Z_4, so the image is the real (phase +-1 on the
     X-Z part) subgroup of P_{n,2^m}."""
-    f = spec.field
+    f = spec.carrier
     t = f.trace(g[0])
-    if spec.p == 2:
+    if f.p == 2:
         return (2 * t, g[1], g[2])
     return (t, g[1], g[2])
 
 
-def pi_kernel(spec: LiftedPauliSpec) -> list[LiftedKey]:
+def pi_kernel(spec: CentralExtension) -> list[LiftedKey]:
     """Central kernel {(eta, 0, 0) : tr eta = 0} of the projection."""
-    f = spec.field
+    f = spec.carrier
     zero = (0,) * spec.n
-    return [(eta, zero, zero) for eta in range(spec.q)
-            if f.trace(eta) == 0]
+    return [(eta, zero, zero) for eta in range(f.q) if f.trace(eta) == 0]
 
 
-def pi_target_mul(spec: LiftedPauliSpec):
-    """Group law on the image of the projection.  For odd p this is the
-    product of P_{n,q}.  For p = 2 the image keeps GF(2^m)-valued vectors
-    with a Z_4 phase confined to {0, 2} and the cross term doubled through
-    the trace; for m = 1 this is the real part of P_{n,2}."""
-    f = spec.field
-    if spec.p != 2:
-        return PauliGroupSpec(spec.p, spec.m, spec.n).mul
-
-    def mul(g, h):
-        x = 0
-        for b, a in zip(g[2], h[1]):
-            x = (x + f.trace(f.mul(b, a))) % 2
-        c = (g[0] + h[0] + 2 * x) % 4
-        alpha = tuple(f.add(s, t) for s, t in zip(g[1], h[1]))
-        beta = tuple(f.add(s, t) for s, t in zip(g[2], h[2]))
-        return (c, alpha, beta)
-
-    return mul
-
-
-def pi_image_group(spec: LiftedPauliSpec, closure_cap: int = 4096) -> FiniteGroup:
+def pi_image_group(spec: CentralExtension,
+                   closure_cap: int = 4096) -> FiniteGroup:
     """The image of the projection, materialized as a group.  For odd p
     this is all of P_{n,q}; for p = 2 it is a group of order 2^(2nm+1)
-    with phases restricted to +-1."""
-    keys = sorted({pi_map(spec, g) for g in spec.elements()})
-    if len(keys) > closure_cap:
-        from .groupcore import ClosureCapError
-        raise ClosureCapError(closure_cap)
-    if spec.p == 2:
-        name = f"Re Plift-image({spec.n},{spec.q})"
-    else:
-        name = f"P({spec.n},{spec.q})"
+    with phases restricted to +-1, a subgroup of ``pauli_law``."""
+    f = spec.carrier
+    name = f"Re Plift-image({spec.n},{f.q})" if f.p == 2 \
+        else f"P({spec.n},{f.q})"
     # centre Z_p in both cases: the phase index is the trace of eta (the
-    # key stores it doubled for p = 2), and the cross term is tr(b1.a2)
-    f = spec.field
-    dot = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)
-    table = central_extension_table(
-        f.add_table, spec.n, cyclic_add(spec.p),
-        np.asarray(f.trace_table)[dot], centre_first=True)
-    return FiniteGroup(keys, table, name=name)
+    # key stores it doubled for p = 2)
+    image = CentralExtension(f, spec.n, PAULI_FORM, trace_centre(f),
+                             centre_first=True, name=name)
+    if image.order > closure_cap:
+        raise ClosureCapError(closure_cap)
+    keys = sorted({pi_map(spec, g) for g in spec.elements()})
+    return FiniteGroup(keys, image.table(), name=name)
 
 
-def pi_is_homomorphism(spec: LiftedPauliSpec) -> bool:
-    """Check Pi(gh) = Pi(g)Pi(h) against the target product for every
-    pair g, h."""
-    tmul = pi_target_mul(spec)
-    els = list(spec.elements())
+def pi_is_homomorphism(spec: CentralExtension) -> bool:
+    """Check Pi(gh) = Pi(g)Pi(h) against the product of ``pauli_law`` for
+    every pair g, h."""
+    tmul = pauli_law(spec.carrier, spec.n).mul
+    els = spec.elements()
     for g, h in itertools.product(els, els):
         if pi_map(spec, spec.mul(g, h)) != tmul(pi_map(spec, g), pi_map(spec, h)):
             return False
@@ -226,7 +142,7 @@ def _p12_chain_search(g: FiniteGroup) -> list | None:
     whose iterated product covers g with all pairwise commutators in the
     center.  Returns the factor handles or None."""
     from .groupcore import isomorphic
-    p12 = pauli_group(PauliGroupSpec(2, 1, 1))
+    p12 = pauli_group(pauli_spec(2, 1, 1))
     candidates = []
     for h in g.subgroups_all():
         if h.order != p12.order or not h.is_normal():
@@ -271,7 +187,7 @@ def corollary52_53_check(p: int, m: int, n: int):
 
     claim = "cor5.2" if p != 2 else "cor5.3"
     t0 = time.perf_counter()
-    spec = LiftedPauliSpec(p, m, n)
+    spec = lifted_spec(p, m, n)
     if spec.order > 1024:
         return VerdictReport(claim=claim, locator=CLAIMS[claim],
                              status="out_of_cap",
@@ -293,7 +209,7 @@ def corollary52_53_check(p: int, m: int, n: int):
     }
     ok = central and iso_first and kernel.order * image.order == g.order
     if p != 2:
-        target = pauli_group(PauliGroupSpec(p, m, n))
+        target = pauli_group(pauli_spec(p, m, n))
         iso_pauli, _ = isomorphic(image, target)
         witness["image_isomorphic_to_pauli"] = iso_pauli
         from .products import corollary43_check

@@ -11,7 +11,9 @@ Multiplication pulls X factors left past Z factors:
     (c1,a1,b1)(c2,a2,b2) = (c1 + c2 + x, a1+a2, b1+b2)
 
 with cross term x = tr(b1 . a2) for odd p and x = 2 (b1 . a2) for p = 2,
-the dot product taken in GF(q).  For m > 1 the phase convention is the
+the dot product taken in GF(q): a ``groupcore.CentralExtension`` with
+form b1 . a2 and centre Z_4 through the doubled trace (p = 2) or Z_p
+through the trace (odd p).  For m > 1 the phase convention is the
 trace form: phases live in Z_p and the clock operator acts through the
 additive character j -> w_p^tr(j), which is what makes the phase-space
 product match the exact matrix product (see the matrix oracle below).
@@ -19,163 +21,65 @@ product match the exact matrix product (see the matrix oracle below).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import cached_property
-
 from .algebra import FieldSpec, field_make
 from .cyclotomic import CyclotomicMatrix
-import numpy as np
-
-from .groupcore import (FiniteGroup, central_extension_table, cyclic_add,
-                        vector_dot)
+from .groupcore import (CentralExtension, FiniteGroup, doubled_trace_centre,
+                        trace_centre)
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
-
-@dataclass(frozen=True)
-class PauliGroupSpec:
-    """Parameters of P_{n,q} with q = p^m."""
-
-    p: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.p == 2 and self.m != 1:
-            raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be >= 1")
-
-    @cached_property
-    def field(self) -> FieldSpec:
-        return field_make(self.p, self.m)
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.m
-
-    @property
-    def phase_modulus(self) -> int:
-        return 4 if self.p == 2 else self.p
-
-    @property
-    def order(self) -> int:
-        if self.p == 2:
-            return 4 ** (self.n + 1)
-        return self.p ** (2 * self.n * self.m + 1)
-
-    def identity(self) -> PauliKey:
-        zero = (0,) * self.n
-        return (0, zero, zero)
-
-    def element(self, phase: int, alpha, beta) -> PauliKey:
-        alpha = tuple(int(a) % self.q for a in alpha)
-        beta = tuple(int(b) % self.q for b in beta)
-        if len(alpha) != self.n or len(beta) != self.n:
-            raise ValueError(f"vectors must have length n = {self.n}")
-        return (phase % self.phase_modulus, alpha, beta)
-
-    def x_gen(self, register: int = 0, exponent: int = 1) -> PauliKey:
-        alpha = [0] * self.n
-        alpha[register] = exponent % self.q
-        return (0, tuple(alpha), (0,) * self.n)
-
-    def z_gen(self, register: int = 0, exponent: int = 1) -> PauliKey:
-        beta = [0] * self.n
-        beta[register] = exponent % self.q
-        return (0, (0,) * self.n, tuple(beta))
-
-    def phase_gen(self) -> PauliKey:
-        """i*identity for p = 2, w*identity for odd p."""
-        zero = (0,) * self.n
-        return (1, zero, zero)
-
-    def y_gen(self, register: int = 0) -> PauliKey:
-        """Y = i X Z (p = 2 only)."""
-        if self.p != 2:
-            raise ValueError("Y is a qubit notion")
-        v = [0] * self.n
-        v[register] = 1
-        return (1, tuple(v), tuple(v))
-
-    def cross_term(self, g: PauliKey, h: PauliKey) -> int:
-        """Phase 2-cocycle picked up when normal-ordering the product."""
-        f = self.field
-        if self.p == 2:
-            dot = 0
-            for b, a in zip(g[2], h[1]):
-                dot ^= b & a
-            return 2 * dot
-        x = 0
-        for b, a in zip(g[2], h[1]):
-            x += f.trace(f.mul(b, a))
-        return x % self.p
-
-    def mul(self, g: PauliKey, h: PauliKey) -> PauliKey:
-        f = self.field
-        add = f.add
-        c = (g[0] + h[0] + self.cross_term(g, h)) % self.phase_modulus
-        alpha = tuple(add(a, b) for a, b in zip(g[1], h[1]))
-        beta = tuple(add(a, b) for a, b in zip(g[2], h[2]))
-        return (c, alpha, beta)
-
-    def inverse(self, g: PauliKey) -> PauliKey:
-        f = self.field
-        alpha = tuple(f.neg(a) for a in g[1])
-        beta = tuple(f.neg(b) for b in g[2])
-        # g * g^-1 must cancel the cross term picked up in the product
-        x = self.cross_term(g, (0, alpha, beta))
-        c = (-g[0] - x) % self.phase_modulus
-        return (c, alpha, beta)
-
-    def order_of(self, g: PauliKey) -> int:
-        e = self.identity()
-        k, x = 1, g
-        while x != e:
-            x = self.mul(x, g)
-            k += 1
-        return k
-
-    def elements(self):
-        q, n = self.q, self.n
-        vecs = list(itertools.product(range(q), repeat=n))
-        for c in range(self.phase_modulus):
-            for alpha in vecs:
-                for beta in vecs:
-                    yield (c, alpha, beta)
+PAULI_FORM = ((1, 1, 0),)  # beta1 . alpha2
 
 
-def pauli_group(spec: PauliGroupSpec, closure_cap: int = 4096) -> FiniteGroup:
+def pauli_law(field: FieldSpec, n: int) -> CentralExtension:
+    """The phase-space law over any GF(p^m): phases Z_4 through the
+    doubled trace for p = 2, Z_p through the trace for odd p.  For p = 2
+    and m > 1 this is the law of the lifted projection's image, not a
+    Pauli group (see ``pauli_spec``)."""
+    centre = doubled_trace_centre(field) if field.p == 2 \
+        else trace_centre(field)
+    return CentralExtension(field, n, PAULI_FORM, centre, centre_first=True,
+                            name=f"P({n},{field.q})")
+
+
+def pauli_spec(p: int, m: int, n: int) -> CentralExtension:
+    """P_{n,q} with q = p^m."""
+    if p == 2 and m != 1:
+        raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    return pauli_law(field_make(p, m), n)
+
+
+def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
+                  z: int = 0, phase: int = 0) -> PauliKey:
+    """w^phase X^x Z^z on one register (w = i for p = 2); Y = iXZ is
+    x = z = phase = 1."""
+    def unit(e):
+        return tuple(e if k == register else 0 for k in range(spec.n))
+    return spec.element(unit(x), unit(z), phase)
+
+
+def pauli_group(spec: CentralExtension,
+                closure_cap: int = 4096) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is
     known in closed form); the generation claim is covered separately by
-    tests that close the generators and compare.  The table is built from
-    the cross term as a whole array; ``spec.mul`` is the scalar oracle the
-    tests compare it with."""
-    if spec.order > closure_cap:
-        from .groupcore import ClosureCapError
-        raise ClosureCapError(closure_cap)
-    f = spec.field
-    dot = vector_dot(f.add_table, f.mul_table, spec.n, 1, 0)  # beta1 . alpha2
-    cross = 2 * dot if spec.p == 2 else np.asarray(f.trace_table)[dot]
-    table = central_extension_table(
-        f.add_table, spec.n, cyclic_add(spec.phase_modulus), cross,
-        centre_first=True)
-    return FiniteGroup(sorted(spec.elements()), table,
-                       name=f"P({spec.n},{spec.q})")
+    tests that close the generators and compare."""
+    return spec.group(closure_cap)
 
 
 # ---------------------------------------------------------------------------
 # exact matrix oracle
 # ---------------------------------------------------------------------------
 
-def _single_register_matrix(spec: PauliGroupSpec, a: int, b: int) -> CyclotomicMatrix:
+def _single_register_matrix(spec: CentralExtension, a: int,
+                            b: int) -> CyclotomicMatrix:
     """X^a Z^b on one q-dimensional register, over Z[w_N] with N = 4 for
     p = 2 and N = p for odd p (trace character for m > 1)."""
-    f = spec.field
-    q = spec.q
-    N = 4 if spec.p == 2 else spec.p
-    scale = 2 if spec.p == 2 else 1  # embed Z_2-valued characters into w_4
+    f = spec.carrier
+    q = f.size
+    N = 4 if f.p == 2 else f.p
+    scale = 2 if f.p == 2 else 1  # embed Z_2-valued characters into w_4
     rows = []
     for i in range(q):       # row index: output basis vector
         row = []
@@ -190,10 +94,11 @@ def _single_register_matrix(spec: PauliGroupSpec, a: int, b: int) -> CyclotomicM
     return CyclotomicMatrix.from_rows(N, rows)
 
 
-def pauli_matrix_oracle(spec: PauliGroupSpec, g: PauliKey) -> CyclotomicMatrix:
+def pauli_matrix_oracle(spec: CentralExtension,
+                        g: PauliKey) -> CyclotomicMatrix:
     """Exact q^n x q^n matrix over Z[w] realizing g.  This is the
     independent oracle: tests check the map is a faithful homomorphism."""
-    if spec.q ** spec.n > 9:
+    if spec.carrier.size ** spec.n > 9:
         raise ValueError("matrix oracle limited to q^n <= 9")
     mat = _single_register_matrix(spec, g[1][0], g[2][0])
     for k in range(1, spec.n):
@@ -205,15 +110,16 @@ def pauli_matrix_oracle(spec: PauliGroupSpec, g: PauliKey) -> CyclotomicMatrix:
 # presentation data (qubit case)
 # ---------------------------------------------------------------------------
 
-def p12_spec() -> PauliGroupSpec:
-    return PauliGroupSpec(2, 1, 1)
+def p12_spec() -> CentralExtension:
+    return pauli_spec(2, 1, 1)
 
 
 def p12_named_elements() -> dict[str, PauliKey]:
     """The standard named elements of the one-qubit Pauli group:
     X, Y, Z, u = XY, a = Y, b = XYZ."""
     s = p12_spec()
-    X, Z, Y = s.x_gen(), s.z_gen(), s.y_gen()
+    X, Z = pauli_element(s, x=1), pauli_element(s, z=1)
+    Y = pauli_element(s, x=1, z=1, phase=1)
     u = s.mul(X, Y)
     b = s.mul(u, Z)
     return {"X": X, "Y": Y, "Z": Z, "u": u, "a": Y, "b": b}
@@ -221,13 +127,13 @@ def p12_named_elements() -> dict[str, PauliKey]:
 
 def p22_named_generators() -> dict[str, PauliKey]:
     """The five order-64 generators X@I, Y@I, Z@I, I@Z, I@X."""
-    s = PauliGroupSpec(2, 1, 2)
+    s = pauli_spec(2, 1, 2)
     return {
-        "A": s.x_gen(0),
-        "B": s.y_gen(0),
-        "C": s.z_gen(0),
-        "D": s.z_gen(1),
-        "E": s.x_gen(1),
+        "A": pauli_element(s, 0, x=1),
+        "B": pauli_element(s, 0, x=1, z=1, phase=1),
+        "C": pauli_element(s, 0, z=1),
+        "D": pauli_element(s, 1, z=1),
+        "E": pauli_element(s, 1, x=1),
     }
 
 
@@ -304,7 +210,7 @@ def p22_relations_check():
     from .reports import CLAIMS, VerdictReport
 
     t0 = time.perf_counter()
-    s = PauliGroupSpec(2, 1, 2)
+    s = pauli_spec(2, 1, 2)
     e = s.identity()
     minus_i = (2, (0, 0), (0, 0))
     g = p22_named_generators()

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import time
 
-from .groupcore import (DEFAULT_SUBGROUP_CAP, CapError, FiniteGroup,
-                        GroupStructureError, SubgroupHandle,
-                        abelian_invariants, group_close, isomorphic)
-from .heisenberg import (HeisenbergSpec, dihedral8, extraspecial_e1,
-                         extraspecial_e2, heis_group, quaternion8)
+from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
+                        FiniteGroup, GroupStructureError, SubgroupHandle,
+                        abelian_invariants, isomorphic)
+from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
+                         heis_group, heis_spec, quaternion8)
 from .algebra import ZmodRing, field_make, is_prime, prime_power
-from .pauli import PauliGroupSpec, pauli_group
+from .pauli import pauli_element, pauli_group, pauli_spec
 from .reports import (CLAIMS, ClassificationFlags, DecompositionReport,
                       VerdictReport)
 
@@ -54,7 +54,7 @@ def identify_factor(g: FiniteGroup) -> str:
     if g.is_abelian:
         return "abelian" + str(list(abelian_invariants(g)))
     if n <= 1024:
-        p12 = pauli_group(PauliGroupSpec(2, 1, 1))
+        p12 = pauli_group(pauli_spec(2, 1, 1))
         if n == p12.order:
             ok, _ = isomorphic(g, p12)
             if ok:
@@ -105,16 +105,16 @@ def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,
     )
 
 
-def pauli_chain_subgroups(g: FiniteGroup, spec: PauliGroupSpec) -> list[SubgroupHandle]:
+def pauli_chain_subgroups(g: FiniteGroup, spec) -> list[SubgroupHandle]:
     """The register factors H_j = <U, X_j, Z_j> with U the order-4 phase."""
-    subs = []
-    for j in range(spec.n):
-        gens = [spec.phase_gen(), spec.x_gen(j), spec.z_gen(j)]
-        subs.append(g.generated_subgroup(gens))
-    return subs
+    return [g.generated_subgroup([pauli_element(spec, phase=1),
+                                  pauli_element(spec, j, x=1),
+                                  pauli_element(spec, j, z=1)])
+            for j in range(spec.n)]
 
 
-def decompose_pauli_chain(n: int) -> DecompositionReport:
+def decompose_pauli_chain(
+        n: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> DecompositionReport:
     """Iterated weak central product P_{n,2} = H_1 * H_2 * ... * H_n with
     register factors H_j = <U, X_j, Z_j> and links L_j = (H_1...H_j) cap
     H_{j+1}.
@@ -125,11 +125,11 @@ def decompose_pauli_chain(n: int) -> DecompositionReport:
     most 2 and never equals the order-4 link."""
     if n < 1 or n > 3:
         raise CapError("chain decomposition implemented for 1 <= n <= 3")
-    spec = PauliGroupSpec(2, 1, n)
-    g = pauli_group(spec)
+    spec = pauli_spec(2, 1, n)
+    g = pauli_group(spec, closure_cap)
     factors = pauli_chain_subgroups(g, spec)
     center = set(g.center().members)
-    p12 = pauli_group(PauliGroupSpec(2, 1, 1))
+    p12 = pauli_group(pauli_spec(2, 1, 1))
 
     factor_info = []
     for j, h in enumerate(factors):
@@ -393,9 +393,9 @@ def corollary43_check(p: int, m: int, n: int) -> VerdictReport:
             claim="cor4.3", locator=CLAIMS["cor4.3"], status="out_of_cap",
             witness={"required_order": order},
             wall_time_s=time.perf_counter() - t0)
-    pg = pauli_group(PauliGroupSpec(p, m, n))
-    reduced_spec = HeisenbergSpec(field_make(p, m), n, reduced=True)
-    full_spec = HeisenbergSpec(ZmodRing(p, m), n)
+    pg = pauli_group(pauli_spec(p, m, n))
+    reduced_spec = heis_spec(field_make(p, m), n, reduced=True)
+    full_spec = heis_spec(ZmodRing(p, m), n)
     witness: dict = {
         "pauli_order": pg.order,
         "reduced_variant_order": reduced_spec.order,

@@ -13,12 +13,12 @@ from paulidecomp.census import abelian_census, bounds_check, hasse
 from paulidecomp.claims import (check_cor43, check_cor54, check_eq19,
                                 check_remark39, check_thm42_links)
 from paulidecomp.groupcore import abelian_invariants, isomorphic
-from paulidecomp.heisenberg import HeisenbergSpec, dihedral8
-from paulidecomp.lifted import (LiftedPauliSpec, corollary52_53_check,
-                                lifted_group, pi_is_homomorphism, pi_kernel)
-from paulidecomp.pauli import (PauliGroupSpec, lemma31_presentation_check,
+from paulidecomp.heisenberg import dihedral8, heis_spec
+from paulidecomp.lifted import (corollary52_53_check, lifted_group,
+                                lifted_spec, pi_is_homomorphism, pi_kernel)
+from paulidecomp.pauli import (lemma31_presentation_check,
                                p22_relations_check, pauli_group,
-                               pauli_matrix_oracle)
+                               pauli_matrix_oracle, pauli_spec)
 from paulidecomp.products import (corollary43_check, decompose_pauli_chain,
                                   pauli_chain_subgroups)
 
@@ -44,7 +44,7 @@ def test_criterion_1_lemma31_suite():
         rep = lemma31_presentation_check()
         assert rep.status == "confirmed"
         facts = rep.witness["facts"]
-        g = pauli_group(PauliGroupSpec(2, 1, 1))
+        g = pauli_group(pauli_spec(2, 1, 1))
         assert facts["order"] == 16
         assert facts["center_order"] == 4 and facts["center_cyclic"]
         assert g.exponent == 4  # no order-8 element
@@ -66,11 +66,11 @@ def test_criterion_2_two_qubit_relations():
 
 def test_criterion_3_chain_decomposition():
     with timed("3 register chain for n = 2, 3", 30.0):
-        spec = PauliGroupSpec(2, 1, 2)
+        spec = pauli_spec(2, 1, 2)
         g = pauli_group(spec)
         h1, h2 = pauli_chain_subgroups(g, spec)
         for h in (h1, h2):
-            ok, _ = isomorphic(h.as_group(), pauli_group(PauliGroupSpec(2, 1, 1)))
+            ok, _ = isomorphic(h.as_group(), pauli_group(pauli_spec(2, 1, 1)))
             assert ok
         assert len(h1.product_set(h2)) == g.order
         # the registered link <U> = Z4 is realized as the intersection:
@@ -97,9 +97,9 @@ def test_criterion_4_heisenberg_isomorphisms():
         assert rep.witness["reduced_variant_isomorphic"]
         # order-243 case: P(1,9) against the trace-reduced variant, with
         # an explicit isomorphism witness from the oracle
-        pg = pauli_group(PauliGroupSpec(3, 2, 1))
+        pg = pauli_group(pauli_spec(3, 2, 1))
         from paulidecomp.heisenberg import heis_group
-        hg = heis_group(HeisenbergSpec(field_make(3, 2), reduced=True))
+        hg = heis_group(heis_spec(field_make(3, 2), reduced=True))
         ok, phi = isomorphic(pg, hg)
         assert ok and phi is not None
         rep = check_cor43()
@@ -108,13 +108,13 @@ def test_criterion_4_heisenberg_isomorphisms():
 
 def test_criterion_5_lifted_projections():
     with timed("5 lifted groups and projection chains", 60.0):
-        spec = LiftedPauliSpec(3, 2, 1)
+        spec = lifted_spec(3, 2, 1)
         g = lifted_group(spec)
         assert g.order == 729
         assert len(pi_kernel(spec)) == 3
         kernel = g.subgroup(sorted(g.index[k] for k in pi_kernel(spec)))
         q = g.quotient(kernel)
-        ok, _ = isomorphic(q, pauli_group(PauliGroupSpec(3, 2, 1)))
+        ok, _ = isomorphic(q, pauli_group(pauli_spec(3, 2, 1)))
         assert ok
         rep = corollary52_53_check(2, 1, 2)
         assert rep.status == "confirmed"
@@ -131,7 +131,7 @@ def test_criterion_6_census():
         assert len(lat.nodes) == 10 == sigma4 + tau4
         rep = check_eq19()
         assert rep.status == "confirmed"
-        p12 = abelian_census(pauli_group(PauliGroupSpec(2, 1, 1)))
+        p12 = abelian_census(pauli_group(pauli_spec(2, 1, 1)))
         assert p12.c_ab == 17
         assert p12.by_order == {2: 7, 4: 7, 8: 3}
         # breakdown 1 + 6 + 4 + 3 + 3: one normal and six nonnormal of
@@ -139,7 +139,7 @@ def test_criterion_6_census():
         # three of order 8
         assert p12.by_order_normality[(2, True)] == 1
         assert p12.by_order_normality[(2, False)] == 6
-        g = pauli_group(PauliGroupSpec(2, 1, 1))
+        g = pauli_group(pauli_spec(2, 1, 1))
         quads = [h for h in g.subgroups_all()
                  if h.order == 4 and h.is_abelian()]
         assert sum(1 for h in quads if h.is_cyclic()) == 4
@@ -183,19 +183,19 @@ def test_criterion_8_property_suites():
                 p ** (m - 1)
         # cocycle identity exhaustive at n = 1 (associativity of mul)
         for p, m in ((2, 1), (3, 1)):
-            spec = PauliGroupSpec(p, m, 1)
+            spec = pauli_spec(p, m, 1)
             els = list(spec.elements())
             for a, b, c in itertools.product(els, repeat=3):
                 assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
         # phase-space vs cyclotomic matrix oracle, all pairs
         for p in (2, 3):
-            spec = PauliGroupSpec(p, 1, 1)
+            spec = pauli_spec(p, 1, 1)
             els = list(spec.elements())
             mats = {g: pauli_matrix_oracle(spec, g) for g in els}
             for g, h in itertools.product(els, repeat=2):
                 assert mats[spec.mul(g, h)] == mats[g] @ mats[h]
         # projection homomorphism exhaustive at q = 9, n = 1
-        assert pi_is_homomorphism(LiftedPauliSpec(3, 2, 1)) is True
+        assert pi_is_homomorphism(lifted_spec(3, 2, 1)) is True
 
 
 def test_criterion_9_inconsistency_reports():

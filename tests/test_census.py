@@ -4,7 +4,7 @@ from paulidecomp.census import (LatticeGraph, abelian_census, bounds_check,
                                 constructive_abelian_subgroups, export_dot,
                                 export_json, hasse, paper_figure_lattice)
 from paulidecomp.heisenberg import dihedral8
-from paulidecomp.pauli import PauliGroupSpec, pauli_group
+from paulidecomp.pauli import pauli_group, pauli_spec
 
 
 def test_census_d8():
@@ -16,7 +16,7 @@ def test_census_d8():
 
 
 def test_census_p12():
-    res = abelian_census(pauli_group(PauliGroupSpec(2, 1, 1)))
+    res = abelian_census(pauli_group(pauli_spec(2, 1, 1)))
     assert res.c_ab == 17
     assert res.by_order == {2: 7, 4: 7, 8: 3}
     # order-2 breakdown: one normal (center slice), six not

@@ -16,11 +16,12 @@ def run_cli(*args, env=None):
 
 def test_parse_spec_defaults():
     kind, spec = parse_spec("pauli:p=2,n=1")
-    assert kind == "pauli" and (spec.p, spec.m, spec.n) == (2, 1, 1)
+    assert kind == "pauli"
+    assert (spec.carrier.p, spec.carrier.m, spec.n) == (2, 1, 1)
     kind, spec = parse_spec("heis:R=gf(3)")
     assert kind == "heis" and spec.carrier.size == 3
     kind, spec = parse_spec("lifted:p=3,m=2,n=1")
-    assert kind == "lifted" and spec.q == 9
+    assert kind == "lifted" and spec.carrier.size == 9
 
 
 def test_build_json():
@@ -133,6 +134,7 @@ EXIT_CODES = [
     (["build", "e1:p=3,p=5"], None, 2),
     (["build", "heis:R=z(9),reduced=true"], None, 2),
     (["build", "heis:R=gf(6)"], None, 2),
+    (["build", "heis:R=gf(3),reduced=yes"], None, 2),
     (["verify", "nosuchclaim"], None, 2),
     # removed flags and formats a subcommand does not produce
     (["build", "d8", "--seed", "1"], None, 2),
@@ -155,6 +157,7 @@ EXIT_CODES = [
     (["build", "pauli:p=2,n=1"], "10", 3),
     (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
     (["decompose", "pauli:p=2,n=4"], None, 3),
+    (["decompose", "pauli:p=2,n=3", "--cap-closure", "10"], None, 3),
     (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 3),
 ]
 

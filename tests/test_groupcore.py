@@ -6,7 +6,7 @@ from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
                                    abelian_invariants, group_close,
                                    isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, quaternion8
-from paulidecomp.pauli import PauliGroupSpec, pauli_group
+from paulidecomp.pauli import pauli_group, pauli_spec
 
 
 def cyclic(n):
@@ -198,8 +198,8 @@ def _check_against_definitions(g, subgroups=()):
 
 @pytest.mark.parametrize("make", [
     dihedral8, quaternion8,
-    lambda: pauli_group(PauliGroupSpec(3, 1, 1)),
-    lambda: pauli_group(PauliGroupSpec(2, 1, 2)),
+    lambda: pauli_group(pauli_spec(3, 1, 1)),
+    lambda: pauli_group(pauli_spec(2, 1, 2)),
 ], ids=["D8", "Q8", "P(1,3)", "P(2,2)"])
 def test_conjugation_against_definitions(make):
     g = make()
@@ -207,5 +207,5 @@ def test_conjugation_against_definitions(make):
 
 
 def test_conjugation_against_definitions_p22_subgroups():
-    for h in pauli_group(PauliGroupSpec(2, 1, 2)).subgroups_all():
+    for h in pauli_group(pauli_spec(2, 1, 2)).subgroups_all():
         _check_against_definitions(h.as_group())

@@ -4,45 +4,45 @@ import pytest
 
 from paulidecomp.algebra import ZmodRing, field_make
 from paulidecomp.groupcore import isomorphic
-from paulidecomp.heisenberg import (HeisenbergSpec, dihedral8,
-                                    extraspecial_e1, extraspecial_e2,
-                                    heis_group, heis_semidirect_report, phi_map,
+from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
+                                    extraspecial_e2, heis_group,
+                                    heis_semidirect_report, heis_spec, phi_map,
                                     quaternion8, unitriangular_mul)
 
 
 def test_order_formulas():
-    assert heis_group(HeisenbergSpec(field_make(3, 1))).order == 27
-    assert heis_group(HeisenbergSpec(field_make(5, 1))).order == 125
-    assert heis_group(HeisenbergSpec(field_make(3, 2))).order == 729
-    assert heis_group(HeisenbergSpec(field_make(3, 2), reduced=True)).order == 243
-    assert heis_group(HeisenbergSpec(ZmodRing(3, 2))).order == 729
-    assert heis_group(HeisenbergSpec(field_make(3, 1), n=2)).order == 243
+    assert heis_group(heis_spec(field_make(3, 1))).order == 27
+    assert heis_group(heis_spec(field_make(5, 1))).order == 125
+    assert heis_group(heis_spec(field_make(3, 2))).order == 729
+    assert heis_group(heis_spec(field_make(3, 2), reduced=True)).order == 243
+    assert heis_group(heis_spec(ZmodRing(3, 2))).order == 729
+    assert heis_group(heis_spec(field_make(3, 1), n=2)).order == 243
 
 
 def test_center_and_derived():
-    g = heis_group(HeisenbergSpec(field_make(3, 1)))
+    g = heis_group(heis_spec(field_make(3, 1)))
     assert g.center().order == 3
     assert g.derived_subgroup().order == 3
     assert g.exponent == 3
 
 
-def test_phi_map_is_isomorphism_onto_unitriangular():
-    # polarized cocycle matches plain matrix multiplication entrywise
-    for q in ((3, 1), (5, 1)):
-        f = field_make(*q)
-        spec = HeisenbergSpec(f, cocycle="polarized")
-        els = list(spec.elements())
-        for g, h in itertools.product(els[::7], repeat=2):
-            m1 = (g[0][0], g[1][0], g[2])
-            m2 = (h[0][0], h[1][0], h[2])
-            prod = spec.mul(g, h)
-            assert unitriangular_mul(f, m1, m2) == \
-                (prod[0][0], prod[1][0], prod[2])
+def test_phi_map_is_isomorphism_onto_unitriangular(
+        assert_faithful_representation):
+    # polarized cocycle matches plain matrix multiplication entrywise;
+    # generators: x and y for each basis element p^i of GF(p^m)
+    for p, m in ((3, 1), (5, 1), (3, 2)):
+        f = field_make(p, m)
+        spec = heis_spec(f, cocycle="polarized")
+        gens = [spec.element([p ** i], [0]) for i in range(m)]
+        gens += [spec.element([0], [p ** i]) for i in range(m)]
+        assert_faithful_representation(
+            spec, gens, lambda g: (g[0][0], g[1][0], g[2]),
+            lambda m1, m2, f=f: unitriangular_mul(f, m1, m2))
 
 
 def test_phi_map_symplectic_odd():
     f = field_make(3, 1)
-    spec = HeisenbergSpec(f)
+    spec = heis_spec(f)
     els = list(spec.elements())
     for g, h in itertools.product(els, repeat=2):
         assert unitriangular_mul(f, phi_map(spec, g), phi_map(spec, h)) == \
@@ -51,14 +51,14 @@ def test_phi_map_symplectic_odd():
 
 def test_symplectic_vs_polarized_isomorphic():
     f = field_make(3, 1)
-    a = heis_group(HeisenbergSpec(f))
-    b = heis_group(HeisenbergSpec(f, cocycle="polarized"))
+    a = heis_group(heis_spec(f))
+    b = heis_group(heis_spec(f, cocycle="polarized"))
     ok, _ = isomorphic(a, b)
     assert ok
 
 
 def test_reduced_center():
-    spec = HeisenbergSpec(field_make(3, 2), reduced=True)
+    spec = heis_spec(field_make(3, 2), reduced=True)
     g = heis_group(spec)
     assert g.order == 243
     assert g.center().order == 3
@@ -66,12 +66,12 @@ def test_reduced_center():
 
 def test_reduced_rejects_ring_carrier():
     with pytest.raises(ValueError, match="field carrier"):
-        HeisenbergSpec(ZmodRing(3, 2), reduced=True)
-    assert HeisenbergSpec(ZmodRing(3, 1), reduced=True).order == 27
+        heis_spec(ZmodRing(3, 2), reduced=True)
+    assert heis_spec(ZmodRing(3, 1), reduced=True).order == 27
 
 
 def test_semidirect_report():
-    rep = heis_semidirect_report(HeisenbergSpec(field_make(3, 1)))
+    rep = heis_semidirect_report(heis_spec(field_make(3, 1)))
     assert rep.status == "confirmed"
     facts = rep.witness["facts"]
     assert facts["A_order"] == 9 and facts["B_order"] == 9

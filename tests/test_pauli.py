@@ -1,11 +1,18 @@
 import itertools
+import operator
 
 import pytest
 
-from paulidecomp.pauli import (PauliGroupSpec, lemma31_presentation_check,
-                               p12_named_elements, p12_spec,
-                               p22_relations_check, pauli_group,
-                               pauli_matrix_oracle)
+from paulidecomp.pauli import (lemma31_presentation_check, p12_named_elements,
+                               p12_spec, p22_relations_check, pauli_element,
+                               pauli_group, pauli_matrix_oracle, pauli_spec)
+
+
+def order_of(spec, g):
+    k, x = 1, g
+    while x != spec.identity():
+        x, k = spec.mul(x, g), k + 1
+    return k
 
 
 @pytest.mark.parametrize("p,m,n,order", [
@@ -13,26 +20,26 @@ from paulidecomp.pauli import (PauliGroupSpec, lemma31_presentation_check,
     (3, 1, 1, 27), (5, 1, 1, 125), (3, 2, 1, 243), (3, 1, 2, 243),
 ])
 def test_order_formula(p, m, n, order):
-    spec = PauliGroupSpec(p, m, n)
+    spec = pauli_spec(p, m, n)
     assert spec.order == order
     assert pauli_group(spec).order == order
 
 
 def test_qubit_spec_requires_m1():
     with pytest.raises(ValueError):
-        PauliGroupSpec(2, 2, 1)
+        pauli_spec(2, 2, 1)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1)])
 def test_mul_associative_exhaustive_n1(p, m):
-    spec = PauliGroupSpec(p, m, 1)
+    spec = pauli_spec(p, m, 1)
     els = list(spec.elements())
     for g, h, k in itertools.product(els, repeat=3):
         assert spec.mul(spec.mul(g, h), k) == spec.mul(g, spec.mul(h, k))
 
 
 def test_mul_associative_sampled_gf9():
-    spec = PauliGroupSpec(3, 2, 1)
+    spec = pauli_spec(3, 2, 1)
     els = list(spec.elements())
     sample = els[::13]
     for g, h, k in itertools.product(sample, repeat=3):
@@ -41,7 +48,7 @@ def test_mul_associative_sampled_gf9():
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (3, 2)])
 def test_inverses_and_identity(p, m):
-    spec = PauliGroupSpec(p, m, 1)
+    spec = pauli_spec(p, m, 1)
     e = spec.identity()
     for g in spec.elements():
         assert spec.mul(g, spec.inverse(g)) == e
@@ -50,7 +57,7 @@ def test_inverses_and_identity(p, m):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_matrix_oracle_all_pairs_n1(p):
-    spec = PauliGroupSpec(p, 1, 1)
+    spec = pauli_spec(p, 1, 1)
     els = list(spec.elements())
     mats = {g: pauli_matrix_oracle(spec, g) for g in els}
     for g, h in itertools.product(els, repeat=2):
@@ -59,11 +66,27 @@ def test_matrix_oracle_all_pairs_n1(p):
     assert len(set(mats.values())) == len(els)
 
 
+@pytest.mark.parametrize("p,m,n", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (3, 2, 1),
+])
+def test_matrix_oracle_faithful(p, m, n, assert_faithful_representation):
+    # the phase and one X and one Z per register and basis element p^i of
+    # GF(p^m) over GF(p)
+    spec = pauli_spec(p, m, n)
+    gens = [pauli_element(spec, phase=1)]
+    for j in range(n):
+        for i in range(m):
+            gens += [pauli_element(spec, j, x=p ** i),
+                     pauli_element(spec, j, z=p ** i)]
+    assert_faithful_representation(
+        spec, gens, lambda g: pauli_matrix_oracle(spec, g), operator.matmul)
+
+
 def test_element_orders_p12():
     spec = p12_spec()
     g = pauli_group(spec)
     for key in spec.elements():
-        assert spec.order_of(key) == g.order_of(key)
+        assert order_of(spec, key) == g.order_of(key)
     assert g.exponent == 4
 
 
@@ -71,16 +94,17 @@ def test_named_elements_p12():
     spec = p12_spec()
     named = p12_named_elements()
     u, a, b = named["u"], named["a"], named["b"]
-    assert spec.order_of(u) == 4
-    assert spec.order_of(a) == 2
-    assert spec.order_of(b) == 4
+    assert order_of(spec, u) == 4
+    assert order_of(spec, a) == 2
+    assert order_of(spec, b) == 4
     # u^2 = b^2 = -I
     assert spec.mul(u, u) == spec.mul(b, b)
 
 
 def test_phase_convention_p2():
     spec = p12_spec()
-    x, z, y = spec.x_gen(0), spec.z_gen(0), spec.y_gen(0)
+    x, z = pauli_element(spec, x=1), pauli_element(spec, z=1)
+    y = pauli_element(spec, x=1, z=1, phase=1)
     # Y = iXZ: phases live mod 4 and XZ = -ZX
     assert y == (1, (1,), (1,))
     xz = spec.mul(x, z)
@@ -90,8 +114,8 @@ def test_phase_convention_p2():
 
 
 def test_odd_phase_convention():
-    spec = PauliGroupSpec(3, 1, 1)
-    x, z = spec.x_gen(0), spec.z_gen(0)
+    spec = pauli_spec(3, 1, 1)
+    x, z = pauli_element(spec, x=1), pauli_element(spec, z=1)
     xz, zx = spec.mul(x, z), spec.mul(z, x)
     assert (xz[0] - zx[0]) % 3 != 0
 

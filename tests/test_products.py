@@ -4,7 +4,7 @@ import pytest
 from paulidecomp.groupcore import CapError, FiniteGroup
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
-from paulidecomp.pauli import PauliGroupSpec, pauli_group
+from paulidecomp.pauli import pauli_group, pauli_spec
 from paulidecomp.products import (_cube_root, classify_special, corollary43_check,
                                   decompose_pauli_chain, extraspecial_decompose,
                                   identify_factor, just_nonabelian,
@@ -17,7 +17,7 @@ def test_identify_factor():
     assert identify_factor(quaternion8()) == "Q8"
     assert identify_factor(extraspecial_e1(3)) == "E1(3)"
     assert identify_factor(extraspecial_e2(3)) == "E2(3)"
-    assert identify_factor(pauli_group(PauliGroupSpec(2, 1, 1))) == "P(1,2)"
+    assert identify_factor(pauli_group(pauli_spec(2, 1, 1))) == "P(1,2)"
 
 
 def test_cube_root_exact():
@@ -30,7 +30,7 @@ def test_cube_root_exact():
 
 
 def test_verify_weak_central_p22():
-    spec = PauliGroupSpec(2, 1, 2)
+    spec = pauli_spec(2, 1, 2)
     g = pauli_group(spec)
     h1, h2 = pauli_chain_subgroups(g, spec)
     rep = verify_weak_central(g, h1, h2)
@@ -41,7 +41,7 @@ def test_verify_weak_central_p22():
 
 
 def test_weak_central_rejects_nongenerating_pair():
-    g = pauli_group(PauliGroupSpec(2, 1, 2))
+    g = pauli_group(pauli_spec(2, 1, 2))
     z = g.center()
     rep = verify_weak_central(g, z, z)
     assert rep.classification == "none"
@@ -68,11 +68,11 @@ def test_decompose_pauli_chain_n3():
 def test_just_nonabelian():
     ok, _ = just_nonabelian(dihedral8())
     assert ok
-    ok, _ = just_nonabelian(pauli_group(PauliGroupSpec(2, 1, 1)))
+    ok, _ = just_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
     assert ok
     # the two-qubit group is also just nonabelian: every nontrivial normal
     # subgroup meets the cyclic center, hence contains the derived subgroup
-    ok, _ = just_nonabelian(pauli_group(PauliGroupSpec(2, 1, 2)))
+    ok, _ = just_nonabelian(pauli_group(pauli_spec(2, 1, 2)))
     assert ok
 
 
@@ -80,13 +80,13 @@ def test_minimal_nonabelian():
     ok, _, mode = minimal_nonabelian(dihedral8())
     assert ok and mode == "exhaustive"
     # P(1,2) contains a nonabelian proper subgroup of order 8
-    ok, facts, _ = minimal_nonabelian(pauli_group(PauliGroupSpec(2, 1, 1)))
+    ok, facts, _ = minimal_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
     assert not ok
     assert facts["nonabelian_subgroup_order"] == 8
-    ok, _, _ = minimal_nonabelian(pauli_group(PauliGroupSpec(3, 1, 1)))
+    ok, _, _ = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 1)))
     assert ok
     # order 243 goes through the noncommuting-pair search
-    ok, facts, mode = minimal_nonabelian(pauli_group(PauliGroupSpec(3, 1, 2)))
+    ok, facts, mode = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 2)))
     assert not ok
     assert mode == "pair_search"
     assert facts["nonabelian_subgroup_order"] == 27
@@ -96,7 +96,7 @@ def test_classify_special():
     flags = classify_special(dihedral8())
     assert flags.extraspecial
     assert flags.minimal_nonabelian
-    flags = classify_special(pauli_group(PauliGroupSpec(2, 1, 1)))
+    flags = classify_special(pauli_group(pauli_spec(2, 1, 1)))
     assert not flags.extraspecial
     assert flags.generalized_extraspecial
     assert flags.just_nonabelian
@@ -114,7 +114,7 @@ def test_extraspecial_decompose_atoms():
 def test_extraspecial_decompose_rejects_nonextraspecial():
     # P(1,2) has center of order 4, so it is not extraspecial
     with pytest.raises(ValueError):
-        extraspecial_decompose(pauli_group(PauliGroupSpec(2, 1, 1)))
+        extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1)))
 
 
 def test_cor43_m1_confirmed():

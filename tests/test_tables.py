@@ -5,10 +5,9 @@ import pytest
 
 from paulidecomp.algebra import ZmodRing, field_make
 from paulidecomp.groupcore import tabulate
-from paulidecomp.heisenberg import COCYCLES, HeisenbergSpec, heis_group
-from paulidecomp.lifted import (LiftedPauliSpec, lifted_group, pi_image_group,
-                                pi_target_mul)
-from paulidecomp.pauli import PauliGroupSpec, pauli_group
+from paulidecomp.heisenberg import COCYCLES, heis_group, heis_spec
+from paulidecomp.lifted import lifted_group, lifted_spec, pi_image_group
+from paulidecomp.pauli import pauli_group, pauli_law, pauli_spec
 
 
 def assert_oracle_table(g, mul):
@@ -20,7 +19,7 @@ def assert_oracle_table(g, mul):
     (3, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 1), (7, 1, 1),
 ])
 def test_pauli_table(p, m, n):
-    spec = PauliGroupSpec(p, m, n)
+    spec = pauli_spec(p, m, n)
     assert_oracle_table(pauli_group(spec), spec.mul)
 
 
@@ -28,7 +27,7 @@ def test_pauli_table(p, m, n):
     (2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1),
 ])
 def test_lifted_table(p, m, n):
-    spec = LiftedPauliSpec(p, m, n)
+    spec = lifted_spec(p, m, n)
     assert_oracle_table(lifted_group(spec), spec.mul)
 
 
@@ -36,8 +35,8 @@ def test_lifted_table(p, m, n):
     (2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1),
 ])
 def test_pi_image_table(p, m, n):
-    spec = LiftedPauliSpec(p, m, n)
-    assert_oracle_table(pi_image_group(spec), pi_target_mul(spec))
+    spec = lifted_spec(p, m, n)
+    assert_oracle_table(pi_image_group(spec), pauli_law(spec.carrier, n).mul)
 
 
 CARRIERS = {
@@ -63,5 +62,5 @@ def heisenberg_cases():
 
 @pytest.mark.parametrize("carrier,n,cocycle,reduced", heisenberg_cases())
 def test_heisenberg_table(carrier, n, cocycle, reduced):
-    spec = HeisenbergSpec(carrier, n, cocycle, reduced)
+    spec = heis_spec(carrier, n, cocycle, reduced)
     assert_oracle_table(heis_group(spec), spec.mul)
