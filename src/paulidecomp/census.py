@@ -12,7 +12,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .groupcore import DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle
+from .groupcore import (DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle,
+                        strict_containment)
 from .pauli import p12_named_elements, pauli_group, pauli_spec
 from .products import pauli_chain_subgroups
 from .reports import CLAIMS, VerdictReport
@@ -49,15 +50,13 @@ def abelian_census(g: FiniteGroup,
     by_order: dict = {}
     by_norm: dict = {}
     normal = 0
-    member_sets = [set(h.members) for h in subs]
-    maximal_orders = []
-    for i, h in enumerate(subs):
+    for h in subs:
         by_order[h.order] = by_order.get(h.order, 0) + 1
         is_n = h.is_normal()
         normal += is_n
         by_norm[(h.order, is_n)] = by_norm.get((h.order, is_n), 0) + 1
-        if not any(member_sets[i] < other for other in member_sets):
-            maximal_orders.append(h.order)
+    below = strict_containment(subs).any(axis=1)
+    maximal_orders = [h.order for h, b in zip(subs, below) if not b]
     return CensusResult(
         group=g.name or f"order{g.order}",
         c_ab=len(subs),
@@ -147,20 +146,13 @@ class LatticeGraph:
                    edges=[tuple(e) for e in d["edges"]])
 
 
-def _covering_edges(member_sets: list[set]) -> list[tuple[int, int]]:
-    """Transitive reduction of containment between the given subgroups."""
-    order = [len(s) for s in member_sets]
-    edges = []
-    k = len(member_sets)
-    for i in range(k):
-        for j in range(k):
-            if i == j or not (member_sets[i] < member_sets[j]):
-                continue
-            if any(member_sets[i] < member_sets[t] < member_sets[j]
-                   for t in range(k) if t != i and t != j):
-                continue
-            edges.append((i, j))
-    edges.sort(key=lambda e: (order[e[0]], order[e[1]], e))
+def _covering_edges(subgroups: list[SubgroupHandle]) -> list[tuple[int, int]]:
+    """Transitive reduction of containment between the given subgroups:
+    H < K with no listed subgroup strictly between them."""
+    c = strict_containment(subgroups)
+    lower, upper = (c & ~(c @ c)).nonzero()
+    edges = list(zip(lower.tolist(), upper.tolist()))
+    edges.sort(key=lambda e: (subgroups[e[0]].order, subgroups[e[1]].order, e))
     return edges
 
 
@@ -176,26 +168,21 @@ def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
     subgroups = [subgroups[i] for i in pairs]
     if labels is not None:
         labels = [labels[i] for i in pairs]
-    center = set(g.center().members)
-    derived = set(g.derived_subgroup().members)
-    frattini = set(g.frattini(cap).members)
-    nodes = []
-    member_sets = []
-    for i, h in enumerate(subgroups):
-        s = set(h.members)
-        member_sets.append(s)
-        nodes.append({
-            "id": i,
-            "label": labels[i] if labels else _default_label(h, g),
-            "order": h.order,
-            "abelian": h.is_abelian(),
-            "normal": h.is_normal(),
-            "center": s == center,
-            "derived": s == derived,
-            "frattini": s == frattini,
-        })
+    center = g.center_indices
+    derived = g.derived_indices
+    frattini = g.frattini(cap).members
+    nodes = [{
+        "id": i,
+        "label": labels[i] if labels else _default_label(h, g),
+        "order": h.order,
+        "abelian": h.is_abelian(),
+        "normal": h.is_normal(),
+        "center": h.members == center,
+        "derived": h.members == derived,
+        "frattini": h.members == frattini,
+    } for i, h in enumerate(subgroups)]
     return LatticeGraph(group=g.name or f"order{g.order}", nodes=nodes,
-                        edges=_covering_edges(member_sets))
+                        edges=_covering_edges(subgroups))
 
 
 def _default_label(h: SubgroupHandle, g: FiniteGroup) -> str:

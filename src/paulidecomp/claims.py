@@ -146,7 +146,8 @@ def check_cor54() -> VerdictReport:
     witness = {
         "P(1,3)_minimal_nonabelian": f13.minimal_nonabelian,
         "P(2,3)_minimal_nonabelian": f23.minimal_nonabelian,
-        "P(2,3)_mode": f23.mode,
+        # minimal_nonabelian decides by its one method, a generating-pair search
+        "P(2,3)_mode": "pair_search",
         "P(2,3)_evidence": f23.evidence.get("minimal_nonabelian", {}),
     }
     ok = f13.minimal_nonabelian and f23.minimal_nonabelian

@@ -26,6 +26,11 @@ and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
 conjugacy classes, derived subgroup, normal closures, normality tests and
 the nilpotency bound are read off those arrays.
 
+Subgroups are enumerated once per group: ``subgroups_all`` caches its
+result, so maximal subgroups, the Frattini subgroup and Hasse diagrams
+share one enumeration.  Containment between subgroups is read from one
+membership matrix by ``strict_containment``.
+
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
 full subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be
 overridden per call.  Isomorphism search is limited to order
@@ -274,10 +279,16 @@ class FiniteGroup:
 
     def subgroups_all(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         """Every subgroup exactly once, canonically sorted by
-        (order, member tuple).  Breadth-first closure over single-element
-        extensions with dedup by member set."""
+        (order, member tuple).  Enumerated on the first call and cached;
+        the cap is checked on every call."""
         if self.order > cap:
             raise SubgroupCapError(self.order, cap)
+        return list(self._subgroups)
+
+    @cached_property
+    def _subgroups(self) -> tuple["SubgroupHandle", ...]:
+        """Breadth-first closure over single-element extensions with dedup
+        by member set."""
         trivial = (self.identity,)
         found = {trivial}
         frontier = [trivial]
@@ -294,17 +305,14 @@ class FiniteGroup:
                         found.add(ext)
                         new_frontier.append(ext)
             frontier = new_frontier
-        handles = [SubgroupHandle(self, m) for m in sorted(found, key=lambda m: (len(m), m))]
-        return handles
+        return tuple(SubgroupHandle(self, m)
+                     for m in sorted(found, key=lambda m: (len(m), m)))
 
     def maximal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
+        """The proper subgroups with no proper supergroup short of G."""
         subs = [h for h in self.subgroups_all(cap) if h.order < self.order]
-        out = []
-        for h in subs:
-            hs = set(h.members)
-            if not any(hs < set(k.members) for k in subs if k.order > h.order):
-                out.append(h)
-        return out
+        above = strict_containment(subs).any(axis=1)
+        return [h for h, a in zip(subs, above) if not a]
 
     def frattini(self, cap: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupHandle":
         """Intersection of all maximal subgroups; for p-groups cross-checked
@@ -350,23 +358,6 @@ class FiniteGroup:
         table = coset_of[self.table[np.ix_(reps, reps)]]
         return FiniteGroup(cosets, table,
                            name=f"{self.name}/N" if self.name else "")
-
-    def semidirect_witness(self, a_sub: "SubgroupHandle",
-                           cap: int = DEFAULT_SUBGROUP_CAP):
-        """First subgroup H (canonical order) with A∩H = 1 and AH = G, or
-        None if A has no complement."""
-        if not a_sub.is_normal():
-            raise ValueError("semidirect factor must be normal")
-        target = self.order // a_sub.order
-        a_set = set(a_sub.members)
-        for h in self.subgroups_all(cap):
-            if h.order != target:
-                continue
-            if len(a_set & set(h.members)) == 1:
-                prod = {self.mul(x, y) for x in a_sub.members for y in h.members}
-                if len(prod) == self.order:
-                    return h
-        return None
 
     # -- generating sets and fingerprints -----------------------------------
 
@@ -708,6 +699,20 @@ class SubgroupHandle:
         g = self.parent
         comms = g.commutators(self.members, other.members)
         return SubgroupHandle(g, g.closure_indices(comms))
+
+
+def strict_containment(subgroups) -> np.ndarray:
+    """Entry [i, j] is True when subgroups[i] is a proper subgroup of
+    subgroups[j].  Read off one k x |G| membership matrix M: H_i <= H_j
+    unless some member of H_i lies outside H_j, i.e. unless
+    (M @ ~M.T)[i, j]."""
+    if not subgroups:
+        return np.zeros((0, 0), dtype=bool)
+    orders = np.array([h.order for h in subgroups])
+    m = np.zeros((len(subgroups), subgroups[0].parent.order), dtype=bool)
+    m[np.repeat(np.arange(len(subgroups)), orders),
+      np.concatenate([h.members for h in subgroups])] = True
+    return ~(m @ ~m.T) & (orders[:, None] < orders)
 
 
 @dataclass(frozen=True)

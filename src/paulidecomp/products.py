@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import time
 
-from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
-                        FiniteGroup, GroupStructureError, SubgroupHandle,
+import numpy as np
+
+from .groupcore import (DEFAULT_CLOSURE_CAP, CapError, FiniteGroup,
+                        GroupStructureError, SubgroupHandle,
                         abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec, quaternion8)
@@ -53,12 +55,11 @@ def identify_factor(g: FiniteGroup) -> str:
                 return f"{ref_name.upper()}({p})"
     if g.is_abelian:
         return "abelian" + str(list(abelian_invariants(g)))
-    if n <= 1024:
-        p12 = pauli_group(pauli_spec(2, 1, 1))
-        if n == p12.order:
-            ok, _ = isomorphic(g, p12)
-            if ok:
-                return "P(1,2)"
+    p12 = pauli_spec(2, 1, 1)
+    if n == p12.order:
+        ok, _ = isomorphic(g, pauli_group(p12))
+        if ok:
+            return "P(1,2)"
     return f"order{n}-exp{g.exponent}"
 
 
@@ -129,17 +130,11 @@ def decompose_pauli_chain(
     g = pauli_group(spec, closure_cap)
     factors = pauli_chain_subgroups(g, spec)
     center = set(g.center().members)
-    p12 = pauli_group(pauli_spec(2, 1, 1))
-
-    factor_info = []
-    for j, h in enumerate(factors):
-        hg = h.as_group(name=f"H{j + 1}")
-        ok, _ = isomorphic(hg, p12)
-        factor_info.append({
-            "order": h.order,
-            "isomorphism_type": "P(1,2)" if ok else identify_factor(hg),
-            "normal": h.is_normal(),
-        })
+    factor_info = [{
+        "order": h.order,
+        "isomorphism_type": identify_factor(h.as_group(name=f"H{j + 1}")),
+        "normal": h.is_normal(),
+    } for j, h in enumerate(factors)]
 
     links, commutators, intersections = [], [], []
     classification = "weak_central"
@@ -200,38 +195,39 @@ def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     return True, {}
 
 
-def minimal_nonabelian(g: FiniteGroup,
-                       cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[bool, dict, str]:
-    """Nonabelian with every proper subgroup abelian.  Exhaustive subgroup
-    enumeration under the cap; above it, a generating-pair search: the
-    group is minimal nonabelian iff every noncommuting pair generates the
-    whole group (a nonabelian proper subgroup always contains such a
-    pair, and conversely)."""
+def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
+    """Nonabelian with every proper subgroup abelian.  Decided exactly:
+    G is minimal nonabelian iff every noncommuting pair generates G (a
+    nonabelian proper subgroup contains such a pair, and conversely).
+    Since <x, y> depends only on <x> and <y>, the pairs range over one
+    generator per cyclic subgroup, the least index among the generators,
+    in increasing (i, j) order; the first pair generating a proper
+    subgroup is the evidence."""
     if g.is_abelian:
-        return False, {"reason": "abelian"}, "exhaustive"
-    if g.order < 243 and g.order <= cap:
-        for h in g.subgroups_all(cap):
-            if h.order < g.order and not h.is_abelian():
-                return False, {"nonabelian_subgroup_order": h.order}, "exhaustive"
-        return True, {}, "exhaustive"
+        return False, {"reason": "abelian"}
     if g.order > 1024:
         raise CapError("minimal-nonabelian test capped at 1024")
-    t = g.table
-    for i in range(g.order):
-        for j in range(i + 1, g.order):
-            if t[i, j] == t[j, i]:
-                continue
-            sub = g.closure_indices([i, j])
-            if len(sub) < g.order:
-                return False, {
-                    "nonabelian_subgroup_order": len(sub),
-                    "generators": [repr(g.elements[i]), repr(g.elements[j])],
-                }, "pair_search"
-    return True, {}, "pair_search"
+    orders = np.array(g.element_orders)
+    full = np.arange(g.order)
+    least, power = full.copy(), full
+    for k in range(2, int(orders.max())):
+        power = g.table[power, full]
+        coprime = (np.gcd(k, orders) == 1) & (k < orders)
+        least[coprime] = np.minimum(least[coprime], power[coprime])
+    reps = np.flatnonzero(least == full)
+    sub = g.table[np.ix_(reps, reps)]
+    for i, j in zip(*np.triu(sub != sub.T).nonzero()):
+        closed = g.closure_indices([reps[i], reps[j]])
+        if len(closed) < g.order:
+            return False, {
+                "nonabelian_subgroup_order": len(closed),
+                "generators": [repr(g.elements[reps[i]]),
+                               repr(g.elements[reps[j]])],
+            }
+    return True, {}
 
 
-def classify_special(g: FiniteGroup,
-                     cap: int = DEFAULT_SUBGROUP_CAP) -> ClassificationFlags:
+def classify_special(g: FiniteGroup) -> ClassificationFlags:
     """Extraspecial / generalized extraspecial / just nonabelian / minimal
     nonabelian flags with evidence for the False cases."""
     p, _ = prime_power(g.order) or (None, None)
@@ -270,7 +266,7 @@ def classify_special(g: FiniteGroup,
     jna, jna_evidence = just_nonabelian(g)
     if jna_evidence:
         evidence["just_nonabelian"] = jna_evidence
-    mna, mna_evidence, mode = minimal_nonabelian(g, cap)
+    mna, mna_evidence = minimal_nonabelian(g)
     if mna_evidence:
         evidence["minimal_nonabelian"] = mna_evidence
 
@@ -280,7 +276,6 @@ def classify_special(g: FiniteGroup,
         just_nonabelian=jna,
         minimal_nonabelian=mna,
         evidence=evidence,
-        mode=mode,
     )
 
 

@@ -59,7 +59,6 @@ class ClassificationFlags:
     just_nonabelian: bool
     minimal_nonabelian: bool
     evidence: dict = field(default_factory=dict)
-    mode: str = "exhaustive"  # or "pair_search" per the size fallback
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +67,6 @@ class ClassificationFlags:
             "just_nonabelian": self.just_nonabelian,
             "minimal_nonabelian": self.minimal_nonabelian,
             "evidence": self.evidence,
-            "mode": self.mode,
         }
 
 

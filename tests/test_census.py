@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
+from paulidecomp.algebra import field_make
 from paulidecomp.census import (LatticeGraph, abelian_census, bounds_check,
                                 constructive_abelian_subgroups, export_dot,
                                 export_json, hasse, paper_figure_lattice)
-from paulidecomp.heisenberg import dihedral8
+from paulidecomp.groupcore import strict_containment
+from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec
 from paulidecomp.pauli import pauli_group, pauli_spec
 
 
@@ -91,3 +95,41 @@ def test_lattice_deterministic():
     a = export_json(hasse(dihedral8()))
     b = export_json(hasse(dihedral8()))
     assert a == b
+
+
+def _strictly_above(sets):
+    """For each member set, the indices of the sets strictly containing it."""
+    return [{j for j, b in enumerate(sets) if a < b} for a in sets]
+
+
+@pytest.mark.parametrize("make", [
+    dihedral8,
+    lambda: pauli_group(pauli_spec(2, 1, 1)),
+    lambda: pauli_group(pauli_spec(2, 1, 2)),
+    lambda: heis_group(heis_spec(field_make(3, 1))),
+], ids=["D8", "P(1,2)", "P(2,2)", "H(GF(3))"])
+def test_containment_against_definitions(make):
+    """strict_containment, maximal subgroups, the Frattini subgroup, Hasse
+    edges and maximal abelian orders, each against set-based definitions."""
+    g = make()
+    subs = g.subgroups_all()
+    sets = [set(h.members) for h in subs]
+    above = _strictly_above(sets)
+    assert strict_containment(subs).tolist() == [
+        [j in up for j in range(len(sets))] for up in above]
+
+    whole = len(subs) - 1
+    maximal = [h for h, up in zip(subs, above) if up == {whole}]
+    assert g.maximal_subgroups() == maximal
+    assert set(g.frattini().members) == set.intersection(
+        *(set(h.members) for h in maximal))
+
+    covers = sorted(((i, j) for i, up in enumerate(above)
+                     for j in up - set().union(*(above[t] for t in up))),
+                    key=lambda e: (subs[e[0]].order, subs[e[1]].order, e))
+    assert hasse(g).edges == covers
+
+    abelian = [h for h in subs if h.order > 1 and h.is_abelian()]
+    abelian_above = _strictly_above([set(h.members) for h in abelian])
+    assert abelian_census(g).maximal_abelian_orders == sorted(
+        h.order for h, up in zip(abelian, abelian_above) if not up)

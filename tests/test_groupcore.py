@@ -141,13 +141,25 @@ def test_report_shape():
         assert key in rep
 
 
-def test_semidirect_witness():
-    d8 = dihedral8()
-    normal4 = [h for h in d8.subgroups_all()
-               if h.order == 4 and h.is_cyclic()][0]
-    comp = d8.semidirect_witness(normal4)
-    assert comp is not None
-    assert comp.order == 2
+def test_subgroups_enumerated_once(monkeypatch):
+    calls = []
+    closure = FiniteGroup.closure_indices
+
+    def counted(self, seed):
+        calls.append(seed)
+        return closure(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "closure_indices", counted)
+    g = pauli_group(pauli_spec(2, 1, 1))
+    first = g.subgroups_all()
+    assert len(first) == 23 and calls
+    calls.clear()
+    assert g.subgroups_all() == first
+    assert len(g.maximal_subgroups()) == 7
+    assert calls == []
+    # the cache does not bypass the cap
+    with pytest.raises(SubgroupCapError):
+        g.subgroups_all(cap=10)
 
 
 def test_isomorphic_caps_order():

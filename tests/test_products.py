@@ -77,19 +77,93 @@ def test_just_nonabelian():
 
 
 def test_minimal_nonabelian():
-    ok, _, mode = minimal_nonabelian(dihedral8())
-    assert ok and mode == "exhaustive"
+    ok, _ = minimal_nonabelian(dihedral8())
+    assert ok
     # P(1,2) contains a nonabelian proper subgroup of order 8
-    ok, facts, _ = minimal_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
+    ok, facts = minimal_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
     assert not ok
     assert facts["nonabelian_subgroup_order"] == 8
-    ok, _, _ = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 1)))
+    ok, _ = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 1)))
     assert ok
-    # order 243 goes through the noncommuting-pair search
-    ok, facts, mode = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 2)))
+    ok, facts = minimal_nonabelian(pauli_group(pauli_spec(3, 1, 2)))
     assert not ok
-    assert mode == "pair_search"
     assert facts["nonabelian_subgroup_order"] == 27
+    assert facts["generators"] == ["(0, (0, 0), (0, 1))",
+                                   "(0, (0, 1), (0, 0))"]
+
+
+def _check_minimal_nonabelian(g, proper):
+    """Against the definition: nonabelian, and every proper subgroup
+    (``proper``, handles in G or in a group containing it) abelian.  A
+    negative answer must name two generators of a proper nonabelian
+    subgroup of the stated order."""
+    ok, facts = minimal_nonabelian(g)
+    assert ok == (not g.is_abelian and all(h.is_abelian() for h in proper))
+    if not ok and not g.is_abelian:
+        index = {repr(e): i for i, e in enumerate(g.elements)}
+        h = g.generated_subgroup([index[x] for x in facts["generators"]])
+        assert h.order == facts["nonabelian_subgroup_order"] < g.order
+        assert not h.is_abelian()
+
+
+@pytest.mark.parametrize("make", [
+    dihedral8, quaternion8,
+    lambda: extraspecial_e1(3), lambda: extraspecial_e2(3),
+    lambda: pauli_group(pauli_spec(2, 1, 1)),
+    lambda: pauli_group(pauli_spec(3, 1, 1)),
+    lambda: pauli_group(pauli_spec(2, 1, 2)),
+], ids=["D8", "Q8", "E1(3)", "E2(3)", "P(1,2)", "P(1,3)", "P(2,2)"])
+def test_minimal_nonabelian_against_definition(make):
+    g = make()
+    _check_minimal_nonabelian(
+        g, [h for h in g.subgroups_all() if h.order < g.order])
+
+
+def test_minimal_nonabelian_against_definition_p22_subgroups():
+    # the subgroups of a subgroup H of P(2,2) are those of P(2,2) inside H
+    subs = pauli_group(pauli_spec(2, 1, 2)).subgroups_all()
+    sets = [set(h.members) for h in subs]
+    for h, members in zip(subs, sets):
+        _check_minimal_nonabelian(
+            h.as_group(), [k for k, s in zip(subs, sets) if s < members])
+
+
+def _dihedral(n):
+    """D_2n with r^i s^j at index i + n j (n = 1 gives Z2)."""
+    i, j = np.arange(2 * n) % n, np.arange(2 * n) // n
+    table = ((i[:, None] + np.where(j[:, None], -i, i)) % n
+             + n * (j[:, None] ^ j))
+    return FiniteGroup(range(2 * n), table)
+
+
+def _direct_product(g, h):
+    t = g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
+    return FiniteGroup([(a, b) for a in g.elements for b in h.elements],
+                       t.reshape(g.order * h.order, g.order * h.order))
+
+
+def _by_element_order(g):
+    """The same group with its elements listed by increasing order, so
+    each element of order 4 comes after its square."""
+    perm = sorted(range(g.order), key=lambda x: (g.element_orders[x], x))
+    back = np.argsort(perm)
+    return FiniteGroup([g.elements[x] for x in perm],
+                       back[g.table[np.ix_(perm, perm)]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dihedral(3), lambda: _dihedral(5), lambda: _dihedral(6),
+    lambda: _dihedral(8),
+    lambda: _direct_product(quaternion8(), _dihedral(1)),
+    lambda: _direct_product(dihedral8(), _dihedral(1)),
+], ids=["D6", "D10", "D12", "D16", "Q8xZ2", "D8xZ2"])
+@pytest.mark.parametrize("relabel", [False, True], ids=["plain", "by_order"])
+def test_minimal_nonabelian_other_groups(make, relabel):
+    # D12 has a nonabelian proper subgroup although its first noncommuting
+    # pair generates it; in Q8xZ2 only elements of order 4 generate one
+    g = _by_element_order(make()) if relabel else make()
+    _check_minimal_nonabelian(
+        g, [h for h in g.subgroups_all() if h.order < g.order])
 
 
 def test_classify_special():
@@ -134,9 +208,5 @@ def test_cor43_m2_reduced_reading():
 
 
 def test_minimal_nonabelian_caps_order():
-    # dihedral group of order 1200: r^i s^j has index i + 600 j
-    i, j = np.arange(1200) % 600, np.arange(1200) // 600
-    table = ((i[:, None] + np.where(j[:, None], -i, i)) % 600
-             + 600 * (j[:, None] ^ j))
     with pytest.raises(CapError):
-        minimal_nonabelian(FiniteGroup(range(1200), table))
+        minimal_nonabelian(_dihedral(600))
