@@ -1,5 +1,5 @@
-"""Abelian subgroup counting, the c_ab bounds for qubit Pauli groups, and
-Hasse diagrams of subgroup lattices.
+"""Abelian subgroup counting and Hasse diagrams of subgroup lattices.
+The c_ab bounds for qubit Pauli groups are adjudicated in ``claims``.
 
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
@@ -9,14 +9,13 @@ reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
+from .algebra import field_make
 from .groupcore import (DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle,
                         strict_containment)
+from .heisenberg import dihedral8, heis_group, heis_spec
 from .pauli import p12_named_elements, pauli_group, pauli_spec
-from .products import pauli_chain_subgroups
-from .reports import CLAIMS, VerdictReport
 
 
 @dataclass
@@ -66,64 +65,6 @@ def abelian_census(g: FiniteGroup,
         normal_count=normal,
         nonnormal_count=len(subs) - normal,
     )
-
-
-def constructive_abelian_subgroups(n: int) -> list[tuple]:
-    """Distinct abelian subgroups of P_{n,2} exhibited from the register
-    factors H_j (each holding a full P_{1,2} sublattice), without
-    enumerating the whole lattice.  Returns sorted member-index tuples."""
-    spec = pauli_spec(2, 1, n)
-    g = pauli_group(spec)
-    found = set()
-    for h in pauli_chain_subgroups(g, spec):
-        hg = h.as_group()
-        for sub in hg.subgroups_all():
-            if sub.order > 1 and sub.is_abelian():
-                members = tuple(sorted(g.index[hg.elements[i]]
-                                       for i in sub.members))
-                found.add(members)
-    return sorted(found)
-
-
-def bounds_check(n: int, cap: int = DEFAULT_SUBGROUP_CAP) -> VerdictReport:
-    """Adjudicate 2(c_ab(P_{n-1,2}) + 1) >= c_ab(P_{n,2}) >= 10 n.
-
-    For n <= 2 both counts are exact.  For n = 3 the lower bound is
-    checked constructively, without enumerating the order-256 lattice."""
-    t0 = time.perf_counter()
-    if n < 1 or n > 3:
-        raise ValueError("bounds implemented for 1 <= n <= 3")
-    witness: dict = {"n": n, "lower_bound": 10 * n}
-    exact = n <= 2
-    if exact:
-        g = pauli_group(pauli_spec(2, 1, n))
-        c_ab = abelian_census(g, cap).c_ab
-        witness["c_ab_exact"] = c_ab
-        witness["mode"] = "exhaustive"
-    else:
-        c_ab = len(constructive_abelian_subgroups(n))
-        witness["c_ab_constructive_lower"] = c_ab
-        witness["mode"] = "constructive"
-    lower_ok = c_ab >= 10 * n
-    witness["lower_bound_holds"] = lower_ok
-
-    upper_ok = None
-    if n >= 2 and exact:
-        prev = pauli_group(pauli_spec(2, 1, n - 1))
-        c_prev = abelian_census(prev, cap).c_ab
-        bound = 2 * (c_prev + 1)
-        upper_ok = c_ab <= bound
-        witness["c_ab_previous"] = c_prev
-        witness["upper_bound"] = bound
-        witness["upper_bound_holds"] = upper_ok
-
-    if not lower_ok or upper_ok is False:
-        status = "refuted_at_desk_scale"
-    else:
-        status = "confirmed"
-    return VerdictReport(claim="cor5.6", locator=CLAIMS["cor5.6"],
-                         status=status, witness=witness,
-                         wall_time_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +140,6 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
     (the 7-node diagram for H(GF(3)))."""
     kind = kind.lower()
     if kind == "d8":
-        from .heisenberg import dihedral8
         g = dihedral8()
         return hasse(g)
     if kind == "p12":
@@ -232,8 +172,6 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
         ]
         return hasse(g, [h for _, h in named], [n for n, _ in named])
     if kind == "heis":
-        from .algebra import field_make
-        from .heisenberg import heis_group, heis_spec
         hs = heis_spec(field_make(3, 1))
         g = heis_group(hs)
         x = hs.element([1], [0])

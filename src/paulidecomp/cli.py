@@ -16,9 +16,10 @@ reduced=true", "lifted:p=3,m=2,n=1", "e1:p=3".
 
 Options: --out PATH on every subcommand; --format json|text on build and
 json|dot on lattice; --cap-closure N on every subcommand that builds a
-group, and --cap-subgroups N on census and lattice.  The environment
-variable PAULIDECOMP_CAP_OVERRIDE, a positive integer, sets both caps;
-explicit flags win.
+group (it bounds the order of every group built, reference specs
+included), and --cap-subgroups N on census and lattice.  Cap values are
+positive integers.  The environment variable PAULIDECOMP_CAP_OVERRIDE
+sets both caps; explicit flags win.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
 argument error, 3 a cap or size limit exceeded, 4 oracle
@@ -35,7 +36,7 @@ from .algebra import ZmodRing, field_make, is_prime, prime_power
 from .census import (abelian_census, export_dot, export_json, hasse,
                      paper_figure_lattice)
 from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
-                        FiniteGroup, GroupStructureError)
+                        ClosureCapError, FiniteGroup, GroupStructureError)
 from .heisenberg import heis_group, heis_spec
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
 from .pauli import pauli_group, pauli_spec
@@ -105,6 +106,8 @@ def parse_spec(text: str):
         params = _parse_params(rest) if rest else {}
         _check_keys(params, ("p",))
         p = _int_param(params, "p")
+        if not is_prime(p) or p == 2:
+            raise SpecError(f"{head} requires an odd prime p, got {p}")
         return "reference", (head, p)
     if head == "pauli":
         params = _parse_params(rest)
@@ -146,7 +149,23 @@ def parse_spec(text: str):
     raise SpecError(f"unknown spec {text!r}")
 
 
+def _check_closure_cap(kind: str, spec, closure_cap: int) -> None:
+    """Refuse a spec whose group order exceeds the closure cap, before any
+    table is built: 1, 8 and p^3 for the reference groups, the spec's
+    order for the families."""
+    if kind == "trivial":
+        order = 1
+    elif kind == "reference":
+        p = spec[1]
+        order = 8 if p is None else p ** 3
+    else:
+        order = spec.order
+    if order > closure_cap:
+        raise ClosureCapError(closure_cap)
+
+
 def build_group(kind: str, spec, closure_cap: int) -> FiniteGroup:
+    _check_closure_cap(kind, spec, closure_cap)
     if kind == "trivial":
         return FiniteGroup([0], [[0]], name="1")
     if kind == "reference":
@@ -207,6 +226,7 @@ def cmd_census(args) -> int:
 def cmd_lattice(args) -> int:
     kind, spec = parse_spec(args.spec)
     if args.filter == "paper_figure":
+        _check_closure_cap(kind, spec, args.cap_closure)
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
         elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
@@ -256,6 +276,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """The one parser of cap values, for the flags and the environment."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paulidecomp",
@@ -268,12 +300,9 @@ def make_parser() -> argparse.ArgumentParser:
     env_cap = os.environ.get("PAULIDECOMP_CAP_OVERRIDE")
     if env_cap:
         try:
-            override = int(env_cap)
-        except ValueError:
-            override = 0
-        if override < 1:
-            parser.error("PAULIDECOMP_CAP_OVERRIDE must be a positive "
-                         f"integer, got {env_cap!r}")
+            override = _positive_int(env_cap)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"PAULIDECOMP_CAP_OVERRIDE {exc}")
         default_cap = dict.fromkeys(default_cap, override)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -285,7 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path")
         for cap in caps:
-            p.add_argument(f"--cap-{cap}", type=int, default=default_cap[cap])
+            p.add_argument(f"--cap-{cap}", type=_positive_int,
+                           default=default_cap[cap])
         p.set_defaults(func=func)
         return p
 

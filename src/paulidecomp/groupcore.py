@@ -34,7 +34,7 @@ membership matrix by ``strict_containment``.
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
 full subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be
 overridden per call.  Isomorphism search is limited to order
-``_ISO_ORDER_CAP``.  Every cap or size limit raises a ``CapError``.
+``ISO_ORDER_CAP``.  Every cap or size limit raises a ``CapError``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .algebra import prime_power
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
-_ISO_ORDER_CAP = 1024
+ISO_ORDER_CAP = 1024
 
 
 class CapError(RuntimeError):
@@ -412,7 +412,7 @@ class FiniteGroup:
             nilpotency_class=self.nilpotency_class_bounded,
         )
 
-    def report(self, with_frattini: bool = True) -> dict:
+    def report(self) -> dict:
         fp = self.fingerprint()
         out = {
             "order": self.order,
@@ -422,7 +422,7 @@ class FiniteGroup:
             "fingerprint": fp.to_json(),
             "order_sequence": [list(t) for t in self.order_sequence],
         }
-        if with_frattini and self.order <= DEFAULT_SUBGROUP_CAP:
+        if self.order <= DEFAULT_SUBGROUP_CAP:
             out["frattini_order"] = self.frattini().order
         return out
 
@@ -811,8 +811,8 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     Candidate tuples are validated by rebuilding the partial subgroup map
     and checking multiplication consistency.
     """
-    if g.order > _ISO_ORDER_CAP or h.order > _ISO_ORDER_CAP:
-        raise CapError(f"isomorphism search capped at order {_ISO_ORDER_CAP}")
+    if g.order > ISO_ORDER_CAP or h.order > ISO_ORDER_CAP:
+        raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
     if g.order != h.order:
         return False, None
     if g.fingerprint() != h.fingerprint():

@@ -19,8 +19,8 @@ polarized one matches the upper unitriangular 3x3 matrix model.
 from __future__ import annotations
 
 from .algebra import FieldSpec, ZmodRing, field_make
-from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
-                        tabulate, trace_centre)
+from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension, FiniteGroup,
+                        carrier_centre, tabulate, trace_centre)
 
 HeisKey = tuple  # (a tuple, b tuple, t)
 
@@ -51,7 +51,8 @@ def heis_spec(carrier, n: int = 1, cocycle: str = "symplectic",
                             name=f"{tag}({rname}^{n},{cocycle})")
 
 
-def heis_group(spec: CentralExtension, closure_cap: int = 4096) -> FiniteGroup:
+def heis_group(spec: CentralExtension,
+               closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Materialize H(R^n)."""
     return spec.group(closure_cap)
 
@@ -85,53 +86,6 @@ def phi_map(spec: CentralExtension, g: HeisKey):
     half = r.inv(2)  # the constant 2 has the same code in every carrier here
     s = r.mul(half, r.add(t, r.mul(a, b)))
     return (a, b, s)
-
-
-def heis_semidirect_report(spec: CentralExtension):
-    """Verify the two semidirect splittings G = A x| <y> = B x| <x> with
-    A = <z, x>, B = <z, y> the maximal abelian normal subgroups, plus the
-    central-product facts [A,B] = A cap B = <z> = Z(G).  n = 1 only."""
-    import time
-    from .reports import CLAIMS, VerdictReport
-
-    if spec.n != 1:
-        raise ValueError("the semidirect report is defined for n = 1")
-    t0 = time.perf_counter()
-    g = heis_group(spec)
-    x = spec.element([1], [0])
-    y = spec.element([0], [1])
-    z = spec.element([0], [0], 1)
-    a_sub = g.generated_subgroup([z, x])
-    b_sub = g.generated_subgroup([z, y])
-    x_sub = g.generated_subgroup([x])
-    y_sub = g.generated_subgroup([y])
-    z_sub = g.generated_subgroup([z])
-    center = g.center()
-    size = spec.carrier.size
-    facts = {
-        "A_order": a_sub.order,
-        "B_order": b_sub.order,
-        "A_abelian": a_sub.is_abelian(),
-        "B_abelian": b_sub.is_abelian(),
-        "A_normal": a_sub.is_normal(),
-        "B_normal": b_sub.is_normal(),
-        "A_maximal": a_sub.order * size == g.order,
-        "AB_intersection_is_center": a_sub.intersect(b_sub).members == center.members,
-        "A_complement_y": (a_sub.intersect(y_sub).order == 1
-                           and len(a_sub.product_set(y_sub)) == g.order),
-        "B_complement_x": (b_sub.intersect(x_sub).order == 1
-                           and len(b_sub.product_set(x_sub)) == g.order),
-        "commutator_AB_is_center": a_sub.commutator_with(b_sub).members == center.members,
-        "z_generates_center": z_sub.members == center.members,
-    }
-    ok = all(facts.values())
-    return VerdictReport(
-        claim="eq6",
-        locator=CLAIMS["eq6"],
-        status="confirmed" if ok else "refuted_at_desk_scale",
-        witness={"group": spec.name, "facts": facts},
-        wall_time_s=time.perf_counter() - t0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +128,12 @@ def quaternion8() -> FiniteGroup:
 
 def extraspecial_e1(p: int) -> FiniteGroup:
     """E1(p): exponent-p extraspecial group of order p^3 (the Heisenberg
-    group over GF(p)), for odd p."""
+    group over GF(p)), for odd p.  Like E2(p) it is built at any order;
+    the CLI bounds p^3 by its closure cap."""
     if p == 2:
         raise ValueError("E1 is defined for odd p")
-    return heis_group(heis_spec(field_make(p, 1), cocycle="polarized"))
+    spec = heis_spec(field_make(p, 1), cocycle="polarized")
+    return heis_group(spec, spec.order)
 
 
 def extraspecial_e2(p: int) -> FiniteGroup:

@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 
 from .algebra import field_make
-from .groupcore import (CentralExtension, ClosureCapError, FiniteGroup,
-                        carrier_centre, trace_centre)
-from .pauli import PAULI_FORM, pauli_group, pauli_law, pauli_spec
+from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension,
+                        ClosureCapError, FiniteGroup, carrier_centre,
+                        trace_centre)
+from .pauli import PAULI_FORM, pauli_law
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
 
@@ -41,7 +42,7 @@ def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
 
 
 def lifted_group(spec: CentralExtension,
-                 closure_cap: int = 4096) -> FiniteGroup:
+                 closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Materialize the lifted group."""
     return spec.group(closure_cap)
 
@@ -105,7 +106,7 @@ def pi_kernel(spec: CentralExtension) -> list[LiftedKey]:
 
 
 def pi_image_group(spec: CentralExtension,
-                   closure_cap: int = 4096) -> FiniteGroup:
+                   closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """The image of the projection, materialized as a group.  For odd p
     this is all of P_{n,q}; for p = 2 it is a group of order 2^(2nm+1)
     with phases restricted to +-1, a subgroup of ``pauli_law``."""
@@ -131,103 +132,3 @@ def pi_is_homomorphism(spec: CentralExtension) -> bool:
         if pi_map(spec, spec.mul(g, h)) != tmul(pi_map(spec, g), pi_map(spec, h)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# decomposition of the projected group
-# ---------------------------------------------------------------------------
-
-def _p12_chain_search(g: FiniteGroup) -> list | None:
-    """Backtracking search for normal subgroups isomorphic to P_{1,2}
-    whose iterated product covers g with all pairwise commutators in the
-    center.  Returns the factor handles or None."""
-    from .groupcore import isomorphic
-    p12 = pauli_group(pauli_spec(2, 1, 1))
-    candidates = []
-    for h in g.subgroups_all():
-        if h.order != p12.order or not h.is_normal():
-            continue
-        ok, _ = isomorphic(h.as_group(), p12)
-        if ok:
-            candidates.append(h)
-    center = set(g.center().members)
-
-    def extend(acc, used):
-        if acc is not None and acc.order == g.order:
-            return []
-        for i, h in enumerate(candidates):
-            if i in used:
-                continue
-            if acc is None:
-                rest = extend(h, used | {i})
-                if rest is not None:
-                    return [h] + rest
-                continue
-            if not set(acc.commutator_with(h).members) <= center:
-                continue
-            prod = g.subgroup(acc.product_set(h))
-            if prod.order <= acc.order:
-                continue
-            rest = extend(prod, used | {i})
-            if rest is not None:
-                return [h] + rest
-        return None
-
-    return extend(None, frozenset())
-
-
-def corollary52_53_check(p: int, m: int, n: int):
-    """Kernel/quotient structure of the projection: verify first
-    isomorphism theorem facts, then compare the image against the
-    Heisenberg reading (odd p) or search for a chain of P_{1,2} factors
-    (p = 2)."""
-    import time
-    from .groupcore import isomorphic
-    from .reports import CLAIMS, VerdictReport
-
-    claim = "cor5.2" if p != 2 else "cor5.3"
-    t0 = time.perf_counter()
-    spec = lifted_spec(p, m, n)
-    if spec.order > 1024:
-        return VerdictReport(claim=claim, locator=CLAIMS[claim],
-                             status="out_of_cap",
-                             witness={"required_order": spec.order},
-                             wall_time_s=time.perf_counter() - t0)
-    g = lifted_group(spec)
-    kernel = g.subgroup(g.closure_indices(
-        [g.index[k] for k in pi_kernel(spec)]))
-    central = set(kernel.members) <= set(g.center().members)
-    quotient = g.quotient(kernel)
-    image = pi_image_group(spec)
-    iso_first, _ = isomorphic(quotient, image)
-    witness = {
-        "lifted_order": g.order,
-        "kernel_order": kernel.order,
-        "kernel_central": central,
-        "image_order": image.order,
-        "quotient_isomorphic_to_image": iso_first,
-    }
-    ok = central and iso_first and kernel.order * image.order == g.order
-    if p != 2:
-        target = pauli_group(pauli_spec(p, m, n))
-        iso_pauli, _ = isomorphic(image, target)
-        witness["image_isomorphic_to_pauli"] = iso_pauli
-        from .products import corollary43_check
-        heis = corollary43_check(p, m, n)
-        witness["heisenberg_comparison"] = heis.to_json()
-        ok = ok and iso_pauli and heis.status in (
-            "confirmed", "inconsistent_in_paper")
-        status = "confirmed" if ok else "refuted_at_desk_scale"
-        if ok and heis.status == "inconsistent_in_paper":
-            status = "inconsistent_in_paper"
-    else:
-        chain = _p12_chain_search(image)
-        witness["chain_found"] = chain is not None
-        if chain is not None:
-            witness["chain_factor_orders"] = [h.order for h in chain]
-            witness["chain_length"] = len(chain)
-        ok = ok and chain is not None
-        status = "confirmed" if ok else "refuted_at_desk_scale"
-    return VerdictReport(claim=claim, locator=CLAIMS[claim], status=status,
-                         witness=witness,
-                         wall_time_s=time.perf_counter() - t0)

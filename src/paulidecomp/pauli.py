@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from .algebra import FieldSpec, field_make
 from .cyclotomic import CyclotomicMatrix
-from .groupcore import (CentralExtension, FiniteGroup, doubled_trace_centre,
-                        trace_centre)
+from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension, FiniteGroup,
+                        doubled_trace_centre, trace_centre)
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
@@ -61,7 +61,7 @@ def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
 
 
 def pauli_group(spec: CentralExtension,
-                closure_cap: int = 4096) -> FiniteGroup:
+                closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is
     known in closed form); the generation claim is covered separately by
     tests that close the generators and compare."""
@@ -135,125 +135,3 @@ def p22_named_generators() -> dict[str, PauliKey]:
         "D": pauli_element(s, 1, z=1),
         "E": pauli_element(s, 1, x=1),
     }
-
-
-def lemma31_presentation_check():
-    """Evaluate both presentations of the one-qubit Pauli group and the
-    derived structural facts (center, Frattini, abelianized quotient)."""
-    import time
-    from .reports import CLAIMS, VerdictReport
-
-    t0 = time.perf_counter()
-    s = p12_spec()
-    G = pauli_group(s)
-    e = s.identity()
-    named = p12_named_elements()
-    X, Y, Z = named["X"], named["Y"], named["Z"]
-    u, a, b = named["u"], named["a"], named["b"]
-
-    def pw(g, k):
-        r = e
-        for _ in range(k):
-            r = s.mul(r, g)
-        return r
-
-    relations = {
-        "X^2=1": pw(X, 2) == e,
-        "Y^2=1": pw(Y, 2) == e,
-        "Z^2=1": pw(Z, 2) == e,
-        "(YZ)^4=1": pw(s.mul(Y, Z), 4) == e,
-        "(ZX)^4=1": pw(s.mul(Z, X), 4) == e,
-        "(XY)^4=1": pw(s.mul(X, Y), 4) == e,
-        "u^4=1": pw(u, 4) == e,
-        "a^2=1": pw(a, 2) == e,
-        "u^2=b^2": pw(u, 2) == pw(b, 2),
-        "a^-1ua=u^-1": s.mul(s.mul(s.inverse(a), u), a) == s.inverse(u),
-        "ub=bu": s.mul(u, b) == s.mul(b, u),
-        "ab=ba": s.mul(a, b) == s.mul(b, a),
-    }
-    center = G.center()
-    derived = G.derived_subgroup()
-    frattini = G.frattini()
-    d8 = G.generated_subgroup([u, a])
-    abelianization = G.quotient(derived)
-    facts = {
-        "order": G.order,
-        "center_order": center.order,
-        "center_cyclic": center.is_cyclic(),
-        "derived_order": derived.order,
-        "frattini_order": frattini.order,
-        "<u,a>_order": d8.order,
-        "<u,a>_abelian": d8.is_abelian(),
-        "abelianization_order": abelianization.order,
-        "abelianization_exponent": abelianization.exponent,
-    }
-    ok = all(relations.values()) and facts == {
-        "order": 16, "center_order": 4, "center_cyclic": True,
-        "derived_order": 2, "frattini_order": 2,
-        "<u,a>_order": 8, "<u,a>_abelian": False,
-        "abelianization_order": 8, "abelianization_exponent": 2,
-    }
-    return VerdictReport(
-        claim="lemma3.1",
-        locator=CLAIMS["lemma3.1"],
-        status="confirmed" if ok else "refuted_at_desk_scale",
-        witness={"relations": relations, "facts": facts},
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-
-def p22_relations_check():
-    """Build P_{2,2} from the five named generators and verify the squared
-    generators, the centrality of ABC, and the nine commutator values."""
-    import time
-    from .groupcore import group_close
-    from .reports import CLAIMS, VerdictReport
-
-    t0 = time.perf_counter()
-    s = pauli_spec(2, 1, 2)
-    e = s.identity()
-    minus_i = (2, (0, 0), (0, 0))
-    g = p22_named_generators()
-    G = group_close(list(g.values()), s.mul, name="P(2,2)")
-
-    def comm(x, y):
-        return s.mul(s.mul(s.inverse(x), s.inverse(y)), s.mul(x, y))
-
-    abc = s.mul(s.mul(g["A"], g["B"]), g["C"])
-    relations = {f"{k}^2=I": s.mul(v, v) == e for k, v in g.items()}
-    relations.update(
-        {f"[ABC,{k}]=I": comm(abc, v) == e for k, v in g.items()})
-    commutators = {
-        "[A,B]": comm(g["A"], g["B"]),
-        "[D,E]": comm(g["D"], g["E"]),
-        "[B,C]": comm(g["B"], g["C"]),
-        "[C,A]": comm(g["C"], g["A"]),
-        "[C,E]": comm(g["C"], g["E"]),
-        "[B,E]": comm(g["B"], g["E"]),
-        "[A,D]": comm(g["A"], g["D"]),
-        "[A,E]": comm(g["A"], g["E"]),
-        "[C,D]": comm(g["C"], g["D"]),
-    }
-    expected = dict.fromkeys(("[A,B]", "[D,E]", "[B,C]", "[C,A]"), minus_i)
-    expected.update(dict.fromkeys(
-        ("[C,E]", "[B,E]", "[A,D]", "[A,E]", "[C,D]"), e))
-    commutator_table = {k: commutators[k] == v for k, v in expected.items()}
-    center = G.center()
-    facts = {
-        "order": G.order,
-        "center_order": center.order,
-        "center_cyclic": center.is_cyclic(),
-        "ABC_central": G.centralizer([G.index[abc]]).order == G.order,
-    }
-    ok = (all(relations.values()) and all(commutator_table.values())
-          and facts == {"order": 64, "center_order": 4,
-                        "center_cyclic": True, "ABC_central": True})
-    return VerdictReport(
-        claim="eq13-14",
-        locator=CLAIMS["eq13-14"],
-        status="confirmed" if ok else "refuted_at_desk_scale",
-        witness={"relations": relations,
-                 "commutator_table": commutator_table,
-                 "facts": facts},
-        wall_time_s=time.perf_counter() - t0,
-    )

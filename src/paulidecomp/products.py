@@ -1,5 +1,6 @@
 """Weak central products, the register chain decomposition of qubit Pauli
-groups, structural classification flags, and the Heisenberg comparison.
+groups, and structural classification flags.  The claim verdicts built
+on them (among them the Heisenberg comparison) live in ``claims``.
 
 Conventions.  For normal subgroups H, K of G, the pair presents G as a
 weak central product when G = HK and [H, K] <= Z(G); the product is
@@ -9,19 +10,16 @@ normal, [H, K] <= H cap K always holds.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .groupcore import (DEFAULT_CLOSURE_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle,
                         abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
-                         heis_group, heis_spec, quaternion8)
-from .algebra import ZmodRing, field_make, is_prime, prime_power
+                         quaternion8)
+from .algebra import is_prime, prime_power
 from .pauli import pauli_element, pauli_group, pauli_spec
-from .reports import (CLAIMS, ClassificationFlags, DecompositionReport,
-                      VerdictReport)
+from .reports import ClassificationFlags, DecompositionReport
 
 
 def reference_group(name: str, p: int | None = None) -> FiniteGroup:
@@ -47,8 +45,8 @@ def identify_factor(g: FiniteGroup) -> str:
             ok, _ = isomorphic(g, reference_group(ref_name))
             if ok:
                 return ref_name.upper()
-    p = _cube_root(n)
-    if p is not None and is_prime(p) and p > 2:
+    p, k = prime_power(n) or (None, None)
+    if k == 3 and p > 2:
         for ref_name in ("e1", "e2"):
             ok, _ = isomorphic(g, reference_group(ref_name, p))
             if ok:
@@ -61,18 +59,6 @@ def identify_factor(g: FiniteGroup) -> str:
         if ok:
             return "P(1,2)"
     return f"order{n}-exp{g.exponent}"
-
-
-def _cube_root(n: int) -> int | None:
-    """The positive integer c with c^3 = n, or None; exact bisection."""
-    lo, hi = 1, 1 << (n.bit_length() // 3 + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** 3 <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo ** 3 == n else None
 
 
 def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,
@@ -246,11 +232,7 @@ def classify_special(g: FiniteGroup) -> ClassificationFlags:
         # consistency facts: [G,G] <= Z(G), G/Z elementary abelian even rank
         quot = g.quotient(center)
         rank_ok = (quot.is_abelian and quot.exponent == p)
-        log = 0
-        q = quot.order
-        while q > 1:
-            q //= p
-            log += 1
+        _, log = prime_power(quot.order)
         evidence["generalized_extraspecial_facts"] = {
             "derived_in_center": set(derived.members) <= set(center.members),
             "central_quotient_elementary_abelian": rank_ok,
@@ -367,52 +349,3 @@ def extraspecial_decompose(g: FiniteGroup) -> DecompositionReport:
         classification=classification,
         notes=[],
     )
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg comparison
-# ---------------------------------------------------------------------------
-
-def corollary43_check(p: int, m: int, n: int) -> VerdictReport:
-    """Compare P_{n,p^m} against both Heisenberg variants: full center
-    over Z/p^m and trace-reduced center over GF(p^m).  For m = 1 the two
-    coincide and a match confirms the claim; for m > 1 the registered
-    statement is order-inconsistent and the verdict records which variant
-    the oracle supports."""
-    t0 = time.perf_counter()
-    if p == 2:
-        raise ValueError("the comparison is stated for odd p")
-    order = p ** (2 * n * m + 1)
-    if order > 1024:
-        return VerdictReport(
-            claim="cor4.3", locator=CLAIMS["cor4.3"], status="out_of_cap",
-            witness={"required_order": order},
-            wall_time_s=time.perf_counter() - t0)
-    pg = pauli_group(pauli_spec(p, m, n))
-    reduced_spec = heis_spec(field_make(p, m), n, reduced=True)
-    full_spec = heis_spec(ZmodRing(p, m), n)
-    witness: dict = {
-        "pauli_order": pg.order,
-        "reduced_variant_order": reduced_spec.order,
-        "full_variant_order": full_spec.order,
-    }
-    reduced_ok = False
-    if reduced_spec.order == pg.order:
-        hg = heis_group(reduced_spec)
-        reduced_ok, _ = isomorphic(pg, hg)
-    witness["reduced_variant_isomorphic"] = reduced_ok
-    full_ok = False
-    if full_spec.order == pg.order and full_spec.order <= 1024:
-        hg = heis_group(full_spec)
-        full_ok, _ = isomorphic(pg, hg)
-    witness["full_variant_isomorphic"] = full_ok
-    if m == 1:
-        status = "confirmed" if reduced_ok else "refuted_at_desk_scale"
-    else:
-        # stated order p^(2nm+1) contradicts the full variant's
-        # p^(m(2n+1)); the oracle decides which reading holds
-        status = "inconsistent_in_paper" if reduced_ok else "refuted_at_desk_scale"
-        witness["supported_reading"] = "reduced" if reduced_ok else "none"
-    return VerdictReport(claim="cor4.3", locator=CLAIMS["cor4.3"],
-                         status=status, witness=witness,
-                         wall_time_s=time.perf_counter() - t0)

@@ -9,18 +9,18 @@ import itertools
 import time
 
 from paulidecomp.algebra import field_make
-from paulidecomp.census import abelian_census, bounds_check, hasse
-from paulidecomp.claims import (check_cor43, check_cor54, check_eq19,
-                                check_remark39, check_thm42_links)
+from paulidecomp.census import abelian_census, hasse
+from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
+                                check_eq19, check_remark39, check_thm42_links,
+                                corollary43_check, corollary52_53_check,
+                                lemma31_presentation_check,
+                                p22_relations_check)
 from paulidecomp.groupcore import abelian_invariants, isomorphic
 from paulidecomp.heisenberg import dihedral8, heis_spec
-from paulidecomp.lifted import (corollary52_53_check, lifted_group,
-                                lifted_spec, pi_is_homomorphism, pi_kernel)
-from paulidecomp.pauli import (lemma31_presentation_check,
-                               p22_relations_check, pauli_group,
-                               pauli_matrix_oracle, pauli_spec)
-from paulidecomp.products import (corollary43_check, decompose_pauli_chain,
-                                  pauli_chain_subgroups)
+from paulidecomp.lifted import (lifted_group, lifted_spec, pi_is_homomorphism,
+                                pi_kernel)
+from paulidecomp.pauli import pauli_group, pauli_matrix_oracle, pauli_spec
+from paulidecomp.products import decompose_pauli_chain, pauli_chain_subgroups
 
 
 def timed(label, limit_s):

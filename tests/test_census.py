@@ -3,9 +3,9 @@ import json
 import pytest
 
 from paulidecomp.algebra import field_make
-from paulidecomp.census import (LatticeGraph, abelian_census, bounds_check,
-                                constructive_abelian_subgroups, export_dot,
+from paulidecomp.census import (LatticeGraph, abelian_census, export_dot,
                                 export_json, hasse, paper_figure_lattice)
+from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
 from paulidecomp.groupcore import strict_containment
 from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec
 from paulidecomp.pauli import pauli_group, pauli_spec

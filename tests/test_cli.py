@@ -152,6 +152,13 @@ EXIT_CODES = [
     (["build", "d8"], "abc", 2),
     (["build", "d8"], "0", 2),
     (["build", "d8"], "-5", 2),
+    # non-positive cap flags
+    (["build", "d8", "--cap-closure", "0"], None, 2),
+    (["build", "d8", "--cap-closure", "-3"], None, 2),
+    (["census", "d8", "--cap-subgroups", "0"], None, 2),
+    (["lattice", "d8", "--cap-subgroups", "-3"], None, 2),
+    (["build", "trivial", "--cap-closure", "0"], None, 2),
+    (["build", "e1:p=4"], None, 2),
     # caps and size limits
     (["build", "pauli:p=2,n=2", "--cap-closure", "10"], None, 3),
     (["build", "pauli:p=2,n=1"], "10", 3),
@@ -159,6 +166,18 @@ EXIT_CODES = [
     (["decompose", "pauli:p=2,n=4"], None, 3),
     (["decompose", "pauli:p=2,n=3", "--cap-closure", "10"], None, 3),
     (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 3),
+    # reference specs obey the closure cap at their exact order
+    (["build", "e1:p=3", "--cap-closure", "26"], None, 3),
+    (["build", "e1:p=3", "--cap-closure", "27"], None, 0),
+    (["build", "q8", "--cap-closure", "7"], None, 3),
+    (["build", "q8", "--cap-closure", "8"], None, 0),
+    (["build", "e2:p=31"], None, 3),
+    (["build", "d8"], "5", 3),
+    (["build", "e1:p=7", "--cap-closure", "10"], None, 3),
+    (["census", "q8", "--cap-closure", "2"], None, 3),
+    (["decompose", "e2:p=3", "--cap-closure", "5"], None, 3),
+    (["lattice", "d8", "--filter", "paper_figure", "--cap-closure", "7"],
+     None, 3),
 ]
 
 

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from paulidecomp.algebra import ZmodRing, field_make
+from paulidecomp.claims import heis_semidirect_report
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group,
-                                    heis_semidirect_report, heis_spec, phi_map,
-                                    quaternion8, unitriangular_mul)
+                                    extraspecial_e2, heis_group, heis_spec,
+                                    phi_map, quaternion8, unitriangular_mul)
 
 
 def test_order_formulas():

@@ -1,9 +1,10 @@
 import pytest
 
+from paulidecomp.claims import corollary52_53_check
 from paulidecomp.groupcore import isomorphic
-from paulidecomp.lifted import (corollary52_53_check, lifted_group,
-                                lifted_matrix, lifted_matrix_mul, lifted_spec,
-                                pi_image_group, pi_is_homomorphism, pi_kernel)
+from paulidecomp.lifted import (lifted_group, lifted_matrix, lifted_matrix_mul,
+                                lifted_spec, pi_image_group,
+                                pi_is_homomorphism, pi_kernel)
 from paulidecomp.pauli import pauli_group, pauli_spec
 
 

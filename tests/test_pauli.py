@@ -3,8 +3,8 @@ import operator
 
 import pytest
 
-from paulidecomp.pauli import (lemma31_presentation_check, p12_named_elements,
-                               p12_spec, p22_relations_check, pauli_element,
+from paulidecomp.claims import lemma31_presentation_check, p22_relations_check
+from paulidecomp.pauli import (p12_named_elements, p12_spec, pauli_element,
                                pauli_group, pauli_matrix_oracle, pauli_spec)
 
 
