@@ -11,6 +11,7 @@ come from the one fold ``_worst_status``.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 
 from .algebra import ZmodRing, field_make, sigma_tau
@@ -23,7 +24,7 @@ from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
 from .pauli import (p12_named_elements, p12_spec, p22_named_generators,
                     pauli_group, pauli_spec)
 from .products import (classify_special, decompose_pauli_chain,
-                       pauli_chain_subgroups)
+                       pauli_chain_subgroups, weak_central_chain)
 from .reports import CLAIMS, VerdictReport
 
 # statuses by increasing severity; an instance out of cap is not confirmed
@@ -204,13 +205,13 @@ def heis_semidirect_report(spec):
         "A_normal": a_sub.is_normal(),
         "B_normal": b_sub.is_normal(),
         "A_maximal": a_sub.order * size == g.order,
-        "AB_intersection_is_center": a_sub.intersect(b_sub).members == center.members,
+        "AB_intersection_is_center": a_sub.intersect(b_sub) == center,
         "A_complement_y": (a_sub.intersect(y_sub).order == 1
                            and len(a_sub.product_set(y_sub)) == g.order),
         "B_complement_x": (b_sub.intersect(x_sub).order == 1
                            and len(b_sub.product_set(x_sub)) == g.order),
-        "commutator_AB_is_center": a_sub.commutator_with(b_sub).members == center.members,
-        "z_generates_center": z_sub.members == center.members,
+        "commutator_AB_is_center": a_sub.commutator_with(b_sub) == center,
+        "z_generates_center": z_sub == center,
     }
     return all(facts.values()), {"group": spec.name, "facts": facts}
 
@@ -263,11 +264,10 @@ def check_thm42():
 
 @_verdict("thm4.2-links")
 def check_thm42_links():
-    """The registered link identity L_1 = [H_1, H_2] of order 4.  In the
-    qubit phase-space model every commutator is a power of -I, so the
-    commutator subgroup of two normal order-16 factors has order at most
-    2 and can never equal the order-4 link; the oracle records the
-    counterexample."""
+    """The registered link identity L_1 = [H_1, H_2] of order 4.  Distinct
+    registers commute, so the commutator subgroup of the two order-16
+    factors has order 1 and can never equal the order-4 link; the oracle
+    records the counterexample."""
     rep = decompose_pauli_chain(2)
     comm_order = rep.commutators[0]
     inter_order = rep.intersections[0]
@@ -358,41 +358,19 @@ def corollary43_check(p: int, m: int, n: int):
 
 
 def _p12_chain_search(g: FiniteGroup) -> list | None:
-    """Backtracking search for normal subgroups isomorphic to P_{1,2}
-    whose iterated product covers g with all pairwise commutators in the
-    center.  Returns the factor handles or None."""
+    """The shortest chain of normal subgroups isomorphic to P_{1,2} that
+    ``weak_central_chain`` reads as a weak central product of g, or None.
+    A factor that does not enlarge the product can be dropped, so a
+    shortest chain has at most 1 + log2(|g| / 16) factors."""
     p12 = pauli_group(pauli_spec(2, 1, 1))
-    candidates = []
-    for h in g.subgroups_all():
-        if h.order != p12.order or not h.is_normal():
-            continue
-        ok, _ = isomorphic(h.as_group(), p12)
-        if ok:
-            candidates.append(h)
-    center = set(g.center().members)
-
-    def extend(acc, used):
-        if acc is not None and acc.order == g.order:
-            return []
-        for i, h in enumerate(candidates):
-            if i in used:
-                continue
-            if acc is None:
-                rest = extend(h, used | {i})
-                if rest is not None:
-                    return [h] + rest
-                continue
-            if not set(acc.commutator_with(h).members) <= center:
-                continue
-            prod = g.subgroup(acc.product_set(h))
-            if prod.order <= acc.order:
-                continue
-            rest = extend(prod, used | {i})
-            if rest is not None:
-                return [h] + rest
-        return None
-
-    return extend(None, frozenset())
+    candidates = [h for h in g.subgroups_all()
+                  if h.order == p12.order and h.is_normal()
+                  and isomorphic(h.as_group(), p12)[0]]
+    for length in range(1, (g.order // p12.order).bit_length() + 1):
+        for chain in itertools.combinations(candidates, length):
+            if weak_central_chain(g, chain)[0] != "none":
+                return list(chain)
+    return None
 
 
 @_verdict(lambda p, m, n: "cor5.2" if p != 2 else "cor5.3")
@@ -407,7 +385,7 @@ def corollary52_53_check(p: int, m: int, n: int):
     g = lifted_group(spec)
     kernel = g.subgroup(g.closure_indices(
         [g.index[k] for k in pi_kernel(spec)]))
-    central = set(kernel.members) <= set(g.center().members)
+    central = kernel <= g.center()
     quotient = g.quotient(kernel)
     image = pi_image_group(spec)
     iso_first, _ = isomorphic(quotient, image)

@@ -109,7 +109,7 @@ def parse_spec(text: str):
         if not is_prime(p) or p == 2:
             raise SpecError(f"{head} requires an odd prime p, got {p}")
         return "reference", (head, p)
-    if head == "pauli":
+    if head in ("pauli", "lifted"):
         params = _parse_params(rest)
         _check_keys(params, ("p", "m", "n"))
         p = _int_param(params, "p")
@@ -117,8 +117,9 @@ def parse_spec(text: str):
             raise SpecError(f"p must be prime, got {p}")
         m = _int_param(params, "m", 1)
         n = _int_param(params, "n", 1)
+        make = pauli_spec if head == "pauli" else lifted_spec
         try:
-            return "pauli", pauli_spec(p, m, n)
+            return head, make(p, m, n)
         except ValueError as exc:
             raise SpecError(str(exc))
     if head == "heis":
@@ -132,18 +133,6 @@ def parse_spec(text: str):
             raise SpecError(f"reduced must be true or false, got {reduced!r}")
         try:
             return "heis", heis_spec(carrier, n, cocycle, reduced == "true")
-        except ValueError as exc:
-            raise SpecError(str(exc))
-    if head == "lifted":
-        params = _parse_params(rest)
-        _check_keys(params, ("p", "m", "n"))
-        p = _int_param(params, "p")
-        if not is_prime(p):
-            raise SpecError(f"p must be prime, got {p}")
-        m = _int_param(params, "m", 1)
-        n = _int_param(params, "n", 1)
-        try:
-            return "lifted", lifted_spec(p, m, n)
         except ValueError as exc:
             raise SpecError(str(exc))
     raise SpecError(f"unknown spec {text!r}")

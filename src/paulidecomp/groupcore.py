@@ -684,6 +684,10 @@ class SubgroupHandle:
         keys = [self.parent.elements[m] for m in self.members]
         return FiniteGroup(keys, table, name=name)
 
+    def __le__(self, other: "SubgroupHandle") -> bool:
+        """Containment: every member of this subgroup lies in ``other``."""
+        return set(self.members).issubset(other.members)
+
     def intersect(self, other: "SubgroupHandle") -> "SubgroupHandle":
         return SubgroupHandle(self.parent, tuple(sorted(
             set(self.members) & set(other.members))))

@@ -1,11 +1,16 @@
 """Weak central products, the register chain decomposition of qubit Pauli
-groups, and structural classification flags.  The claim verdicts built
-on them (among them the Heisenberg comparison) live in ``claims``.
+groups, the extraspecial splitting, and structural classification flags.
+The claim verdicts built on them (among them the Heisenberg comparison)
+live in ``claims``.
 
-Conventions.  For normal subgroups H, K of G, the pair presents G as a
-weak central product when G = HK and [H, K] <= Z(G); the product is
-central when additionally [H, K] = H cap K = Z(G).  Since H and K are
-normal, [H, K] <= H cap K always holds.
+Conventions.  Every decomposition is read by one fold,
+``weak_central_chain``, over normal factors H_1, ..., H_n of G.  With
+A_j = H_1...H_j, link j is A_j cap H_{j+1} and commutator j is
+[A_j, H_{j+1}].  The chain presents G as a weak central product when
+A_n = G and every commutator lies in Z(G); the product is central when
+in addition every link and every commutator equals Z(G), and there is
+at least one link.  Since the factors are normal, each commutator lies
+in its link.
 """
 
 from __future__ import annotations
@@ -61,35 +66,52 @@ def identify_factor(g: FiniteGroup) -> str:
     return f"order{n}-exp{g.exponent}"
 
 
-def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,
-                        k: SubgroupHandle) -> DecompositionReport:
-    """Check the weak central product conditions for normal H, K <= G."""
-    if not h.is_normal() or not k.is_normal():
-        raise ValueError("both factors must be normal in G")
-    center = set(g.center().members)
-    comm = h.commutator_with(k)
-    inter = h.intersect(k)
-    covers = len(h.product_set(k)) == g.order
-    comm_central = set(comm.members) <= center
-    if covers and comm_central:
-        central = (set(comm.members) == center
-                   and set(inter.members) == center)
-        classification = "central" if central else "weak_central"
-    else:
-        classification = "none"
-    notes = []
-    if inter.order == 1 and comm.order == 1 and covers:
-        notes.append("factors intersect trivially: the product is direct")
+def weak_central_chain(g: FiniteGroup, factors) -> tuple[str, list, list]:
+    """The one fold over normal factors H_1, ..., H_n of G (see the module
+    docstring): ``(classification, links, commutators)``, with link j and
+    commutator j as subgroup handles for j = 1 .. n-1."""
+    if not all(h.is_normal() for h in factors):
+        raise ValueError("every factor must be normal in G")
+    center = g.center()
+    acc, links, commutators = factors[0], [], []
+    for h in factors[1:]:
+        links.append(acc.intersect(h))
+        commutators.append(acc.commutator_with(h))
+        # a product of normal subgroups is a normal subgroup
+        acc = SubgroupHandle(g, acc.product_set(h))
+    if acc.order != g.order or not all(c <= center for c in commutators):
+        return "none", links, commutators
+    central = bool(links) and all(x == center for x in links + commutators)
+    return ("central" if central else "weak_central"), links, commutators
+
+
+def _chain_report(g: FiniteGroup, factors, fold, notes) -> DecompositionReport:
+    """The report of a decomposition into ``factors`` read by ``fold``, the
+    result of ``weak_central_chain``."""
+    classification, links, commutators = fold
     return DecompositionReport(
         group=g.name or f"order{g.order}",
-        factors=[{"order": h.order, "isomorphism_type": identify_factor(h.as_group())},
-                 {"order": k.order, "isomorphism_type": identify_factor(k.as_group())}],
-        links=[{"order": inter.order, "source": "intersection"}],
-        commutators=[comm.order],
-        intersections=[inter.order],
+        factors=[{"order": h.order,
+                  "isomorphism_type": identify_factor(h.as_group())}
+                 for h in factors],
+        links=[{"order": x.order, "source": "intersection"} for x in links],
+        commutators=[c.order for c in commutators],
+        intersections=[x.order for x in links],
         classification=classification,
         notes=notes,
     )
+
+
+def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,
+                        k: SubgroupHandle) -> DecompositionReport:
+    """Check the weak central product conditions for normal H, K <= G."""
+    fold = weak_central_chain(g, [h, k])
+    classification, (link,), _ = fold
+    notes = []
+    # the commutator lies in the link, so a trivial link makes G = H x K
+    if classification != "none" and link.order == 1:
+        notes.append("factors intersect trivially: the product is direct")
+    return _chain_report(g, [h, k], fold, notes)
 
 
 def pauli_chain_subgroups(g: FiniteGroup, spec) -> list[SubgroupHandle]:
@@ -104,55 +126,28 @@ def decompose_pauli_chain(
         n: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> DecompositionReport:
     """Iterated weak central product P_{n,2} = H_1 * H_2 * ... * H_n with
     register factors H_j = <U, X_j, Z_j> and links L_j = (H_1...H_j) cap
-    H_{j+1}.
+    H_{j+1}, read by ``weak_central_chain``.
 
     The commutator [H_1...H_j, H_{j+1}] is reported alongside each link:
-    in the qubit phase-space model all commutators land in <-I>, so the
-    commutator subgroup of two distinct register factors has order at
-    most 2 and never equals the order-4 link."""
-    if n < 1 or n > 3:
-        raise CapError("chain decomposition implemented for 1 <= n <= 3")
+    distinct registers commute, so it has order 1 and never equals the
+    order-4 link (the fold therefore never reads ``central``)."""
     spec = pauli_spec(2, 1, n)
     g = pauli_group(spec, closure_cap)
     factors = pauli_chain_subgroups(g, spec)
-    center = set(g.center().members)
-    factor_info = [{
-        "order": h.order,
-        "isomorphism_type": identify_factor(h.as_group(name=f"H{j + 1}")),
-        "normal": h.is_normal(),
-    } for j, h in enumerate(factors)]
-
-    links, commutators, intersections = [], [], []
-    classification = "weak_central"
+    fold = weak_central_chain(g, factors)
+    _, links, _ = fold
     notes = []
-    acc = factors[0]
-    for j in range(1, n):
-        nxt = factors[j]
-        comm = acc.commutator_with(nxt)
-        inter = acc.intersect(nxt)
-        prod = g.subgroup(acc.product_set(nxt))
-        if not (set(comm.members) <= center):
-            classification = "none"
-        links.append({"order": inter.order, "source": "intersection",
-                      "central": set(inter.members) <= center})
-        commutators.append(comm.order)
-        intersections.append(inter.order)
-        acc = prod
-    if acc.order != g.order:
-        classification = "none"
     if n >= 2:
         notes.append("links are amalgamated intersections; the pairwise "
                      "commutator subgroups have order <= 2 and are listed "
                      "separately")
-    return DecompositionReport(
-        group=g.name,
-        factors=factor_info,
-        links=links,
-        commutators=commutators,
-        intersections=intersections,
-        classification=classification,
-        notes=notes,
-    )
+    rep = _chain_report(g, factors, fold, notes)
+    for info in rep.factors:
+        info["normal"] = True  # the fold raised otherwise
+    center = g.center()
+    for info, link in zip(rep.links, links):
+        info["central"] = link <= center
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +161,12 @@ def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     such closures)."""
     if g.is_abelian:
         return False, {"reason": "abelian"}
-    derived = set(g.derived_subgroup().members)
+    derived = g.derived_subgroup()
     for i in range(g.order):
         if i == g.identity:
             continue
-        nc = set(g.normal_closure([i]).members)
-        if not derived <= nc:
-            witness = g.normal_closure([i])
+        witness = g.normal_closure([i])
+        if not derived <= witness:
             return False, {
                 "normal_subgroup_order": witness.order,
                 "witness_element": repr(g.elements[i]),
@@ -221,8 +215,7 @@ def classify_special(g: FiniteGroup) -> ClassificationFlags:
     derived = g.derived_subgroup()
     evidence: dict = {}
 
-    extraspecial = bool(p and center.order == p
-                        and set(center.members) == set(derived.members))
+    extraspecial = bool(p and center.order == p and center == derived)
     if not extraspecial:
         evidence["extraspecial"] = {
             "center_order": center.order, "derived_order": derived.order}
@@ -234,7 +227,7 @@ def classify_special(g: FiniteGroup) -> ClassificationFlags:
         rank_ok = (quot.is_abelian and quot.exponent == p)
         _, log = prime_power(quot.order)
         evidence["generalized_extraspecial_facts"] = {
-            "derived_in_center": set(derived.members) <= set(center.members),
+            "derived_in_center": derived <= center,
             "central_quotient_elementary_abelian": rank_ok,
             "central_quotient_rank": log,
             "rank_even": log % 2 == 0,
@@ -268,84 +261,30 @@ def classify_special(g: FiniteGroup) -> ClassificationFlags:
 def extraspecial_decompose(g: FiniteGroup) -> DecompositionReport:
     """Split an extraspecial group into a central product of order-p^3
     factors: take the subgroup generated by the first noncommuting pair
-    (canonical order) and recurse on its centralizer.  Factors are
-    identified against the reference families."""
+    (row-major over the members) and recurse on its centralizer, all
+    within G.  Factors are identified against the reference families."""
     p, _ = prime_power(g.order) or (None, None)
     center = g.center()
-    if p is None or center.order != p or \
-            set(center.members) != set(g.derived_subgroup().members):
+    if p is None or center.order != p or center != g.derived_subgroup():
         raise ValueError("input is not extraspecial")
-    if g.order > 256 and p == 2:
-        raise CapError("extraspecial decomposition capped at order 256 "
-                       "for p = 2")
-    factor_groups = []
+    factors = []
     current = g.whole_subgroup()
-    while not current.is_abelian():
-        cg = current.as_group()
-        t = cg.table
-        pair = None
-        for i in range(cg.order):
-            for j in range(i + 1, cg.order):
-                if t[i, j] != t[j, i]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        h_local = cg.subgroup(cg.closure_indices(pair))
-        # map back to parent-group members
-        h_members = [g.index[cg.elements[i]] for i in h_local.members]
-        h = g.subgroup(g.closure_indices(h_members))
-        k_members = [g.index[cg.elements[i]]
-                     for i in cg.centralizer(h_local.members).members]
-        factor_groups.append(h)
-        current = g.subgroup(g.closure_indices(k_members))
-
-    if len(factor_groups) == 0:
-        raise ValueError("input is abelian")
-
-    if len(factor_groups) == 1 and factor_groups[0].order == g.order:
+    while True:
+        members = np.asarray(current.members)
+        sub = g.table[np.ix_(members, members)]
+        rows, cols = np.triu(sub != sub.T).nonzero()
+        if not len(rows):
+            break
+        h = g.generated_subgroup(members[[rows[0], cols[0]]])
+        factors.append(h)
+        current = current.intersect(g.centralizer(h.members))
+    if len(factors) == 1:
         # order p^3: the atom, no proper splitting
-        return DecompositionReport(
-            group=g.name or f"order{g.order}",
-            factors=[{"order": g.order,
-                      "isomorphism_type": identify_factor(g)}],
-            links=[], commutators=[], intersections=[],
-            classification="none",
-            notes=["order p^3 extraspecial group is irreducible"],
-        )
-
-    center_set = set(center.members)
-    factor_info = []
-    links, commutators, intersections = [], [], []
-    classification = "central"
-    acc = factor_groups[0]
-    factor_info.append({"order": acc.order,
-                        "isomorphism_type": identify_factor(acc.as_group())})
-    for h in factor_groups[1:]:
-        factor_info.append({"order": h.order,
-                            "isomorphism_type": identify_factor(h.as_group())})
-        comm = acc.commutator_with(h)
-        inter = acc.intersect(h)
-        prod = g.subgroup(acc.product_set(h))
-        if not (set(comm.members) <= center_set):
-            classification = "none"
-        if not (set(comm.members) == center_set
-                and set(inter.members) == center_set):
-            if classification == "central":
-                classification = "weak_central"
-        links.append({"order": inter.order, "source": "intersection"})
-        commutators.append(comm.order)
-        intersections.append(inter.order)
-        acc = prod
-    if acc.order != g.order:
+        return _chain_report(g, factors, ("none", [], []),
+                             ["order p^3 extraspecial group is irreducible"])
+    fold = weak_central_chain(g, factors)
+    # every commutator lies in G' = Z(G), so only a short product fails
+    if fold[0] == "none":
         raise GroupStructureError(
             "extraspecial splitting did not cover the group")
-    return DecompositionReport(
-        group=g.name or f"order{g.order}",
-        factors=factor_info,
-        links=links,
-        commutators=commutators,
-        intersections=intersections,
-        classification=classification,
-        notes=[],
-    )
+    return _chain_report(g, factors, fold, [])

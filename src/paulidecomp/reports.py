@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper",
             "out_of_cap")
 
-CLASSIFICATIONS = ("weak_central", "central", "direct", "none")
+CLASSIFICATIONS = ("weak_central", "central", "none")
 
 
 @dataclass
@@ -29,8 +29,8 @@ class DecompositionReport:
     group: str
     factors: list  # list of dicts {order, isomorphism_type, generators}
     links: list    # list of dicts {order, source} for L_1 .. L_{n-1}
-    commutators: list  # orders of [H_i, H_{i+1}] (or pairwise summary)
-    intersections: list  # orders of H_i cap H_{i+1}
+    commutators: list  # orders of [H_1...H_j, H_{j+1}]
+    intersections: list  # orders of H_1...H_j cap H_{j+1}
     classification: str
     notes: list = field(default_factory=list)
 

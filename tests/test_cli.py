@@ -163,9 +163,11 @@ EXIT_CODES = [
     (["build", "pauli:p=2,n=2", "--cap-closure", "10"], None, 3),
     (["build", "pauli:p=2,n=1"], "10", 3),
     (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
-    (["decompose", "pauli:p=2,n=4"], None, 3),
+    (["decompose", "pauli:p=2,n=4"], None, 0),
     (["decompose", "pauli:p=2,n=3", "--cap-closure", "10"], None, 3),
-    (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 3),
+    (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 0),
+    (["decompose", "pauli:p=2,n=6"], None, 3),
+    (["decompose", "heis:R=gf(2),n=6,cocycle=polarized"], None, 3),
     # reference specs obey the closure cap at their exact order
     (["build", "e1:p=3", "--cap-closure", "26"], None, 3),
     (["build", "e1:p=3", "--cap-closure", "27"], None, 0),

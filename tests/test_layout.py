@@ -1,6 +1,8 @@
-"""The module layout the single verdict path rests on, read from the
-source: verdicts are built only in ``claims`` (``reports`` defines their
-types), and the library modules import at module level only."""
+"""The module layout the single verdict path and the single
+weak-central-product fold rest on, read from the source: verdicts are
+built only in ``claims`` (``reports`` defines their types), the library
+modules import at module level only, and every decomposition goes
+through ``products.weak_central_chain``."""
 
 import ast
 from pathlib import Path
@@ -44,3 +46,61 @@ def test_no_function_local_imports(module):
                    for node in ast.walk(func)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not local, f"{module}.py imports inside a function at {local}"
+
+
+def _calls(module: str, name: str, attribute: bool) -> list[tuple]:
+    """(outermost function or None, line) of every call to ``name`` in
+    ``module``, as a method (``x.name(...)``) or as a plain name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (attribute and isinstance(func, ast.Attribute)
+                    and func.attr == name) or (
+                    not attribute and isinstance(func, ast.Name)
+                    and func.id == name):
+                found.append((owner, node.lineno))
+    return found
+
+
+# the semidirect report also states complements and the centre as
+# products and commutators of subgroups that are not all normal
+FOLD_OWNERS = {"products": {"weak_central_chain"},
+               "claims": {"heis_semidirect_report"}}
+
+
+@pytest.mark.parametrize("module", sorted(FOLD_OWNERS))
+@pytest.mark.parametrize("method", ("product_set", "commutator_with"))
+def test_products_and_commutators_only_in_the_fold(module, method):
+    stray = [call for call in _calls(module, method, attribute=True)
+             if call[0] not in FOLD_OWNERS[module]]
+    assert not stray, f"{module}.py calls .{method}( at {stray}"
+
+
+@pytest.mark.parametrize("module,function", [
+    ("products", "decompose_pauli_chain"),
+    ("products", "extraspecial_decompose"),
+    ("products", "verify_weak_central"),
+    ("claims", "_p12_chain_search"),
+])
+def test_decompositions_call_the_fold(module, function):
+    owners = {owner for owner, _ in
+              _calls(module, "weak_central_chain", attribute=False)}
+    assert function in owners
+
+
+@pytest.mark.parametrize("module", sorted(FOLD_OWNERS))
+def test_no_member_sets(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "set"
+                   and any(isinstance(sub, ast.Attribute)
+                           and sub.attr == "members"
+                           for arg in node.args for sub in ast.walk(arg)))
+    assert not lines, f"{module}.py builds set(... .members) at {lines}"

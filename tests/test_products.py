@@ -4,12 +4,15 @@ import pytest
 from paulidecomp.groupcore import CapError, FiniteGroup
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
+from paulidecomp.algebra import field_make
+from paulidecomp.heisenberg import heis_group, heis_spec
 from paulidecomp.pauli import pauli_group, pauli_spec
 from paulidecomp.claims import corollary43_check
 from paulidecomp.products import (classify_special, decompose_pauli_chain,
                                   extraspecial_decompose, identify_factor,
                                   just_nonabelian, minimal_nonabelian,
-                                  pauli_chain_subgroups, verify_weak_central)
+                                  pauli_chain_subgroups, verify_weak_central,
+                                  weak_central_chain)
 
 
 def test_identify_factor():
@@ -36,6 +39,75 @@ def test_weak_central_rejects_nongenerating_pair():
     z = g.center()
     rep = verify_weak_central(g, z, z)
     assert rep.classification == "none"
+
+
+def _generated(g, seed):
+    """The subgroup generated by ``seed``, by products until closed."""
+    members = set(seed) | {g.identity}
+    while True:
+        grown = members | {g.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+def _pair_by_definition(g, h, k):
+    """(classification, link, commutator) of the pair H, K from the
+    definitions, as member sets."""
+    elements = range(g.order)
+    inv = {x: next(y for y in elements if g.mul(x, y) == g.identity)
+           for x in elements}
+    center = {z for z in elements
+              if all(g.mul(z, x) == g.mul(x, z) for x in elements)}
+    hs, ks = set(h.members), set(k.members)
+    link = hs & ks
+    comm = _generated(g, {g.mul(g.mul(inv[a], inv[b]), g.mul(a, b))
+                          for a in hs for b in ks})
+    covers = {g.mul(a, b) for a in hs for b in ks} == set(elements)
+    if not covers or not comm <= center:
+        return "none", link, comm
+    if comm == center and link == center:
+        return "central", link, comm
+    return "weak_central", link, comm
+
+
+@pytest.mark.parametrize("make", [
+    dihedral8, quaternion8, lambda: extraspecial_e2(3),
+    lambda: pauli_group(pauli_spec(2, 1, 1)),
+    lambda: heis_group(heis_spec(field_make(3, 1))),
+    lambda: _dihedral(8),
+], ids=["D8", "Q8", "E2(3)", "P(1,2)", "H(GF(3))", "D16"])
+def test_weak_central_chain_against_definition(make):
+    # D16 has class 3: some covering pairs have a commutator outside Z(G)
+    g = make()
+    normal = [h for h in g.subgroups_all() if h.is_normal()]
+    seen = set()
+    for h in normal:
+        for k in normal:
+            classification, (link,), (comm,) = weak_central_chain(g, [h, k])
+            expected = _pair_by_definition(g, h, k)
+            assert (classification, set(link.members),
+                    set(comm.members)) == expected
+            seen.add(classification)
+    assert {"none", "weak_central"} <= seen
+
+
+def test_weak_central_chain_central_pair_d8():
+    g = dihedral8()
+    fours = [h for h in g.subgroups_all() if h.order == 4]
+    rotations = next(h for h in fours if h.is_cyclic())
+    klein = next(h for h in fours if not h.is_cyclic())
+    classification, links, comms = weak_central_chain(g, [rotations, klein])
+    assert classification == "central"
+    assert links == comms == [g.center()]
+
+
+def test_weak_central_chain_rejects_non_normal_factor():
+    g = dihedral8()
+    reflection = next(h for h in g.subgroups_all()
+                      if h.order == 2 and not h.is_normal())
+    with pytest.raises(ValueError):
+        weak_central_chain(g, [g.whole_subgroup(), reflection])
 
 
 def test_decompose_pauli_chain_n2():
