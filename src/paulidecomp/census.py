@@ -1,6 +1,10 @@
 """Abelian subgroup counting and Hasse diagrams of subgroup lattices.
 The c_ab bounds for qubit Pauli groups are adjudicated in ``claims``.
 
+The census walks only the abelian subgroups, by cyclic extension inside
+centralizers (``FiniteGroup.abelian_subgroups``), and never enumerates
+the full lattice; Hasse diagrams read the full lattice.
+
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
 reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
@@ -44,8 +48,10 @@ class CensusResult:
 
 def abelian_census(g: FiniteGroup,
                    cap: int = DEFAULT_SUBGROUP_CAP) -> CensusResult:
-    """Exact enumeration of the abelian subgroups of G."""
-    subs = [h for h in g.subgroups_all(cap) if h.order > 1 and h.is_abelian()]
+    """Exact enumeration of the abelian subgroups of G.  Normality is
+    read by ``is_normal`` and maximality from ``strict_containment`` over
+    the abelian subgroups."""
+    subs = g.abelian_subgroups(cap)[1:]
     by_order: dict = {}
     by_norm: dict = {}
     normal = 0

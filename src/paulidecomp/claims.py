@@ -446,11 +446,9 @@ def constructive_abelian_subgroups(n: int) -> list[tuple]:
     found = set()
     for h in pauli_chain_subgroups(g, spec):
         hg = h.as_group()
-        for sub in hg.subgroups_all():
-            if sub.order > 1 and sub.is_abelian():
-                members = tuple(sorted(g.index[hg.elements[i]]
-                                       for i in sub.members))
-                found.add(members)
+        for sub in hg.abelian_subgroups()[1:]:
+            found.add(tuple(sorted(g.index[hg.elements[i]]
+                                   for i in sub.members)))
     return sorted(found)
 
 

@@ -26,15 +26,25 @@ and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
 conjugacy classes, derived subgroup, normal closures, normality tests and
 the nilpotency bound are read off those arrays.
 
-Subgroups are enumerated once per group: ``subgroups_all`` caches its
-result, so maximal subgroups, the Frattini subgroup and Hasse diagrams
-share one enumeration.  Containment between subgroups is read from one
-membership matrix by ``strict_containment``.
+Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005), with no
+closure: from each subgroup H found, as a boolean mask, the walk takes
+one x per coset Hx inside a subgroup that normalises H and forms
+H<x> = H u Hx u Hx^2 u ... by row gathers of the table until x^i falls
+in H.  ``subgroups_all`` draws x from N_G(H); a group is reached by such
+steps exactly when it is solvable, so a walk that ends without G raises
+``GroupStructureError`` rather than return a partial lattice.
+``abelian_subgroups`` draws x from C_G(H) and reaches every abelian
+subgroup of any finite group.  ``subgroups_all`` caches its result, so
+maximal subgroups, the Frattini subgroup and Hasse diagrams share one
+enumeration.  Containment between subgroups is read from one membership
+matrix by ``strict_containment``.
 
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
-full subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be
-overridden per call.  Isomorphism search is limited to order
-``ISO_ORDER_CAP``.  Every cap or size limit raises a ``CapError``.
+subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be overridden
+per call.  Isomorphism search is limited to order ``ISO_ORDER_CAP`` and
+containment matrices to ``CONTAINMENT_CAP`` subgroups.  Every cap or
+size limit raises a ``CapError``.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ from .algebra import prime_power
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
+# strict_containment holds two k x k boolean matrices: 128 MB at this cap
+CONTAINMENT_CAP = 8192
 
 
 class CapError(RuntimeError):
@@ -259,10 +271,20 @@ class FiniteGroup:
         return SubgroupHandle(self, self.center_indices)
 
     def centralizer(self, members) -> "SubgroupHandle":
-        mem = np.fromiter(members, dtype=np.int32)
+        mask = self.centralizer_mask(np.fromiter(members, dtype=np.int32))
+        return SubgroupHandle(self, tuple(int(i) for i in np.nonzero(mask)[0]))
+
+    def centralizer_mask(self, members: np.ndarray) -> np.ndarray:
+        """Boolean mask of C_G(members)."""
         t = self.table
-        ok = (t[:, mem] == t[mem, :].T).all(axis=1)
-        return SubgroupHandle(self, tuple(int(i) for i in np.nonzero(ok)[0]))
+        return (t[:, members] == t[members, :].T).all(axis=1)
+
+    def normalizer_mask(self, members: np.ndarray) -> np.ndarray:
+        """Boolean mask of N_G(members): the x with x^-1 members x inside
+        ``members``."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[members] = True
+        return inside[self.conjugates(members)].all(axis=1)
 
     @cached_property
     def derived_indices(self) -> tuple[int, ...]:
@@ -280,33 +302,78 @@ class FiniteGroup:
     def subgroups_all(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         """Every subgroup exactly once, canonically sorted by
         (order, member tuple).  Enumerated on the first call and cached;
-        the cap is checked on every call."""
+        the cap is checked on every call.  Raises GroupStructureError for
+        a group that is not solvable."""
         if self.order > cap:
             raise SubgroupCapError(self.order, cap)
         return list(self._subgroups)
 
     @cached_property
     def _subgroups(self) -> tuple["SubgroupHandle", ...]:
-        """Breadth-first closure over single-element extensions with dedup
-        by member set."""
-        trivial = (self.identity,)
-        found = {trivial}
+        """The cyclic-extension walk with x drawn from N_G(H).  In a
+        solvable group every subgroup K > 1 has a normal subgroup H of
+        prime index, so K = H<x> for any x in K outside H, and x lies in
+        N_G(H): the walk reaches every subgroup.  Conversely a chain of
+        steps H < H<x> with H normal in H<x> and cyclic quotient is a
+        subnormal series with cyclic factors, so the walk reaches G
+        exactly when G is solvable; otherwise it raises rather than
+        return a partial lattice."""
+        subs = self._extension_walk(self.normalizer_mask)
+        if len(subs[-1]) != self.order:
+            raise GroupStructureError(
+                "group is not solvable: cyclic extension does not reach it")
+        return tuple(SubgroupHandle(self, m) for m in subs)
+
+    def abelian_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
+        """Every abelian subgroup exactly once, the trivial one included,
+        canonically sorted by (order, member tuple).  The cyclic-extension
+        walk with x drawn from C_G(H): each step H<x> of an abelian H is
+        abelian, and every abelian subgroup is reached, in any finite
+        group."""
+        if self.order > cap:
+            raise SubgroupCapError(self.order, cap)
+        return [SubgroupHandle(self, m)
+                for m in self._extension_walk(self.centralizer_mask)]
+
+    def _extension_walk(self, within) -> list[tuple[int, ...]]:
+        """Every subgroup reached from 1 by steps H -> H<x> with x in
+        ``within(members of H)``, a boolean mask of a subgroup that
+        contains and normalises H.  Returns sorted member tuples in
+        canonical (order, members) order; no closure is computed."""
+        trivial = np.zeros(self.order, dtype=bool)
+        trivial[self.identity] = True
+        found = {trivial.tobytes(): trivial}
         frontier = [trivial]
-        all_idx = range(self.order)
         while frontier:
-            new_frontier = []
-            for members in frontier:
-                mem_set = set(members)
-                for g in all_idx:
-                    if g in mem_set:
-                        continue
-                    ext = self.closure_indices(members + (g,))
-                    if ext not in found:
-                        found.add(ext)
-                        new_frontier.append(ext)
-            frontier = new_frontier
-        return tuple(SubgroupHandle(self, m)
-                     for m in sorted(found, key=lambda m: (len(m), m)))
+            grown = []
+            for h in frontier:
+                for k in self._cyclic_extensions(h, within):
+                    key = k.tobytes()
+                    if key not in found:
+                        found[key] = k
+                        grown.append(k)
+            frontier = grown
+        subs = [tuple(np.flatnonzero(m).tolist()) for m in found.values()]
+        return sorted(subs, key=lambda m: (len(m), m))
+
+    def _cyclic_extensions(self, h: np.ndarray, within) -> np.ndarray:
+        """The subgroups H<x> for the x in ``within(members of H)`` outside
+        H, one x per coset Hx (its least member), as rows of a boolean
+        membership matrix; H is the mask ``h``.  Since x normalises H,
+        H<x> is the union of the cosets H x^i, gathered from the table
+        until x^i falls in H."""
+        t = self.table
+        mem = np.flatnonzero(h)
+        outside = np.flatnonzero(within(mem) & ~h)
+        reps = np.unique(t[np.ix_(mem, outside)].min(axis=0))
+        ext = np.tile(h, (len(reps), 1))
+        rows, power = np.arange(len(reps)), reps
+        while len(rows):
+            ext[rows, t[np.ix_(mem, power)]] = True
+            power = t[power, reps[rows]]
+            keep = ~h[power]
+            rows, power = rows[keep], power[keep]
+        return ext
 
     def maximal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         """The proper subgroups with no proper supergroup short of G."""
@@ -671,9 +738,7 @@ class SubgroupHandle:
                    for i in self.members)
 
     def is_normal(self) -> bool:
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[list(self.members)] = True
-        return bool(inside[self.parent.conjugates(self.members)].all())
+        return bool(self.parent.normalizer_mask(list(self.members)).all())
 
     def as_group(self, name: str = "") -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the
@@ -709,14 +774,21 @@ def strict_containment(subgroups) -> np.ndarray:
     """Entry [i, j] is True when subgroups[i] is a proper subgroup of
     subgroups[j].  Read off one k x |G| membership matrix M: H_i <= H_j
     unless some member of H_i lies outside H_j, i.e. unless
-    (M @ ~M.T)[i, j]."""
+    (M @ ~M.T)[i, j].  The k x k result is refused above
+    ``CONTAINMENT_CAP`` subgroups."""
+    if len(subgroups) > CONTAINMENT_CAP:
+        raise CapError(f"containment of {len(subgroups)} subgroups exceeds "
+                       f"the cap of {CONTAINMENT_CAP}")
     if not subgroups:
         return np.zeros((0, 0), dtype=bool)
     orders = np.array([h.order for h in subgroups])
     m = np.zeros((len(subgroups), subgroups[0].parent.order), dtype=bool)
     m[np.repeat(np.arange(len(subgroups)), orders),
       np.concatenate([h.members for h in subgroups])] = True
-    return ~(m @ ~m.T) & (orders[:, None] < orders)
+    c = m @ ~m.T
+    np.logical_not(c, out=c)
+    c &= orders[:, None] < orders
+    return c
 
 
 @dataclass(frozen=True)

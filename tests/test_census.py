@@ -41,6 +41,33 @@ def test_constructive_lower_bound():
         assert len(subs) >= 10 * n
 
 
+def _isotropic_count(p: int, n: int, k: int) -> int:
+    """N_p(n, k): the k-dimensional totally isotropic subspaces of the
+    symplectic space F_p^(2n)."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (2 * (n - i)) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def c_ab_closed_form(p: int, n: int) -> int:
+    """c_ab(P(n, p)) counted from the isotropic image W of an abelian
+    subgroup and its choice of phases."""
+    if p == 2:
+        return 2 + sum(_isotropic_count(2, n, k) * (1 + 2 ** (k + 1))
+                       for k in range(1, n + 1))
+    return sum(_isotropic_count(p, n, k) * (1 + p ** k)
+               for k in range(n + 1)) - 1
+
+
+@pytest.mark.parametrize("p, n, expected", [
+    (2, 1, 17), (2, 2, 212), (2, 3, 5447), (3, 1, 17), (3, 2, 561)])
+def test_census_matches_closed_form(p, n, expected):
+    assert c_ab_closed_form(p, n) == expected
+    assert abelian_census(pauli_group(pauli_spec(p, 1, n))).c_ab == expected
+
+
 def test_bounds_check_n1():
     rep = bounds_check(1)
     assert rep.claim == "cor5.6"

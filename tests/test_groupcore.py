@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
+from paulidecomp.groupcore import (CONTAINMENT_CAP, CapError,
+                                   ClosureCapError, FiniteGroup,
                                    GroupStructureError, SubgroupCapError,
                                    abelian_invariants, group_close,
-                                   isomorphic, tabulate)
+                                   isomorphic, strict_containment, tabulate)
 from paulidecomp.heisenberg import dihedral8, quaternion8
 from paulidecomp.pauli import pauli_group, pauli_spec
 
@@ -142,24 +143,39 @@ def test_report_shape():
 
 
 def test_subgroups_enumerated_once(monkeypatch):
-    calls = []
+    steps, closures = [], []
+    extend = FiniteGroup._cyclic_extensions
     closure = FiniteGroup.closure_indices
 
-    def counted(self, seed):
-        calls.append(seed)
+    def counted_step(self, h, within):
+        steps.append(h)
+        return extend(self, h, within)
+
+    def counted_closure(self, seed):
+        closures.append(seed)
         return closure(self, seed)
 
-    monkeypatch.setattr(FiniteGroup, "closure_indices", counted)
+    monkeypatch.setattr(FiniteGroup, "_cyclic_extensions", counted_step)
+    monkeypatch.setattr(FiniteGroup, "closure_indices", counted_closure)
     g = pauli_group(pauli_spec(2, 1, 1))
     first = g.subgroups_all()
-    assert len(first) == 23 and calls
-    calls.clear()
+    # one extension step per subgroup, and no closure
+    assert len(first) == 23 and len(steps) == 23
+    assert closures == []
+    steps.clear()
     assert g.subgroups_all() == first
     assert len(g.maximal_subgroups()) == 7
-    assert calls == []
+    assert steps == [] and closures == []
     # the cache does not bypass the cap
     with pytest.raises(SubgroupCapError):
         g.subgroups_all(cap=10)
+
+
+def test_strict_containment_caps_rows():
+    # refused before any k x k matrix is built
+    h = dihedral8().trivial_subgroup()
+    with pytest.raises(CapError):
+        strict_containment([h] * (CONTAINMENT_CAP + 1))
 
 
 def test_isomorphic_caps_order():

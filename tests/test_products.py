@@ -6,7 +6,8 @@ from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
 from paulidecomp.algebra import field_make
 from paulidecomp.heisenberg import heis_group, heis_spec
-from paulidecomp.pauli import pauli_group, pauli_spec
+from paulidecomp import products
+from paulidecomp.pauli import pauli_element, pauli_group, pauli_spec
 from paulidecomp.claims import corollary43_check
 from paulidecomp.products import (classify_special, decompose_pauli_chain,
                                   extraspecial_decompose, identify_factor,
@@ -246,6 +247,35 @@ def test_extraspecial_decompose_atoms():
         rep = extraspecial_decompose(g)
         assert rep.classification == "none"
         assert len(rep.factors) == 1
+
+
+def test_extraspecial_decompose_pins_factors(monkeypatch):
+    """On P(2,3) the splitting takes the first noncommuting pair in
+    row-major order, (Z_2, X_2), then (Z_1, X_1) in its centralizer."""
+    spec = pauli_spec(3, 1, 2)
+    g = pauli_group(spec)
+    pairs, folds = [], []
+    generated = FiniteGroup.generated_subgroup
+    fold = products.weak_central_chain
+
+    def record_pair(self, gens):
+        pairs.append([self.elements[i] for i in gens])
+        return generated(self, gens)
+
+    def record_fold(group, factors):
+        folds.append([h.members for h in factors])
+        return fold(group, factors)
+
+    monkeypatch.setattr(FiniteGroup, "generated_subgroup", record_pair)
+    monkeypatch.setattr(products, "weak_central_chain", record_fold)
+    rep = extraspecial_decompose(g)
+    monkeypatch.undo()
+    x = [pauli_element(spec, j, x=1) for j in (0, 1)]
+    z = [pauli_element(spec, j, z=1) for j in (0, 1)]
+    assert pairs == [[z[1], x[1]], [z[0], x[0]]]
+    assert folds == [[g.generated_subgroup([z[1], x[1]]).members,
+                      g.generated_subgroup([z[0], x[0]]).members]]
+    assert rep.classification == "weak_central"
 
 
 def test_extraspecial_decompose_rejects_nonextraspecial():

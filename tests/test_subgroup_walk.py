@@ -1,0 +1,135 @@
+"""The cyclic-extension walks of ``FiniteGroup`` against the reference
+enumerator: a breadth-first closure over single-element extensions,
+which needs no solvability and no normaliser."""
+
+import itertools
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paulidecomp.algebra import field_make
+from paulidecomp.census import abelian_census
+from paulidecomp.groupcore import FiniteGroup, GroupStructureError, tabulate
+from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec, quaternion8
+from paulidecomp.pauli import pauli_group, pauli_spec
+
+
+def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup as a sorted member tuple, in canonical (order,
+    members) order: close H u {x} for every found H and every x outside
+    H, until nothing new appears."""
+    trivial = (g.identity,)
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for members in frontier:
+            mem_set = set(members)
+            for x in range(g.order):
+                if x in mem_set:
+                    continue
+                ext = g.closure_indices(members + (x,))
+                if ext not in found:
+                    found.add(ext)
+                    new_frontier.append(ext)
+        frontier = new_frontier
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def _abelian(g: FiniteGroup, members) -> bool:
+    sub = g.table[np.ix_(members, members)]
+    return bool((sub == sub.T).all())
+
+
+def _permutation_group(perms) -> FiniteGroup:
+    """The permutations (tuples of images) under composition, applying
+    the left factor first."""
+    return FiniteGroup(perms, tabulate(perms, lambda a, b: tuple(b[i] for i in a)))
+
+
+def _even(perm) -> bool:
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+
+
+def cyclic(n: int) -> FiniteGroup:
+    return FiniteGroup(range(n), tabulate(range(n), lambda a, b: (a + b) % n))
+
+
+def dihedral(n: int) -> FiniteGroup:
+    """The symmetries of a regular n-gon, of order 2n."""
+    rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+    reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
+    return _permutation_group(sorted(rotations + reflections))
+
+
+GROUPS = {
+    "D8": dihedral8,
+    "Q8": quaternion8,
+    "P(1,2)": lambda: pauli_group(pauli_spec(2, 1, 1)),
+    "P(1,3)": lambda: pauli_group(pauli_spec(3, 1, 1)),
+    "H(GF(3))": lambda: heis_group(heis_spec(field_make(3, 1))),
+    "Z12": lambda: cyclic(12),
+    "D12": lambda: dihedral(6),
+    "S4": lambda: _permutation_group(list(itertools.permutations(range(4)))),
+}
+
+
+@cache
+def _group(name: str) -> FiniteGroup:
+    return GROUPS[name]()
+
+
+def _relabel(g: FiniteGroup, perm) -> FiniteGroup:
+    """The same group with element i renamed perm[i]."""
+    p = np.asarray(perm)
+    table = np.empty_like(g.table)
+    table[np.ix_(p, p)] = p[g.table]
+    return FiniteGroup(range(g.order), table)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_walks_match_oracle_on_relabelled_tables(name, data):
+    g = _group(name)
+    perm = data.draw(st.permutations(range(g.order)))
+    h = _relabel(g, perm)
+    oracle = bfs_subgroups(h)
+    assert [k.members for k in h.subgroups_all()] == oracle
+    assert [k.members for k in h.abelian_subgroups()] == [
+        m for m in oracle if _abelian(h, m)]
+
+
+def alternating5() -> FiniteGroup:
+    return _permutation_group(
+        [p for p in itertools.permutations(range(5)) if _even(p)])
+
+
+def test_non_solvable_group_raises_and_abelian_walk_completes():
+    a5 = alternating5()
+    assert a5.order == 60
+    with pytest.raises(GroupStructureError, match="not solvable"):
+        a5.subgroups_all()
+    with pytest.raises(GroupStructureError, match="not solvable"):
+        a5.maximal_subgroups()
+    abelian = [m for m in bfs_subgroups(a5) if _abelian(a5, m)]
+    assert [k.members for k in a5.abelian_subgroups()] == abelian
+    census = abelian_census(a5)
+    # 15 involutions, 10 subgroups of order 3, 5 Klein four-groups and 6
+    # of order 5
+    assert census.c_ab == len(abelian) - 1 == 36
+    assert census.by_order == {2: 15, 3: 10, 4: 5, 5: 6}
+    assert census.normal_count == 0
+
+
+def test_walks_compute_no_closure(monkeypatch):
+    def refuse(self, seed):
+        raise AssertionError("closure_indices called during enumeration")
+
+    g = pauli_group(pauli_spec(2, 1, 2))
+    monkeypatch.setattr(FiniteGroup, "closure_indices", refuse)
+    assert len(g.subgroups_all()) == 465
+    assert abelian_census(g).c_ab == 212
