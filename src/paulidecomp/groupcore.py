@@ -7,9 +7,11 @@ isomorphism tests) works on that table.  The table comes either from
 ``tabulate``, one call of a scalar multiplication oracle per pair, or
 from a ``CentralExtension`` spec.  Every table is verified at
 construction by whole-array checks: Latin square, identity, inverses, and
-associativity decided exactly at every order by Light's test.  This module
-is the brute-force oracle: a structural claim about any group in the
-package is checked here by exhaustive computation, never assumed.
+associativity decided exactly at every order by Light's test.  The Latin
+and associativity checks and the table builder work in fixed blocks, so
+none of them copies the table.  This module is the brute-force oracle: a
+structural claim about any group in the package is checked here by
+exhaustive computation, never assumed.
 
 The Pauli, Heisenberg and lifted families are one object: a central
 extension of R^n x R^n by a centre C through a bilinear form, given by
@@ -25,6 +27,15 @@ Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
 conjugacy classes, derived subgroup, normal closures, normality tests and
 the nilpotency bound are read off those arrays.
+
+A subgroup generated by given elements is read from one walk, ``_walk``:
+the orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005).  From the identity, each
+breadth-first layer is one gather of the frontier times the generators,
+and each new element records its parent and the generator that reached
+it.  ``closure_indices`` reads the members, Light's test grows its cover
+with it, ``generating_set`` picks each generator outside it, and
+``isomorphic`` rebuilds a candidate map along its Schreier vector.
 
 Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005), with no
@@ -64,6 +75,9 @@ DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
 # strict_containment holds two k x k boolean matrices: 128 MB at this cap
 CONTAINMENT_CAP = 8192
+# rows (or columns) per block of the whole-table checks: at order 4096 a
+# block is 4 MB of int32, where the whole table is 64 MB
+_BLOCK = 256
 
 
 class CapError(RuntimeError):
@@ -113,7 +127,8 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.name = name
         index = {e: i for i, e in enumerate(self.elements)}
-        self._finish_init(np.array(table, dtype=np.int32), index)
+        # a read-only view: an int32 table is shared, not copied
+        self._finish_init(np.asarray(table, dtype=np.int32).view(), index)
 
     def _finish_init(self, table: np.ndarray, index: dict) -> None:
         n = len(self.elements)
@@ -124,47 +139,50 @@ class FiniteGroup:
         self.table = table
         self.table.setflags(write=False)
         full = np.arange(n, dtype=np.int32)
-        if ((np.sort(table, axis=1) != full).any()
-                or (np.sort(table, axis=0) != full[:, None]).any()):
-            raise GroupStructureError("multiplication table is not a Latin square")
-        self._verify_associativity()
-        ident = np.flatnonzero((table == full).all(axis=1))
-        if len(ident) != 1:
+        for lo in range(0, n, _BLOCK):
+            if ((np.sort(table[lo:lo + _BLOCK], axis=1) != full).any()
+                    or (np.sort(table[:, lo:lo + _BLOCK], axis=0)
+                        != full[:, None]).any()):
+                raise GroupStructureError(
+                    "multiplication table is not a Latin square")
+        # the Latin property leaves one candidate: the e with e * 0 = 0
+        e = int(np.argmin(table[:, 0]))
+        if (table[e] != full).any() or (table[:, e] != full).any():
             raise GroupStructureError("no unique identity element")
-        self.identity = int(ident[0])
-        # the Latin property leaves exactly one j with i * j = identity
-        inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
-        bad = np.flatnonzero(table[inv, full] != self.identity)
+        self.identity = e
+        # and exactly one j with i * j = e
+        inv = np.argmax(table == e, axis=1).astype(np.int32)
+        bad = np.flatnonzero(table[inv, full] != e)
         if len(bad):
             raise GroupStructureError(
                 f"element {bad[0]} lacks a two-sided inverse")
         self.inverse = inv
         self.inverse.setflags(write=False)
+        # last: the cover of Light's test is a walk from the identity
+        self._verify_associativity()
 
     def _verify_associativity(self) -> None:
         """Light's test, exact at every order.  The elements s with
         (xy)s = x(ys) for all x, y are closed under multiplication, so it
-        suffices to check a set S whose left-nested products
-        (..((s1 s2) s3)..) cover the table.  S is picked greedily: the
-        first uncovered element joins S until everything is covered."""
+        suffices to check a set S that generates the table.  S is picked
+        greedily: the first element outside the walk of S joins S until
+        the walk covers everything.  Each s is checked on fixed blocks of
+        rows x."""
         t = self.table
-        n = len(self.elements)
         gens: list[int] = []
-        covered = np.zeros(n, dtype=bool)
+        covered = np.zeros(self.order, dtype=bool)
+        covered[self.identity] = True
         while not covered.all():
             gens.append(int(np.argmin(covered)))
-            covered[:] = False
-            covered[gens] = True
-            frontier = np.array(gens, dtype=np.int32)
-            while len(frontier):
-                prod = np.unique(t[np.ix_(frontier, gens)])
-                frontier = prod[~covered[prod]]
-                covered[frontier] = True
+            covered[self._walk(gens)[0]] = True
         for s in gens:
             col = t[:, s]
-            # [x, y] entries: (xy)s on the left, x(ys) on the right
-            if (np.take(col, t) != np.take(t, col, axis=1)).any():
-                raise GroupStructureError("multiplication is not associative")
+            for lo in range(0, self.order, _BLOCK):
+                rows = t[lo:lo + _BLOCK]
+                # [x, y] entries: (xy)s on the left, x(ys) on the right
+                if (np.take(col, rows) != np.take(rows, col, axis=1)).any():
+                    raise GroupStructureError(
+                        "multiplication is not associative")
 
     # -- basic structure ---------------------------------------------------
 
@@ -211,7 +229,7 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return len(self.center_indices) == self.order
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -222,25 +240,42 @@ class FiniteGroup:
 
     @cached_property
     def class_size_of(self) -> tuple[int, ...]:
-        out = [0] * self.order
-        for cls in self.conjugacy_classes:
-            for x in cls:
-                out[x] = len(cls)
-        return tuple(out)
+        size = {x: len(cls) for cls in self.conjugacy_classes for x in cls}
+        return tuple(size[x] for x in range(self.order))
 
     # -- subgroup machinery ------------------------------------------------
 
+    def _walk(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Breadth-first walk of <gens> from the identity with its Schreier
+        vector: ``(members, parent, pos)``, members in the order reached
+        and, for each, the member ``parent`` and the generator position
+        ``pos`` with member = parent * gens[pos] (the identity is its own
+        parent, at position -1).  Each layer is one gather of the frontier
+        times the generators, and a new element keeps its first occurrence
+        in row-major (frontier, generator) order."""
+        t = self.table
+        gens = np.asarray(gens, dtype=np.intp)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[self.identity] = True
+        frontier = np.array([self.identity])
+        members, parent, pos = [frontier], [frontier], [np.array([-1])]
+        while len(frontier) and len(gens):
+            prod = t[frontier[:, None], gens].ravel()
+            fresh = np.flatnonzero(~seen[prod])
+            step = fresh[np.sort(np.unique(prod[fresh], return_index=True)[1])]
+            parent.append(frontier[step // len(gens)])
+            pos.append(step % len(gens))
+            frontier = prod[step]
+            seen[frontier] = True
+            members.append(frontier)
+        return tuple(np.concatenate(a) for a in (members, parent, pos))
+
     def closure_indices(self, seed) -> tuple[int, ...]:
-        """Closure of a set of element indices under multiplication, as a
-        sorted index tuple."""
-        idx = np.unique(np.fromiter(seed, dtype=np.int32, count=-1)) \
-            if not isinstance(seed, np.ndarray) else np.unique(seed)
-        idx = np.union1d(idx, np.array([self.identity], dtype=np.int32))
-        while True:
-            prod = np.unique(self.table[np.ix_(idx, idx)])
-            if len(prod) == len(idx):
-                return tuple(int(x) for x in idx)
-            idx = prod
+        """The subgroup generated by a set of element indices, as a sorted
+        index tuple: the members of the walk of the distinct seeds."""
+        if not isinstance(seed, np.ndarray):
+            seed = np.fromiter(seed, dtype=np.int32)
+        return tuple(np.sort(self._walk(np.unique(seed))[0]).tolist())
 
     def subgroup(self, members) -> "SubgroupHandle":
         members = tuple(sorted(int(m) for m in members))
@@ -289,7 +324,10 @@ class FiniteGroup:
     @cached_property
     def derived_indices(self) -> tuple[int, ...]:
         full = np.arange(self.order)
-        return self.closure_indices(self.commutators(full, full))
+        comm = np.zeros(self.order, dtype=bool)
+        for lo in range(0, self.order, _BLOCK):
+            comm[self.commutators(full[lo:lo + _BLOCK], full)] = True
+        return self.closure_indices(np.flatnonzero(comm))
 
     def derived_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.derived_indices)
@@ -412,43 +450,34 @@ class FiniteGroup:
             raise ValueError("subgroup belongs to a different group")
         if not n_sub.is_normal():
             raise ValueError("quotient requires a normal subgroup")
-        mem = np.fromiter(n_sub.members, dtype=np.int32)
-        coset_of = np.full(self.order, -1, dtype=np.int32)
-        cosets = []
-        for g in range(self.order):
-            if coset_of[g] >= 0:
-                continue
-            coset = np.sort(self.table[g, mem])
-            coset_of[coset] = len(cosets)
-            cosets.append(tuple(int(x) for x in coset))
-        reps = [c[0] for c in cosets]
-        table = coset_of[self.table[np.ix_(reps, reps)]]
+        # row g is the coset gN; cosets are listed by least member
+        coset = self.table[:, np.asarray(n_sub.members)]
+        least = coset.min(axis=1)
+        reps = np.unique(least)
+        cosets = [tuple(c) for c in np.sort(coset[reps], axis=1).tolist()]
+        label = np.searchsorted(reps, least).astype(np.int32)
+        table = label[self.table[np.ix_(reps, reps)]]
         return FiniteGroup(cosets, table,
                            name=f"{self.name}/N" if self.name else "")
 
     # -- generating sets and fingerprints -----------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
-        """Small deterministic generating set.  Prefers elements outside the
-        centralizer of the current generators so that noncommuting relations
-        are pinned down early (this keeps isomorphism backtracking shallow)."""
-        if self.order == 1:
-            return ()
+        """Small deterministic generating set, each generator outside the
+        subgroup of those before it, chosen greedily: an element that does
+        not centralise the current generators if there is one (noncommuting
+        relations pinned down early keep isomorphism backtracking shallow),
+        then the highest element order, then the lowest index."""
+        orders = np.asarray(self.element_orders)
         gens: list[int] = []
-        closure = {self.identity}
-        orders = self.element_orders
-        while len(closure) < self.order:
-            best = None
-            for i in range(self.order):
-                if i in closure:
-                    continue
-                centralizes = all(self.mul(i, g) == self.mul(g, i) for g in gens)
-                key = (centralizes, -orders[i], i)
-                if best is None or key < best:
-                    best = key
-                    best_i = i
-            gens.append(best_i)
-            closure = set(self.closure_indices(gens))
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity] = True
+        while not inside.all():
+            pool = ~inside & ~self.centralizer_mask(np.array(gens, np.intp))
+            if not pool.any():
+                pool = ~inside
+            gens.append(int(np.argmax(pool & (orders == orders[pool].max()))))
+            inside[self._walk(gens)[0]] = True
         return tuple(gens)
 
     @cached_property
@@ -693,15 +722,16 @@ def central_extension_table(add, n: int, centre_add, cocycle,
     for i in range(2 * n):
         vadd = vadd * len(add) + add[d[:, i, None], d[None, :, i]]
     size, m = len(d), len(centre_add)
-    # broadcast over the axes [c1, v1, c2, v2]
-    c1 = np.arange(m)[:, None, None, None]
-    c2 = np.arange(m)[None, None, :, None]
-    centre = centre_add[centre_add[c1, c2], cocycle[None, :, None, :]]
-    if centre_first:
-        table = centre * size + vadd[None, :, None, :]
-    else:
-        table = (vadd[None, :, None, :] * m + centre).transpose(1, 0, 3, 2)
-    return table.reshape(size * m, size * m)
+    table = np.empty((size * m, size * m), dtype=np.int32)
+    # one (c1, c2) block at a time: c1 + c2 + cocycle[v1, v2] over all v
+    for c1, c2 in itertools.product(range(m), repeat=2):
+        centre = centre_add[centre_add[c1, c2], cocycle]
+        if centre_first:
+            table[c1 * size:(c1 + 1) * size,
+                  c2 * size:(c2 + 1) * size] = centre * size + vadd
+        else:
+            table[c1::m, c2::m] = vadd * m + centre
+    return table
 
 
 def cyclic_add(m: int) -> np.ndarray:
@@ -818,63 +848,28 @@ class GroupFingerprint:
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
     """Elementary divisors (prime-power cyclic factors, sorted) of a finite
-    abelian group, recovered from its order statistics."""
+    abelian group, recovered from its order statistics.  For each prime
+    p, the elements of order dividing p^k number p^f(k) with f(k) the sum
+    of min(lambda_i, k) over the parts lambda_i of the p-part, so
+    f(k) - f(k-1) parts are at least k."""
     if not g.is_abelian:
         raise ValueError("abelian invariants require an abelian group")
-    if g.order == 1:
-        return ()
+    # (p, k) for each element of order p^k > 1
+    powers = [pk for pk in map(prime_power, g.element_orders) if pk]
     out = []
-    n = g.order
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            k_max = 0
-            while n % p == 0:
-                n //= p
-                k_max += 1
-            # f[k] = #elements of order dividing p^k = p^(sum_i min(lambda_i, k)),
-            # so log_p f[k] - log_p f[k-1] = #parts of the partition >= k
-            logs = []
-            for k in range(k_max + 1):
-                pk = p ** k
-                f_k = sum(1 for o in g.element_orders if pk % o == 0)
-                s = 0
-                while f_k > 1:
-                    f_k //= p
-                    s += 1
-                logs.append(s)
-            parts_ge = [logs[k] - logs[k - 1] for k in range(1, k_max + 1)]
-            lam = [sum(1 for c in parts_ge if c > i) for i in range(parts_ge[0])]
-            out.extend(p ** s for s in lam)
-        p += 1
-        if p * p > n and n > 1 and all(n % q for q in range(2, p)):
-            p = n
+    for p in {p for p, _ in powers}:
+        exps = [k for q, k in powers if q == p]
+        f = [(prime_power(1 + sum(e <= k for e in exps)) or (p, 0))[1]
+             for k in range(max(exps) + 1)]
+        at_least = [b - a for a, b in zip(f, f[1:])]
+        out.extend(p ** sum(c > i for c in at_least)
+                   for i in range(at_least[0]))
     return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------
-
-def _bfs_words(g: FiniteGroup, gens: tuple[int, ...]):
-    """BFS closure of <gens> recording, for each non-identity element, a
-    derivation (element, parent, generator position) with element =
-    parent * gens[pos].  Returns (sorted member tuple, derivation list)."""
-    seen = {g.identity}
-    order_list = [g.identity]
-    deriv = []
-    head = 0
-    while head < len(order_list):
-        x = order_list[head]
-        head += 1
-        for pos, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in seen:
-                seen.add(y)
-                order_list.append(y)
-                deriv.append((y, x, pos))
-    return tuple(sorted(seen)), deriv
-
 
 def isomorphic(g: FiniteGroup, h: FiniteGroup):
     """Decide G ≅ H; returns (True, witness) with witness mapping element
@@ -884,8 +879,10 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     small generating set of G, pruned by element order and conjugacy-class
     size; the first generator image only ranges over class representatives
     (composing with an inner automorphism of H loses no generality).
-    Candidate tuples are validated by rebuilding the partial subgroup map
-    and checking multiplication consistency.
+    Candidate tuples are validated by rebuilding the partial map along the
+    Schreier vector of the walk of each prefix of the generating set, then
+    checking in one gather that it preserves every product with a
+    generator, and that it is injective.
     """
     if g.order > ISO_ORDER_CAP or h.order > ISO_ORDER_CAP:
         raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
@@ -896,43 +893,37 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     if g.order == 1:
         return True, {g.elements[0]: h.elements[0]}
 
-    gens = g.generating_set()
-    k = len(gens)
-    # chain data for each prefix of the generating set
-    chain = []
-    for i in range(1, k + 1):
-        members, deriv = _bfs_words(g, gens[:i])
-        chain.append((members, deriv))
-
-    g_orders = g.element_orders
-    h_orders = h.element_orders
-    g_class = g.class_size_of
-    h_class = h.class_size_of
+    gens = np.array(g.generating_set())
+    walks = [g._walk(gens[:i]) for i in range(1, len(gens) + 1)]
+    g_orders, h_orders = np.array(g.element_orders), np.array(h.element_orders)
+    g_class, h_class = np.array(g.class_size_of), np.array(h.class_size_of)
+    h_reps = np.zeros(h.order, dtype=bool)
+    h_reps[[cls[0] for cls in h.conjugacy_classes]] = True
 
     def candidates(pos: int):
-        o, c = g_orders[gens[pos]], g_class[gens[pos]]
-        if pos == 0:
-            reps = [cls[0] for cls in h.conjugacy_classes]
-            pool = reps
-        else:
-            pool = range(h.order)
-        return [x for x in pool if h_orders[x] == o and h_class[x] == c]
+        x = gens[pos]
+        fits = (h_orders == g_orders[x]) & (h_class == g_class[x])
+        return np.flatnonzero(fits & h_reps if pos == 0 else fits).tolist()
 
     def check_prefix(images: list[int]):
-        """Rebuild the map on <gens[:len(images)]>; return the image map
-        (index->index) if consistent and injective, else None."""
+        """Rebuild the map on <gens[:len(images)]> along the Schreier
+        vector, a layer of the walk per pass; return it as an index array
+        (read on the members only) if it is consistent and injective,
+        else None."""
         i = len(images)
-        members, deriv = chain[i - 1]
-        phi = {g.identity: h.identity}
-        for y, parent, pos in deriv:
-            phi[y] = h.mul(phi[parent], images[pos])
-        # full consistency: phi(x * gen) == phi(x) * image for every pair
-        for x in members:
-            px = phi[x]
-            for pos in range(i):
-                if phi[g.mul(x, gens[pos])] != h.mul(px, images[pos]):
-                    return None
-        if len(set(phi.values())) != len(members):
+        members, parent, pos = walks[i - 1]
+        img = np.array(images)
+        phi = np.full(g.order, -1)
+        phi[g.identity] = h.identity
+        while (phi[members] < 0).any():
+            # past the identity, which is its own parent
+            k = np.flatnonzero(phi[parent[1:]] >= 0) + 1
+            phi[members[k]] = h.table[phi[parent[k]], img[pos[k]]]
+        # phi(x * gen) == phi(x) * image for every member x and generator
+        if (phi[g.table[np.ix_(members, gens[:i])]]
+                != h.table[np.ix_(phi[members], img)]).any():
+            return None
+        if len(np.unique(phi[members])) != len(members):
             return None
         return phi
 
@@ -944,7 +935,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
             images.append(cand)
             phi = check_prefix(images)
             if phi is not None:
-                if pos + 1 == k:
+                if pos + 1 == len(gens):
                     return phi
                 result = backtrack()
                 if result is not None:
@@ -955,5 +946,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     phi = backtrack()
     if phi is None:
         return False, None
-    witness = {g.elements[a]: h.elements[b] for a, b in phi.items()}
+    members = walks[-1][0]
+    witness = {g.elements[a]: h.elements[b]
+               for a, b in zip(members.tolist(), phi[members].tolist())}
     return True, witness

@@ -262,11 +262,15 @@ def extraspecial_decompose(g: FiniteGroup) -> DecompositionReport:
     """Split an extraspecial group into a central product of order-p^3
     factors: take the subgroup generated by the first noncommuting pair
     (row-major over the members) and recurse on its centralizer, all
-    within G.  Factors are identified against the reference families."""
+    within G.  Factors are identified against the reference families.  A
+    group that is not extraspecial is reported as its own one factor,
+    classified ``none``."""
     p, _ = prime_power(g.order) or (None, None)
     center = g.center()
     if p is None or center.order != p or center != g.derived_subgroup():
-        raise ValueError("input is not extraspecial")
+        return _chain_report(g, [g.whole_subgroup()], ("none", [], []),
+                             ["group is not extraspecial: no splitting "
+                              "into order p^3 factors"])
     factors = []
     current = g.whole_subgroup()
     while True:

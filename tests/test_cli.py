@@ -159,6 +159,10 @@ EXIT_CODES = [
     (["lattice", "d8", "--cap-subgroups", "-3"], None, 2),
     (["build", "trivial", "--cap-closure", "0"], None, 2),
     (["build", "e1:p=4"], None, 2),
+    # well-formed groups that are not extraspecial: one factor, "none"
+    (["decompose", "heis:R=gf(4),n=1"], None, 0),
+    (["decompose", "heis:R=z(9),n=1"], None, 0),
+    (["decompose", "trivial"], None, 0),
     # caps and size limits
     (["build", "pauli:p=2,n=2", "--cap-closure", "10"], None, 3),
     (["build", "pauli:p=2,n=1"], "10", 3),

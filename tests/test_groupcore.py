@@ -6,7 +6,10 @@ from paulidecomp.groupcore import (CONTAINMENT_CAP, CapError,
                                    GroupStructureError, SubgroupCapError,
                                    abelian_invariants, group_close,
                                    isomorphic, strict_containment, tabulate)
-from paulidecomp.heisenberg import dihedral8, quaternion8
+from paulidecomp.algebra import field_make
+from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
+                                    extraspecial_e2, heis_group, heis_spec,
+                                    quaternion8)
 from paulidecomp.pauli import pauli_group, pauli_spec
 
 
@@ -62,15 +65,49 @@ def test_light_rejects_loop5_times_z60():
         FiniteGroup(range(300), table.reshape(300, 300))
 
 
-def test_light_rejects_single_intercalate_swap():
-    # Z_2^10 with one 2x2 subsquare swapped stays a Latin square with
-    # identity 0; only O(n) of the n^3 triples fail associativity
+def test_light_rejects_loop5_times_z256_past_the_first_block():
+    # with the loop index major, the first block of 256 rows is 0 x Z_256,
+    # whose every row associates with everything: each failing triple
+    # (xy)s != x(ys) has its x in a later block
+    z = np.arange(256)
+    table = (LOOP5[:, None, :, None] * 256
+             + (z[:, None] + z[None, :])[None, :, None, :] % 256)
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(1280), table.reshape(1280, 1280))
+
+
+def _z2_10_with_intercalate_swapped(a, d, b, c):
+    """Z_2^10 with one 2x2 subsquare swapped: still a Latin square with
+    identity 0; only O(n) of the n^3 triples fail associativity."""
     x = np.arange(1024)
     table = x[:, None] ^ x[None, :]
-    a, d, b, c = 1, 2, 4, 7          # a^b = d^c and a^c = d^b
+    assert a ^ b == d ^ c and a ^ c == d ^ b
     table[[a, a, d, d], [b, c, b, c]] = table[[a, a, d, d], [c, b, c, b]]
+    return table
+
+
+def test_light_rejects_single_intercalate_swap():
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(1024), _z2_10_with_intercalate_swapped(1, 2, 4, 7))
+
+
+def test_light_rejects_intercalate_swap_in_a_later_block():
+    # the swapped entries lie in rows past the first block of 256
+    table = _z2_10_with_intercalate_swapped(1000, 1003, 4, 7)
     with pytest.raises(GroupStructureError, match="not associative"):
         FiniteGroup(range(1024), table)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_latin_check_reaches_the_last_block(axis):
+    # swapping two entries of row 5 of Z_2^10 keeps every row a
+    # permutation and repeats a value in columns 1000 and 1001, both in
+    # the last column block; the transpose does the same to rows
+    x = np.arange(1024)
+    table = x[:, None] ^ x[None, :]
+    table[5, [1000, 1001]] = table[5, [1001, 1000]]
+    with pytest.raises(GroupStructureError, match="not a Latin square"):
+        FiniteGroup(range(1024), table if axis else table.T)
 
 
 def test_d8_invariants():
@@ -102,18 +139,40 @@ def test_subgroup_handle_operations():
     assert a.commutator_with(b).order <= 2
 
 
-def test_isomorphism_oracle():
-    d8, q8 = dihedral8(), quaternion8()
-    ok, _ = isomorphic(d8, q8)
-    assert not ok
-    # relabeled copy of d8 must be detected as isomorphic
+def _assert_isomorphism(g, h, phi):
+    """``phi`` maps the keys of G one to one onto the keys of H and
+    preserves the product of every pair."""
+    assert len(phi) == g.order and set(phi) == set(g.elements)
+    assert set(phi.values()) == set(h.elements)
+    image = np.array([h.index[phi[x]] for x in g.elements])
+    assert (image[g.table] == h.table[np.ix_(image, image)]).all()
+
+
+def _relabelled_d8():
+    d8 = dihedral8()
     perm = [3, 1, 4, 0, 6, 2, 7, 5]
     table = {(perm[i], perm[j]): perm[d8.mul(i, j)]
              for i in range(8) for j in range(8)}
-    d8b = FiniteGroup(range(8), tabulate(range(8), lambda a, b: table[(a, b)]))
-    ok, phi = isomorphic(d8, d8b)
+    return FiniteGroup(range(8), tabulate(range(8), lambda a, b: table[(a, b)]))
+
+
+@pytest.mark.parametrize("make_g,make_h", [
+    (dihedral8, _relabelled_d8),
+    (lambda: pauli_group(pauli_spec(3, 1, 1)),
+     lambda: heis_group(heis_spec(field_make(3, 1)))),
+    (lambda: pauli_group(pauli_spec(3, 1, 1)), lambda: extraspecial_e1(3)),
+], ids=["D8-relabelled", "P(1,3)-H(GF(3))", "P(1,3)-E1(3)"])
+def test_isomorphism_witness(make_g, make_h):
+    g, h = make_g(), make_h()
+    ok, phi = isomorphic(g, h)
     assert ok
-    assert phi is not None
+    _assert_isomorphism(g, h, phi)
+
+
+def test_isomorphism_oracle():
+    # rejections: equal orders, different groups
+    assert isomorphic(dihedral8(), quaternion8()) == (False, None)
+    assert isomorphic(extraspecial_e1(3), extraspecial_e2(3)) == (False, None)
 
 
 def test_quotient_and_normal_closure():

@@ -278,10 +278,14 @@ def test_extraspecial_decompose_pins_factors(monkeypatch):
     assert rep.classification == "weak_central"
 
 
-def test_extraspecial_decompose_rejects_nonextraspecial():
-    # P(1,2) has center of order 4, so it is not extraspecial
-    with pytest.raises(ValueError):
-        extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1)))
+def test_extraspecial_decompose_reports_nonextraspecial():
+    # P(1,2) has center of order 4, so it is not extraspecial: a well-formed
+    # group, reported as one factor, not rejected as bad input
+    rep = extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1)))
+    assert rep.classification == "none"
+    assert [f["order"] for f in rep.factors] == [16]
+    assert rep.links == [] and rep.commutators == []
+    assert "not extraspecial" in rep.notes[0]
 
 
 def test_cor43_m1_confirmed():

@@ -1,6 +1,8 @@
 """The cyclic-extension walks of ``FiniteGroup`` against the reference
-enumerator: a breadth-first closure over single-element extensions,
-which needs no solvability and no normaliser."""
+enumerator, a breadth-first closure over single-element extensions which
+needs no solvability and no normaliser; the walk of a generated
+subgroup with its Schreier vector against a scalar queue and a set
+closure; and the isomorphism witness between relabelled copies."""
 
 import itertools
 from functools import cache
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 from paulidecomp.algebra import field_make
 from paulidecomp.census import abelian_census
-from paulidecomp.groupcore import FiniteGroup, GroupStructureError, tabulate
+from paulidecomp.groupcore import (FiniteGroup, GroupStructureError,
+                                   isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec, quaternion8
 from paulidecomp.pauli import pauli_group, pauli_spec
+from test_groupcore import _assert_isomorphism, _closure
 
 
 def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -133,3 +137,60 @@ def test_walks_compute_no_closure(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "closure_indices", refuse)
     assert len(g.subgroups_all()) == 465
     assert abelian_census(g).c_ab == 212
+
+
+def _queue_walk(t, e, gens):
+    """The walk of <gens> as a scalar queue: each member, taken in turn,
+    times each generator in turn; a product not seen before is appended
+    with its parent and generator position."""
+    members, parent, pos = [e], [e], [-1]
+    seen = {e}
+    for x in members:
+        for k, s in enumerate(gens):
+            y = t[x][s]
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+                parent.append(x)
+                pos.append(k)
+    return members, parent, pos
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_walk_and_generating_set_on_relabelled_tables(name, data):
+    g = _group(name)
+    h = _relabel(g, data.draw(st.permutations(range(g.order))))
+    gens = data.draw(st.lists(st.integers(0, h.order - 1), max_size=4))
+    t = h.table.tolist()
+    members, parent, pos = h._walk(gens)
+    assert [a.tolist() for a in (members, parent, pos)] == \
+        list(_queue_walk(t, h.identity, gens))
+    assert h.closure_indices(gens) == _closure(t, h.identity, gens)
+    # the Schreier vector: each member after the identity is its parent
+    # times a generator, and every parent is reached before its child
+    assert members[0] == h.identity
+    step = np.array(gens, dtype=int)[pos[1:]]
+    assert (members[1:] == h.table[parent[1:], step]).all()
+    rank = np.empty(h.order, dtype=int)
+    rank[members] = np.arange(len(members))
+    assert (rank[parent[1:]] < np.arange(1, len(members))).all()
+    # each generator lies outside the subgroup of those before it
+    chosen = h.generating_set()
+    assert h.closure_indices(chosen) == tuple(range(h.order))
+    for i, x in enumerate(chosen):
+        assert x not in h.closure_indices(chosen[:i])
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_isomorphism_witness_on_relabelled_tables(name, data):
+    # the relabellings of P(1,2) include tables where the first injective
+    # map tried along the Schreier vector is not a homomorphism
+    g = _group(name)
+    h = _relabel(g, data.draw(st.permutations(range(g.order))))
+    ok, phi = isomorphic(g, h)
+    assert ok
+    _assert_isomorphism(g, h, phi)
