@@ -3,7 +3,10 @@ The c_ab bounds for qubit Pauli groups are adjudicated in ``claims``.
 
 The census walks only the abelian subgroups, by cyclic extension inside
 centralizers (``FiniteGroup.abelian_subgroups``), and never enumerates
-the full lattice; Hasse diagrams read the full lattice.
+the full lattice; an abelian A is maximal abelian exactly when
+C_G(A) = A.  Hasse diagrams read the covers of the full lattice, which
+its enumeration records (``FiniteGroup.covers``), so they are drawn for
+p-groups only.
 
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
@@ -13,11 +16,11 @@ reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import field_make
-from .groupcore import (DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle,
-                        strict_containment)
+from .groupcore import DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle
 from .heisenberg import dihedral8, heis_group, heis_spec
 from .pauli import p12_named_elements, pauli_group, pauli_spec
 
@@ -49,27 +52,21 @@ class CensusResult:
 def abelian_census(g: FiniteGroup,
                    cap: int = DEFAULT_SUBGROUP_CAP) -> CensusResult:
     """Exact enumeration of the abelian subgroups of G.  Normality is
-    read by ``is_normal`` and maximality from ``strict_containment`` over
-    the abelian subgroups."""
+    read by ``is_normal``, and A is maximal abelian when its centralizer
+    has exactly |A| members."""
     subs = g.abelian_subgroups(cap)[1:]
-    by_order: dict = {}
-    by_norm: dict = {}
-    normal = 0
-    for h in subs:
-        by_order[h.order] = by_order.get(h.order, 0) + 1
-        is_n = h.is_normal()
-        normal += is_n
-        by_norm[(h.order, is_n)] = by_norm.get((h.order, is_n), 0) + 1
-    below = strict_containment(subs).any(axis=1)
-    maximal_orders = [h.order for h, b in zip(subs, below) if not b]
+    orders = [h.order for h in subs]
+    normal = [h.is_normal() for h in subs]
     return CensusResult(
         group=g.name or f"order{g.order}",
         c_ab=len(subs),
-        by_order=by_order,
-        by_order_normality=by_norm,
-        maximal_abelian_orders=sorted(maximal_orders),
-        normal_count=normal,
-        nonnormal_count=len(subs) - normal,
+        by_order=dict(Counter(orders)),
+        by_order_normality=dict(Counter(zip(orders, normal))),
+        maximal_abelian_orders=sorted(
+            h.order for h in subs
+            if g.centralizer(h.members).order == h.order),
+        normal_count=sum(normal),
+        nonnormal_count=len(subs) - sum(normal),
     )
 
 
@@ -93,23 +90,19 @@ class LatticeGraph:
                    edges=[tuple(e) for e in d["edges"]])
 
 
-def _covering_edges(subgroups: list[SubgroupHandle]) -> list[tuple[int, int]]:
-    """Transitive reduction of containment between the given subgroups:
-    H < K with no listed subgroup strictly between them."""
-    c = strict_containment(subgroups)
-    lower, upper = (c & ~(c @ c)).nonzero()
-    edges = list(zip(lower.tolist(), upper.tolist()))
-    edges.sort(key=lambda e: (subgroups[e[0]].order, subgroups[e[1]].order, e))
-    return edges
-
-
 def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
           labels: list[str] | None = None,
           cap: int = DEFAULT_SUBGROUP_CAP) -> LatticeGraph:
-    """Covering-relation graph of the given subgroups (default: all)."""
+    """The Hasse diagram of the subgroup lattice of the p-group G,
+    restricted to the given subgroups (default: all): an edge H -> K for
+    each cover H < K of G with both ends listed.  Nodes are listed in
+    canonical (order, members) order and edges sorted by the orders of
+    their ends, then by node ids.  Raises ValueError when |G| is neither
+    1 nor a prime power."""
+    lattice = g.subgroups_all(cap)
+    covers = g.covers(cap)
     if subgroups is None:
-        subgroups = g.subgroups_all(cap)
-        labels = None
+        subgroups, labels = lattice, None
     pairs = sorted(range(len(subgroups)),
                    key=lambda i: (subgroups[i].order, subgroups[i].members))
     subgroups = [subgroups[i] for i in pairs]
@@ -128,8 +121,14 @@ def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
         "derived": h.members == derived,
         "frattini": h.members == frattini,
     } for i, h in enumerate(subgroups)]
+    listed = {h.members: i for i, h in enumerate(subgroups)}
+    ids = [listed.get(h.members) for h in lattice]
+    # covers come sorted and rise by index p, so they are also sorted by
+    # the orders of their ends
+    edges = [(ids[i], ids[j]) for i, j in covers.tolist()
+             if ids[i] is not None and ids[j] is not None]
     return LatticeGraph(group=g.name or f"order{g.order}", nodes=nodes,
-                        edges=_covering_edges(subgroups))
+                        edges=edges)
 
 
 def _default_label(h: SubgroupHandle, g: FiniteGroup) -> str:

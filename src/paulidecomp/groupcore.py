@@ -46,16 +46,16 @@ in H.  ``subgroups_all`` draws x from N_G(H); a group is reached by such
 steps exactly when it is solvable, so a walk that ends without G raises
 ``GroupStructureError`` rather than return a partial lattice.
 ``abelian_subgroups`` draws x from C_G(H) and reaches every abelian
-subgroup of any finite group.  ``subgroups_all`` caches its result, so
-maximal subgroups, the Frattini subgroup and Hasse diagrams share one
-enumeration.  Containment between subgroups is read from one membership
-matrix by ``strict_containment``.
+subgroup of any finite group.  The walk also records its steps of prime
+index.  In a p-group these are exactly the covering pairs of the lattice
+(``covers``), so the maximal subgroups, the Frattini subgroup and Hasse
+diagrams are read from one cached enumeration with no containment test;
+these lattice questions are answered for p-groups only.
 
 Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
 subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be overridden
-per call.  Isomorphism search is limited to order ``ISO_ORDER_CAP`` and
-containment matrices to ``CONTAINMENT_CAP`` subgroups.  Every cap or
-size limit raises a ``CapError``.
+per call.  Isomorphism search is limited to order ``ISO_ORDER_CAP``.
+Every cap or size limit raises a ``CapError``.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ from .algebra import prime_power
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
-# strict_containment holds two k x k boolean matrices: 128 MB at this cap
-CONTAINMENT_CAP = 8192
 # rows (or columns) per block of the whole-table checks: at order 4096 a
 # block is 4 MB of int32, where the whole table is 64 MB
 _BLOCK = 256
@@ -323,11 +321,12 @@ class FiniteGroup:
 
     @cached_property
     def derived_indices(self) -> tuple[int, ...]:
-        full = np.arange(self.order)
-        comm = np.zeros(self.order, dtype=bool)
-        for lo in range(0, self.order, _BLOCK):
-            comm[self.commutators(full[lo:lo + _BLOCK], full)] = True
-        return self.closure_indices(np.flatnonzero(comm))
+        """G' as the normal closure of the commutators [a, b] of a
+        generating set: they are commutators, and modulo their normal
+        closure N the generators commute, so G/N is abelian."""
+        gens = self.generating_set()
+        comms = np.unique(self.commutators(gens, gens))
+        return self.closure_indices(self.conjugates(comms))
 
     def derived_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.derived_indices)
@@ -344,23 +343,23 @@ class FiniteGroup:
         a group that is not solvable."""
         if self.order > cap:
             raise SubgroupCapError(self.order, cap)
-        return list(self._subgroups)
+        return list(self._subgroups[0])
 
     @cached_property
-    def _subgroups(self) -> tuple["SubgroupHandle", ...]:
-        """The cyclic-extension walk with x drawn from N_G(H).  In a
-        solvable group every subgroup K > 1 has a normal subgroup H of
-        prime index, so K = H<x> for any x in K outside H, and x lies in
-        N_G(H): the walk reaches every subgroup.  Conversely a chain of
-        steps H < H<x> with H normal in H<x> and cyclic quotient is a
-        subnormal series with cyclic factors, so the walk reaches G
-        exactly when G is solvable; otherwise it raises rather than
-        return a partial lattice."""
-        subs = self._extension_walk(self.normalizer_mask)
+    def _subgroups(self) -> tuple[tuple["SubgroupHandle", ...], np.ndarray]:
+        """The cyclic-extension walk with x drawn from N_G(H), and its
+        steps of index p.  In a solvable group every subgroup K > 1
+        has a normal subgroup H of prime index, so K = H<x> for any x in
+        K outside H, and x lies in N_G(H): the walk reaches every
+        subgroup.  Conversely a chain of steps H < H<x> with H normal in
+        H<x> and cyclic quotient is a subnormal series with cyclic
+        factors, so the walk reaches G exactly when G is solvable;
+        otherwise it raises rather than return a partial lattice."""
+        subs, steps = self._extension_walk(self.normalizer_mask)
         if len(subs[-1]) != self.order:
             raise GroupStructureError(
                 "group is not solvable: cyclic extension does not reach it")
-        return tuple(SubgroupHandle(self, m) for m in subs)
+        return tuple(SubgroupHandle(self, m) for m in subs), steps
 
     def abelian_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
         """Every abelian subgroup exactly once, the trivial one included,
@@ -371,28 +370,40 @@ class FiniteGroup:
         if self.order > cap:
             raise SubgroupCapError(self.order, cap)
         return [SubgroupHandle(self, m)
-                for m in self._extension_walk(self.centralizer_mask)]
+                for m in self._extension_walk(self.centralizer_mask)[0]]
 
-    def _extension_walk(self, within) -> list[tuple[int, ...]]:
+    def _extension_walk(self, within) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """Every subgroup reached from 1 by steps H -> H<x> with x in
         ``within(members of H)``, a boolean mask of a subgroup that
-        contains and normalises H.  Returns sorted member tuples in
-        canonical (order, members) order; no closure is computed."""
+        contains and normalises H, as sorted member tuples in canonical
+        (order, members) order; and, when G is a p-group, the steps of
+        index p as distinct rows (lower, upper) of canonical positions,
+        sorted.  No closure is computed."""
         trivial = np.zeros(self.order, dtype=bool)
         trivial[self.identity] = True
-        found = {trivial.tobytes(): trivial}
-        frontier = [trivial]
+        found = {trivial.tobytes(): 0}
+        masks, frontier, lower, upper = [trivial], [0], [], []
         while frontier:
             grown = []
-            for h in frontier:
-                for k in self._cyclic_extensions(h, within):
-                    key = k.tobytes()
-                    if key not in found:
-                        found[key] = k
-                        grown.append(k)
+            for i in frontier:
+                for k in self._cyclic_extensions(masks[i], within):
+                    j = found.setdefault(k.tobytes(), len(masks))
+                    if j == len(masks):
+                        masks.append(k)
+                        grown.append(j)
+                    lower.append(i)
+                    upper.append(j)
             frontier = grown
-        subs = [tuple(np.flatnonzero(m).tolist()) for m in found.values()]
-        return sorted(subs, key=lambda m: (len(m), m))
+        subs = [tuple(np.flatnonzero(m).tolist()) for m in masks]
+        canonical = sorted(range(len(subs)), key=lambda i: (len(subs[i]), subs[i]))
+        sizes = np.array([len(m) for m in subs])
+        lo, up = np.array([lower, upper], dtype=np.intp)
+        keep = sizes[up] == (prime_power(self.order) or (0,))[0] * sizes[lo]
+        # distinct pairs, sorted: the cosets Hx and Hx^2 may give one H<x>
+        rank = np.argsort(canonical)
+        code = np.sort(rank[lo[keep]] * len(subs) + rank[up[keep]])
+        covers = np.divmod(code[np.diff(code, prepend=-1) != 0], len(subs))
+        return [subs[i] for i in canonical], np.stack(covers, axis=1)
 
     def _cyclic_extensions(self, h: np.ndarray, within) -> np.ndarray:
         """The subgroups H<x> for the x in ``within(members of H)`` outside
@@ -413,34 +424,41 @@ class FiniteGroup:
             rows, power = rows[keep], power[keep]
         return ext
 
+    def covers(self, cap: int = DEFAULT_SUBGROUP_CAP) -> np.ndarray:
+        """The covering pairs H_i < H_j of the lattice of a p-group, as
+        sorted rows (i, j) of positions in ``subgroups_all``.  Every
+        maximal subgroup H of K is normal of index p (Huppert, Endliche
+        Gruppen I, 1967, III.7), so K = H<x> for the least x of any coset
+        Hx inside K, a step the walk takes from H.  Raises ValueError
+        when |G| is neither 1 nor a prime power."""
+        self.subgroups_all(cap)
+        if self.order > 1 and prime_power(self.order) is None:
+            raise ValueError(f"covers are read for p-groups only, not order {self.order}")
+        return self._subgroups[1]
+
     def maximal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
-        """The proper subgroups with no proper supergroup short of G."""
-        subs = [h for h in self.subgroups_all(cap) if h.order < self.order]
-        above = strict_containment(subs).any(axis=1)
-        return [h for h, a in zip(subs, above) if not a]
+        """The subgroups that G covers, in canonical order (p-groups
+        only, as ``covers``)."""
+        covers = self.covers(cap)
+        subs = self._subgroups[0]
+        return [subs[i] for i in covers[covers[:, 1] == len(subs) - 1, 0]]
 
     def frattini(self, cap: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupHandle":
-        """Intersection of all maximal subgroups; for p-groups cross-checked
-        against G^p [G,G] (a mismatch is a fatal internal error)."""
-        maximal = self.maximal_subgroups(cap)
-        if not maximal:
-            return self.whole_subgroup()
-        inter = set(maximal[0].members)
-        for h in maximal[1:]:
-            inter &= set(h.members)
+        """Intersection of all maximal subgroups of a p-group (or of the
+        trivial group), cross-checked against G^p [G,G] (a mismatch is a
+        fatal internal error)."""
+        inter = set(range(self.order)).intersection(
+            *(h.members for h in self.maximal_subgroups(cap)))
         handle = SubgroupHandle(self, tuple(sorted(inter)))
-        pk = prime_power(self.order)
-        if pk is not None:
-            full = np.arange(self.order)
-            powers = full
-            for _ in range(pk[0] - 1):
-                powers = self.table[powers, full]
-            agemo = self.closure_indices(
-                np.concatenate([powers, self.derived_indices]))
-            if agemo != handle.members:
-                raise GroupStructureError(
-                    "Frattini cross-check failed: maximal-subgroup intersection "
-                    "differs from G^p[G,G] on a p-group")
+        full = np.arange(self.order)
+        powers = full
+        for _ in range((prime_power(self.order) or (2, 1))[0] - 1):
+            powers = self.table[powers, full]
+        if self.closure_indices(np.concatenate(
+                [powers, self.derived_indices])) != handle.members:
+            raise GroupStructureError(
+                "Frattini cross-check failed: maximal-subgroup intersection "
+                "differs from G^p[G,G] on a p-group")
         return handle
 
     def quotient(self, n_sub: "SubgroupHandle") -> "FiniteGroup":
@@ -798,27 +816,6 @@ class SubgroupHandle:
         g = self.parent
         comms = g.commutators(self.members, other.members)
         return SubgroupHandle(g, g.closure_indices(comms))
-
-
-def strict_containment(subgroups) -> np.ndarray:
-    """Entry [i, j] is True when subgroups[i] is a proper subgroup of
-    subgroups[j].  Read off one k x |G| membership matrix M: H_i <= H_j
-    unless some member of H_i lies outside H_j, i.e. unless
-    (M @ ~M.T)[i, j].  The k x k result is refused above
-    ``CONTAINMENT_CAP`` subgroups."""
-    if len(subgroups) > CONTAINMENT_CAP:
-        raise CapError(f"containment of {len(subgroups)} subgroups exceeds "
-                       f"the cap of {CONTAINMENT_CAP}")
-    if not subgroups:
-        return np.zeros((0, 0), dtype=bool)
-    orders = np.array([h.order for h in subgroups])
-    m = np.zeros((len(subgroups), subgroups[0].parent.order), dtype=bool)
-    m[np.repeat(np.arange(len(subgroups)), orders),
-      np.concatenate([h.members for h in subgroups])] = True
-    c = m @ ~m.T
-    np.logical_not(c, out=c)
-    c &= orders[:, None] < orders
-    return c
 
 
 @dataclass(frozen=True)

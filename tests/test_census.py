@@ -6,8 +6,9 @@ from paulidecomp.algebra import field_make
 from paulidecomp.census import (LatticeGraph, abelian_census, export_dot,
                                 export_json, hasse, paper_figure_lattice)
 from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
-from paulidecomp.groupcore import strict_containment
-from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec
+from paulidecomp.heisenberg import (dihedral8, extraspecial_e2, heis_group,
+                                    heis_spec, quaternion8)
+from paulidecomp.lifted import lifted_group, lifted_spec
 from paulidecomp.pauli import pauli_group, pauli_spec
 
 
@@ -66,6 +67,28 @@ def c_ab_closed_form(p: int, n: int) -> int:
 def test_census_matches_closed_form(p, n, expected):
     assert c_ab_closed_form(p, n) == expected
     assert abelian_census(pauli_group(pauli_spec(p, 1, n))).c_ab == expected
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """[n, k]_q: the k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_census_z2_7_matches_gaussian_binomials():
+    """Z_2^7 (heis over GF(2), n = 3): 29,211 nontrivial subgroups, the
+    subspaces of GF(2)^7, all normal, and only G is maximal abelian."""
+    res = abelian_census(heis_group(heis_spec(field_make(2, 1), 3)))
+    by_order = {2 ** k: _gaussian_binomial(7, k, 2) for k in range(1, 8)}
+    assert by_order == {2: 127, 4: 2667, 8: 11811, 16: 11811, 32: 2667,
+                        64: 127, 128: 1}
+    assert res.by_order == by_order
+    assert res.c_ab == sum(by_order.values()) == 29211
+    assert res.normal_count == res.c_ab and res.nonnormal_count == 0
+    assert res.maximal_abelian_orders == [128]
 
 
 def test_bounds_check_n1():
@@ -134,16 +157,18 @@ def _strictly_above(sets):
     lambda: pauli_group(pauli_spec(2, 1, 1)),
     lambda: pauli_group(pauli_spec(2, 1, 2)),
     lambda: heis_group(heis_spec(field_make(3, 1))),
-], ids=["D8", "P(1,2)", "P(2,2)", "H(GF(3))"])
+    quaternion8,
+    lambda: extraspecial_e2(3),
+    lambda: pauli_group(pauli_spec(3, 1, 1)),
+    lambda: lifted_group(lifted_spec(2, 2, 1)),
+], ids=["D8", "P(1,2)", "P(2,2)", "H(GF(3))", "Q8", "E2(3)", "P(1,3)",
+        "lifted(2,2,1)"])
 def test_containment_against_definitions(make):
-    """strict_containment, maximal subgroups, the Frattini subgroup, Hasse
-    edges and maximal abelian orders, each against set-based definitions."""
+    """Maximal subgroups, the Frattini subgroup, Hasse edges and maximal
+    abelian orders, each against set-based definitions."""
     g = make()
     subs = g.subgroups_all()
-    sets = [set(h.members) for h in subs]
-    above = _strictly_above(sets)
-    assert strict_containment(subs).tolist() == [
-        [j in up for j in range(len(sets))] for up in above]
+    above = _strictly_above([set(h.members) for h in subs])
 
     whole = len(subs) - 1
     maximal = [h for h, up in zip(subs, above) if up == {whole}]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from paulidecomp.groupcore import (CONTAINMENT_CAP, CapError,
-                                   ClosureCapError, FiniteGroup,
+from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
                                    GroupStructureError, SubgroupCapError,
                                    abelian_invariants, group_close,
-                                   isomorphic, strict_containment, tabulate)
+                                   isomorphic, tabulate)
 from paulidecomp.algebra import field_make
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
@@ -228,13 +227,6 @@ def test_subgroups_enumerated_once(monkeypatch):
     # the cache does not bypass the cap
     with pytest.raises(SubgroupCapError):
         g.subgroups_all(cap=10)
-
-
-def test_strict_containment_caps_rows():
-    # refused before any k x k matrix is built
-    h = dihedral8().trivial_subgroup()
-    with pytest.raises(CapError):
-        strict_containment([h] * (CONTAINMENT_CAP + 1))
 
 
 def test_isomorphic_caps_order():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulidecomp.algebra import field_make
-from paulidecomp.census import abelian_census
+from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (FiniteGroup, GroupStructureError,
                                    isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec, quaternion8
@@ -127,6 +127,20 @@ def test_non_solvable_group_raises_and_abelian_walk_completes():
     assert census.c_ab == len(abelian) - 1 == 36
     assert census.by_order == {2: 15, 3: 10, 4: 5, 5: 6}
     assert census.normal_count == 0
+
+
+def test_lattice_questions_need_a_p_group():
+    """S4 (order 24) is solvable, so the walk enumerates its lattice; its
+    covers are read only for p-groups, so maximal subgroups and the Hasse
+    diagram are refused.  A5 is refused first for not being solvable."""
+    s4 = _group("S4")
+    assert [k.members for k in s4.subgroups_all()] == bfs_subgroups(s4)
+    with pytest.raises(ValueError, match="p-groups"):
+        s4.maximal_subgroups()
+    with pytest.raises(ValueError, match="p-groups"):
+        hasse(s4)
+    with pytest.raises(GroupStructureError, match="not solvable"):
+        hasse(alternating5())
 
 
 def test_walks_compute_no_closure(monkeypatch):
