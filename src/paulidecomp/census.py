@@ -15,12 +15,11 @@ reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import field_make
-from .groupcore import DEFAULT_SUBGROUP_CAP, FiniteGroup, SubgroupHandle
+from .groupcore import FiniteGroup, SubgroupHandle
 from .heisenberg import dihedral8, heis_group, heis_spec
 from .pauli import p12_named_elements, pauli_group, pauli_spec
 
@@ -49,12 +48,11 @@ class CensusResult:
         }
 
 
-def abelian_census(g: FiniteGroup,
-                   cap: int = DEFAULT_SUBGROUP_CAP) -> CensusResult:
+def abelian_census(g: FiniteGroup) -> CensusResult:
     """Exact enumeration of the abelian subgroups of G.  Normality is
     read by ``is_normal``, and A is maximal abelian when its centralizer
     has exactly |A| members."""
-    subs = g.abelian_subgroups(cap)[1:]
+    subs = g.abelian_subgroups()[1:]
     orders = [h.order for h in subs]
     normal = [h.is_normal() for h in subs]
     return CensusResult(
@@ -91,16 +89,15 @@ class LatticeGraph:
 
 
 def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
-          labels: list[str] | None = None,
-          cap: int = DEFAULT_SUBGROUP_CAP) -> LatticeGraph:
+          labels: list[str] | None = None) -> LatticeGraph:
     """The Hasse diagram of the subgroup lattice of the p-group G,
     restricted to the given subgroups (default: all): an edge H -> K for
     each cover H < K of G with both ends listed.  Nodes are listed in
     canonical (order, members) order and edges sorted by the orders of
     their ends, then by node ids.  Raises ValueError when |G| is neither
     1 nor a prime power."""
-    lattice = g.subgroups_all(cap)
-    covers = g.covers(cap)
+    lattice = g.subgroups_all()
+    covers = g.covers()
     if subgroups is None:
         subgroups, labels = lattice, None
     pairs = sorted(range(len(subgroups)),
@@ -110,7 +107,7 @@ def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
         labels = [labels[i] for i in pairs]
     center = g.center_indices
     derived = g.derived_indices
-    frattini = g.frattini(cap).members
+    frattini = g.frattini().members
     nodes = [{
         "id": i,
         "label": labels[i] if labels else _default_label(h, g),
@@ -193,10 +190,6 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
         ]
         return hasse(g, [h for _, h in named], [n for n, _ in named])
     raise ValueError(f"unknown figure kind {kind!r}")
-
-
-def export_json(lat: LatticeGraph) -> str:
-    return json.dumps(lat.to_json(), sort_keys=True, indent=2)
 
 
 def export_dot(lat: LatticeGraph) -> str:

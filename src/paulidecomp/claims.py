@@ -16,8 +16,7 @@ import time
 
 from .algebra import ZmodRing, field_make, sigma_tau
 from .census import abelian_census
-from .groupcore import (DEFAULT_SUBGROUP_CAP, ISO_ORDER_CAP, FiniteGroup,
-                        group_close, isomorphic)
+from .groupcore import ISO_ORDER_CAP, FiniteGroup, group_close, isomorphic
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec)
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
@@ -383,8 +382,7 @@ def corollary52_53_check(p: int, m: int, n: int):
     if spec.order > ISO_ORDER_CAP:
         return "out_of_cap", {"required_order": spec.order}
     g = lifted_group(spec)
-    kernel = g.subgroup(g.closure_indices(
-        [g.index[k] for k in pi_kernel(spec)]))
+    kernel = g.generated_subgroup(pi_kernel(spec))
     central = kernel <= g.center()
     quotient = g.quotient(kernel)
     image = pi_image_group(spec)
@@ -453,7 +451,7 @@ def constructive_abelian_subgroups(n: int) -> list[tuple]:
 
 
 @_verdict("cor5.6")
-def bounds_check(n: int, cap: int = DEFAULT_SUBGROUP_CAP):
+def bounds_check(n: int):
     """Adjudicate 2(c_ab(P_{n-1,2}) + 1) >= c_ab(P_{n,2}) >= 10 n.
 
     For n <= 2 both counts are exact.  For n = 3 the lower bound is
@@ -463,7 +461,7 @@ def bounds_check(n: int, cap: int = DEFAULT_SUBGROUP_CAP):
     witness: dict = {"n": n, "lower_bound": 10 * n}
     exact = n <= 2
     if exact:
-        c_ab = abelian_census(pauli_group(pauli_spec(2, 1, n)), cap).c_ab
+        c_ab = abelian_census(pauli_group(pauli_spec(2, 1, n))).c_ab
         witness["c_ab_exact"] = c_ab
         witness["mode"] = "exhaustive"
     else:
@@ -476,7 +474,7 @@ def bounds_check(n: int, cap: int = DEFAULT_SUBGROUP_CAP):
     upper_ok = None
     if n >= 2 and exact:
         prev = pauli_group(pauli_spec(2, 1, n - 1))
-        c_prev = abelian_census(prev, cap).c_ab
+        c_prev = abelian_census(prev).c_ab
         bound = 2 * (c_prev + 1)
         upper_ok = c_ab <= bound
         witness["c_ab_previous"] = c_prev

@@ -17,9 +17,11 @@ reduced=true", "lifted:p=3,m=2,n=1", "e1:p=3".
 Options: --out PATH on every subcommand; --format json|text on build and
 json|dot on lattice; --cap-closure N on every subcommand that builds a
 group (it bounds the order of every group built, reference specs
-included), and --cap-subgroups N on census and lattice.  Cap values are
-positive integers.  The environment variable PAULIDECOMP_CAP_OVERRIDE
-sets both caps; explicit flags win.
+included), and --cap-subgroups N on census and lattice (it bounds the
+order of the group whose subgroups are enumerated).  Each command checks
+its spec's order against its caps once, before any table is built.  Cap
+values are positive integers.  The environment variable
+PAULIDECOMP_CAP_OVERRIDE sets both caps; explicit flags win.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
 argument error, 3 a cap or size limit exceeded, 4 oracle
@@ -33,8 +35,7 @@ import os
 import sys
 
 from .algebra import ZmodRing, field_make, is_prime, prime_power
-from .census import (abelian_census, export_dot, export_json, hasse,
-                     paper_figure_lattice)
+from .census import abelian_census, export_dot, hasse, paper_figure_lattice
 from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                         ClosureCapError, FiniteGroup, GroupStructureError)
 from .heisenberg import heis_group, heis_spec
@@ -47,6 +48,14 @@ from .reports import dump_json
 
 class SpecError(ValueError):
     pass
+
+
+class SubgroupCapError(CapError):
+    """Group too large for full subgroup enumeration."""
+
+    def __init__(self, order: int, cap: int):
+        super().__init__(
+            f"group of order {order} exceeds the subgroup-enumeration cap {cap}")
 
 
 def _parse_params(text: str) -> dict:
@@ -138,10 +147,14 @@ def parse_spec(text: str):
     raise SpecError(f"unknown spec {text!r}")
 
 
-def _check_closure_cap(kind: str, spec, closure_cap: int) -> None:
-    """Refuse a spec whose group order exceeds the closure cap, before any
-    table is built: 1, 8 and p^3 for the reference groups, the spec's
-    order for the families."""
+def _checked_spec(args, text: str | None = None):
+    """Parse the subcommand's spec (``args.spec`` unless ``text`` is
+    given) and refuse it, before any table is built, when its group order
+    exceeds a cap the subcommand declares: 1, 8 and p^3 for the reference
+    groups, the spec's order for the families.  This is the only cap
+    check: every other group a command builds (a subgroup, a quotient,
+    the lifted image) is no larger."""
+    kind, spec = parse_spec(text or args.spec)
     if kind == "trivial":
         order = 1
     elif kind == "reference":
@@ -149,23 +162,26 @@ def _check_closure_cap(kind: str, spec, closure_cap: int) -> None:
         order = 8 if p is None else p ** 3
     else:
         order = spec.order
-    if order > closure_cap:
-        raise ClosureCapError(closure_cap)
+    if order > args.cap_closure:
+        raise ClosureCapError(args.cap_closure)
+    cap = getattr(args, "cap_subgroups", order)
+    if order > cap:
+        raise SubgroupCapError(order, cap)
+    return kind, spec
 
 
-def build_group(kind: str, spec, closure_cap: int) -> FiniteGroup:
-    _check_closure_cap(kind, spec, closure_cap)
+def build_group(kind: str, spec) -> FiniteGroup:
     if kind == "trivial":
         return FiniteGroup([0], [[0]], name="1")
     if kind == "reference":
         name, p = spec
         return reference_group(name, p)
     if kind == "pauli":
-        return pauli_group(spec, closure_cap)
+        return pauli_group(spec)
     if kind == "heis":
-        return heis_group(spec, closure_cap)
+        return heis_group(spec)
     if kind == "lifted":
-        return lifted_group(spec, closure_cap)
+        return lifted_group(spec)
     raise SpecError(f"cannot build {kind!r}")
 
 
@@ -182,8 +198,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    kind, spec = parse_spec(args.spec)
-    g = build_group(kind, spec, args.cap_closure)
+    g = build_group(*_checked_spec(args))
     report = g.report()
     if args.format == "text":
         lines = [f"{k}: {v}" for k, v in report.items()]
@@ -194,28 +209,24 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    kind, spec = parse_spec(args.spec)
+    kind, spec = _checked_spec(args)
     if kind == "pauli" and spec.carrier.p == 2:
-        rep = decompose_pauli_chain(spec.n, args.cap_closure)
+        rep = decompose_pauli_chain(spec.n)
     else:
-        g = build_group(kind, spec, args.cap_closure)
-        rep = extraspecial_decompose(g)
+        rep = extraspecial_decompose(build_group(kind, spec))
     _emit(dump_json(rep) + "\n", args.out)
     return 0
 
 
 def cmd_census(args) -> int:
-    kind, spec = parse_spec(args.spec)
-    g = build_group(kind, spec, args.cap_closure)
-    result = abelian_census(g, args.cap_subgroups)
+    result = abelian_census(build_group(*_checked_spec(args)))
     _emit(dump_json(result) + "\n", args.out)
     return 0
 
 
 def cmd_lattice(args) -> int:
-    kind, spec = parse_spec(args.spec)
+    kind, spec = _checked_spec(args)
     if args.filter == "paper_figure":
-        _check_closure_cap(kind, spec, args.cap_closure)
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
         elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
@@ -227,20 +238,19 @@ def cmd_lattice(args) -> int:
                 "paper_figure filter applies to d8, pauli:p=2,n=1, or "
                 "heis:R=gf(3),n=1")
     else:
-        g = build_group(kind, spec, args.cap_closure)
-        lat = hasse(g, cap=args.cap_subgroups)
-    text = export_dot(lat) if args.format == "dot" else export_json(lat) + "\n"
+        lat = hasse(build_group(kind, spec))
+    text = export_dot(lat) if args.format == "dot" else dump_json(lat) + "\n"
     _emit(text, args.out)
     return 0
 
 
 def cmd_lifted(args) -> int:
-    kind, spec = parse_spec(args.spec if ":" in args.spec
-                            else "lifted:" + args.spec)
+    kind, spec = _checked_spec(args, args.spec if ":" in args.spec
+                              else "lifted:" + args.spec)
     if kind != "lifted":
         raise SpecError("the lifted subcommand expects a lifted spec")
-    g = lifted_group(spec, args.cap_closure)
-    image = pi_image_group(spec, args.cap_closure)
+    g = lifted_group(spec)
+    image = pi_image_group(spec)
     kernel = pi_kernel(spec)
     report = {
         "spec": {"p": spec.carrier.p, "m": spec.carrier.m, "n": spec.n},
@@ -261,7 +271,7 @@ def cmd_verify(args) -> int:
         raise SpecError(f"unknown claim id {scope!r}; known: "
                         + ", ".join(sorted(CHECKS)))
     reports = run_suite(scope)
-    _emit(dump_json([r.to_json() for r in reports]) + "\n", args.out)
+    _emit(dump_json(reports) + "\n", args.out)
     return 0
 
 
@@ -286,6 +296,9 @@ def make_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     default_cap = {"closure": DEFAULT_CLOSURE_CAP,
                    "subgroups": DEFAULT_SUBGROUP_CAP}
+    cap_help = {"closure": "largest order of a group the command builds",
+                "subgroups": "largest order of a group whose subgroups "
+                             "are enumerated"}
     env_cap = os.environ.get("PAULIDECOMP_CAP_OVERRIDE")
     if env_cap:
         try:
@@ -304,7 +317,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path")
         for cap in caps:
             p.add_argument(f"--cap-{cap}", type=_positive_int,
-                           default=default_cap[cap])
+                           default=default_cap[cap], metavar="N",
+                           help=f"{cap_help[cap]} (default %(default)s; "
+                                "exit 3 above it)")
         p.set_defaults(func=func)
         return p
 

@@ -52,10 +52,14 @@ index.  In a p-group these are exactly the covering pairs of the lattice
 diagrams are read from one cached enumeration with no containment test;
 these lattice questions are answered for p-groups only.
 
-Caps: closure from generators is bounded by ``DEFAULT_CLOSURE_CAP`` and
-subgroup enumeration by ``DEFAULT_SUBGROUP_CAP``; both can be overridden
-per call.  Isomorphism search is limited to order ``ISO_ORDER_CAP``.
-Every cap or size limit raises a ``CapError``.
+Limits: how large a group a command may build or enumerate is the
+command's policy, checked by ``cli`` against the group's order before
+any table is built; ``DEFAULT_CLOSURE_CAP`` and ``DEFAULT_SUBGROUP_CAP``
+are its defaults.  The library keeps two limits of its own:
+``group_close`` bounds its breadth-first search by ``cap``, since the
+order an oracle generates is not known in advance, and isomorphism
+search refuses orders above ``ISO_ORDER_CAP``.  Both raise a
+``CapError``.
 """
 
 from __future__ import annotations
@@ -88,16 +92,6 @@ class ClosureCapError(CapError):
 
     def __init__(self, cap: int):
         super().__init__(f"closure exceeded the cap of {cap} elements")
-        self.cap = cap
-
-
-class SubgroupCapError(CapError):
-    """Group too large for full subgroup enumeration."""
-
-    def __init__(self, order: int, cap: int):
-        super().__init__(
-            f"group of order {order} exceeds the subgroup-enumeration cap {cap}")
-        self.order = order
         self.cap = cap
 
 
@@ -336,13 +330,10 @@ class FiniteGroup:
                for g in generators]
         return SubgroupHandle(self, self.closure_indices(self.conjugates(idx)))
 
-    def subgroups_all(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
+    def subgroups_all(self) -> list["SubgroupHandle"]:
         """Every subgroup exactly once, canonically sorted by
-        (order, member tuple).  Enumerated on the first call and cached;
-        the cap is checked on every call.  Raises GroupStructureError for
-        a group that is not solvable."""
-        if self.order > cap:
-            raise SubgroupCapError(self.order, cap)
+        (order, member tuple).  Enumerated on the first call and cached.
+        Raises GroupStructureError for a group that is not solvable."""
         return list(self._subgroups[0])
 
     @cached_property
@@ -361,14 +352,12 @@ class FiniteGroup:
                 "group is not solvable: cyclic extension does not reach it")
         return tuple(SubgroupHandle(self, m) for m in subs), steps
 
-    def abelian_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
+    def abelian_subgroups(self) -> list["SubgroupHandle"]:
         """Every abelian subgroup exactly once, the trivial one included,
         canonically sorted by (order, member tuple).  The cyclic-extension
         walk with x drawn from C_G(H): each step H<x> of an abelian H is
         abelian, and every abelian subgroup is reached, in any finite
         group."""
-        if self.order > cap:
-            raise SubgroupCapError(self.order, cap)
         return [SubgroupHandle(self, m)
                 for m in self._extension_walk(self.centralizer_mask)[0]]
 
@@ -424,31 +413,31 @@ class FiniteGroup:
             rows, power = rows[keep], power[keep]
         return ext
 
-    def covers(self, cap: int = DEFAULT_SUBGROUP_CAP) -> np.ndarray:
+    def covers(self) -> np.ndarray:
         """The covering pairs H_i < H_j of the lattice of a p-group, as
         sorted rows (i, j) of positions in ``subgroups_all``.  Every
         maximal subgroup H of K is normal of index p (Huppert, Endliche
         Gruppen I, 1967, III.7), so K = H<x> for the least x of any coset
         Hx inside K, a step the walk takes from H.  Raises ValueError
         when |G| is neither 1 nor a prime power."""
-        self.subgroups_all(cap)
+        self.subgroups_all()
         if self.order > 1 and prime_power(self.order) is None:
             raise ValueError(f"covers are read for p-groups only, not order {self.order}")
         return self._subgroups[1]
 
-    def maximal_subgroups(self, cap: int = DEFAULT_SUBGROUP_CAP) -> list["SubgroupHandle"]:
+    def maximal_subgroups(self) -> list["SubgroupHandle"]:
         """The subgroups that G covers, in canonical order (p-groups
         only, as ``covers``)."""
-        covers = self.covers(cap)
+        covers = self.covers()
         subs = self._subgroups[0]
         return [subs[i] for i in covers[covers[:, 1] == len(subs) - 1, 0]]
 
-    def frattini(self, cap: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupHandle":
+    def frattini(self) -> "SubgroupHandle":
         """Intersection of all maximal subgroups of a p-group (or of the
         trivial group), cross-checked against G^p [G,G] (a mismatch is a
         fatal internal error)."""
         inter = set(range(self.order)).intersection(
-            *(h.members for h in self.maximal_subgroups(cap)))
+            *(h.members for h in self.maximal_subgroups()))
         handle = SubgroupHandle(self, tuple(sorted(inter)))
         full = np.arange(self.order)
         powers = full
@@ -536,6 +525,7 @@ class FiniteGroup:
             "fingerprint": fp.to_json(),
             "order_sequence": [list(t) for t in self.order_sequence],
         }
+        # the Frattini subgroup is read from the full lattice walk
         if self.order <= DEFAULT_SUBGROUP_CAP:
             out["frattini_order"] = self.frattini().order
         return out
@@ -716,9 +706,7 @@ class CentralExtension:
         return central_extension_table(add, self.n, self.centre.add, cocycle,
                                        self.centre_first)
 
-    def group(self, closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-        if self.order > closure_cap:
-            raise ClosureCapError(closure_cap)
+    def group(self) -> FiniteGroup:
         return FiniteGroup(self.elements(), self.table(), name=self.name)
 
 

@@ -19,8 +19,8 @@ polarized one matches the upper unitriangular 3x3 matrix model.
 from __future__ import annotations
 
 from .algebra import FieldSpec, ZmodRing, field_make
-from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension, FiniteGroup,
-                        carrier_centre, tabulate, trace_centre)
+from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
+                        tabulate, trace_centre)
 
 HeisKey = tuple  # (a tuple, b tuple, t)
 
@@ -51,10 +51,9 @@ def heis_spec(carrier, n: int = 1, cocycle: str = "symplectic",
                             name=f"{tag}({rname}^{n},{cocycle})")
 
 
-def heis_group(spec: CentralExtension,
-               closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def heis_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize H(R^n)."""
-    return spec.group(closure_cap)
+    return spec.group()
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +127,11 @@ def quaternion8() -> FiniteGroup:
 
 def extraspecial_e1(p: int) -> FiniteGroup:
     """E1(p): exponent-p extraspecial group of order p^3 (the Heisenberg
-    group over GF(p)), for odd p.  Like E2(p) it is built at any order;
-    the CLI bounds p^3 by its closure cap."""
+    group over GF(p)), for odd p."""
     if p == 2:
         raise ValueError("E1 is defined for odd p")
     spec = heis_spec(field_make(p, 1), cocycle="polarized")
-    return heis_group(spec, spec.order)
+    return heis_group(spec)
 
 
 def extraspecial_e2(p: int) -> FiniteGroup:

@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import field_make
-from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension,
-                        ClosureCapError, FiniteGroup, carrier_centre,
+from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
                         trace_centre)
 from .pauli import PAULI_FORM, pauli_law
 
@@ -41,10 +40,9 @@ def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
                             centre_first=True, name=f"Plift({n},{f.q})")
 
 
-def lifted_group(spec: CentralExtension,
-                 closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def lifted_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize the lifted group."""
-    return spec.group(closure_cap)
+    return spec.group()
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +103,7 @@ def pi_kernel(spec: CentralExtension) -> list[LiftedKey]:
     return [(eta, zero, zero) for eta in range(f.q) if f.trace(eta) == 0]
 
 
-def pi_image_group(spec: CentralExtension,
-                   closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def pi_image_group(spec: CentralExtension) -> FiniteGroup:
     """The image of the projection, materialized as a group.  For odd p
     this is all of P_{n,q}; for p = 2 it is a group of order 2^(2nm+1)
     with phases restricted to +-1, a subgroup of ``pauli_law``."""
@@ -117,8 +114,6 @@ def pi_image_group(spec: CentralExtension,
     # key stores it doubled for p = 2)
     image = CentralExtension(f, spec.n, PAULI_FORM, trace_centre(f),
                              centre_first=True, name=name)
-    if image.order > closure_cap:
-        raise ClosureCapError(closure_cap)
     keys = sorted({pi_map(spec, g) for g in spec.elements()})
     return FiniteGroup(keys, image.table(), name=name)
 

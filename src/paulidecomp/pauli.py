@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from .algebra import FieldSpec, field_make
 from .cyclotomic import CyclotomicMatrix
-from .groupcore import (DEFAULT_CLOSURE_CAP, CentralExtension, FiniteGroup,
-                        doubled_trace_centre, trace_centre)
+from .groupcore import (CentralExtension, FiniteGroup, doubled_trace_centre,
+                        trace_centre)
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
@@ -60,12 +60,11 @@ def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
     return spec.element(unit(x), unit(z), phase)
 
 
-def pauli_group(spec: CentralExtension,
-                closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def pauli_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is
     known in closed form); the generation claim is covered separately by
     tests that close the generators and compare."""
-    return spec.group(closure_cap)
+    return spec.group()
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupcore import (DEFAULT_CLOSURE_CAP, CapError, FiniteGroup,
-                        GroupStructureError, SubgroupHandle,
-                        abelian_invariants, isomorphic)
+from .groupcore import (CapError, FiniteGroup, GroupStructureError,
+                        SubgroupHandle, abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
 from .algebra import is_prime, prime_power
@@ -122,8 +121,7 @@ def pauli_chain_subgroups(g: FiniteGroup, spec) -> list[SubgroupHandle]:
             for j in range(spec.n)]
 
 
-def decompose_pauli_chain(
-        n: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> DecompositionReport:
+def decompose_pauli_chain(n: int) -> DecompositionReport:
     """Iterated weak central product P_{n,2} = H_1 * H_2 * ... * H_n with
     register factors H_j = <U, X_j, Z_j> and links L_j = (H_1...H_j) cap
     H_{j+1}, read by ``weak_central_chain``.
@@ -132,7 +130,7 @@ def decompose_pauli_chain(
     distinct registers commute, so it has order 1 and never equals the
     order-4 link (the fold therefore never reads ``central``)."""
     spec = pauli_spec(2, 1, n)
-    g = pauli_group(spec, closure_cap)
+    g = pauli_group(spec)
     factors = pauli_chain_subgroups(g, spec)
     fold = weak_central_chain(g, factors)
     _, links, _ = fold

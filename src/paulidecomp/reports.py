@@ -113,13 +113,10 @@ CLAIMS = {
 }
 
 
-def dump_json(obj, out=None) -> str:
+def dump_json(obj) -> str:
     """Deterministic JSON for reports: sorted keys, stable separators."""
     if hasattr(obj, "to_json"):
         obj = obj.to_json()
     elif isinstance(obj, list):
         obj = [x.to_json() if hasattr(x, "to_json") else x for x in obj]
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if out is not None:
-        out.write(text + "\n")
-    return text
+    return json.dumps(obj, sort_keys=True, indent=2)

@@ -4,12 +4,13 @@ import pytest
 
 from paulidecomp.algebra import field_make
 from paulidecomp.census import (LatticeGraph, abelian_census, export_dot,
-                                export_json, hasse, paper_figure_lattice)
+                                hasse, paper_figure_lattice)
 from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e2, heis_group,
                                     heis_spec, quaternion8)
 from paulidecomp.lifted import lifted_group, lifted_spec
 from paulidecomp.pauli import pauli_group, pauli_spec
+from paulidecomp.reports import dump_json
 
 
 def test_census_d8():
@@ -135,15 +136,15 @@ def test_export_dot():
 
 def test_export_json_round_trip():
     lat = paper_figure_lattice("heis")
-    text = export_json(lat)
+    text = dump_json(lat)
     back = LatticeGraph.from_json(json.loads(text))
     assert back.nodes == lat.nodes
     assert back.edges == lat.edges
 
 
 def test_lattice_deterministic():
-    a = export_json(hasse(dihedral8()))
-    b = export_json(hasse(dihedral8()))
+    a = dump_json(hasse(dihedral8()))
+    b = dump_json(hasse(dihedral8()))
     assert a == b
 
 

@@ -186,6 +186,12 @@ EXIT_CODES = [
     (["decompose", "e2:p=3", "--cap-closure", "5"], None, 3),
     (["lattice", "d8", "--filter", "paper_figure", "--cap-closure", "7"],
      None, 3),
+    # the subgroup cap holds on both lattice paths, and lifted obeys its
+    # closure cap
+    (["lattice", "d8", "--filter", "paper_figure", "--cap-subgroups", "7"],
+     None, 3),
+    (["lattice", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
+    (["lifted", "p=3,m=1,n=1", "--cap-closure", "26"], None, 3),
 ]
 
 

@@ -1,8 +1,9 @@
 """The module layout the single verdict path and the single
 weak-central-product fold rest on, read from the source: verdicts are
 built only in ``claims`` (``reports`` defines their types), the library
-modules import at module level only, and every decomposition goes
-through ``products.weak_central_chain``."""
+modules import at module level only, every decomposition goes through
+``products.weak_central_chain``, and size caps are the command's policy,
+so no library function takes one."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,26 @@ def test_no_function_local_imports(module):
                    for node in ast.walk(func)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not local, f"{module}.py imports inside a function at {local}"
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_no_cap_parameters(module):
+    """``cli`` checks a spec's order against its caps; only
+    ``group_close``, whose oracle's order is unknown, bounds its search.
+    The ``CapError`` types take the cap they report."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    errors = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and any(getattr(base, "id", "") == "CapError"
+                      for base in cls.bases)
+              for node in cls.body}
+    capped = sorted(f"{func.name}({arg.arg})" for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and func.name != "group_close" and id(func) not in errors
+                    for arg in ast.walk(func.args)
+                    if isinstance(arg, ast.arg)
+                    and arg.arg in ("cap", "closure_cap"))
+    assert not capped, f"{module}.py takes caps in {capped}"
 
 
 def _calls(module: str, name: str, attribute: bool) -> list[tuple]:
