@@ -36,6 +36,14 @@ and each new element records its parent and the generator that reached
 it.  ``closure_indices`` reads the members, Light's test grows its cover
 with it, ``generating_set`` picks each generator outside it, and
 ``isomorphic`` rebuilds a candidate map along its Schreier vector.
+These callers close one set at a time, and each layer gathers only the
+new frontier, so the walk stays their one path.  When many closures are
+wanted at once, ``closures`` takes one seed set per row of a boolean
+membership matrix and ORs every row with its right translates, one
+gather for all rows per pass, until no row grows: the classification
+flags ``just_nonabelian`` (one row per conjugacy class) and
+``minimal_nonabelian`` (one row per noncommuting pair) use it, paying
+the per-pass numpy overhead once per batch rather than once per set.
 
 Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005), with no
@@ -55,11 +63,12 @@ these lattice questions are answered for p-groups only.
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
 any table is built; ``DEFAULT_CLOSURE_CAP`` and ``DEFAULT_SUBGROUP_CAP``
-are its defaults.  The library keeps two limits of its own:
+are its defaults.  The library keeps three limits of its own:
 ``group_close`` bounds its breadth-first search by ``cap``, since the
-order an oracle generates is not known in advance, and isomorphism
-search refuses orders above ``ISO_ORDER_CAP``.  Both raise a
-``CapError``.
+order an oracle generates is not known in advance; isomorphism search
+refuses orders above ``ISO_ORDER_CAP``; and ``products.minimal_nonabelian``,
+which closes every noncommuting pair of cyclic-subgroup generators,
+refuses the same orders.  All three raise a ``CapError``.
 """
 
 from __future__ import annotations
@@ -78,8 +87,9 @@ DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
 # rows (or columns) per block of the whole-table checks: at order 4096 a
-# block is 4 MB of int32, where the whole table is 64 MB
-_BLOCK = 256
+# block is 4 MB of int32, where the whole table is 64 MB; also the bound
+# on rows times seeds per block of ``closures``
+BLOCK = 256
 
 
 class CapError(RuntimeError):
@@ -131,9 +141,9 @@ class FiniteGroup:
         self.table = table
         self.table.setflags(write=False)
         full = np.arange(n, dtype=np.int32)
-        for lo in range(0, n, _BLOCK):
-            if ((np.sort(table[lo:lo + _BLOCK], axis=1) != full).any()
-                    or (np.sort(table[:, lo:lo + _BLOCK], axis=0)
+        for lo in range(0, n, BLOCK):
+            if ((np.sort(table[lo:lo + BLOCK], axis=1) != full).any()
+                    or (np.sort(table[:, lo:lo + BLOCK], axis=0)
                         != full[:, None]).any()):
                 raise GroupStructureError(
                     "multiplication table is not a Latin square")
@@ -169,8 +179,8 @@ class FiniteGroup:
             covered[self._walk(gens)[0]] = True
         for s in gens:
             col = t[:, s]
-            for lo in range(0, self.order, _BLOCK):
-                rows = t[lo:lo + _BLOCK]
+            for lo in range(0, self.order, BLOCK):
+                rows = t[lo:lo + BLOCK]
                 # [x, y] entries: (xy)s on the left, x(ys) on the right
                 if (np.take(col, rows) != np.take(rows, col, axis=1)).any():
                     raise GroupStructureError(
@@ -226,9 +236,14 @@ class FiniteGroup:
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted index tuples, listed by least member."""
-        least = self.conjugates(np.arange(self.order)).min(axis=0)
-        return tuple(tuple(int(x) for x in np.flatnonzero(least == r))
-                     for r in np.unique(least))
+        t, full = self.table, np.arange(self.order)
+        # ``conjugates`` of every element: entry [x, m] is x^-1 m x, read
+        # through the rows x^-1 m of table[inverse]
+        least = t[t[self.inverse], full[:, None]].min(axis=0)
+        classes: dict[int, list[int]] = {}
+        for x, m in enumerate(least.tolist()):
+            classes.setdefault(m, []).append(x)
+        return tuple(tuple(classes[m]) for m in sorted(classes))
 
     @cached_property
     def class_size_of(self) -> tuple[int, ...]:
@@ -268,6 +283,38 @@ class FiniteGroup:
         if not isinstance(seed, np.ndarray):
             seed = np.fromiter(seed, dtype=np.int32)
         return tuple(np.sort(self._walk(np.unique(seed))[0]).tolist())
+
+    def closures(self, seeds) -> np.ndarray:
+        """Many closures at once: row k of the K x |G| boolean result is
+        the subgroup generated by the seed row ``seeds[k]`` (rows may be
+        padded with the identity).  Each row S starts as e and its seeds,
+        and is OR-ed with its right translates S g by its seeds until no
+        row grows; y lies in S g iff y g^-1 lies in S, so each pass is
+        one gather of the rows at ``table[:, g^-1]``.  Rows are closed in
+        blocks whose index arrays hold at most BLOCK x |G| entries.  A
+        pass gathers whole rows, so it pays off across many rows; one set
+        alone is closed faster by ``_walk``, whose layers gather only the
+        new frontier."""
+        t, n = self.table, self.order
+        seeds = np.asarray(seeds, dtype=np.intp)
+        out = np.zeros((len(seeds), n), dtype=bool)
+        out[:, self.identity] = True
+        out[np.arange(len(seeds))[:, None], seeds] = True
+        step = max(1, BLOCK // max(seeds.shape[1], 1))
+        # row k of a block starts at flat position k n
+        offsets = np.arange(0, step * n, n)[:, None, None]
+        for lo in range(0, len(seeds), step):
+            rows = out[lo:lo + step]
+            # entry [k, j, y]: the flat position of y g_j^-1 in row k
+            where = (t.T[self.inverse[seeds[lo:lo + step]]]
+                     + offsets[:len(rows)])
+            size = np.count_nonzero(rows)
+            while True:
+                rows |= rows.ravel()[where].any(axis=1)
+                grown, size = size, np.count_nonzero(rows)
+                if grown == size:
+                    break
+        return out
 
     def subgroup(self, members) -> "SubgroupHandle":
         members = tuple(sorted(int(m) for m in members))
@@ -334,10 +381,10 @@ class FiniteGroup:
         """Every subgroup exactly once, canonically sorted by
         (order, member tuple).  Enumerated on the first call and cached.
         Raises GroupStructureError for a group that is not solvable."""
-        return list(self._subgroups[0])
+        return [SubgroupHandle(self, m) for m in self._subgroups[0]]
 
     @cached_property
-    def _subgroups(self) -> tuple[tuple["SubgroupHandle", ...], np.ndarray]:
+    def _subgroups(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The cyclic-extension walk with x drawn from N_G(H), and its
         steps of index p.  In a solvable group every subgroup K > 1
         has a normal subgroup H of prime index, so K = H<x> for any x in
@@ -345,12 +392,15 @@ class FiniteGroup:
         subgroup.  Conversely a chain of steps H < H<x> with H normal in
         H<x> and cyclic quotient is a subnormal series with cyclic
         factors, so the walk reaches G exactly when G is solvable;
-        otherwise it raises rather than return a partial lattice."""
+        otherwise it raises rather than return a partial lattice.  The
+        cache holds member tuples, not handles: a handle refers to its
+        parent, and a group holding its handles would be freed only by
+        the cyclic garbage collector."""
         subs, steps = self._extension_walk(self.normalizer_mask)
         if len(subs[-1]) != self.order:
             raise GroupStructureError(
                 "group is not solvable: cyclic extension does not reach it")
-        return tuple(SubgroupHandle(self, m) for m in subs), steps
+        return subs, steps
 
     def abelian_subgroups(self) -> list["SubgroupHandle"]:
         """Every abelian subgroup exactly once, the trivial one included,
@@ -430,7 +480,8 @@ class FiniteGroup:
         only, as ``covers``)."""
         covers = self.covers()
         subs = self._subgroups[0]
-        return [subs[i] for i in covers[covers[:, 1] == len(subs) - 1, 0]]
+        return [SubgroupHandle(self, subs[i])
+                for i in covers[covers[:, 1] == len(subs) - 1, 0]]
 
     def frattini(self) -> "SubgroupHandle":
         """Intersection of all maximal subgroups of a p-group (or of the
@@ -503,6 +554,10 @@ class FiniteGroup:
         return 2 if (comms == self.identity).all() else 3
 
     def fingerprint(self) -> "GroupFingerprint":
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> "GroupFingerprint":
         derived = SubgroupHandle(self, self.derived_indices)
         ab_quotient = self.quotient(derived)
         return GroupFingerprint(
@@ -912,24 +967,25 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
             return None
         return phi
 
+    # depth first over the images of gens[0], gens[1], ...: untried[i]
+    # holds the candidates for gens[i] not yet tried, the least last
     images: list[int] = []
-
-    def backtrack():
-        pos = len(images)
-        for cand in candidates(pos):
-            images.append(cand)
-            phi = check_prefix(images)
-            if phi is not None:
-                if pos + 1 == len(gens):
-                    return phi
-                result = backtrack()
-                if result is not None:
-                    return result
+    untried = [candidates(0)[::-1]]
+    while untried:
+        if not untried[-1]:
+            untried.pop()
+            if images:
+                images.pop()
+            continue
+        images.append(untried[-1].pop())
+        phi = check_prefix(images)
+        if phi is None:
             images.pop()
-        return None
-
-    phi = backtrack()
-    if phi is None:
+        elif len(images) == len(gens):
+            break
+        else:
+            untried.append(candidates(len(images))[::-1])
+    else:
         return False, None
     members = walks[-1][0]
     witness = {g.elements[a]: h.elements[b]

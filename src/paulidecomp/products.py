@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupcore import (CapError, FiniteGroup, GroupStructureError,
-                        SubgroupHandle, abelian_invariants, isomorphic)
+from .groupcore import (BLOCK, ISO_ORDER_CAP, CapError, FiniteGroup,
+                        GroupStructureError, SubgroupHandle,
+                        abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
 from .algebra import is_prime, prime_power
@@ -152,23 +153,43 @@ def decompose_pauli_chain(n: int) -> DecompositionReport:
 # classification flags
 # ---------------------------------------------------------------------------
 
+def _blocks(count: int):
+    """Consecutive slices of range(count) of 1, 2, 4, ... up to BLOCK
+    indices, for batches of ``closures``: a test that fails early stops
+    after a few small batches, and a long run pays the per-pass numpy
+    overhead once per BLOCK rows."""
+    lo, size = 0, 1
+    while lo < count:
+        yield slice(lo, lo + size)
+        lo, size = lo + size, min(2 * size, BLOCK)
+
+
 def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     """Nonabelian with every proper quotient abelian.  Equivalent test:
     the derived subgroup is contained in the normal closure of every
     nontrivial element (any nontrivial normal subgroup is a union of
-    such closures)."""
+    such closures).  Conjugates have one normal closure, the subgroup
+    generated by their class, so each class other than {e} is closed
+    once, as a seed row of ``closures`` padded with the identity, in the
+    order of its least member and in the batches of ``_blocks``; the
+    first class that fails names that member, which is the least failing
+    element."""
     if g.is_abelian:
         return False, {"reason": "abelian"}
-    derived = g.derived_subgroup()
-    for i in range(g.order):
-        if i == g.identity:
-            continue
-        witness = g.normal_closure([i])
-        if not derived <= witness:
+    classes = [c for c in g.conjugacy_classes if c != (g.identity,)]
+    derived = np.array(g.derived_indices)
+    for block in _blocks(len(classes)):
+        batch = classes[block]
+        width = max(map(len, batch))
+        closed = g.closures([c + (g.identity,) * (width - len(c))
+                             for c in batch])
+        proper = np.flatnonzero(~closed[:, derived].all(axis=1))
+        if len(proper):
+            order = int(np.count_nonzero(closed[proper[0]]))
             return False, {
-                "normal_subgroup_order": witness.order,
-                "witness_element": repr(g.elements[i]),
-                "quotient_order": g.order // witness.order,
+                "normal_subgroup_order": order,
+                "witness_element": repr(g.elements[batch[proper[0]][0]]),
+                "quotient_order": g.order // order,
             }
     return True, {}
 
@@ -179,12 +200,13 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     nonabelian proper subgroup contains such a pair, and conversely).
     Since <x, y> depends only on <x> and <y>, the pairs range over one
     generator per cyclic subgroup, the least index among the generators,
-    in increasing (i, j) order; the first pair generating a proper
+    in increasing (i, j) order, closed as seed rows of ``closures`` in
+    the batches of ``_blocks``; the first pair generating a proper
     subgroup is the evidence."""
     if g.is_abelian:
         return False, {"reason": "abelian"}
-    if g.order > 1024:
-        raise CapError("minimal-nonabelian test capped at 1024")
+    if g.order > ISO_ORDER_CAP:
+        raise CapError(f"minimal-nonabelian test capped at {ISO_ORDER_CAP}")
     orders = np.array(g.element_orders)
     full = np.arange(g.order)
     least, power = full.copy(), full
@@ -193,14 +215,17 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
         coprime = (np.gcd(k, orders) == 1) & (k < orders)
         least[coprime] = np.minimum(least[coprime], power[coprime])
     reps = np.flatnonzero(least == full)
-    sub = g.table[np.ix_(reps, reps)]
-    for i, j in zip(*np.triu(sub != sub.T).nonzero()):
-        closed = g.closure_indices([reps[i], reps[j]])
-        if len(closed) < g.order:
+    sub = g.table[reps][:, reps]
+    pairs = reps[np.argwhere(np.triu(sub != sub.T))]
+    for block in _blocks(len(pairs)):
+        closed = g.closures(pairs[block])
+        proper = np.flatnonzero(~closed.all(axis=1))
+        if len(proper):
             return False, {
-                "nonabelian_subgroup_order": len(closed),
-                "generators": [repr(g.elements[reps[i]]),
-                               repr(g.elements[reps[j]])],
+                "nonabelian_subgroup_order":
+                    int(np.count_nonzero(closed[proper[0]])),
+                "generators": [repr(g.elements[x])
+                               for x in pairs[block][proper[0]]],
             }
     return True, {}
 

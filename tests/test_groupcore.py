@@ -1,6 +1,11 @@
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from paulidecomp.claims import run_suite
 from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
                                    GroupStructureError, abelian_invariants,
                                    group_close, isomorphic, tabulate)
@@ -221,6 +226,70 @@ def test_subgroups_enumerated_once(monkeypatch):
     assert g.subgroups_all() == first
     assert len(g.maximal_subgroups()) == 7
     assert steps == [] and closures == []
+
+
+def test_fingerprint_computed_once(monkeypatch):
+    quotients = []
+    quotient = FiniteGroup.quotient
+
+    def counted_quotient(self, n_sub):
+        quotients.append(n_sub.members)
+        return quotient(self, n_sub)
+
+    monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
+    g = pauli_group(pauli_spec(2, 1, 1))
+    first = g.fingerprint()
+    assert g.fingerprint() is first
+    assert isomorphic(g, pauli_group(pauli_spec(2, 1, 1)))[0]
+    # one G/G' for g, one for the fresh copy
+    assert len(quotients) == 2
+    assert first.abelianization == (2, 2, 2)
+
+
+@contextmanager
+def _no_cyclic_gc():
+    """Groups freed inside the block are freed by reference counting
+    alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_group_freed_after_subgroups_all():
+    with _no_cyclic_gc():
+        g = pauli_group(pauli_spec(2, 1, 2))
+        found = len(g.subgroups_all())
+        maximal = len(g.maximal_subgroups())
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    assert (found, maximal) == (465, 31)
+
+
+def test_groups_freed_after_isomorphic():
+    with _no_cyclic_gc():
+        g, h = dihedral8(), _relabelled_d8()
+        ok = isomorphic(g, h)[0]
+        refs = [weakref.ref(g), weakref.ref(h)]
+        del g, h
+        assert [r() for r in refs] == [None, None]
+    assert ok
+
+
+def test_run_suite_leaves_no_group_in_cyclic_garbage():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_suite("all")
+        gc.collect()
+        leaked = [x for x in gc.garbage if isinstance(x, FiniteGroup)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def test_isomorphic_caps_order():

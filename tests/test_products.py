@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from paulidecomp.groupcore import CapError, FiniteGroup
+from paulidecomp.groupcore import CapError, FiniteGroup, tabulate
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
 from paulidecomp.algebra import field_make
@@ -215,19 +217,111 @@ def _by_element_order(g):
                        back[g.table[np.ix_(perm, perm)]])
 
 
-@pytest.mark.parametrize("make", [
+OTHER_GROUPS = pytest.mark.parametrize("make", [
     lambda: _dihedral(3), lambda: _dihedral(5), lambda: _dihedral(6),
     lambda: _dihedral(8),
     lambda: _direct_product(quaternion8(), _dihedral(1)),
     lambda: _direct_product(dihedral8(), _dihedral(1)),
 ], ids=["D6", "D10", "D12", "D16", "Q8xZ2", "D8xZ2"])
-@pytest.mark.parametrize("relabel", [False, True], ids=["plain", "by_order"])
+RELABELLED = pytest.mark.parametrize("relabel", [False, True],
+                                     ids=["plain", "by_order"])
+
+
+@OTHER_GROUPS
+@RELABELLED
 def test_minimal_nonabelian_other_groups(make, relabel):
     # D12 has a nonabelian proper subgroup although its first noncommuting
     # pair generates it; in Q8xZ2 only elements of order 4 generate one
     g = _by_element_order(make()) if relabel else make()
     _check_minimal_nonabelian(
         g, [h for h in g.subgroups_all() if h.order < g.order])
+
+
+def _schedules(monkeypatch, count):
+    """Patch the batch schedule of the classification flags in turn to
+    the default, one row per batch and one batch of ``count`` rows; yield
+    after each."""
+    default = products._blocks
+    for blocks in (default, lambda n: (slice(k, k + 1) for k in range(n)),
+                   lambda n: [slice(0, count)]):
+        monkeypatch.setattr(products, "_blocks", blocks)
+        yield
+    monkeypatch.setattr(products, "_blocks", default)
+
+
+def _check_just_nonabelian(g, monkeypatch):
+    """Just nonabelian iff every nontrivial normal subgroup contains G';
+    a negative answer names the least element whose normal closure
+    misses G', with that closure's order and index, whatever the batch
+    schedule."""
+    derived = set(g.derived_subgroup().members)
+    normal = [h for h in g.subgroups_all() if h.order > 1 and h.is_normal()]
+    answers = [just_nonabelian(g) for _ in _schedules(monkeypatch, g.order)]
+    assert answers[1:] == answers[:-1]
+    ok, facts = answers[0]
+    assert ok == all(derived <= set(h.members) for h in normal)
+    if not ok:
+        least, closure = next(
+            (x, c) for x in range(g.order)
+            for c in [g.normal_closure([x])]
+            if x != g.identity and not derived <= set(c.members))
+        assert facts == {
+            "normal_subgroup_order": closure.order,
+            "witness_element": repr(g.elements[least]),
+            "quotient_order": g.order // closure.order,
+        }
+
+
+@OTHER_GROUPS
+@RELABELLED
+def test_just_nonabelian_against_definition(make, relabel, monkeypatch):
+    _check_just_nonabelian(_by_element_order(make()) if relabel else make(),
+                           monkeypatch)
+
+
+def test_just_nonabelian_witness_is_least_of_its_class(monkeypatch):
+    # in S4 the first element whose normal closure (the Klein four-group)
+    # misses G' = A4 is a double transposition, in a class of three
+    perms = list(itertools.permutations(range(4)))
+    s4 = FiniteGroup(perms, tabulate(perms,
+                                     lambda a, b: tuple(b[i] for i in a)))
+    ok, facts = just_nonabelian(s4)
+    assert not ok and facts["witness_element"] == "(1, 0, 3, 2)"
+    _check_just_nonabelian(s4, monkeypatch)
+
+
+def _first_proper_pair(g):
+    """The evidence of ``minimal_nonabelian`` by a scalar scan: over the
+    least generator of each cyclic subgroup, in increasing (i, j) order,
+    the first noncommuting pair whose closure is proper."""
+    cyclic = [g.closure_indices([x]) for x in range(g.order)]
+    reps = [x for x in range(g.order)
+            if min(y for y in cyclic[x] if cyclic[y] == cyclic[x]) == x]
+    for i, x in enumerate(reps):
+        for y in reps[i + 1:]:
+            if g.mul(x, y) != g.mul(y, x):
+                closed = g.closure_indices([x, y])
+                if len(closed) < g.order:
+                    return {"nonabelian_subgroup_order": len(closed),
+                            "generators": [repr(g.elements[x]),
+                                           repr(g.elements[y])]}
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pauli_group(pauli_spec(2, 1, 1)),
+    lambda: pauli_group(pauli_spec(2, 1, 2)),
+    lambda: pauli_group(pauli_spec(3, 1, 2)),
+    lambda: _by_element_order(_dihedral(6)),
+    lambda: _by_element_order(_dihedral(8)),
+    lambda: _by_element_order(_direct_product(quaternion8(), _dihedral(1))),
+    lambda: _by_element_order(_direct_product(dihedral8(), _dihedral(1))),
+], ids=["P(1,2)", "P(2,2)", "P(2,3)", "D12", "D16", "Q8xZ2", "D8xZ2"])
+def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
+    g = make()
+    expected = _first_proper_pair(g)
+    for _ in _schedules(monkeypatch, g.order ** 2):
+        assert minimal_nonabelian(g) == (False, expected)
 
 
 def test_classify_special():

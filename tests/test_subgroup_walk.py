@@ -2,7 +2,8 @@
 enumerator, a breadth-first closure over single-element extensions which
 needs no solvability and no normaliser; the walk of a generated
 subgroup with its Schreier vector against a scalar queue and a set
-closure; and the isomorphism witness between relabelled copies."""
+closure; the batched closures against one walk per row; and the
+isomorphism witness between relabelled copies."""
 
 import itertools
 from functools import cache
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from paulidecomp.algebra import field_make
 from paulidecomp.census import abelian_census, hasse
-from paulidecomp.groupcore import (FiniteGroup, GroupStructureError,
+from paulidecomp.groupcore import (BLOCK, FiniteGroup, GroupStructureError,
                                    isomorphic, tabulate)
 from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec, quaternion8
 from paulidecomp.pauli import pauli_group, pauli_spec
@@ -83,7 +84,7 @@ GROUPS = {
 
 @cache
 def _group(name: str) -> FiniteGroup:
-    return GROUPS[name]()
+    return GROUPS[name]() if name in GROUPS else alternating5()
 
 
 def _relabel(g: FiniteGroup, perm) -> FiniteGroup:
@@ -208,3 +209,24 @@ def test_isomorphism_witness_on_relabelled_tables(name, data):
     ok, phi = isomorphic(g, h)
     assert ok
     _assert_isomorphism(g, h, phi)
+
+
+@pytest.mark.parametrize("name", [*GROUPS, "A5"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_batched_closures_match_walks_on_relabelled_tables(name, data):
+    # A5 is not solvable.  Row k keeps its first length[k] seeds and is
+    # padded with the identity; up to BLOCK // width + 8 rows span
+    # several blocks of the closure.
+    g = _group(name)
+    h = _relabel(g, data.draw(st.permutations(range(g.order))))
+    width = data.draw(st.integers(1, 4))
+    count = data.draw(st.integers(1, BLOCK // width + 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seeds = rng.integers(0, h.order, size=(count, width))
+    length = rng.integers(0, width + 1, size=count)
+    seeds[np.arange(width) >= length[:, None]] = h.identity
+    closed = h.closures(seeds)
+    assert closed.shape == (count, h.order)
+    assert [tuple(np.flatnonzero(c).tolist()) for c in closed] == [
+        h.closure_indices(r[:k]) for r, k in zip(seeds, length)]
