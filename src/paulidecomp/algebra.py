@@ -1,17 +1,20 @@
-"""Exact arithmetic substrate: prime fields, extension fields GF(p^m),
-residue rings Z/p^k, the absolute trace map, and divisor functions.
+"""Exact arithmetic substrate: the carriers GF(p^m) and Z/p^m, the
+absolute trace map, and divisor functions.
 
-Field elements are encoded as integers in ``[0, p^m)`` whose base-p digits
-are the coefficients (little-endian) of the representative polynomial in
-the quotient ring GF(p)[x]/(modulus).  All arithmetic is exact integer
-arithmetic; no floating point is used anywhere in this package.
+One class, ``Carrier``, is both carriers: a frozen (p, m, field) whose
+elements are the integer codes in ``[0, p^m)``.  A field code's base-p
+digits are the coefficients (little-endian) of its polynomial in
+GF(p)[x]/(modulus); a ring code is the residue.  Arithmetic is lookup in
+add, mul, neg, inv and trace tables built by plain comprehensions on
+first use, so a spec may name GF(4096) and report its order without
+building a table.  All arithmetic is exact integer arithmetic; no
+floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import cached_property
 
 
 def is_prime(n: int) -> bool:
@@ -49,297 +52,155 @@ def sigma_tau(r: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p), little-endian coefficient lists
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod must be monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and _poly_trim(list(a)):
-        a = _poly_trim(a)
-        if len(a) - 1 < dm:
-            break
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - lead * c) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division: monic poly of degree m is irreducible over GF(p)
-    iff it has no monic factor of degree in [1, m//2]."""
-    m = len(poly) - 1
-    if m < 1:
-        return False
-    for deg in range(1, m // 2 + 1):
-        # all monic polynomials of given degree
-        for k in range(p ** deg):
-            cand = []
-            kk = k
-            for _ in range(deg):
-                cand.append(kk % p)
-                kk //= p
-            cand.append(1)
-            if not _poly_mod(poly, cand, p):
-                return False
-    # degree-1 factors are covered above for m >= 2; for m == 1 any monic
-    # linear polynomial is irreducible
-    return True
-
-
-@lru_cache(maxsize=None)
-def default_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible polynomial of degree m
-    over GF(p), as a little-endian coefficient tuple of length m+1."""
-    for k in range(p ** m):
-        coeffs = []
-        kk = k
-        for _ in range(m):
-            coeffs.append(kk % p)
-            kk //= p
-        poly = coeffs + [1]
-        if _poly_is_irreducible(poly, p):
-            return tuple(poly)
-    raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-# ---------------------------------------------------------------------------
-# finite fields
+# the carriers GF(p^m) and Z/p^m
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """The field GF(p^m) with a fixed monic irreducible modulus.
+class Carrier:
+    """The field GF(p^m) when ``field`` is set, else the ring Z/p^m.
 
-    Elements are plain integers in [0, p^m) (base-p digit encoding of the
-    coefficient vector).  Operation tables are precomputed once, so element
-    arithmetic is table lookup.
+    Elements are the integer codes 0 .. p^m - 1.  In Z/p^m a code is the
+    residue itself.  In GF(p^m) its base-p digits, least significant
+    first, are the coefficients of a polynomial in x reduced modulo
+    ``modulus``.  The add, mul, neg, inv and trace tables are built on
+    first use, so a carrier costs nothing until it computes.
     """
 
     p: int
     m: int
-    modulus: tuple[int, ...]
+    field: bool
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"characteristic must be prime, got {self.p}")
         if self.m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.m}")
-        if len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if any(not (0 <= c < self.p) for c in self.modulus):
-            raise ValueError("modulus coefficients must be reduced mod p")
-        if not _poly_is_irreducible(list(self.modulus), self.p):
-            raise ValueError(
-                f"modulus {self.modulus} is reducible over GF({self.p})")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.m
+            raise ValueError(f"exponent must be >= 1, got {self.m}")
 
     @property
     def size(self) -> int:
-        return self.q
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.m:
-            raise ValueError(f"need {self.m} coefficients, got {len(coeffs)}")
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + (c % self.p)
-        return val
+        return self.p ** self.m
 
     @cached_property
-    def _tables(self) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
-        p, m, q = self.p, self.m, self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for x in range(q):
-            cx = self.coeffs(x)
-            neg[x] = self.encode([(-c) % p for c in cx])
-            for y in range(x, q):
-                cy = self.coeffs(y)
-                s = self.encode([(a + b) % p for a, b in zip(cx, cy)])
-                add[x][y] = add[y][x] = s
-                prod = _poly_mod(_poly_mul(list(cx), list(cy), p),
-                                 list(self.modulus), p)
-                prod = prod + [0] * (m - len(prod))
-                v = self.encode(prod)
-                mul[x][y] = mul[y][x] = v
-        inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if mul[x][y] == 1:
-                    inv[x] = y
-                    break
-            else:
-                raise RuntimeError(f"no inverse for {x}: modulus not irreducible?")
-        return add, mul, neg, inv
+    def add_table(self) -> list[list[int]]:
+        q = self.size
+        if not self.field:
+            return [[(x + y) % q for y in range(q)] for x in range(q)]
+        p, weights = self.p, [self.p ** i for i in range(self.m)]
+        return [[sum((x // w + y // w) % p * w for w in weights)
+                 for y in range(q)] for x in range(q)]
+
+    @cached_property
+    def _products(self) -> tuple[tuple[int, ...] | None, list[list[int]]]:
+        """(modulus, multiplication table).  The modulus of GF(p^m) is the
+        first monic f of degree m, taken in order of the code of its lower
+        coefficients, for which F_p[x]/(f) has no zero divisors: that ring
+        is a field exactly when f is irreducible (Lidl and Niederreiter,
+        Finite Fields, 1997, ch. 1).  Z/p^m has no modulus."""
+        p, m, q = self.p, self.m, self.size
+        if not self.field:
+            return None, [[x * y % q for y in range(q)] for x in range(q)]
+        for low in range(q):
+            mul = self._fold_products(low)
+            if all(0 not in row[1:] for row in mul[1:]):
+                return tuple(low // p ** i % p for i in range(m)) + (1,), mul
+        raise RuntimeError(f"no irreducible polynomial of degree {m} "
+                           f"over GF({p})")
+
+    def _fold_products(self, low: int) -> list[list[int]]:
+        """Multiplication table of F_p[x]/(x^m + low), ``low`` the code of
+        the lower coefficients, by shift and fold: b x^(i+1) is b x^i
+        shifted up one digit, with the top digit t folded back as -t low,
+        and a b is the sum of a_i (b x^i) over the digits a_i of a."""
+        p, q, add = self.p, self.size, self.add_table
+        top = q // p
+        multiples = _multiples(add, low, p)
+        fold = [multiples[-t % p] for t in range(p)]
+        table = []
+        for b in range(q):
+            row, shifted = [0], b
+            for _ in range(self.m):
+                # a = k p^i + j: extend row j by k copies of b x^i
+                row = [add[s][v] for s in _multiples(add, shifted, p)
+                       for v in row]
+                shifted = add[shifted % top * p][fold[shifted // top]]
+            table.append(row)
+        return table
 
     @property
-    def add_table(self) -> list[list[int]]:
-        return self._tables[0]
+    def modulus(self) -> tuple[int, ...] | None:
+        """Little-endian coefficients of the monic irreducible modulus of
+        GF(p^m); None for Z/p^m."""
+        return self._products[0]
 
     @property
     def mul_table(self) -> list[list[int]]:
-        return self._tables[1]
+        return self._products[1]
 
-    def add(self, x: int, y: int) -> int:
-        return self._tables[0][x][y]
+    @cached_property
+    def _neg_table(self) -> list[int]:
+        return [row.index(0) for row in self.add_table]
 
-    def mul(self, x: int, y: int) -> int:
-        return self._tables[1][x][y]
-
-    def neg(self, x: int) -> int:
-        return self._tables[2][x]
-
-    def sub(self, x: int, y: int) -> int:
-        return self._tables[0][x][self._tables[2][y]]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in a field")
-        return self._tables[3][x]
-
-    def pow(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return out
-
-    def frobenius(self, x: int) -> int:
-        return self.pow(x, self.p)
-
-    def scalar(self, c: int) -> int:
-        """Embed the prime-field residue c into GF(p^m)."""
-        return self.encode([c % self.p] + [0] * (self.m - 1))
+    @cached_property
+    def _inv_table(self) -> list[int | None]:
+        return [row.index(1) if 1 in row else None for row in self.mul_table]
 
     @cached_property
     def trace_table(self) -> list[int]:
-        out = []
-        for x in range(self.q):
-            t = 0
-            xi = x
+        if not self.field and self.m > 1:
+            raise ValueError("trace is only defined on the field Z/p (m=1)")
+        add, out = self.add_table, []
+        for x in range(self.size):
+            t, power = 0, x
             for _ in range(self.m):
-                t = self.add(t, xi)
-                xi = self.frobenius(xi)
-            c = self.coeffs(t)
-            if any(c[1:]):
+                t, power = add[t][power], self.frobenius(power)
+            if t >= self.p:
                 raise RuntimeError("trace left the prime subfield")
-            out.append(c[0])
+            out.append(t)
         return out
+
+    def add(self, x: int, y: int) -> int:
+        return self.add_table[x][y]
+
+    def mul(self, x: int, y: int) -> int:
+        return self.mul_table[x][y]
+
+    def neg(self, x: int) -> int:
+        return self._neg_table[x]
+
+    def inv(self, x: int) -> int:
+        y = self._inv_table[x]
+        if y is None:
+            raise ZeroDivisionError(f"{x} is not a unit")
+        return y
+
+    def frobenius(self, x: int) -> int:
+        y = 1
+        for _ in range(self.p):
+            y = self.mul_table[y][x]
+        return y
 
     def trace(self, x: int) -> int:
         """Absolute trace tr(x) = x + x^p + ... + x^(p^(m-1)), as a residue
         in [0, p)."""
         return self.trace_table[x]
 
-    def elements(self) -> list[int]:
-        return list(range(self.q))
-
-
-def field_make(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Construct GF(p^m) with the deterministic default modulus (or, when
-    given, an explicit one, verified irreducible)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime; fields require prime characteristic")
-    if modulus is None:
-        modulus = default_modulus(p, m)
-    return FieldSpec(p, m, tuple(modulus))
-
-
-# ---------------------------------------------------------------------------
-# residue rings Z/p^k
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZmodRing:
-    """The ring Z/p^k.  Elements are integers in [0, p^k)."""
-
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.k}")
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.k
-
-    @property
-    def m(self) -> int:
-        return self.k
-
-    @cached_property
-    def add_table(self) -> list[list[int]]:
-        s = self.size
-        return [[(x + y) % s for y in range(s)] for x in range(s)]
-
-    @cached_property
-    def mul_table(self) -> list[list[int]]:
-        s = self.size
-        return [[x * y % s for y in range(s)] for x in range(s)]
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.size
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.size
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.size
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.size
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"{x} is not a unit in Z/{self.size}")
-        return pow(x, -1, self.size)
-
-    def trace(self, x: int) -> int:
-        if self.k != 1:
-            raise ValueError("trace is only defined on the field Z/p (k=1)")
-        return x % self.p
-
     def scalar(self, c: int) -> int:
-        return c % self.size
+        """The code of the integer c: c mod p in GF(p^m), c mod p^m in
+        Z/p^m."""
+        return c % (self.p if self.field else self.size)
 
     def elements(self) -> list[int]:
         return list(range(self.size))
+
+
+def _multiples(add: list[list[int]], x: int, p: int) -> list[int]:
+    """0, x, 2x, ..., (p-1)x under the addition table ``add``."""
+    out = [0]
+    for _ in range(p - 1):
+        out.append(add[out[-1]][x])
+    return out
+
+
+def field_make(p: int, m: int) -> Carrier:
+    """GF(p^m) with the default modulus."""
+    return Carrier(p, m, True)

@@ -14,7 +14,7 @@ import functools
 import itertools
 import time
 
-from .algebra import ZmodRing, field_make, sigma_tau
+from .algebra import Carrier, field_make, sigma_tau
 from .census import abelian_census
 from .groupcore import ISO_ORDER_CAP, FiniteGroup, group_close, isomorphic
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
@@ -337,7 +337,7 @@ def corollary43_check(p: int, m: int, n: int):
         return "out_of_cap", {"required_order": order}
     pg = pauli_group(pauli_spec(p, m, n))
     reduced_spec = heis_spec(field_make(p, m), n, reduced=True)
-    full_spec = heis_spec(ZmodRing(p, m), n)
+    full_spec = heis_spec(Carrier(p, m, False), n)
     witness: dict = {
         "pauli_order": pg.order,
         "reduced_variant_order": reduced_spec.order,

@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 
-from .algebra import ZmodRing, field_make, is_prime, prime_power
+from .algebra import Carrier, is_prime, prime_power
 from .census import abelian_census, export_dot, hasse, paper_figure_lattice
 from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                         ClosureCapError, FiniteGroup, GroupStructureError)
@@ -90,7 +90,7 @@ def _int_param(params: dict, key: str, default=None) -> int:
 
 def _parse_carrier(text: str):
     text = text.lower()
-    for prefix, kind in (("gf(", "field"), ("z(", "ring")):
+    for prefix, field in (("gf(", True), ("z(", False)):
         if text.startswith(prefix) and text.endswith(")"):
             try:
                 q = int(text[len(prefix):-1])
@@ -99,7 +99,7 @@ def _parse_carrier(text: str):
             pm = prime_power(q)
             if pm is None:
                 raise SpecError(f"{q} is not a prime power")
-            return field_make(*pm) if kind == "field" else ZmodRing(*pm)
+            return Carrier(*pm, field)
     raise SpecError(f"carrier must be gf(q) or z(q), got {text!r}")
 
 

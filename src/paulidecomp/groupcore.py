@@ -81,7 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import prime_power
+from .algebra import Carrier, prime_power
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
@@ -525,7 +525,12 @@ class FiniteGroup:
         subgroup of those before it, chosen greedily: an element that does
         not centralise the current generators if there is one (noncommuting
         relations pinned down early keep isomorphism backtracking shallow),
-        then the highest element order, then the lowest index."""
+        then the highest element order, then the lowest index.  Computed
+        once per group."""
+        return self._generating_set
+
+    @cached_property
+    def _generating_set(self) -> tuple[int, ...]:
         orders = np.asarray(self.element_orders)
         gens: list[int] = []
         inside = np.zeros(self.order, dtype=bool)
@@ -636,25 +641,7 @@ class Centre(NamedTuple):
     Elements of C are the integers 0 .. |C| - 1, with 0 the identity."""
 
     map: tuple[int, ...]
-    add: tuple[tuple[int, ...], ...]
-
-
-def carrier_centre(carrier) -> Centre:
-    """C = R, through the identity map."""
-    return Centre(tuple(range(carrier.size)), _frozen(carrier.add_table))
-
-
-def trace_centre(carrier) -> Centre:
-    """C = Z_p, through the absolute trace."""
-    return Centre(tuple(carrier.trace(x) for x in range(carrier.size)),
-                  _frozen(cyclic_add(carrier.p)))
-
-
-def doubled_trace_centre(carrier) -> Centre:
-    """C = Z_4, through twice the absolute trace (characteristic 2: the
-    phases i^k, with the Z_2-valued trace landing on +-1)."""
-    return Centre(tuple(2 * carrier.trace(x) for x in range(carrier.size)),
-                  _frozen(cyclic_add(4)))
+    add: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -664,7 +651,12 @@ class CentralExtension:
 
         (c1, v1)(c2, v2) = (c1 + c2 + centre.map[form(v1, v2)], v1 + v2).
 
-    ``carrier`` is a ``FieldSpec`` or a ``ZmodRing``.  A vector v in R^(2n)
+    ``carrier`` is GF(p^m) or Z/p^m.  ``centre`` names C: "carrier" (R
+    itself), "trace" (Z_p through the absolute trace) or "doubled_trace"
+    (Z_4 through twice the trace, for characteristic 2: the phases i^k,
+    with the Z_2-valued trace landing on +-1).  C and the carrier's tables
+    are built on first use, so ``order`` and equality read only p, m and
+    n, and a spec too large to build costs nothing.  A vector v in R^(2n)
     is split into block 0 (its first n coordinates: alpha, or a) and
     block 1 (the last n: beta, or b).  ``form`` is a tuple of signed block
     pairs (sign, left, right), and form(v, w) sums sign * (block left of
@@ -678,16 +670,30 @@ class CentralExtension:
     digits.  ``mul`` is the scalar oracle; ``table`` builds the same law
     by whole-array operations."""
 
-    carrier: object
+    carrier: Carrier
     n: int
     form: tuple[tuple[int, int, int], ...]
-    centre: Centre
+    centre: str
     centre_first: bool
     name: str
 
     @property
+    def centre_order(self) -> int:
+        return {"carrier": self.carrier.size, "trace": self.carrier.p,
+                "doubled_trace": 4}[self.centre]
+
+    @property
     def order(self) -> int:
-        return self.carrier.size ** (2 * self.n) * len(self.centre.add)
+        return self.carrier.size ** (2 * self.n) * self.centre_order
+
+    @cached_property
+    def _centre(self) -> Centre:
+        r, k = self.carrier, self.centre_order
+        if self.centre == "carrier":
+            return Centre(tuple(range(k)), r.add_table)
+        scale = 2 if self.centre == "doubled_trace" else 1
+        return Centre(tuple(scale * t for t in r.trace_table),
+                      [[(x + y) % k for y in range(k)] for x in range(k)])
 
     @cached_property
     def _terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -712,12 +718,12 @@ class CentralExtension:
         x = 0
         for coeff, i, j in self._terms:
             x = add[x][mul[coeff][mul[v[i]][w[j]]]]
-        return self.centre.map[x]
+        return self._centre.map[x]
 
     def mul(self, g, h):
         c1, v1 = self._split(g)
         c2, v2 = self._split(h)
-        add, cadd = self.carrier.add_table, self.centre.add
+        add, cadd = self.carrier.add_table, self._centre.add
         v = tuple(add[x][y] for x, y in zip(v1, v2))
         return self._join(cadd[cadd[c1][c2]][self._cocycle(v1, v2)], v)
 
@@ -725,8 +731,8 @@ class CentralExtension:
         c, v = self._split(g)
         w = tuple(self.carrier.neg(x) for x in v)
         # g g^-1 = (c + c' + cocycle(v, w), 0) is the identity
-        s = self.centre.add[c][self._cocycle(v, w)]
-        return self._join(self.centre.add[s].index(0), w)
+        s = self._centre.add[c][self._cocycle(v, w)]
+        return self._join(self._centre.add[s].index(0), w)
 
     def identity(self):
         return self._join(0, (0,) * (2 * self.n))
@@ -737,12 +743,12 @@ class CentralExtension:
             raise ValueError(f"vectors must have length n = {self.n}")
         size = self.carrier.size
         v = tuple(int(x) % size for x in (*a, *b))
-        return self._join(int(c) % len(self.centre.add), v)
+        return self._join(int(c) % self.centre_order, v)
 
     def elements(self) -> list:
         vecs = list(itertools.product(range(self.carrier.size),
                                       repeat=2 * self.n))
-        centre = range(len(self.centre.add))
+        centre = range(self.centre_order)
         if self.centre_first:
             return [self._join(c, v) for c in centre for v in vecs]
         return [self._join(c, v) for v in vecs for c in centre]
@@ -757,8 +763,8 @@ class CentralExtension:
         form = np.zeros((len(d), len(d)), dtype=np.int32)
         for coeff, i, j in self._terms:
             form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
-        cocycle = np.asarray(self.centre.map, dtype=np.int32)[form]
-        return central_extension_table(add, self.n, self.centre.add, cocycle,
+        cocycle = np.asarray(self._centre.map, dtype=np.int32)[form]
+        return central_extension_table(add, self.n, self._centre.add, cocycle,
                                        self.centre_first)
 
     def group(self) -> FiniteGroup:
@@ -793,15 +799,6 @@ def central_extension_table(add, n: int, centre_add, cocycle,
         else:
             table[c1::m, c2::m] = vadd * m + centre
     return table
-
-
-def cyclic_add(m: int) -> np.ndarray:
-    """Addition table of Z/m."""
-    return (np.arange(m)[:, None] + np.arange(m)) % m
-
-
-def _frozen(table) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in table)
 
 
 def _digits(q: int, k: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Heisenberg groups over finite carriers, plus the small reference groups
 used to identify factors of central-product decompositions.
 
-The carrier R is a finite field GF(p^m) or a residue ring Z/p^k (duck
-typed: the code needs add_table, mul_table, add, mul, neg, inv, scalar,
-trace, p and size).
+The carrier R is an ``algebra.Carrier``: the field GF(p^m) or the ring
+Z/p^m, one class whose tables are built on first use, so a spec reports
+its order before any table exists.
 Elements are triples ``(a, b, t)`` with a, b in R^n and the central entry
 t either in R (plain variant) or in Z_p (reduced variant, where the
 cocycle is composed with the trace form).  The product is
@@ -14,13 +14,16 @@ with cocycle c = a1.b2 - b1.a2 (symplectic) or c = a1.b2 (polarized): a
 ``groupcore.CentralExtension`` with the centre last in the key.
 The two cocycles give isomorphic groups in odd characteristic; the
 polarized one matches the upper unitriangular 3x3 matrix model.
+
+D8 and Q8 are central extensions of GF(2) x GF(2) by GF(2) too, through
+the forms a1.a2 + b1.a2 and a1.a2 + b1.b2 + b1.a2; E2(p), whose cocycle
+is not bilinear, is tabulated from its scalar law.
 """
 
 from __future__ import annotations
 
-from .algebra import FieldSpec, ZmodRing, field_make
-from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
-                        tabulate, trace_centre)
+from .algebra import Carrier, field_make
+from .groupcore import CentralExtension, FiniteGroup, tabulate
 
 HeisKey = tuple  # (a tuple, b tuple, t)
 
@@ -31,7 +34,7 @@ COCYCLES = {
 }
 
 
-def heis_spec(carrier, n: int = 1, cocycle: str = "symplectic",
+def heis_spec(carrier: Carrier, n: int = 1, cocycle: str = "symplectic",
               reduced: bool = False) -> CentralExtension:
     """H(R^n) with a chosen cocycle and optional trace reduction of the
     central coordinate."""
@@ -39,14 +42,14 @@ def heis_spec(carrier, n: int = 1, cocycle: str = "symplectic",
         raise ValueError(f"cocycle must be one of {tuple(COCYCLES)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if reduced and isinstance(carrier, ZmodRing) and carrier.k > 1:
+    if reduced and not carrier.field and carrier.m > 1:
         raise ValueError("the reduced variant needs a field carrier: the "
                          f"trace is not defined on Z/{carrier.size}")
     tag = "Hred" if reduced else "H"
-    rname = (f"gf({carrier.size})" if isinstance(carrier, FieldSpec)
+    rname = (f"gf({carrier.size})" if carrier.field
              else f"z{carrier.size}")
-    centre = trace_centre(carrier) if reduced else carrier_centre(carrier)
-    return CentralExtension(carrier, n, COCYCLES[cocycle], centre,
+    return CentralExtension(carrier, n, COCYCLES[cocycle],
+                            "trace" if reduced else "carrier",
                             centre_first=False,
                             name=f"{tag}({rname}^{n},{cocycle})")
 
@@ -92,37 +95,18 @@ def phi_map(spec: CentralExtension, g: HeisKey):
 # ---------------------------------------------------------------------------
 
 def dihedral8() -> FiniteGroup:
-    """D8 as pairs (i, j), r^i s^j with r^4 = s^2 = 1, s r s = r^-1."""
-    def mul(g, h):
-        i1, j1 = g
-        i2, j2 = h
-        if j1:
-            i2 = -i2
-        return ((i1 + i2) % 4, (j1 + j2) % 2)
-
-    elems = [(i, j) for i in range(4) for j in range(2)]
-    return FiniteGroup(elems, tabulate(elems, mul), name="D8")
-
-
-# products of the units 1, i, j, k (axes 0-3) as (sign, axis)
-_Q8_UNITS = {
-    (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-    (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-    (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    **{(0, a): (1, a) for a in range(4)},
-    **{(a, 0): (1, a) for a in range(1, 4)},
-}
+    """D8 as the central extension of GF(2)^2 by GF(2) through the form
+    a1.a2 + b1.a2."""
+    return CentralExtension(field_make(2, 1), 1, ((1, 0, 0), (1, 1, 0)),
+                            "carrier", centre_first=True, name="D8").group()
 
 
 def quaternion8() -> FiniteGroup:
-    def mul(g, h):
-        s1, a1 = g
-        s2, a2 = h
-        s3, a3 = _Q8_UNITS[(a1, a2)]
-        return (s1 * s2 * s3, a3)
-
-    elems = [(s, a) for s in (1, -1) for a in range(4)]
-    return FiniteGroup(elems, tabulate(elems, mul), name="Q8")
+    """Q8 as the central extension of GF(2)^2 by GF(2) through the form
+    a1.a2 + b1.b2 + b1.a2."""
+    return CentralExtension(field_make(2, 1), 1,
+                            ((1, 0, 0), (1, 1, 1), (1, 1, 0)), "carrier",
+                            centre_first=True, name="Q8").group()
 
 
 def extraspecial_e1(p: int) -> FiniteGroup:

@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import field_make
-from .groupcore import (CentralExtension, FiniteGroup, carrier_centre,
-                        trace_centre)
+from .groupcore import CentralExtension, FiniteGroup
 from .pauli import PAULI_FORM, pauli_law
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
@@ -36,8 +35,8 @@ def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     f = field_make(p, m)
-    return CentralExtension(f, n, PAULI_FORM, carrier_centre(f),
-                            centre_first=True, name=f"Plift({n},{f.q})")
+    return CentralExtension(f, n, PAULI_FORM, "carrier", centre_first=True,
+                            name=f"Plift({n},{f.size})")
 
 
 def lifted_group(spec: CentralExtension) -> FiniteGroup:
@@ -100,7 +99,7 @@ def pi_kernel(spec: CentralExtension) -> list[LiftedKey]:
     """Central kernel {(eta, 0, 0) : tr eta = 0} of the projection."""
     f = spec.carrier
     zero = (0,) * spec.n
-    return [(eta, zero, zero) for eta in range(f.q) if f.trace(eta) == 0]
+    return [(eta, zero, zero) for eta in range(f.size) if f.trace(eta) == 0]
 
 
 def pi_image_group(spec: CentralExtension) -> FiniteGroup:
@@ -108,11 +107,11 @@ def pi_image_group(spec: CentralExtension) -> FiniteGroup:
     this is all of P_{n,q}; for p = 2 it is a group of order 2^(2nm+1)
     with phases restricted to +-1, a subgroup of ``pauli_law``."""
     f = spec.carrier
-    name = f"Re Plift-image({spec.n},{f.q})" if f.p == 2 \
-        else f"P({spec.n},{f.q})"
+    name = f"Re Plift-image({spec.n},{f.size})" if f.p == 2 \
+        else f"P({spec.n},{f.size})"
     # centre Z_p in both cases: the phase index is the trace of eta (the
     # key stores it doubled for p = 2)
-    image = CentralExtension(f, spec.n, PAULI_FORM, trace_centre(f),
+    image = CentralExtension(f, spec.n, PAULI_FORM, "trace",
                              centre_first=True, name=name)
     keys = sorted({pi_map(spec, g) for g in spec.elements()})
     return FiniteGroup(keys, image.table(), name=name)

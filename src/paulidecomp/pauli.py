@@ -21,25 +21,23 @@ product match the exact matrix product (see the matrix oracle below).
 
 from __future__ import annotations
 
-from .algebra import FieldSpec, field_make
+from .algebra import Carrier, field_make
 from .cyclotomic import CyclotomicMatrix
-from .groupcore import (CentralExtension, FiniteGroup, doubled_trace_centre,
-                        trace_centre)
+from .groupcore import CentralExtension, FiniteGroup
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
 PAULI_FORM = ((1, 1, 0),)  # beta1 . alpha2
 
 
-def pauli_law(field: FieldSpec, n: int) -> CentralExtension:
+def pauli_law(field: Carrier, n: int) -> CentralExtension:
     """The phase-space law over any GF(p^m): phases Z_4 through the
     doubled trace for p = 2, Z_p through the trace for odd p.  For p = 2
     and m > 1 this is the law of the lifted projection's image, not a
     Pauli group (see ``pauli_spec``)."""
-    centre = doubled_trace_centre(field) if field.p == 2 \
-        else trace_centre(field)
+    centre = "doubled_trace" if field.p == 2 else "trace"
     return CentralExtension(field, n, PAULI_FORM, centre, centre_first=True,
-                            name=f"P({n},{field.q})")
+                            name=f"P({n},{field.size})")
 
 
 def pauli_spec(p: int, m: int, n: int) -> CentralExtension:

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from paulidecomp.algebra import (FieldSpec, ZmodRing, field_make, is_prime,
-                                 prime_power)
+from paulidecomp.algebra import Carrier, field_make, is_prime, prime_power
+from paulidecomp.cli import main
+from paulidecomp.heisenberg import heis_spec
 
 # every prime power up to 25
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -77,20 +78,63 @@ def test_field_rejects_bad_input():
     with pytest.raises(ValueError):
         field_make(4, 1)
     with pytest.raises(ValueError):
-        FieldSpec(2, 0, (1,))
+        Carrier(2, 0, True)
 
 
 def test_zmod_ring():
-    r = ZmodRing(3, 2)
+    r = Carrier(3, 2, False)
     assert r.size == 9
     assert r.add(7, 5) == 3
     assert r.mul(4, 7) == 1
     assert r.inv(4) == 7
     with pytest.raises(ZeroDivisionError):
         r.inv(3)
-    assert ZmodRing(5, 1).trace(8) == 3
+    assert Carrier(5, 1, False).trace(3) == 3
     with pytest.raises(ValueError):
         r.trace(1)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)),
+    (2, 4, (1, 1, 0, 0, 1)), (5, 2, (2, 0, 1)),
+])
+def test_default_modulus(p, m, modulus):
+    # every element code rests on the modulus chosen
+    assert field_make(p, m).modulus == modulus
+
+
+# GF(4), GF(8) and GF(9) products, element codes as base-p digit vectors
+MUL_TABLES = {
+    (2, 2): [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+    (2, 3): [[0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7],
+             [0, 2, 4, 6, 3, 1, 7, 5], [0, 3, 6, 5, 7, 4, 1, 2],
+             [0, 4, 3, 7, 6, 2, 5, 1], [0, 5, 1, 4, 2, 7, 3, 6],
+             [0, 6, 7, 1, 5, 3, 2, 4], [0, 7, 5, 2, 1, 6, 4, 3]],
+    (3, 2): [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7, 8],
+             [0, 2, 1, 6, 8, 7, 3, 5, 4], [0, 3, 6, 2, 5, 8, 1, 4, 7],
+             [0, 4, 8, 5, 6, 1, 7, 2, 3], [0, 5, 7, 8, 1, 3, 4, 6, 2],
+             [0, 6, 3, 1, 7, 4, 2, 8, 5], [0, 7, 5, 4, 2, 6, 8, 3, 1],
+             [0, 8, 4, 7, 3, 2, 5, 1, 6]],
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(MUL_TABLES))
+def test_mul_table_literals(p, m):
+    assert field_make(p, m).mul_table == MUL_TABLES[(p, m)]
+
+
+def test_spec_builds_no_table():
+    f = field_make(2, 12)
+    spec = heis_spec(f)
+    assert spec.order == 4096 ** 3
+    assert spec == heis_spec(field_make(2, 12))
+    assert heis_spec(f, reduced=True).order == 4096 ** 2 * 2
+    assert set(vars(f)) == {"p", "m", "field"}
+
+
+def test_cli_refuses_gf4096_before_any_table(capsys):
+    assert main(["build", "heis:R=gf(4096),n=1"]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_is_prime():

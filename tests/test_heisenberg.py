@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from paulidecomp.algebra import ZmodRing, field_make
+from paulidecomp.algebra import Carrier, field_make
 from paulidecomp.claims import heis_semidirect_report
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
@@ -15,7 +15,7 @@ def test_order_formulas():
     assert heis_group(heis_spec(field_make(5, 1))).order == 125
     assert heis_group(heis_spec(field_make(3, 2))).order == 729
     assert heis_group(heis_spec(field_make(3, 2), reduced=True)).order == 243
-    assert heis_group(heis_spec(ZmodRing(3, 2))).order == 729
+    assert heis_group(heis_spec(Carrier(3, 2, False))).order == 729
     assert heis_group(heis_spec(field_make(3, 1), n=2)).order == 243
 
 
@@ -66,8 +66,8 @@ def test_reduced_center():
 
 def test_reduced_rejects_ring_carrier():
     with pytest.raises(ValueError, match="field carrier"):
-        heis_spec(ZmodRing(3, 2), reduced=True)
-    assert heis_spec(ZmodRing(3, 1), reduced=True).order == 27
+        heis_spec(Carrier(3, 2, False), reduced=True)
+    assert heis_spec(Carrier(3, 1, False), reduced=True).order == 27
 
 
 def test_semidirect_report():
