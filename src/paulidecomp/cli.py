@@ -20,8 +20,7 @@ group (it bounds the order of every group built, reference specs
 included), and --cap-subgroups N on census and lattice (it bounds the
 order of the group whose subgroups are enumerated).  Each command checks
 its spec's order against its caps once, before any table is built.  Cap
-values are positive integers.  The environment variable
-PAULIDECOMP_CAP_OVERRIDE sets both caps; explicit flags win.
+values are positive integers.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
 argument error, 3 a cap or size limit exceeded, 4 oracle
@@ -276,7 +275,7 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """The one parser of cap values, for the flags and the environment."""
+    """The one parser of cap values."""
     try:
         value = int(text)
     except ValueError:
@@ -299,13 +298,6 @@ def make_parser() -> argparse.ArgumentParser:
     cap_help = {"closure": "largest order of a group the command builds",
                 "subgroups": "largest order of a group whose subgroups "
                              "are enumerated"}
-    env_cap = os.environ.get("PAULIDECOMP_CAP_OVERRIDE")
-    if env_cap:
-        try:
-            override = _positive_int(env_cap)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"PAULIDECOMP_CAP_OVERRIDE {exc}")
-        default_cap = dict.fromkeys(default_cap, override)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, summary, formats=(), caps=("closure",), spec=True):

@@ -6,12 +6,18 @@ keys plus its index-based multiplication table; everything downstream
 isomorphism tests) works on that table.  The table comes either from
 ``tabulate``, one call of a scalar multiplication oracle per pair, or
 from a ``CentralExtension`` spec.  Every table is verified at
-construction by whole-array checks: Latin square, identity, inverses, and
-associativity decided exactly at every order by Light's test.  The Latin
-and associativity checks and the table builder work in fixed blocks, so
-none of them copies the table.  This module is the brute-force oracle: a
+construction against the group axioms only: entries in range, an
+identity, two-sided inverses, and associativity decided exactly at every
+order by Light's test (a group table is a Latin square, so that is not
+checked).  Light's test and the table builder work in fixed blocks, so
+neither copies the table.  This module is the brute-force oracle: a
 structural claim about any group in the package is checked here by
 exhaustive computation, never assumed.
+
+Facts closed under products are read on the one cached
+``generating_set()`` S, not on all of G: Light's test checks (xy)s =
+x(ys) for the s in S, the centre is C_G(S), and H is normal iff s^-1 H s
+lies in H for each s in S.
 
 The Pauli, Heisenberg and lifted families are one object: a central
 extension of R^n x R^n by a centre C through a bilinear form, given by
@@ -25,16 +31,16 @@ parameters.
 
 Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
-conjugacy classes, derived subgroup, normal closures, normality tests and
-the nilpotency bound are read off those arrays.
+conjugacy classes, derived subgroup, normal closures, normalisers and
+normality tests are read off those arrays.
 
 A subgroup generated by given elements is read from one walk, ``_walk``:
 the orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005).  From the identity, each
 breadth-first layer is one gather of the frontier times the generators,
 and each new element records its parent and the generator that reached
-it.  ``closure_indices`` reads the members, Light's test grows its cover
-with it, ``generating_set`` picks each generator outside it, and
+it.  ``closure_indices`` reads the members, ``generating_set`` picks
+each generator outside it (the set that Light's test then checks), and
 ``isomorphic`` rebuilds a candidate map along its Schreier vector.
 These callers close one set at a time, and each layer gathers only the
 new frontier, so the walk stays their one path.  When many closures are
@@ -86,9 +92,9 @@ from .algebra import Carrier, prime_power
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
-# rows (or columns) per block of the whole-table checks: at order 4096 a
-# block is 4 MB of int32, where the whole table is 64 MB; also the bound
-# on rows times seeds per block of ``closures``
+# rows per block of Light's test: at order 4096 a block is 4 MB of int32,
+# where the whole table is 64 MB; also the bound on rows times seeds per
+# block of ``closures``
 BLOCK = 256
 
 
@@ -115,11 +121,11 @@ class FiniteGroup:
 
     ``elements`` is the canonical indexed list of opaque keys and ``table``
     the index-based multiplication table (``table[i, j]`` is the index of
-    ``elements[i] * elements[j]``).  The table is verified at construction:
-    it must be a Latin square, associative (decided exactly at every order
-    by Light's test), with a unique identity and two-sided inverses.
-    Groups given by a scalar multiplication oracle are tabulated first with
-    ``tabulate``.
+    ``elements[i] * elements[j]``).  The table is verified at construction
+    against the group axioms only: entries in [0, n), an identity,
+    two-sided inverses, and associativity, decided exactly by Light's test
+    on the generating set.  Groups given by a scalar multiplication oracle
+    are tabulated first with ``tabulate``.
     """
 
     def __init__(self, elements, table, name: str = ""):
@@ -137,47 +143,36 @@ class FiniteGroup:
         if table.shape != (n, n):
             raise GroupStructureError(
                 f"table of shape {table.shape} for {n} elements")
+        if n and not 0 <= table.min() <= table.max() < n:
+            raise GroupStructureError(f"table entries must lie in [0, {n})")
         self.index = index
         self.table = table
         self.table.setflags(write=False)
         full = np.arange(n, dtype=np.int32)
-        for lo in range(0, n, BLOCK):
-            if ((np.sort(table[lo:lo + BLOCK], axis=1) != full).any()
-                    or (np.sort(table[:, lo:lo + BLOCK], axis=0)
-                        != full[:, None]).any()):
-                raise GroupStructureError(
-                    "multiplication table is not a Latin square")
-        # the Latin property leaves one candidate: the e with e * 0 = 0
-        e = int(np.argmin(table[:, 0]))
-        if (table[e] != full).any() or (table[:, e] != full).any():
-            raise GroupStructureError("no unique identity element")
-        self.identity = e
-        # and exactly one j with i * j = e
+        # the identity is among the x with x * x = x
+        idem = np.flatnonzero(table.diagonal() == full)
+        idem = idem[(table[idem] == full).all(axis=1)
+                    & (table[:, idem] == full[:, None]).all(axis=0)]
+        if not len(idem):
+            raise GroupStructureError("no identity element")
+        e = self.identity = int(idem[0])
         inv = np.argmax(table == e, axis=1).astype(np.int32)
-        bad = np.flatnonzero(table[inv, full] != e)
+        bad = np.flatnonzero((table[full, inv] != e) | (table[inv, full] != e))
         if len(bad):
             raise GroupStructureError(
                 f"element {bad[0]} lacks a two-sided inverse")
         self.inverse = inv
         self.inverse.setflags(write=False)
-        # last: the cover of Light's test is a walk from the identity
         self._verify_associativity()
 
     def _verify_associativity(self) -> None:
         """Light's test, exact at every order.  The elements s with
-        (xy)s = x(ys) for all x, y are closed under multiplication, so it
-        suffices to check a set S that generates the table.  S is picked
-        greedily: the first element outside the walk of S joins S until
-        the walk covers everything.  Each s is checked on fixed blocks of
-        rows x."""
+        (xy)s = x(ys) for all x, y are closed under multiplication, in any
+        magma, so it suffices to check the s of ``generating_set()``, whose
+        walk covers the table.  Each s is checked on fixed blocks of rows
+        x."""
         t = self.table
-        gens: list[int] = []
-        covered = np.zeros(self.order, dtype=bool)
-        covered[self.identity] = True
-        while not covered.all():
-            gens.append(int(np.argmin(covered)))
-            covered[self._walk(gens)[0]] = True
-        for s in gens:
+        for s in self.generating_set():
             col = t[:, s]
             for lo in range(0, self.order, BLOCK):
                 rows = t[lo:lo + BLOCK]
@@ -195,11 +190,13 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def conjugates(self, members) -> np.ndarray:
-        """Entry [x, k] is x^-1 members[k] x, for every element x."""
+    def conjugates(self, members, by=None) -> np.ndarray:
+        """Entry [i, k] is x^-1 members[k] x for x = by[i]; ``by`` is
+        every element unless given."""
         t = self.table
+        x = np.arange(self.order) if by is None else np.asarray(by, np.intp)
         mem = np.asarray(members, dtype=np.int32)
-        return t[t[self.inverse[:, None], mem], np.arange(self.order)[:, None]]
+        return t[t[self.inverse[x, None], mem], x[:, None]]
 
     def commutators(self, left, right) -> np.ndarray:
         """Entry [i, j] is the commutator [left[i], right[j]] =
@@ -211,14 +208,19 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
+        """The least k with x^k = e, x^k read as (..(x x)..) x.  Light's
+        test reads them before associativity is known, so the powers stop
+        after |G| steps: past that they cycle without reaching e."""
         full = np.arange(self.order)
         orders = np.zeros(self.order, dtype=np.int64)
-        x, k = full, 1
-        while not orders.all():
+        x = full
+        for k in range(1, self.order + 1):
             orders[(x == self.identity) & (orders == 0)] = k
+            if orders.all():
+                return tuple(orders.tolist())
             x = self.table[x, full]
-            k += 1
-        return tuple(int(o) for o in orders)
+        raise GroupStructureError(
+            f"element {np.argmin(orders)} has no finite order")
 
     def order_of(self, element) -> int:
         """Order of an element given by key or index."""
@@ -337,9 +339,9 @@ class FiniteGroup:
 
     @cached_property
     def center_indices(self) -> tuple[int, ...]:
-        t = self.table
-        mask = (t == t.T).all(axis=1)
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+        """Z(G) = C_G(S) for the generating set S."""
+        mask = self.centralizer_mask(np.array(self.generating_set(), np.intp))
+        return tuple(np.flatnonzero(mask).tolist())
 
     def center(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.center_indices)
@@ -526,7 +528,7 @@ class FiniteGroup:
         not centralise the current generators if there is one (noncommuting
         relations pinned down early keep isomorphism backtracking shallow),
         then the highest element order, then the lowest index.  Computed
-        once per group."""
+        once per group, at construction, for Light's test."""
         return self._generating_set
 
     @cached_property
@@ -555,8 +557,7 @@ class FiniteGroup:
         """Nilpotency class if <= 2, else 3 meaning 'larger than 2'."""
         if self.is_abelian:
             return 0 if self.order == 1 else 1
-        comms = self.commutators(self.derived_indices, np.arange(self.order))
-        return 2 if (comms == self.identity).all() else 3
+        return 2 if set(self.derived_indices) <= set(self.center_indices) else 3
 
     def fingerprint(self) -> "GroupFingerprint":
         return self._fingerprint
@@ -826,7 +827,12 @@ class SubgroupHandle:
                    for i in self.members)
 
     def is_normal(self) -> bool:
-        return bool(self.parent.normalizer_mask(list(self.members)).all())
+        """s^-1 H s lies in H for each s of the parent's generating set:
+        the normaliser is a subgroup, so it holds them all iff it is G."""
+        g = self.parent
+        inside = np.zeros(g.order, dtype=bool)
+        inside[list(self.members)] = True
+        return bool(inside[g.conjugates(self.members, g.generating_set())].all())
 
     def as_group(self, name: str = "") -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the

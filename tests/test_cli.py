@@ -9,9 +9,8 @@ from paulidecomp.cli import main, parse_spec
 CLI = [sys.executable, "-m", "paulidecomp.cli"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def test_parse_spec_defaults():
@@ -50,14 +49,6 @@ def test_parse_error_exit_2():
 def test_cap_exceeded_exit_3():
     r = run_cli("build", "pauli:p=2,n=2", "--cap-closure", "10")
     assert r.returncode == 3
-
-
-def test_env_cap_override_flag_wins(monkeypatch):
-    import os
-    env = dict(os.environ, PAULIDECOMP_CAP_OVERRIDE="10")
-    assert run_cli("build", "pauli:p=2,n=1", env=env).returncode == 3
-    r = run_cli("build", "pauli:p=2,n=1", "--cap-closure", "4096", env=env)
-    assert r.returncode == 0
 
 
 def test_census_d8():
@@ -120,90 +111,79 @@ def test_help_documents_grammar():
         assert sub in r.stdout
 
 
-# argv, PAULIDECOMP_CAP_OVERRIDE (None: unset), exit code
+# argv, exit code
 EXIT_CODES = [
-    (["build", "d8"], None, 0),
-    (["build", "d8", "--format", "text"], None, 0),
-    (["lattice", "heis:R=gf(3),n=1", "--format", "dot"], None, 0),
-    (["build", "pauli:p=2,n=1", "--cap-closure", "4096"], "10", 0),
-    (["build", "d8"], "", 0),
+    (["build", "d8"], 0),
+    (["build", "d8", "--format", "text"], 0),
+    (["lattice", "heis:R=gf(3),n=1", "--format", "dot"], 0),
+    (["build", "pauli:p=2,n=1", "--cap-closure", "4096"], 0),
     # bad specs
-    (["build", "nosuch"], None, 2),
-    (["build", "pauli:p=2,n=1,bogus=3"], None, 2),
-    (["build", "pauli:p=4,n=1"], None, 2),
-    (["build", "e1:p=3,p=5"], None, 2),
-    (["build", "heis:R=z(9),reduced=true"], None, 2),
-    (["build", "heis:R=gf(6)"], None, 2),
-    (["build", "heis:R=gf(3),reduced=yes"], None, 2),
-    (["verify", "nosuchclaim"], None, 2),
+    (["build", "nosuch"], 2),
+    (["build", "pauli:p=2,n=1,bogus=3"], 2),
+    (["build", "pauli:p=4,n=1"], 2),
+    (["build", "e1:p=3,p=5"], 2),
+    (["build", "heis:R=z(9),reduced=true"], 2),
+    (["build", "heis:R=gf(6)"], 2),
+    (["build", "heis:R=gf(3),reduced=yes"], 2),
+    (["verify", "nosuchclaim"], 2),
     # removed flags and formats a subcommand does not produce
-    (["build", "d8", "--seed", "1"], None, 2),
-    (["build", "d8", "--exhaustive"], None, 2),
-    (["build", "d8", "--cap-subgroups", "10"], None, 2),
-    (["build", "d8", "--format", "dot"], None, 2),
-    (["lattice", "d8", "--format", "text"], None, 2),
-    (["census", "d8", "--format", "json"], None, 2),
-    (["decompose", "d8", "--format", "json"], None, 2),
-    (["lifted", "p=3,m=1,n=1", "--format", "json"], None, 2),
-    (["verify", "eq19", "--format", "json"], None, 2),
-    (["verify", "eq19", "--cap-closure", "10"], None, 2),
-    (["verify", "eq19", "--cap-subgroups", "10"], None, 2),
-    # malformed cap override
-    (["build", "d8"], "abc", 2),
-    (["build", "d8"], "0", 2),
-    (["build", "d8"], "-5", 2),
+    (["build", "d8", "--seed", "1"], 2),
+    (["build", "d8", "--exhaustive"], 2),
+    (["build", "d8", "--cap-subgroups", "10"], 2),
+    (["build", "d8", "--format", "dot"], 2),
+    (["lattice", "d8", "--format", "text"], 2),
+    (["census", "d8", "--format", "json"], 2),
+    (["decompose", "d8", "--format", "json"], 2),
+    (["lifted", "p=3,m=1,n=1", "--format", "json"], 2),
+    (["verify", "eq19", "--format", "json"], 2),
+    (["verify", "eq19", "--cap-closure", "10"], 2),
+    (["verify", "eq19", "--cap-subgroups", "10"], 2),
     # non-positive cap flags
-    (["build", "d8", "--cap-closure", "0"], None, 2),
-    (["build", "d8", "--cap-closure", "-3"], None, 2),
-    (["census", "d8", "--cap-subgroups", "0"], None, 2),
-    (["lattice", "d8", "--cap-subgroups", "-3"], None, 2),
-    (["build", "trivial", "--cap-closure", "0"], None, 2),
-    (["build", "e1:p=4"], None, 2),
+    (["build", "d8", "--cap-closure", "0"], 2),
+    (["build", "d8", "--cap-closure", "-3"], 2),
+    (["census", "d8", "--cap-subgroups", "0"], 2),
+    (["lattice", "d8", "--cap-subgroups", "-3"], 2),
+    (["build", "trivial", "--cap-closure", "0"], 2),
+    (["build", "e1:p=4"], 2),
     # well-formed groups that are not extraspecial: one factor, "none"
-    (["decompose", "heis:R=gf(4),n=1"], None, 0),
-    (["decompose", "heis:R=z(9),n=1"], None, 0),
-    (["decompose", "trivial"], None, 0),
+    (["decompose", "heis:R=gf(4),n=1"], 0),
+    (["decompose", "heis:R=z(9),n=1"], 0),
+    (["decompose", "trivial"], 0),
     # caps and size limits
-    (["build", "pauli:p=2,n=2", "--cap-closure", "10"], None, 3),
-    (["build", "pauli:p=2,n=1"], "10", 3),
-    (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
+    (["build", "pauli:p=2,n=2", "--cap-closure", "10"], 3),
+    (["build", "pauli:p=2,n=1", "--cap-closure", "10"], 3),
+    (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], 3),
     # Z_2^7: 29,211 nontrivial subgroups; no limit on the subgroup count
-    (["census", "heis:R=gf(2),n=3"], None, 0),
-    (["decompose", "pauli:p=2,n=4"], None, 0),
-    (["decompose", "pauli:p=2,n=3", "--cap-closure", "10"], None, 3),
-    (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], None, 0),
-    (["decompose", "pauli:p=2,n=6"], None, 3),
-    (["decompose", "heis:R=gf(2),n=6,cocycle=polarized"], None, 3),
+    (["census", "heis:R=gf(2),n=3"], 0),
+    (["decompose", "pauli:p=2,n=4"], 0),
+    (["decompose", "pauli:p=2,n=3", "--cap-closure", "10"], 3),
+    (["decompose", "heis:R=gf(2),n=4,cocycle=polarized"], 0),
+    (["decompose", "pauli:p=2,n=6"], 3),
+    (["decompose", "heis:R=gf(2),n=6,cocycle=polarized"], 3),
     # reference specs obey the closure cap at their exact order
-    (["build", "e1:p=3", "--cap-closure", "26"], None, 3),
-    (["build", "e1:p=3", "--cap-closure", "27"], None, 0),
-    (["build", "q8", "--cap-closure", "7"], None, 3),
-    (["build", "q8", "--cap-closure", "8"], None, 0),
-    (["build", "e2:p=31"], None, 3),
-    (["build", "d8"], "5", 3),
-    (["build", "e1:p=7", "--cap-closure", "10"], None, 3),
-    (["census", "q8", "--cap-closure", "2"], None, 3),
-    (["decompose", "e2:p=3", "--cap-closure", "5"], None, 3),
+    (["build", "e1:p=3", "--cap-closure", "26"], 3),
+    (["build", "e1:p=3", "--cap-closure", "27"], 0),
+    (["build", "q8", "--cap-closure", "7"], 3),
+    (["build", "q8", "--cap-closure", "8"], 0),
+    (["build", "e2:p=31"], 3),
+    (["build", "d8", "--cap-closure", "5"], 3),
+    (["build", "e1:p=7", "--cap-closure", "10"], 3),
+    (["census", "q8", "--cap-closure", "2"], 3),
+    (["decompose", "e2:p=3", "--cap-closure", "5"], 3),
     (["lattice", "d8", "--filter", "paper_figure", "--cap-closure", "7"],
-     None, 3),
+     3),
     # the subgroup cap holds on both lattice paths, and lifted obeys its
     # closure cap
     (["lattice", "d8", "--filter", "paper_figure", "--cap-subgroups", "7"],
-     None, 3),
-    (["lattice", "pauli:p=2,n=2", "--cap-subgroups", "10"], None, 3),
-    (["lifted", "p=3,m=1,n=1", "--cap-closure", "26"], None, 3),
+     3),
+    (["lattice", "pauli:p=2,n=2", "--cap-subgroups", "10"], 3),
+    (["lifted", "p=3,m=1,n=1", "--cap-closure", "26"], 3),
 ]
 
 
-@pytest.mark.parametrize("argv,env,code", EXIT_CODES,
-                         ids=[" ".join(a) + (f" [env={e}]" if e is not None
-                                             else "")
-                              for a, e, _ in EXIT_CODES])
-def test_exit_codes(argv, env, code, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("PAULIDECOMP_CAP_OVERRIDE", raising=False)
-    else:
-        monkeypatch.setenv("PAULIDECOMP_CAP_OVERRIDE", env)
+@pytest.mark.parametrize("argv,code", EXIT_CODES,
+                         ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_codes(argv, code):
     try:
         got = main(argv)
     except SystemExit as exc:  # argparse rejects the command line

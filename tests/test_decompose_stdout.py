@@ -27,7 +27,6 @@ def expected_path(spec: str) -> Path:
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_decompose_stdout(spec, capsys, monkeypatch):
-    monkeypatch.delenv("PAULIDECOMP_CAP_OVERRIDE", raising=False)
+def test_decompose_stdout(spec, capsys):
     assert main(["decompose", spec]) == 0
     assert capsys.readouterr().out == expected_path(spec).read_text()

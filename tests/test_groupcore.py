@@ -1,9 +1,12 @@
 import gc
+import itertools
 import weakref
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulidecomp.claims import run_suite
 from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
@@ -102,15 +105,110 @@ def test_light_rejects_intercalate_swap_in_a_later_block():
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-def test_latin_check_reaches_the_last_block(axis):
-    # swapping two entries of row 5 of Z_2^10 keeps every row a
-    # permutation and repeats a value in columns 1000 and 1001, both in
-    # the last column block; the transpose does the same to rows
+def test_swap_in_the_last_block_is_not_associative(axis):
+    # swapping two entries of row 5 of Z_2^10 keeps the identity and every
+    # inverse and repeats a value in columns 1000 and 1001, both in the
+    # last block of 256; the transpose does the same to rows.  No Latin
+    # check runs: Light's test rejects both tables.
     x = np.arange(1024)
     table = x[:, None] ^ x[None, :]
     table[5, [1000, 1001]] = table[5, [1001, 1000]]
-    with pytest.raises(GroupStructureError, match="not a Latin square"):
+    with pytest.raises(GroupStructureError, match="not associative"):
         FiniteGroup(range(1024), table if axis else table.T)
+
+
+def test_empty_table_rejected():
+    with pytest.raises(GroupStructureError, match="no identity"):
+        FiniteGroup([], np.zeros((0, 0), np.int32))
+
+
+@pytest.mark.parametrize("entry", [-1, 3, 4, 2**31 - 1])
+def test_entries_outside_the_range_rejected(entry):
+    # Z_3 with one entry replaced: it neither indexes nor wraps
+    table = (np.arange(3)[:, None] + np.arange(3)) % 3
+    table[1, 2] = entry
+    with pytest.raises(GroupStructureError, match=r"lie in \[0, 3\)"):
+        FiniteGroup(range(3), table)
+
+
+def test_element_without_finite_order_rejected():
+    # identity 0, 1 and 2 inverse to each other, but 1 * 1 = 1: the powers
+    # of 1, which Light's test reads before associativity is known, never
+    # reach 0
+    with pytest.raises(GroupStructureError, match="no finite order"):
+        FiniteGroup(range(3), [[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+
+
+def _is_group(t: np.ndarray) -> bool:
+    """The group axioms by brute force: an identity, two-sided inverses
+    and (xy)z = x(yz) for all n^3 triples."""
+    full = np.arange(len(t))
+    ident = [e for e in full if (t[e] == full).all() and (t[:, e] == full).all()]
+    if not ident:
+        return False
+    inverses = (t == ident[0]) & (t.T == ident[0])
+    return bool(inverses.any(axis=1).all() and (t[t] == t[:, t]).all())
+
+
+def _accepts(t: np.ndarray) -> bool:
+    try:
+        FiniteGroup(range(len(t)), t)
+    except GroupStructureError:
+        return False
+    return True
+
+
+def test_axioms_decide_every_table_of_order_at_most_3():
+    verdicts = []
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            t = np.array(entries).reshape(n, n)
+            assert _accepts(t) == _is_group(t), t
+            verdicts.append(_is_group(t))
+    # Z_1, Z_2 on two labellings, Z_3 on three
+    assert len(verdicts) == 1 + 16 + 19683 and sum(verdicts) == 6
+
+
+@st.composite
+def _tables_with_identity_and_inverses(draw):
+    """A table of order 4-8 with an identity row and column and two-sided
+    inverses forced along an involution: a group's table relabelled, with
+    its own inverses or random ones, or random entries with random
+    inverses; with up to three entries redrawn before the forcing."""
+    n = draw(st.integers(4, 8))
+    perm = np.array(draw(st.permutations(range(n))))
+    x = np.arange(n)
+    base, inv = (x[:, None] + x) % n, -x % n
+    if n in (4, 8) and draw(st.booleans()):
+        base, inv = x[:, None] ^ x, x
+    t = np.empty((n, n), dtype=np.int64)
+    t[np.ix_(perm, perm)] = perm[base]
+    random_entries = draw(st.booleans())
+    if random_entries:
+        t = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+    if random_entries or draw(st.booleans()):
+        # a random involution fixing 0: pair up the other labels
+        inv, rest = x.copy(), list(range(1, n))
+        while rest:
+            a = rest.pop(0)
+            if rest and draw(st.booleans()):
+                b = rest.pop(draw(st.integers(0, len(rest) - 1)))
+                inv[a], inv[b] = b, a
+    for _ in range(draw(st.integers(0, 3))):
+        t[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.integers(0, n - 1))
+    e = perm[0]
+    t[e], t[:, e] = x, x
+    t[perm, perm[inv]] = e
+    t[perm[inv], perm] = e
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_tables_with_identity_and_inverses())
+def test_axioms_decide_tables_of_order_4_to_8(t):
+    assert _accepts(t) == _is_group(t)
 
 
 def test_d8_invariants():

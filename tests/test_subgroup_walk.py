@@ -2,8 +2,10 @@
 enumerator, a breadth-first closure over single-element extensions which
 needs no solvability and no normaliser; the walk of a generated
 subgroup with its Schreier vector against a scalar queue and a set
-closure; the batched closures against one walk per row; and the
-isomorphism witness between relabelled copies."""
+closure; the batched closures against one walk per row; the centre,
+the nilpotency bound and normality, read on a generating set, against
+their definitions; and the isomorphism witness between relabelled
+copies."""
 
 import itertools
 from functools import cache
@@ -230,3 +232,29 @@ def test_batched_closures_match_walks_on_relabelled_tables(name, data):
     assert closed.shape == (count, h.order)
     assert [tuple(np.flatnonzero(c).tolist()) for c in closed] == [
         h.closure_indices(r[:k]) for r, k in zip(seeds, length)]
+
+
+@cache
+def _oracle_subgroups(name: str) -> list[tuple[int, ...]]:
+    return bfs_subgroups(_group(name))
+
+
+@pytest.mark.parametrize("name", [*GROUPS, "A5"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generator_facts_match_definitions_on_relabelled_tables(name, data):
+    # the centre, the nilpotency bound and normality are read on the
+    # generating set; each is compared with its definition over all of G
+    g = _group(name)
+    perm = np.array(data.draw(st.permutations(range(g.order))))
+    h = _relabel(g, perm)
+    t = h.table
+    assert h.center_indices == tuple(
+        np.flatnonzero((t == t.T).all(axis=1)).tolist())
+    commutes = (h.commutators(h.derived_indices, np.arange(h.order))
+                == h.identity).all()
+    assert h.nilpotency_class_bounded == (
+        0 if h.order == 1 else 1 if h.is_abelian else 2 if commutes else 3)
+    for members in _oracle_subgroups(name):
+        k = h.subgroup(perm[list(members)])
+        assert k.is_normal() == h.normalizer_mask(list(k.members)).all()
