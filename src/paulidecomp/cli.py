@@ -23,7 +23,8 @@ its spec's order against its caps once, before any table is built.  Cap
 values are positive integers.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
-argument error, 3 a cap or size limit exceeded, 4 oracle
+argument error (an --out path that is a directory or lies in a missing
+one among them), 3 a cap or size limit exceeded, 4 oracle
 self-inconsistency.
 """
 
@@ -336,6 +337,12 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        # an output path that cannot be written is refused before any work
+        out_dir = args.out and os.path.dirname(os.path.abspath(args.out))
+        if out_dir and not os.path.isdir(out_dir):
+            raise SpecError(f"--out: no directory {out_dir!r}")
+        if args.out and os.path.isdir(args.out):
+            raise SpecError(f"--out: {args.out!r} is a directory")
         return args.func(args)
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

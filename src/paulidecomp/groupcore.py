@@ -39,17 +39,22 @@ the orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005).  From the identity, each
 breadth-first layer is one gather of the frontier times the generators,
 and each new element records its parent and the generator that reached
-it.  ``closure_indices`` reads the members, ``generating_set`` picks
-each generator outside it (the set that Light's test then checks), and
-``isomorphic`` rebuilds a candidate map along its Schreier vector.
-These callers close one set at a time, and each layer gathers only the
-new frontier, so the walk stays their one path.  When many closures are
-wanted at once, ``closures`` takes one seed set per row of a boolean
-membership matrix and ORs every row with its right translates, one
-gather for all rows per pass, until no row grows: the classification
-flags ``just_nonabelian`` (one row per conjugacy class) and
-``minimal_nonabelian`` (one row per noncommuting pair) use it, paying
-the per-pass numpy overhead once per batch rather than once per set.
+it.  ``closure_indices`` reads the members, and ``isomorphic`` rebuilds
+candidate maps along the Schreier vector of each prefix of the
+generating set, one layer per gather.  ``generating_set`` needs only the
+members, so it grows each <H, x> from the last subgroup H: H u Hx closed
+under right multiplication by the generators, with no walk from the
+identity.  ``isomorphic`` first drops each candidate image that changes
+the order of a commutator with an earlier generator, then checks the
+rest in batches of ``_blocks`` (1, 2, 4, ... up to BLOCK), one K x |G|
+matrix of maps per batch.  When many closures are wanted at once,
+``closures`` takes one seed set per row of a boolean membership matrix
+and ORs every row with its right translates, one gather for all rows per
+pass, until no row grows: the classification flags ``just_nonabelian``
+(one row per conjugacy class) and ``minimal_nonabelian`` (one row per
+noncommuting pair) use it, in the batches of the same ``_blocks``,
+paying the per-pass numpy overhead once per batch rather than once per
+set.
 
 Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005), with no
@@ -94,7 +99,7 @@ DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
 # rows per block of Light's test: at order 4096 a block is 4 MB of int32,
 # where the whole table is 64 MB; also the bound on rows times seeds per
-# block of ``closures``
+# block of ``closures`` and the largest batch of ``_blocks``
 BLOCK = 256
 
 
@@ -533,16 +538,27 @@ class FiniteGroup:
 
     @cached_property
     def _generating_set(self) -> tuple[int, ...]:
+        """H = <gens> is kept as the mask ``inside``; <H, x> is H u Hx
+        closed under right multiplication by the generators, so each
+        layer of new elements is one gather of its members times them."""
+        t = self.table
         orders = np.asarray(self.element_orders)
         gens: list[int] = []
         inside = np.zeros(self.order, dtype=bool)
         inside[self.identity] = True
+        central = np.ones(self.order, dtype=bool)
         while not inside.all():
-            pool = ~inside & ~self.centralizer_mask(np.array(gens, np.intp))
+            pool = ~inside & ~central
             if not pool.any():
                 pool = ~inside
-            gens.append(int(np.argmax(pool & (orders == orders[pool].max()))))
-            inside[self._walk(gens)[0]] = True
+            x = int(np.argmax(pool & (orders == orders[pool].max())))
+            gens.append(x)
+            central &= t[:, x] == t[x]
+            new = t[np.flatnonzero(inside), x]
+            while len(new):
+                new = np.unique(new[~inside[new]])
+                inside[new] = True
+                new = t[new[:, None], gens].ravel()
         return tuple(gens)
 
     @cached_property
@@ -914,18 +930,51 @@ def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
+def _blocks(count: int, first: int = 1):
+    """Consecutive slices of range(count) of ``first``, twice as many,
+    four times, ... up to BLOCK indices (first <= BLOCK), for batched
+    tests (the candidates of the isomorphism search; in the
+    classification flags, the seed rows of ``closures`` and the rows of
+    the commutation table): a search that stops early does so after a
+    few small batches, and a long run pays the per-call numpy overhead
+    once per BLOCK items."""
+    lo, size = 0, first
+    while lo < count:
+        yield slice(lo, lo + size)
+        lo, size = lo + size, min(2 * size, BLOCK)
+
+
+def _layers(walk) -> list[slice]:
+    """The breadth-first layers of a ``_walk`` after the identity, as
+    slices of its members: the parents of a layer fill the layer before
+    it, in order."""
+    members, parent, _ = walk
+    rank = np.empty(int(members.max()) + 1, dtype=np.intp)
+    rank[members] = np.arange(len(members))
+    ends = [1]
+    while ends[-1] < len(members):
+        ends.append(int(np.searchsorted(rank[parent], ends[-1])))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def isomorphic(g: FiniteGroup, h: FiniteGroup):
     """Decide G ≅ H; returns (True, witness) with witness mapping element
     keys of G to element keys of H, or (False, None).
 
-    Strategy: fingerprint pre-filter, then backtracking over images of a
-    small generating set of G, pruned by element order and conjugacy-class
-    size; the first generator image only ranges over class representatives
-    (composing with an inner automorphism of H loses no generality).
-    Candidate tuples are validated by rebuilding the partial map along the
-    Schreier vector of the walk of each prefix of the generating set, then
-    checking in one gather that it preserves every product with a
-    generator, and that it is injective.
+    Strategy: fingerprint pre-filter, then depth-first backtracking over
+    images of a small generating set of G, pruned by element order and
+    conjugacy-class size; the first generator image only ranges over
+    class representatives (composing with an inner automorphism of H
+    loses no generality), and the image c of a later generator x must
+    give each commutator [image of gens[j], c] the order of [gens[j], x]
+    for the earlier j, as an isomorphism does.  The candidates left for
+    x are checked in the batches of ``_blocks``: for a batch, one K x |G|
+    matrix holds the maps rebuilt along the Schreier vector of the walk
+    of the prefix ending at x, a breadth-first layer per gather; one
+    gather checks that each preserves every product with a generator,
+    and sorted rows that it is injective.  The search descends into the
+    passing candidates in increasing order, as a one-at-a-time search
+    would, so the witness is the same.
     """
     if g.order > ISO_ORDER_CAP or h.order > ISO_ORDER_CAP:
         raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
@@ -937,60 +986,73 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
         return True, {g.elements[0]: h.elements[0]}
 
     gens = np.array(g.generating_set())
-    walks = [g._walk(gens[:i]) for i in range(1, len(gens) + 1)]
+    walks = []
+    for i in range(1, len(gens) + 1):
+        walk = g._walk(gens[:i])
+        # the table entries member * generator, for the homomorphism check
+        walks.append((*walk, _layers(walk),
+                      g.table[np.ix_(walk[0], gens[:i])]))
     g_orders, h_orders = np.array(g.element_orders), np.array(h.element_orders)
     g_class, h_class = np.array(g.class_size_of), np.array(h.class_size_of)
+    g_comm = g_orders[g.commutators(gens, gens)]
     h_reps = np.zeros(h.order, dtype=bool)
     h_reps[[cls[0] for cls in h.conjugacy_classes]] = True
 
-    def candidates(pos: int):
-        x = gens[pos]
-        fits = (h_orders == g_orders[x]) & (h_class == g_class[x])
-        return np.flatnonzero(fits & h_reps if pos == 0 else fits).tolist()
-
-    def check_prefix(images: list[int]):
-        """Rebuild the map on <gens[:len(images)]> along the Schreier
-        vector, a layer of the walk per pass; return it as an index array
-        (read on the members only) if it is consistent and injective,
-        else None."""
+    def candidates(images: list[int]) -> np.ndarray:
         i = len(images)
-        members, parent, pos = walks[i - 1]
-        img = np.array(images)
-        phi = np.full(g.order, -1)
-        phi[g.identity] = h.identity
-        while (phi[members] < 0).any():
-            # past the identity, which is its own parent
-            k = np.flatnonzero(phi[parent[1:]] >= 0) + 1
-            phi[members[k]] = h.table[phi[parent[k]], img[pos[k]]]
-        # phi(x * gen) == phi(x) * image for every member x and generator
-        if (phi[g.table[np.ix_(members, gens[:i])]]
-                != h.table[np.ix_(phi[members], img)]).any():
-            return None
-        if len(np.unique(phi[members])) != len(members):
-            return None
-        return phi
+        x = gens[i]
+        fits = (h_orders == g_orders[x]) & (h_class == g_class[x])
+        cand = np.flatnonzero(fits & h_reps if i == 0 else fits)
+        comm = h_orders[h.commutators(images, cand)]
+        return cand[(comm == g_comm[:i, i, None]).all(axis=0)]
 
-    # depth first over the images of gens[0], gens[1], ...: untried[i]
-    # holds the candidates for gens[i] not yet tried, the least last
+    def check(images: list[int], batch: np.ndarray):
+        """Rebuild the maps on <gens[:len(images) + 1]> sending the last
+        generator to each member of ``batch``; return the mask of those
+        that are consistent and injective, and the maps as rows (read on
+        the members only)."""
+        members, parent, pos, layers, steps = walks[len(images)]
+        img = np.empty((len(batch), len(images) + 1), dtype=np.int32)
+        img[:, :-1] = images
+        img[:, -1] = batch
+        phi = np.empty((len(batch), g.order), dtype=np.int32)
+        phi[:, g.identity] = h.identity
+        for s in layers:
+            phi[:, members[s]] = h.table[phi[:, parent[s]], img[:, pos[s]]]
+        image = phi[:, members]
+        # phi(x * gen) == phi(x) * image of gen, for every member x and
+        # generator
+        ok = (phi[:, steps] == h.table[image[:, :, None], img[:, None, :]]
+              ).all(axis=(1, 2))
+        ok[ok] = (np.diff(np.sort(image[ok], axis=1), axis=1) != 0).all(axis=1)
+        return ok, phi
+
+    def passing(images: list[int]):
+        """Each candidate image of the next generator that extends
+        ``images`` consistently and injectively, in increasing order,
+        with its map."""
+        cand = candidates(images)
+        for block in _blocks(len(cand)):
+            ok, phi = check(images, cand[block])
+            yield from zip(cand[block][ok].tolist(), phi[ok])
+
+    # depth first over the images of gens[0], gens[1], ...: stack[i]
+    # yields the images of gens[i] that extend images[:i]
     images: list[int] = []
-    untried = [candidates(0)[::-1]]
-    while untried:
-        if not untried[-1]:
-            untried.pop()
-            if images:
-                images.pop()
+    stack = [passing([])]
+    while stack:
+        del images[len(stack) - 1:]
+        found = next(stack[-1], None)
+        if found is None:
+            stack.pop()
             continue
-        images.append(untried[-1].pop())
-        phi = check_prefix(images)
-        if phi is None:
-            images.pop()
-        elif len(images) == len(gens):
+        images.append(found[0])
+        if len(images) == len(gens):
             break
-        else:
-            untried.append(candidates(len(images))[::-1])
+        stack.append(passing(images.copy()))
     else:
         return False, None
-    members = walks[-1][0]
+    members, phi = walks[-1][0], found[1]
     witness = {g.elements[a]: h.elements[b]
                for a, b in zip(members.tolist(), phi[members].tolist())}
     return True, witness

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupcore import (BLOCK, ISO_ORDER_CAP, CapError, FiniteGroup,
-                        GroupStructureError, SubgroupHandle,
+                        GroupStructureError, SubgroupHandle, _blocks,
                         abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
@@ -153,17 +153,6 @@ def decompose_pauli_chain(n: int) -> DecompositionReport:
 # classification flags
 # ---------------------------------------------------------------------------
 
-def _blocks(count: int):
-    """Consecutive slices of range(count) of 1, 2, 4, ... up to BLOCK
-    indices, for batches of ``closures``: a test that fails early stops
-    after a few small batches, and a long run pays the per-pass numpy
-    overhead once per BLOCK rows."""
-    lo, size = 0, 1
-    while lo < count:
-        yield slice(lo, lo + size)
-        lo, size = lo + size, min(2 * size, BLOCK)
-
-
 def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     """Nonabelian with every proper quotient abelian.  Equivalent test:
     the derived subgroup is contained in the normal closure of every
@@ -194,6 +183,18 @@ def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     return True, {}
 
 
+def _noncommuting_pairs(g: FiniteGroup, reps: np.ndarray):
+    """The pairs (x, y) of members of ``reps`` with x before y and
+    xy != yx, in (x, y) order, one array per block of rows x of
+    ``_blocks``, the first of about BLOCK products x y."""
+    for rows in _blocks(len(reps), max(1, BLOCK // len(reps))):
+        x, y = reps[rows], reps[rows.start + 1:]
+        # entry [i, j] pairs x[i] with y[j], which comes after it iff j >= i
+        r, c = np.nonzero(np.triu(g.table[x[:, None], y]
+                                  != g.table[y[:, None], x].T))
+        yield np.stack([x[r], y[c]], axis=1)
+
+
 def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     """Nonabelian with every proper subgroup abelian.  Decided exactly:
     G is minimal nonabelian iff every noncommuting pair generates G (a
@@ -215,17 +216,23 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
         coprime = (np.gcd(k, orders) == 1) & (k < orders)
         least[coprime] = np.minimum(least[coprime], power[coprime])
     reps = np.flatnonzero(least == full)
-    sub = g.table[reps][:, reps]
-    pairs = reps[np.argwhere(np.triu(sub != sub.T))]
-    for block in _blocks(len(pairs)):
-        closed = g.closures(pairs[block])
+    listed = _noncommuting_pairs(g, reps)
+    pairs = np.empty((0, 2), dtype=np.intp)
+    for block in _blocks(len(reps) * (len(reps) - 1) // 2):
+        # list further rows of pairs until the batch is full
+        while len(pairs) < block.stop and (
+                more := next(listed, None)) is not None:
+            pairs = np.concatenate([pairs, more])
+        batch = pairs[block]
+        if not len(batch):
+            break
+        closed = g.closures(batch)
         proper = np.flatnonzero(~closed.all(axis=1))
         if len(proper):
             return False, {
                 "nonabelian_subgroup_order":
                     int(np.count_nonzero(closed[proper[0]])),
-                "generators": [repr(g.elements[x])
-                               for x in pairs[block][proper[0]]],
+                "generators": [repr(g.elements[x]) for x in batch[proper[0]]],
             }
     return True, {}
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from paulidecomp import cli
 from paulidecomp.cli import main, parse_spec
 
 CLI = [sys.executable, "-m", "paulidecomp.cli"]
@@ -98,6 +99,19 @@ def test_out_flag(tmp_path):
     assert json.loads(out.read_text())["order"] == 8
 
 
+def test_out_to_missing_directory_refused_before_work(tmp_path, monkeypatch,
+                                                     capsys):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    out = tmp_path / "missing" / "g.json"
+    assert main(["build", "d8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_build_deterministic():
     a = run_cli("build", "pauli:p=3,n=1").stdout
     b = run_cli("build", "pauli:p=3,n=1").stdout
@@ -126,6 +140,8 @@ EXIT_CODES = [
     (["build", "heis:R=gf(6)"], 2),
     (["build", "heis:R=gf(3),reduced=yes"], 2),
     (["verify", "nosuchclaim"], 2),
+    (["verify", "eq19", "--out", "no-such-directory/claims.json"], 2),
+    (["verify", "eq19", "--out", "."], 2),
     # removed flags and formats a subcommand does not produce
     (["build", "d8", "--seed", "1"], 2),
     (["build", "d8", "--exhaustive"], 2),

@@ -242,8 +242,9 @@ def _schedules(monkeypatch, count):
     the default, one row per batch and one batch of ``count`` rows; yield
     after each."""
     default = products._blocks
-    for blocks in (default, lambda n: (slice(k, k + 1) for k in range(n)),
-                   lambda n: [slice(0, count)]):
+    for blocks in (default,
+                   lambda n, first=1: (slice(k, k + 1) for k in range(n)),
+                   lambda n, first=1: [slice(0, count)]):
         monkeypatch.setattr(products, "_blocks", blocks)
         yield
     monkeypatch.setattr(products, "_blocks", default)
@@ -322,6 +323,24 @@ def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
     expected = _first_proper_pair(g)
     for _ in _schedules(monkeypatch, g.order ** 2):
         assert minimal_nonabelian(g) == (False, expected)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pauli_group(pauli_spec(2, 1, 2)),
+    lambda: pauli_group(pauli_spec(3, 1, 2)),
+    lambda: _direct_product(dihedral8(), _dihedral(1)),
+], ids=["P(2,2)", "P(2,3)", "D8xZ2"])
+def test_noncommuting_pairs_listed_in_order(make, monkeypatch):
+    # whatever the blocks of rows, every noncommuting pair of the
+    # representatives is listed once, in (i, j) order; every third
+    # element stands in for the representatives
+    g = make()
+    reps = np.arange(0, g.order, 3)
+    expected = [[x, y] for i, x in enumerate(reps.tolist())
+                for y in reps[i + 1:].tolist() if g.mul(x, y) != g.mul(y, x)]
+    for _ in _schedules(monkeypatch, len(reps)):
+        listed = products._noncommuting_pairs(g, reps)
+        assert np.concatenate(list(listed)).tolist() == expected
 
 
 def test_classify_special():

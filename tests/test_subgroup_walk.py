@@ -4,8 +4,10 @@ needs no solvability and no normaliser; the walk of a generated
 subgroup with its Schreier vector against a scalar queue and a set
 closure; the batched closures against one walk per row; the centre,
 the nilpotency bound and normality, read on a generating set, against
-their definitions; and the isomorphism witness between relabelled
-copies."""
+their definitions; the generating set grown from the last subgroup
+against one walk per pick; and the batched isomorphism search against
+a search that checks one candidate at a time, with no commutator
+filter."""
 
 import itertools
 from functools import cache
@@ -15,13 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulidecomp.algebra import field_make
+from paulidecomp.algebra import Carrier, field_make
+from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, GroupStructureError,
                                    isomorphic, tabulate)
-from paulidecomp.heisenberg import dihedral8, heis_group, heis_spec, quaternion8
+from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
+                                    extraspecial_e2, heis_group, heis_spec,
+                                    quaternion8)
 from paulidecomp.pauli import pauli_group, pauli_spec
-from test_groupcore import _assert_isomorphism, _closure
+from test_groupcore import LOOP5, _assert_isomorphism, _closure
+from test_products import _dihedral, _direct_product
 
 
 def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -79,6 +85,8 @@ GROUPS = {
     "P(1,3)": lambda: pauli_group(pauli_spec(3, 1, 1)),
     "H(GF(3))": lambda: heis_group(heis_spec(field_make(3, 1))),
     "Z12": lambda: cyclic(12),
+    "Z4xZ2": lambda: FiniteGroup(range(8), tabulate(
+        range(8), lambda a, b: (a + b) % 4 + (a ^ b) // 4 * 4)),
     "D12": lambda: dihedral(6),
     "S4": lambda: _permutation_group(list(itertools.permutations(range(4)))),
 }
@@ -173,7 +181,7 @@ def _queue_walk(t, e, gens):
     return members, parent, pos
 
 
-@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("name", [*GROUPS, "A5"])
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_walk_and_generating_set_on_relabelled_tables(name, data):
@@ -193,8 +201,10 @@ def test_walk_and_generating_set_on_relabelled_tables(name, data):
     rank = np.empty(h.order, dtype=int)
     rank[members] = np.arange(len(members))
     assert (rank[parent[1:]] < np.arange(1, len(members))).all()
-    # each generator lies outside the subgroup of those before it
+    # each generator lies outside the subgroup of those before it, and
+    # the grown subgroups pick what walks from the identity pick
     chosen = h.generating_set()
+    assert chosen == _walk_generating_set(h)
     assert h.closure_indices(chosen) == tuple(range(h.order))
     for i, x in enumerate(chosen):
         assert x not in h.closure_indices(chosen[:i])
@@ -205,12 +215,15 @@ def test_walk_and_generating_set_on_relabelled_tables(name, data):
 @given(data=st.data())
 def test_isomorphism_witness_on_relabelled_tables(name, data):
     # the relabellings of P(1,2) include tables where the first injective
-    # map tried along the Schreier vector is not a homomorphism
+    # map tried along the Schreier vector is not a homomorphism; in Z4xZ2
+    # a map onto <a> that kills b passes every filter and the
+    # homomorphism check, and only injectivity rejects it
     g = _group(name)
-    h = _relabel(g, data.draw(st.permutations(range(g.order))))
-    ok, phi = isomorphic(g, h)
-    assert ok
-    _assert_isomorphism(g, h, phi)
+    a = _relabel(g, data.draw(st.permutations(range(g.order))))
+    b = _relabel(g, data.draw(st.permutations(range(g.order))))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        phi = _assert_search_matches_oracle(a, b, monkeypatch)
+    _assert_isomorphism(a, b, phi)
 
 
 @pytest.mark.parametrize("name", [*GROUPS, "A5"])
@@ -258,3 +271,138 @@ def test_generator_facts_match_definitions_on_relabelled_tables(name, data):
     for members in _oracle_subgroups(name):
         k = h.subgroup(perm[list(members)])
         assert k.is_normal() == h.normalizer_mask(list(k.members)).all()
+
+
+def _walk_generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating set with <gens> walked from the identity
+    after every pick."""
+    orders = np.asarray(g.element_orders)
+    gens: list[int] = []
+    inside = np.zeros(g.order, dtype=bool)
+    inside[g.identity] = True
+    while not inside.all():
+        pool = ~inside & ~g.centralizer_mask(np.array(gens, np.intp))
+        if not pool.any():
+            pool = ~inside
+        gens.append(int(np.argmax(pool & (orders == orders[pool].max()))))
+        inside[g._walk(gens)[0]] = True
+    return tuple(gens)
+
+
+def test_grown_generating_set_matches_walks_on_magmas(monkeypatch):
+    # Light's test reads the generating set before associativity is
+    # known: the grown set must match the walk on tables that are not
+    # groups.  LOOP5 x Z_12 is a loop; Z_2^6 with one intercalate swapped
+    # is a Latin square with identity 0.
+    monkeypatch.setattr(FiniteGroup, "_verify_associativity",
+                        lambda self: None)
+    z = np.arange(12)
+    loop60 = (LOOP5[:, None, :, None] * 12
+              + (z[:, None] + z[None, :])[None, :, None, :] % 12)
+    x = np.arange(64)
+    swapped = x[:, None] ^ x[None, :]
+    swapped[[1, 1, 2, 2], [4, 7, 4, 7]] = swapped[[1, 1, 2, 2], [7, 4, 7, 4]]
+    for table in (LOOP5, loop60.reshape(60, 60), swapped):
+        m = FiniteGroup(range(len(table)), table)
+        assert m.generating_set() == _walk_generating_set(m)
+
+
+def _one_candidate_search(g: FiniteGroup, h: FiniteGroup):
+    """The backtrack search over images of ``g.generating_set()``, pruned
+    by element order and class size only, with the first image among
+    class representatives, checking one candidate tuple at a time: the
+    map rebuilt along the Schreier vector of the prefix's walk must
+    preserve every product with a generator and be injective.  Returns
+    (True, witness) for the first tuple that passes in increasing
+    depth-first order, or (False, None); no fingerprint is read."""
+    gens = np.array(g.generating_set())
+    walks = [g._walk(gens[:i]) for i in range(1, len(gens) + 1)]
+    g_orders, h_orders = np.array(g.element_orders), np.array(h.element_orders)
+    g_class, h_class = np.array(g.class_size_of), np.array(h.class_size_of)
+    h_reps = {cls[0] for cls in h.conjugacy_classes}
+
+    def candidates(pos):
+        x = gens[pos]
+        return [c for c in range(h.order)
+                if h_orders[c] == g_orders[x] and h_class[c] == g_class[x]
+                and (pos or c in h_reps)]
+
+    def check(images):
+        members, parent, pos = walks[len(images) - 1]
+        phi = {g.identity: h.identity}
+        for x, par, k in zip(members[1:].tolist(), parent[1:].tolist(),
+                             pos[1:].tolist()):
+            phi[x] = h.mul(phi[par], images[k])
+        for x in members.tolist():
+            for k, s in enumerate(gens[:len(images)].tolist()):
+                if phi[g.mul(x, s)] != h.mul(phi[x], images[k]):
+                    return None
+        return phi if len(set(phi.values())) == len(phi) else None
+
+    def search(images):
+        if len(images) == len(gens):
+            return check(images)
+        for c in candidates(len(images)):
+            if check(images + [c]) is not None:
+                phi = search(images + [c])
+                if phi is not None:
+                    return phi
+        return None
+
+    phi = search([])
+    if phi is None:
+        return False, None
+    return True, {g.elements[a]: h.elements[b] for a, b in phi.items()}
+
+
+def _assert_search_matches_oracle(g, h, monkeypatch):
+    """The same answer and witness, with the members in the order of the
+    walk, under the default batch schedule, one candidate per batch and
+    one batch of all candidates; returns the witness."""
+    expected = _one_candidate_search(g, h)
+    for blocks in (groupcore._blocks,
+                   lambda n: (slice(k, k + 1) for k in range(n)),
+                   lambda n: [slice(0, n)]):
+        with monkeypatch.context() as patch:
+            patch.setattr(groupcore, "_blocks", blocks)
+            ok, phi = isomorphic(g, h)
+        assert (ok, phi) == expected
+        assert phi is None or list(phi.items()) == list(expected[1].items())
+    return phi
+
+
+@pytest.mark.parametrize("make_g,make_h", [
+    (lambda: pauli_group(pauli_spec(3, 1, 1)),
+     lambda: heis_group(heis_spec(field_make(3, 1)))),
+    (lambda: pauli_group(pauli_spec(3, 1, 2)),
+     lambda: heis_group(heis_spec(Carrier(3, 1, False), 2))),
+], ids=["P(1,3)-H(GF(3))", "P(2,3)-H(Z3^2)"])
+def test_isomorphism_search_matches_oracle_on_families(make_g, make_h,
+                                                      monkeypatch):
+    g, h = make_g(), make_h()
+    _assert_search_matches_oracle(g, h, monkeypatch)
+    _assert_search_matches_oracle(h, g, monkeypatch)
+
+
+def _z4_by_z4() -> FiniteGroup:
+    """<a, b | a^4 = b^4 = 1, b^-1 a b = a^-1>, a^i b^j as (i, j)."""
+    keys = [(i, j) for i in range(4) for j in range(4)]
+    return FiniteGroup(keys, tabulate(keys, lambda x, y: (
+        (x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)))
+
+
+@pytest.mark.parametrize("make_g,make_h", [
+    (dihedral8, quaternion8),
+    (lambda: extraspecial_e1(3), lambda: extraspecial_e2(3)),
+    (lambda: _direct_product(quaternion8(), _dihedral(1)), _z4_by_z4),
+], ids=["D8-Q8", "E1(3)-E2(3)", "Q8xZ2-Z4:Z4"])
+def test_search_rejects_without_the_fingerprint(make_g, make_h, monkeypatch):
+    # with every fingerprint equal, the search itself must find no map.
+    # Q8 x Z2 and Z4 : Z4 share element orders, class sizes and the
+    # orders of commutators (they differ in G/G'), so only the
+    # homomorphism check rejects the injective maps tried
+    monkeypatch.setattr(FiniteGroup, "fingerprint", lambda self: None)
+    g, h = make_g(), make_h()
+    assert isomorphic(g, h) == (False, None)
+    assert isomorphic(h, g) == (False, None)
+    assert _one_candidate_search(g, h) == (False, None)
