@@ -2,11 +2,11 @@
 The c_ab bounds for qubit Pauli groups are adjudicated in ``claims``.
 
 The census walks only the abelian subgroups, by cyclic extension inside
-centralizers (``FiniteGroup.abelian_subgroups``), and never enumerates
-the full lattice; an abelian A is maximal abelian exactly when
-C_G(A) = A.  Hasse diagrams read the covers of the full lattice, which
-its enumeration records (``FiniteGroup.covers``), so they are drawn for
-p-groups only.
+centralizers (``FiniteGroup.abelian_layers``), and never enumerates the
+full lattice; an abelian A is maximal abelian exactly when C_G(A) = A,
+and the walk carries C_G(A) for every A it finds.  Hasse diagrams read
+the covers of the full lattice, which its enumeration records
+(``FiniteGroup.covers``), so they are drawn for p-groups only.
 
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
@@ -49,22 +49,22 @@ class CensusResult:
 
 
 def abelian_census(g: FiniteGroup) -> CensusResult:
-    """Exact enumeration of the abelian subgroups of G.  Normality is
-    read by ``is_normal``, and A is maximal abelian when its centralizer
-    has exactly |A| members."""
-    subs = g.abelian_subgroups()[1:]
-    orders = [h.order for h in subs]
-    normal = [h.is_normal() for h in subs]
+    """Exact enumeration of the abelian subgroups of G, read from the
+    layers of the walk: each flags its normal subgroups and carries
+    |C_G(A)|, and A is maximal abelian when that is |A|."""
+    layers = g.abelian_layers()[1:]
+    orders = [layer.order for layer in layers for _ in layer.keys]
+    normal = [flag for layer in layers for flag in layer.normal.tolist()]
     return CensusResult(
         group=g.name or f"order{g.order}",
-        c_ab=len(subs),
+        c_ab=len(orders),
         by_order=dict(Counter(orders)),
         by_order_normality=dict(Counter(zip(orders, normal))),
-        maximal_abelian_orders=sorted(
-            h.order for h in subs
-            if g.centralizer(h.members).order == h.order),
+        maximal_abelian_orders=[
+            layer.order for layer in layers
+            for c in layer.centralizer_orders.tolist() if c == layer.order],
         normal_count=sum(normal),
-        nonnormal_count=len(subs) - sum(normal),
+        nonnormal_count=len(orders) - sum(normal),
     )
 
 

@@ -58,18 +58,31 @@ set.
 
 Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005), with no
-closure: from each subgroup H found, as a boolean mask, the walk takes
-one x per coset Hx inside a subgroup that normalises H and forms
-H<x> = H u Hx u Hx^2 u ... by row gathers of the table until x^i falls
-in H.  ``subgroups_all`` draws x from N_G(H); a group is reached by such
-steps exactly when it is solvable, so a walk that ends without G raises
+closure: from each subgroup H found, the walk takes one x per coset Hx
+inside a subgroup that normalises H (its least member) and forms
+H<x> = H u Hx u Hx^2 u ... by gathers of the table until x^i falls in H.
+``subgroups_all`` draws x from N_G(H); a group is reached by such steps
+exactly when it is solvable, so a walk that ends without G raises
 ``GroupStructureError`` rather than return a partial lattice.
 ``abelian_subgroups`` draws x from C_G(H) and reaches every abelian
-subgroup of any finite group.  The walk also records its steps of prime
-index.  In a p-group these are exactly the covering pairs of the lattice
+subgroup of any finite group.  The walk goes one order at a time: the
+subgroups of one order are the rows of a boolean matrix, extended in
+blocks of rows whose gathers hold at most about BLOCK x |G| entries, and
+the rows reached are deduplicated on their masks packed by
+``np.packbits`` (|G|/8 bytes each), whose descending byte order is the
+canonical (order, members) order.  Each row carries what its next step
+needs: the abelian walk carries C_G(H), with C_G(H<x>) = C_G(H) & C_G(x)
+one AND with a row of the packed commuting matrix, and the census reads
+maximality from it (|C_G(A)| = |A|); the full walk carries the
+generators its path added, and N_G(H) is the x that conjugate each of
+them into H.  The walk also records its steps of prime index.  In a
+p-group these are exactly the covering pairs of the lattice
 (``covers``), so the maximal subgroups, the Frattini subgroup and Hasse
 diagrams are read from one cached enumeration with no containment test;
-these lattice questions are answered for p-groups only.
+these lattice questions are answered for p-groups only.  No command
+path calls ``np.unique`` without ``return_index``: under numpy 2 that
+call imports ``numpy.ma`` on first use, and distinct indices are read
+off a mask over range(|G|) instead.
 
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
@@ -87,7 +100,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +112,8 @@ DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
 # rows per block of Light's test: at order 4096 a block is 4 MB of int32,
 # where the whole table is 64 MB; also the bound on rows times seeds per
-# block of ``closures`` and the largest batch of ``_blocks``
+# block of ``closures``, the largest batch of ``_blocks``, and the bound
+# on the entries of a gather of the subgroup walk, over |G|
 BLOCK = 256
 
 
@@ -289,7 +303,14 @@ class FiniteGroup:
         index tuple: the members of the walk of the distinct seeds."""
         if not isinstance(seed, np.ndarray):
             seed = np.fromiter(seed, dtype=np.int32)
-        return tuple(np.sort(self._walk(np.unique(seed))[0]).tolist())
+        return tuple(np.sort(self._walk(self._distinct(seed))[0]).tolist())
+
+    def _distinct(self, indices) -> np.ndarray:
+        """The distinct entries of an array of element indices, sorted,
+        read off a mask over range(|G|)."""
+        seen = np.zeros(self.order, dtype=bool)
+        seen[indices] = True
+        return np.flatnonzero(seen)
 
     def closures(self, seeds) -> np.ndarray:
         """Many closures at once: row k of the K x |G| boolean result is
@@ -360,20 +381,13 @@ class FiniteGroup:
         t = self.table
         return (t[:, members] == t[members, :].T).all(axis=1)
 
-    def normalizer_mask(self, members: np.ndarray) -> np.ndarray:
-        """Boolean mask of N_G(members): the x with x^-1 members x inside
-        ``members``."""
-        inside = np.zeros(self.order, dtype=bool)
-        inside[members] = True
-        return inside[self.conjugates(members)].all(axis=1)
-
     @cached_property
     def derived_indices(self) -> tuple[int, ...]:
         """G' as the normal closure of the commutators [a, b] of a
         generating set: they are commutators, and modulo their normal
         closure N the generators commute, so G/N is abelian."""
         gens = self.generating_set()
-        comms = np.unique(self.commutators(gens, gens))
+        comms = self._distinct(self.commutators(gens, gens))
         return self.closure_indices(self.conjugates(comms))
 
     def derived_subgroup(self) -> "SubgroupHandle":
@@ -403,72 +417,99 @@ class FiniteGroup:
         cache holds member tuples, not handles: a handle refers to its
         parent, and a group holding its handles would be freed only by
         the cyclic garbage collector."""
-        subs, steps = self._extension_walk(self.normalizer_mask)
-        if len(subs[-1]) != self.order:
+        layers, covers = self._extension_walk(abelian=False)
+        if layers[-1].order != self.order:
             raise GroupStructureError(
                 "group is not solvable: cyclic extension does not reach it")
-        return subs, steps
+        return _member_tuples(layers), covers
 
     def abelian_subgroups(self) -> list["SubgroupHandle"]:
         """Every abelian subgroup exactly once, the trivial one included,
-        canonically sorted by (order, member tuple).  The cyclic-extension
+        canonically sorted by (order, member tuple)."""
+        return [SubgroupHandle(self, m)
+                for m in _member_tuples(self.abelian_layers())]
+
+    def abelian_layers(self) -> list["Layer"]:
+        """The abelian subgroups as the layers of the cyclic-extension
         walk with x drawn from C_G(H): each step H<x> of an abelian H is
         abelian, and every abelian subgroup is reached, in any finite
-        group."""
-        return [SubgroupHandle(self, m)
-                for m in self._extension_walk(self.centralizer_mask)[0]]
+        group.  Each layer flags its normal subgroups and gives
+        |C_G(H)| for each."""
+        return self._extension_walk(abelian=True)[0]
 
-    def _extension_walk(self, within) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Every subgroup reached from 1 by steps H -> H<x> with x in
-        ``within(members of H)``, a boolean mask of a subgroup that
-        contains and normalises H, as sorted member tuples in canonical
-        (order, members) order; and, when G is a p-group, the steps of
-        index p as distinct rows (lower, upper) of canonical positions,
-        sorted.  No closure is computed."""
-        trivial = np.zeros(self.order, dtype=bool)
-        trivial[self.identity] = True
-        found = {trivial.tobytes(): 0}
-        masks, frontier, lower, upper = [trivial], [0], [], []
-        while frontier:
-            grown = []
-            for i in frontier:
-                for k in self._cyclic_extensions(masks[i], within):
-                    j = found.setdefault(k.tobytes(), len(masks))
-                    if j == len(masks):
-                        masks.append(k)
-                        grown.append(j)
-                    lower.append(i)
-                    upper.append(j)
-            frontier = grown
-        subs = [tuple(np.flatnonzero(m).tolist()) for m in masks]
-        canonical = sorted(range(len(subs)), key=lambda i: (len(subs[i]), subs[i]))
-        sizes = np.array([len(m) for m in subs])
-        lo, up = np.array([lower, upper], dtype=np.intp)
-        keep = sizes[up] == (prime_power(self.order) or (0,))[0] * sizes[lo]
-        # distinct pairs, sorted: the cosets Hx and Hx^2 may give one H<x>
-        rank = np.argsort(canonical)
-        code = np.sort(rank[lo[keep]] * len(subs) + rank[up[keep]])
-        covers = np.divmod(code[np.diff(code, prepend=-1) != 0], len(subs))
-        return [subs[i] for i in canonical], np.stack(covers, axis=1)
-
-    def _cyclic_extensions(self, h: np.ndarray, within) -> np.ndarray:
-        """The subgroups H<x> for the x in ``within(members of H)`` outside
-        H, one x per coset Hx (its least member), as rows of a boolean
-        membership matrix; H is the mask ``h``.  Since x normalises H,
-        H<x> is the union of the cosets H x^i, gathered from the table
-        until x^i falls in H."""
-        t = self.table
-        mem = np.flatnonzero(h)
-        outside = np.flatnonzero(within(mem) & ~h)
-        reps = np.unique(t[np.ix_(mem, outside)].min(axis=0))
-        ext = np.tile(h, (len(reps), 1))
-        rows, power = np.arange(len(reps)), reps
-        while len(rows):
-            ext[rows, t[np.ix_(mem, power)]] = True
-            power = t[power, reps[rows]]
-            keep = ~h[power]
-            rows, power = rows[keep], power[keep]
-        return ext
+    def _extension_walk(self, abelian: bool) -> tuple[list["Layer"], np.ndarray]:
+        """Every subgroup reached from 1 by steps H -> H<x>, x outside H
+        in C_G(H) (``abelian``) or in N_G(H), as one ``Layer`` per order,
+        in increasing order; and, in the full walk of a p-group, the steps
+        of index p as distinct rows (lower, upper) of canonical positions,
+        sorted.  No closure is computed.  Each row carries C_G(H) as a
+        packed mask (``abelian``) or the generators its path added, padded
+        with the identity; the layers, blocks and keys are described in
+        the module docstring."""
+        t, n, e = self.table, self.order, self.identity
+        full = np.arange(n)
+        if abelian:
+            # row x: C_G(x), packed; row y of ``conj``: s^-1 y s for each
+            # generator s of G
+            commute = np.packbits(t == t.T, axis=1)
+            conj = self.conjugates(full, self.generating_set()).T
+            start = np.packbits(np.ones((1, n), dtype=bool), axis=1)
+            p = 0
+        else:
+            # row s: x^-1 s x for each x
+            conj = np.ascontiguousarray(self.conjugates(full).T)
+            start = np.empty((1, 0), dtype=np.intp)
+            p = (prime_power(n) or (0,))[0]
+        trivial = np.zeros((1, n), dtype=bool)
+        trivial[0, e] = True
+        pending = {1: _Pending(e)}
+        pending[1].add(np.packbits(trivial, axis=1), start)
+        layers, total = [], 0
+        steps = [(np.empty(0, dtype=np.intp),) * 2]
+        while pending:
+            m = min(pending)
+            keys, carry, found = pending.pop(m).resolve(total)
+            steps += found
+            normal = np.empty(len(keys), dtype=bool)
+            centralizer = np.empty(len(keys), dtype=np.intp)
+            # the conjugates gathered per row stay within BLOCK x |G|
+            per_row = m * conj.shape[1] if abelian else carry.shape[1] * n
+            rows = max(1, BLOCK * n // max(per_row, n))
+            for b in range(0, len(keys), rows):
+                block = slice(b, b + rows)
+                h = np.unpackbits(keys[block], axis=1, count=n).view(bool)
+                mem = np.nonzero(h)[1].reshape(len(h), m)
+                at = np.arange(len(h))[:, None, None]
+                if abelian:
+                    within = np.unpackbits(carry[block], axis=1,
+                                           count=n).view(bool)
+                    normal[block] = h[at, conj[mem]].all(axis=(1, 2))
+                    centralizer[block] = np.count_nonzero(within, axis=1)
+                else:
+                    within = h[at, conj[carry[block]]].all(axis=1)
+                    normal[block] = within.all(axis=1)
+                r, x = np.nonzero(within & ~h)
+                keep = _coset_leaders(t, mem, r, x)
+                r, x = r[keep], x[keep]
+                for pairs, ext, index in _cyclic_extensions(t, h, mem, r, x):
+                    parent, xx = b + r[pairs], x[pairs]
+                    for k in np.flatnonzero(np.bincount(index)).tolist():
+                        sel = index == k
+                        if abelian:
+                            grown = carry[parent[sel]] & commute[xx[sel]]
+                        else:
+                            grown = np.column_stack(
+                                [carry[parent[sel]], xx[sel]])
+                        pending.setdefault(m * k, _Pending(e)).add(
+                            np.packbits(ext[sel], axis=1), grown,
+                            total + parent[sel] if k == p else None)
+            layers.append(Layer(m, keys, normal,
+                                centralizer if abelian else None))
+            total += len(keys)
+        code = np.sort(np.concatenate([lower * total + upper
+                                       for lower, upper in steps]))
+        covers = np.divmod(code[np.diff(code, prepend=-1) != 0], total)
+        return layers, np.stack(covers, axis=1)
 
     def covers(self) -> np.ndarray:
         """The covering pairs H_i < H_j of the lattice of a p-group, as
@@ -518,7 +559,7 @@ class FiniteGroup:
         # row g is the coset gN; cosets are listed by least member
         coset = self.table[:, np.asarray(n_sub.members)]
         least = coset.min(axis=1)
-        reps = np.unique(least)
+        reps = self._distinct(least)
         cosets = [tuple(c) for c in np.sort(coset[reps], axis=1).tolist()]
         label = np.searchsorted(reps, least).astype(np.int32)
         table = label[self.table[np.ix_(reps, reps)]]
@@ -556,7 +597,7 @@ class FiniteGroup:
             central &= t[:, x] == t[x]
             new = t[np.flatnonzero(inside), x]
             while len(new):
-                new = np.unique(new[~inside[new]])
+                new = self._distinct(new[~inside[new]])
                 inside[new] = True
                 new = t[new[:, None], gens].ravel()
         return tuple(gens)
@@ -823,6 +864,110 @@ def _digits(q: int, k: int) -> np.ndarray:
     return (np.arange(q ** k)[:, None] // q ** np.arange(k - 1, -1, -1)) % q
 
 
+class Layer(NamedTuple):
+    """The subgroups of one order that a cyclic-extension walk found, in
+    canonical order: row k of ``keys`` is the member mask of the k-th,
+    packed by ``np.packbits``; ``normal`` flags the normal ones, and
+    ``centralizer_orders`` gives |C_G(H)| (abelian walk only)."""
+
+    order: int
+    keys: np.ndarray
+    normal: np.ndarray
+    centralizer_orders: np.ndarray | None
+
+    def members(self) -> np.ndarray:
+        """Row k holds the sorted members of the k-th subgroup."""
+        return np.nonzero(np.unpackbits(self.keys, axis=1))[1].reshape(
+            len(self.keys), self.order)
+
+
+def _member_tuples(layers: list[Layer]) -> list[tuple[int, ...]]:
+    return [tuple(m) for layer in layers for m in layer.members().tolist()]
+
+
+def _coset_leaders(t: np.ndarray, mem: np.ndarray, r: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (r, x) with x the least member of the coset Hx,
+    H the members ``mem[r]``: tested on about sqrt|H| members first, then
+    on all of H for the pairs left, at most BLOCK x |G| products at a
+    time."""
+    keep = np.ones(len(r), dtype=bool)
+    stride = max(1, isqrt(mem.shape[1]))
+    for sample in (mem[:, 1::stride], mem)[stride == 1:]:
+        left = np.flatnonzero(keep)
+        step = max(1, BLOCK * len(t) // sample.shape[1])
+        for a in range(0, len(left), step):
+            i = left[a:a + step]
+            keep[i] = (t[sample[r[i]], x[i, None]] >= x[i, None]).all(axis=1)
+    return keep
+
+
+def _cyclic_extensions(t: np.ndarray, h: np.ndarray, mem: np.ndarray,
+                       r: np.ndarray, x: np.ndarray):
+    """H<x> for each pair (r, x), H the mask ``h[r]`` with the members
+    ``mem[r]`` and x normalising H, in chunks of BLOCK pairs: yields the
+    chunk's slice of the pairs, the masks of H<x> and the indices
+    |H<x> : H|.  H<x> is the union of the cosets H x^i, gathered from the
+    table until x^i falls in H."""
+    for a in range(0, len(r), BLOCK):
+        rr, xx = r[a:a + BLOCK], x[a:a + BLOCK]
+        ext = h[rr]
+        index = np.ones(len(rr), dtype=np.intp)
+        live, power = np.arange(len(rr)), xx
+        while len(live):
+            ext[live[:, None], t[mem[rr[live]], power[:, None]]] = True
+            index[live] += 1
+            power = t[power, xx[live]]
+            outside = ~h[rr[live], power]
+            live, power = live[outside], power[outside]
+        yield slice(a, a + BLOCK), ext, index
+
+
+class _Pending:
+    """The subgroups of one order that a walk has reached but not yet
+    extended: ``rows`` maps each packed member mask, as bytes, to its
+    row in the order found; ``carry`` holds what each row carries (the
+    centraliser mask, or the path's generators); ``steps`` holds, for
+    each batch of steps of index p, their lower positions and rows."""
+
+    def __init__(self, fill: int):
+        self.fill = fill
+        self.rows: dict[bytes, int] = {}
+        self.carry: list[np.ndarray] = []
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, keys: np.ndarray, carry: np.ndarray, lower=None) -> None:
+        rows = self.rows
+        before = len(rows)
+        ids = np.array([rows.setdefault(k, len(rows)) for k in
+                        keys.view(f"V{keys.shape[1]}").ravel().tolist()])
+        # new rows are numbered from ``before`` in the order they first
+        # occur, so each first occurrence raises the running maximum
+        top = np.maximum.accumulate(np.append(before - 1, ids))
+        fresh = top[1:] > top[:-1]
+        self.carry.append(carry[fresh])
+        if lower is not None:
+            self.steps.append((lower, ids))
+
+    def resolve(self, total: int):
+        """(keys, carry, steps): the packed masks in canonical order
+        (descending, as byte strings), their carried rows (lists of
+        generators padded with the identity ``fill`` to one width), and
+        the steps as (lower, upper) positions, the rows numbered from
+        ``total``."""
+        keys = np.frombuffer(b"".join(self.rows), dtype=np.uint8).reshape(
+            len(self.rows), -1)
+        order = np.argsort(keys.view(f"V{keys.shape[1]}").ravel())[::-1]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        width = max(c.shape[1] for c in self.carry)
+        carry = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])),
+                                       constant_values=self.fill)
+                                for c in self.carry])
+        return (keys[order], carry[order],
+                [(lower, total + rank[ids]) for lower, ids in self.steps])
+
+
 @dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup of a parent FiniteGroup as a canonical sorted index set."""
@@ -870,9 +1015,9 @@ class SubgroupHandle:
     def product_set(self, other: "SubgroupHandle") -> tuple[int, ...]:
         """The setwise product HK as a sorted index tuple (not necessarily
         a subgroup)."""
-        t = self.parent.table
-        prod = np.unique(t[np.ix_(self.members, other.members)])
-        return tuple(int(x) for x in prod)
+        g = self.parent
+        return tuple(g._distinct(
+            g.table[np.ix_(self.members, other.members)]).tolist())
 
     def commutator_with(self, other: "SubgroupHandle") -> "SubgroupHandle":
         g = self.parent

@@ -205,3 +205,18 @@ def test_exit_codes(argv, code):
     except SystemExit as exc:  # argparse rejects the command line
         got = exc.code
     assert got == code
+
+
+@pytest.mark.parametrize("args", [("verify", "all"),
+                                  ("lattice", "pauli:p=2,n=2")])
+def test_command_leaves_numpy_ma_unimported(args):
+    # np.unique without return_index or return_counts asks np.ma whether
+    # its input is masked, which imports numpy.ma on first use: 12-18 ms
+    # of start-up in every process under numpy 2.4
+    code = ("import sys\n"
+            "from paulidecomp.cli import main\n"
+            f"assert main({list(args)!r}) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr

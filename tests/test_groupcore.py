@@ -301,29 +301,29 @@ def test_report_shape():
 
 
 def test_subgroups_enumerated_once(monkeypatch):
-    steps, closures = [], []
-    extend = FiniteGroup._cyclic_extensions
+    walks, closures = [], []
+    walk = FiniteGroup._extension_walk
     closure = FiniteGroup.closure_indices
 
-    def counted_step(self, h, within):
-        steps.append(h)
-        return extend(self, h, within)
+    def counted_walk(self, abelian):
+        walks.append(abelian)
+        return walk(self, abelian)
 
     def counted_closure(self, seed):
         closures.append(seed)
         return closure(self, seed)
 
-    monkeypatch.setattr(FiniteGroup, "_cyclic_extensions", counted_step)
+    monkeypatch.setattr(FiniteGroup, "_extension_walk", counted_walk)
     monkeypatch.setattr(FiniteGroup, "closure_indices", counted_closure)
     g = pauli_group(pauli_spec(2, 1, 1))
     first = g.subgroups_all()
-    # one extension step per subgroup, and no closure
-    assert len(first) == 23 and len(steps) == 23
+    # one full walk, and no closure
+    assert len(first) == 23 and walks == [False]
     assert closures == []
-    steps.clear()
+    walks.clear()
     assert g.subgroups_all() == first
     assert len(g.maximal_subgroups()) == 7
-    assert steps == [] and closures == []
+    assert walks == [] and closures == []
 
 
 def test_fingerprint_computed_once(monkeypatch):

@@ -1,6 +1,8 @@
 """The cyclic-extension walks of ``FiniteGroup`` against the reference
 enumerator, a breadth-first closure over single-element extensions which
-needs no solvability and no normaliser; the walk of a generated
+needs no solvability and no normaliser, also with blocks of a few
+entries; the census of groups that are not p-groups against a
+centraliser and ``is_normal`` per subgroup; the walk of a generated
 subgroup with its Schreier vector against a scalar queue and a set
 closure; the batched closures against one walk per row; the centre,
 the nilpotency bound and normality, read on a generating set, against
@@ -10,6 +12,7 @@ a search that checks one candidate at a time, with no commutator
 filter."""
 
 import itertools
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulidecomp.algebra import Carrier, field_make
+from paulidecomp.algebra import Carrier, field_make, prime_power
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, GroupStructureError,
@@ -26,6 +29,7 @@ from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
                                     quaternion8)
 from paulidecomp.pauli import pauli_group, pauli_spec
+from test_census import _strictly_above
 from test_groupcore import LOOP5, _assert_isomorphism, _closure
 from test_products import _dihedral, _direct_product
 
@@ -50,6 +54,13 @@ def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
                     new_frontier.append(ext)
         frontier = new_frontier
     return sorted(found, key=lambda m: (len(m), m))
+
+
+def _normalizer_mask(g: FiniteGroup, members) -> np.ndarray:
+    """N_G(H) by its definition: the x with x^-1 H x inside H."""
+    inside = np.zeros(g.order, dtype=bool)
+    inside[list(members)] = True
+    return inside[g.conjugates(members)].all(axis=1)
 
 
 def _abelian(g: FiniteGroup, members) -> bool:
@@ -270,7 +281,81 @@ def test_generator_facts_match_definitions_on_relabelled_tables(name, data):
         0 if h.order == 1 else 1 if h.is_abelian else 2 if commutes else 3)
     for members in _oracle_subgroups(name):
         k = h.subgroup(perm[list(members)])
-        assert k.is_normal() == h.normalizer_mask(list(k.members)).all()
+        assert k.is_normal() == _normalizer_mask(h, k.members).all()
+
+
+def _relabelled_oracle(name: str, perm) -> list[tuple[int, ...]]:
+    """The oracle's subgroups of a group renamed by ``perm``, in
+    canonical order."""
+    renamed = (tuple(sorted(perm[i] for i in m))
+               for m in _oracle_subgroups(name))
+    return sorted(renamed, key=lambda m: (len(m), m))
+
+
+def _layer_rows(layers, field: str) -> list:
+    return [v for layer in layers for v in getattr(layer, field).tolist()]
+
+
+@pytest.mark.parametrize("name", [*GROUPS, "A5"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_walks_across_block_boundaries(name, data):
+    # with BLOCK at a few entries the rows of a layer, the coset leaders
+    # and the extension rows each span many blocks
+    g = _group(name)
+    perm = data.draw(st.permutations(range(g.order)))
+    h = _relabel(g, perm)
+    oracle = _relabelled_oracle(name, perm)
+    abelian = [m for m in oracle if _abelian(h, m)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(groupcore, "BLOCK", data.draw(st.integers(1, 8)))
+        layers = h.abelian_layers()
+        assert [k.members for k in h.abelian_subgroups()] == abelian
+        if name == "A5":
+            with pytest.raises(GroupStructureError, match="not solvable"):
+                h.subgroups_all()
+        else:
+            assert [k.members for k in h.subgroups_all()] == oracle
+    assert [tuple(m) for layer in layers
+            for m in layer.members().tolist()] == abelian
+    assert _layer_rows(layers, "normal") == [
+        bool(_normalizer_mask(h, m).all()) for m in abelian]
+    assert _layer_rows(layers, "centralizer_orders") == [
+        int(h.centralizer_mask(np.array(m)).sum()) for m in abelian]
+    if prime_power(h.order) is None:
+        return
+    # the covers, by containment: H < K with nothing strictly between
+    above = _strictly_above([set(m) for m in oracle])
+    covers = sorted((i, j) for i, up in enumerate(above)
+                    for j in up - set().union(*(above[k] for k in up)))
+    assert h.covers().tolist() == [list(c) for c in covers]
+
+
+@pytest.mark.parametrize("name", ["D12", "S4", "Z12", "A5"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_census_against_definitions_beyond_p_groups(name, data):
+    # maximality and normality as the census reads them from the layers,
+    # against centralizer and is_normal per subgroup and against
+    # containment among the abelian subgroups
+    g = _group(name)
+    h = _relabel(g, data.draw(st.permutations(range(g.order))))
+    subs = h.abelian_subgroups()
+    layers = h.abelian_layers()
+    normal = [k.is_normal() for k in subs]
+    centralizer = [h.centralizer(k.members).order for k in subs]
+    assert _layer_rows(layers, "normal") == normal
+    assert _layer_rows(layers, "centralizer_orders") == centralizer
+    above = _strictly_above([set(k.members) for k in subs])
+    rest = list(zip(subs, normal, centralizer, above))[1:]
+    census = abelian_census(h)
+    assert census.maximal_abelian_orders == sorted(
+        k.order for k, _, c, _ in rest if c == k.order) == sorted(
+        k.order for k, _, _, up in rest if not up)
+    assert census.by_order_normality == dict(
+        Counter((k.order, f) for k, f, _, _ in rest))
+    assert census.normal_count == sum(f for _, f, _, _ in rest)
+    assert census.nonnormal_count == len(rest) - census.normal_count
 
 
 def _walk_generating_set(g: FiniteGroup) -> tuple[int, ...]:
