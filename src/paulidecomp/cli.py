@@ -26,6 +26,10 @@ Exit codes: 0 success (including refuted paper claims), 2 spec or
 argument error (an --out path that is a directory or lies in a missing
 one among them), 3 a cap or size limit exceeded, 4 oracle
 self-inconsistency.
+
+Environment: a command sets OPENBLAS_NUM_THREADS=1 for itself unless it is
+already set, since no command does floating-point linear algebra and
+OpenBLAS would otherwise start a worker thread that spins beside it.
 """
 
 from __future__ import annotations
@@ -34,28 +38,15 @@ import argparse
 import os
 import sys
 
+# Only the numpy-free modules are imported here.  Every other import sits
+# in the function or branch that uses it: a command loads only the layers
+# it runs, and ``main`` sets its OpenBLAS default before numpy loads.
 from .algebra import Carrier, is_prime, prime_power
-from .census import abelian_census, export_dot, hasse, paper_figure_lattice
-from .groupcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
-                        ClosureCapError, FiniteGroup, GroupStructureError)
-from .heisenberg import heis_group, heis_spec
-from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
-from .pauli import pauli_group, pauli_spec
-from .products import (decompose_pauli_chain, extraspecial_decompose,
-                       reference_group)
 from .reports import dump_json
 
 
 class SpecError(ValueError):
     pass
-
-
-class SubgroupCapError(CapError):
-    """Group too large for full subgroup enumeration."""
-
-    def __init__(self, order: int, cap: int):
-        super().__init__(
-            f"group of order {order} exceeds the subgroup-enumeration cap {cap}")
 
 
 def _parse_params(text: str) -> dict:
@@ -126,12 +117,16 @@ def parse_spec(text: str):
             raise SpecError(f"p must be prime, got {p}")
         m = _int_param(params, "m", 1)
         n = _int_param(params, "n", 1)
-        make = pauli_spec if head == "pauli" else lifted_spec
+        if head == "pauli":
+            from .pauli import pauli_spec as make
+        else:
+            from .lifted import lifted_spec as make
         try:
             return head, make(p, m, n)
         except ValueError as exc:
             raise SpecError(str(exc))
     if head == "heis":
+        from .heisenberg import heis_spec
         params = _parse_params(rest)
         _check_keys(params, ("R", "n", "cocycle", "reduced"))
         carrier = _parse_carrier(params.get("R", "gf(3)"))
@@ -154,6 +149,7 @@ def _checked_spec(args, text: str | None = None):
     groups, the spec's order for the families.  This is the only cap
     check: every other group a command builds (a subgroup, a quotient,
     the lifted image) is no larger."""
+    from .groupcore import CapError
     kind, spec = parse_spec(text or args.spec)
     if kind == "trivial":
         order = 1
@@ -163,24 +159,32 @@ def _checked_spec(args, text: str | None = None):
     else:
         order = spec.order
     if order > args.cap_closure:
-        raise ClosureCapError(args.cap_closure)
+        raise CapError(f"group of order {order} exceeds the closure cap "
+                       f"{args.cap_closure}")
     cap = getattr(args, "cap_subgroups", order)
     if order > cap:
-        raise SubgroupCapError(order, cap)
+        raise CapError(f"group of order {order} exceeds the "
+                       f"subgroup-enumeration cap {cap}")
     return kind, spec
 
 
-def build_group(kind: str, spec) -> FiniteGroup:
+def build_group(kind: str, spec):
+    """The ``FiniteGroup`` of a parsed spec."""
     if kind == "trivial":
+        from .groupcore import FiniteGroup
         return FiniteGroup([0], [[0]], name="1")
     if kind == "reference":
+        from .products import reference_group
         name, p = spec
         return reference_group(name, p)
     if kind == "pauli":
+        from .pauli import pauli_group
         return pauli_group(spec)
     if kind == "heis":
+        from .heisenberg import heis_group
         return heis_group(spec)
     if kind == "lifted":
+        from .lifted import lifted_group
         return lifted_group(spec)
     raise SpecError(f"cannot build {kind!r}")
 
@@ -209,6 +213,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .products import decompose_pauli_chain, extraspecial_decompose
     kind, spec = _checked_spec(args)
     if kind == "pauli" and spec.carrier.p == 2:
         rep = decompose_pauli_chain(spec.n)
@@ -219,14 +224,17 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .census import abelian_census
     result = abelian_census(build_group(*_checked_spec(args)))
     _emit(dump_json(result) + "\n", args.out)
     return 0
 
 
 def cmd_lattice(args) -> int:
+    from .census import export_dot, hasse, paper_figure_lattice
     kind, spec = _checked_spec(args)
     if args.filter == "paper_figure":
+        from .pauli import pauli_spec
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
         elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
@@ -245,6 +253,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_lifted(args) -> int:
+    from .lifted import lifted_group, pi_image_group, pi_kernel
     kind, spec = _checked_spec(args, args.spec if ":" in args.spec
                               else "lifted:" + args.spec)
     if kind != "lifted":
@@ -288,6 +297,7 @@ def _positive_int(text: str) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    from .groupcore import DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP
     parser = argparse.ArgumentParser(
         prog="paulidecomp",
         description="Exact construction, decomposition, and claim "
@@ -334,6 +344,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command does floating-point linear algebra, yet numpy loads
+    # OpenBLAS, whose pthreads build starts a spinning worker thread.  Set
+    # here, before numpy loads, and not at import, so that a program that
+    # imports the package keeps its own environment.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .groupcore import CapError, GroupStructureError
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

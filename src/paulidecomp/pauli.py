@@ -16,13 +16,13 @@ form b1 . a2 and centre Z_4 through the doubled trace (p = 2) or Z_p
 through the trace (odd p).  For m > 1 the phase convention is the
 trace form: phases live in Z_p and the clock operator acts through the
 additive character j -> w_p^tr(j), which is what makes the phase-space
-product match the exact matrix product (see the matrix oracle below).
+product match the exact matrix product (the tests check it against a
+matrix oracle over the cyclotomic integers).
 """
 
 from __future__ import annotations
 
 from .algebra import Carrier, field_make
-from .cyclotomic import CyclotomicMatrix
 from .groupcore import CentralExtension, FiniteGroup
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
@@ -63,44 +63,6 @@ def pauli_group(spec: CentralExtension) -> FiniteGroup:
     known in closed form); the generation claim is covered separately by
     tests that close the generators and compare."""
     return spec.group()
-
-
-# ---------------------------------------------------------------------------
-# exact matrix oracle
-# ---------------------------------------------------------------------------
-
-def _single_register_matrix(spec: CentralExtension, a: int,
-                            b: int) -> CyclotomicMatrix:
-    """X^a Z^b on one q-dimensional register, over Z[w_N] with N = 4 for
-    p = 2 and N = p for odd p (trace character for m > 1)."""
-    f = spec.carrier
-    q = f.size
-    N = 4 if f.p == 2 else f.p
-    scale = 2 if f.p == 2 else 1  # embed Z_2-valued characters into w_4
-    rows = []
-    for i in range(q):       # row index: output basis vector
-        row = []
-        for j in range(q):   # column index: input basis vector
-            # X^a Z^b |j> = chi(b*j) |j+a>
-            if i == f.add(j, a):
-                chi = f.trace(f.mul(b, j)) * scale
-                row.append(tuple([0] * (chi % N)) + (1,))
-            else:
-                row.append(())
-        rows.append(tuple(row))
-    return CyclotomicMatrix.from_rows(N, rows)
-
-
-def pauli_matrix_oracle(spec: CentralExtension,
-                        g: PauliKey) -> CyclotomicMatrix:
-    """Exact q^n x q^n matrix over Z[w] realizing g.  This is the
-    independent oracle: tests check the map is a faithful homomorphism."""
-    if spec.carrier.size ** spec.n > 9:
-        raise ValueError("matrix oracle limited to q^n <= 9")
-    mat = _single_register_matrix(spec, g[1][0], g[2][0])
-    for k in range(1, spec.n):
-        mat = mat.kron(_single_register_matrix(spec, g[1][k], g[2][k]))
-    return mat.scale(g[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Exact matrices over the cyclotomic integers Z[w_N].
+"""Exact matrices over the cyclotomic integers Z[w_N], and the Pauli
+matrix oracle built from them.
 
 Ring elements are integer coefficient tuples reduced modulo the N-th
 cyclotomic polynomial, so equality is canonical-representative comparison
 and matrix products are bit-exact.  These matrices serve as the
 independent oracle for the phase-space group arithmetic: the shift/clock
-unitaries live here with no floating point.
+unitaries live here with no floating point.  Only the tests use them; no
+command does.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+from paulidecomp.groupcore import CentralExtension
+from paulidecomp.pauli import PauliKey
 
 
 def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -155,3 +160,40 @@ class CyclotomicMatrix:
                 rows.append(tuple(row))
         return CyclotomicMatrix(n, d1 * d2, tuple(rows))
 
+
+# ---------------------------------------------------------------------------
+# Pauli matrix oracle
+# ---------------------------------------------------------------------------
+
+def _single_register_matrix(spec: CentralExtension, a: int,
+                            b: int) -> CyclotomicMatrix:
+    """X^a Z^b on one q-dimensional register, over Z[w_N] with N = 4 for
+    p = 2 and N = p for odd p (trace character for m > 1)."""
+    f = spec.carrier
+    q = f.size
+    N = 4 if f.p == 2 else f.p
+    scale = 2 if f.p == 2 else 1  # embed Z_2-valued characters into w_4
+    rows = []
+    for i in range(q):       # row index: output basis vector
+        row = []
+        for j in range(q):   # column index: input basis vector
+            # X^a Z^b |j> = chi(b*j) |j+a>
+            if i == f.add(j, a):
+                chi = f.trace(f.mul(b, j)) * scale
+                row.append(tuple([0] * (chi % N)) + (1,))
+            else:
+                row.append(())
+        rows.append(tuple(row))
+    return CyclotomicMatrix.from_rows(N, rows)
+
+
+def pauli_matrix_oracle(spec: CentralExtension,
+                        g: PauliKey) -> CyclotomicMatrix:
+    """Exact q^n x q^n matrix over Z[w] realizing g.  This is the
+    independent oracle: tests check the map is a faithful homomorphism."""
+    if spec.carrier.size ** spec.n > 9:
+        raise ValueError("matrix oracle limited to q^n <= 9")
+    mat = _single_register_matrix(spec, g[1][0], g[2][0])
+    for k in range(1, spec.n):
+        mat = mat.kron(_single_register_matrix(spec, g[1][k], g[2][k]))
+    return mat.scale(g[0])

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -50,6 +51,17 @@ def test_parse_error_exit_2():
 def test_cap_exceeded_exit_3():
     r = run_cli("build", "pauli:p=2,n=2", "--cap-closure", "10")
     assert r.returncode == 3
+    assert r.stderr == ("error: cap exceeded: group of order 64 exceeds "
+                        "the closure cap 10\n")
+    # refused from the spec's order: no closure has run
+    r = run_cli("build", "pauli:p=2,n=99")
+    assert r.returncode == 3
+    assert r.stderr == (f"error: cap exceeded: group of order {4 ** 100} "
+                        "exceeds the closure cap 4096\n")
+    r = run_cli("census", "pauli:p=2,n=2", "--cap-subgroups", "10")
+    assert r.returncode == 3
+    assert r.stderr == ("error: cap exceeded: group of order 64 exceeds "
+                        "the subgroup-enumeration cap 10\n")
 
 
 def test_census_d8():
@@ -212,11 +224,37 @@ def test_exit_codes(argv, code):
 def test_command_leaves_numpy_ma_unimported(args):
     # np.unique without return_index or return_counts asks np.ma whether
     # its input is masked, which imports numpy.ma on first use: 12-18 ms
-    # of start-up in every process under numpy 2.4
-    code = ("import sys\n"
+    # of start-up in every process under numpy 2.4.  Nor may a command
+    # start a thread: numpy loads OpenBLAS, whose pthreads build starts a
+    # worker unless OPENBLAS_NUM_THREADS is 1, which main() defaults to.
+    code = ("import os, sys\n"
             "from paulidecomp.cli import main\n"
             f"assert main({list(args)!r}) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+            "if os.path.isdir('/proc/self/task'):\n"
+            "    threads = len(os.listdir('/proc/self/task'))\n"
+            "    assert threads == 1, f'{threads} threads'\n")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True)
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+
+
+def test_openblas_default_set_only_by_main():
+    # importing the package changes no environment variable (a program
+    # that imports it, such as a benchmark harness, passes its own
+    # environment on to its children), and main() keeps a value the user
+    # set
+    code = ("import os\n"
+            "before = dict(os.environ)\n"
+            "import paulidecomp.claims, paulidecomp.cli\n"
+            "assert dict(os.environ) == before, 'os.environ changed'\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "assert paulidecomp.cli.main(['build', 'd8']) == 0\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
     assert r.returncode == 0, r.stderr

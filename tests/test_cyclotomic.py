@@ -1,7 +1,6 @@
 import itertools
 
-from paulidecomp.cyclotomic import (CyclotomicMatrix, cyclotomic_polynomial,
-                                    zeta_power)
+from matrix_oracle import CyclotomicMatrix, cyclotomic_polynomial, zeta_power
 
 
 def test_cyclotomic_polynomials():

@@ -3,9 +3,10 @@ import operator
 
 import pytest
 
+from matrix_oracle import pauli_matrix_oracle
 from paulidecomp.claims import lemma31_presentation_check, p22_relations_check
 from paulidecomp.pauli import (p12_named_elements, p12_spec, pauli_element,
-                               pauli_group, pauli_matrix_oracle, pauli_spec)
+                               pauli_group, pauli_spec)
 
 
 def order_of(spec, g):
