@@ -82,11 +82,6 @@ class LatticeGraph:
         return {"group": self.group, "nodes": self.nodes,
                 "edges": [list(e) for e in self.edges]}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "LatticeGraph":
-        return cls(group=d["group"], nodes=list(d["nodes"]),
-                   edges=[tuple(e) for e in d["edges"]])
-
 
 def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
           labels: list[str] | None = None) -> LatticeGraph:

@@ -16,7 +16,7 @@ import time
 
 from .algebra import Carrier, field_make, sigma_tau
 from .census import abelian_census
-from .groupcore import ISO_ORDER_CAP, FiniteGroup, group_close, isomorphic
+from .groupcore import ISO_ORDER_CAP, FiniteGroup, isomorphic
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec)
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
@@ -133,13 +133,14 @@ def lemma31_presentation_check():
 
 @_verdict("eq13-14")
 def p22_relations_check():
-    """Build P_{2,2} from the five named generators and verify the squared
-    generators, the centrality of ABC, and the nine commutator values."""
+    """Close the five named generators in the P_{2,2} table and verify the
+    order they generate, the squared generators, the centrality of ABC,
+    and the nine commutator values."""
     s = pauli_spec(2, 1, 2)
     e = s.identity()
     minus_i = (2, (0, 0), (0, 0))
     g = p22_named_generators()
-    G = group_close(list(g.values()), s.mul, name="P(2,2)")
+    G = pauli_group(s).generated_subgroup(g.values()).as_group(name="P(2,2)")
 
     def comm(x, y):
         return s.mul(s.mul(s.inverse(x), s.inverse(y)), s.mul(x, y))

@@ -38,11 +38,13 @@ import argparse
 import os
 import sys
 
-# Only the numpy-free modules are imported here.  Every other import sits
-# in the function or branch that uses it: a command loads only the layers
-# it runs, and ``main`` sets its OpenBLAS default before numpy loads.
+# Only the numpy-free modules are imported here, so ``--help`` and an
+# unknown spec load no numpy.  Every other import sits in the
+# function or branch that uses it: a command loads only the layers it
+# runs, and ``main`` sets its OpenBLAS default before numpy loads.
 from .algebra import Carrier, is_prime, prime_power
-from .reports import dump_json
+from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
+                      GroupStructureError, dump_json)
 
 
 class SpecError(ValueError):
@@ -149,7 +151,6 @@ def _checked_spec(args, text: str | None = None):
     groups, the spec's order for the families.  This is the only cap
     check: every other group a command builds (a subgroup, a quotient,
     the lifted image) is no larger."""
-    from .groupcore import CapError
     kind, spec = parse_spec(text or args.spec)
     if kind == "trivial":
         order = 1
@@ -297,7 +298,6 @@ def _positive_int(text: str) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    from .groupcore import DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP
     parser = argparse.ArgumentParser(
         prog="paulidecomp",
         description="Exact construction, decomposition, and claim "
@@ -349,7 +349,6 @@ def main(argv=None) -> int:
     # here, before numpy loads, and not at import, so that a program that
     # imports the package keeps its own environment.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .groupcore import CapError, GroupStructureError
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

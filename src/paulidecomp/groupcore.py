@@ -3,9 +3,12 @@
 A group is materialized from a canonical list of opaque hashable element
 keys plus its index-based multiplication table; everything downstream
 (centers, derived and Frattini subgroups, subgroup lattices, quotients,
-isomorphism tests) works on that table.  The table comes either from
-``tabulate``, one call of a scalar multiplication oracle per pair, or
-from a ``CentralExtension`` spec.  Every table is verified at
+isomorphism tests) works on that table.  Every table is built one way,
+by whole-array operations: a family's from its ``CentralExtension`` spec
+(E2(p), whose cocycle is not bilinear, from arrays of its own law), a
+subgroup's or a quotient's by gathers of its parent's table.  No table
+is built by calling a scalar multiplication oracle pair by pair; the
+tests keep that oracle as the reference.  Every table is verified at
 construction against the group axioms only: entries in range, an
 identity, two-sided inverses, and associativity decided exactly at every
 order by Light's test (a group table is a Latin square, so that is not
@@ -25,9 +28,9 @@ its carrier R, n, the form (signed pairs of blocks), the centre (R
 itself, Z_p through the trace, or Z_4 through the doubled trace) and the
 key layout.  The spec lists its element keys in the order of its table's
 indices, has one scalar ``mul`` (the oracle) and one table path: the form
-as an array, mapped into the centre, then extended by
-``central_extension_table``.  The family modules only choose the
-parameters.
+as an array, mapped into the centre, then extended over the centre
+one block per pair of centre elements.  The family modules only choose
+the parameters.
 
 Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
@@ -87,12 +90,12 @@ off a mask over range(|G|) instead.
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
 any table is built; ``DEFAULT_CLOSURE_CAP`` and ``DEFAULT_SUBGROUP_CAP``
-are its defaults.  The library keeps three limits of its own:
-``group_close`` bounds its breadth-first search by ``cap``, since the
-order an oracle generates is not known in advance; isomorphism search
-refuses orders above ``ISO_ORDER_CAP``; and ``products.minimal_nonabelian``,
-which closes every noncommuting pair of cyclic-subgroup generators,
-refuses the same orders.  All three raise a ``CapError``.
+are its defaults, defined with the error types in the numpy-free
+``reports``.  The library keeps two limits of its own: isomorphism
+search refuses orders above ``ISO_ORDER_CAP``, and
+``products.minimal_nonabelian``, which closes every noncommuting pair of
+cyclic-subgroup generators, refuses the same orders.  Both raise a
+``CapError``.
 """
 
 from __future__ import annotations
@@ -106,33 +109,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import Carrier, prime_power
+from .reports import DEFAULT_SUBGROUP_CAP, CapError, GroupStructureError
 
-DEFAULT_CLOSURE_CAP = 4096
-DEFAULT_SUBGROUP_CAP = 256
 ISO_ORDER_CAP = 1024
 # rows per block of Light's test: at order 4096 a block is 4 MB of int32,
 # where the whole table is 64 MB; also the bound on rows times seeds per
 # block of ``closures``, the largest batch of ``_blocks``, and the bound
 # on the entries of a gather of the subgroup walk, over |G|
 BLOCK = 256
-
-
-class CapError(RuntimeError):
-    """A cap or size limit was exceeded: the input is valid but too large
-    for the exhaustive computation asked of it."""
-
-
-class ClosureCapError(CapError):
-    """Generated set exceeded the configured closure cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"closure exceeded the cap of {cap} elements")
-        self.cap = cap
-
-
-class GroupStructureError(RuntimeError):
-    """The supplied elements/oracle do not form a group, or an internal
-    cross-check failed (which would indicate a bug, not bad input)."""
 
 
 class FiniteGroup:
@@ -143,8 +127,9 @@ class FiniteGroup:
     ``elements[i] * elements[j]``).  The table is verified at construction
     against the group axioms only: entries in [0, n), an identity,
     two-sided inverses, and associativity, decided exactly by Light's test
-    on the generating set.  Groups given by a scalar multiplication oracle
-    are tabulated first with ``tabulate``.
+    on the generating set.  The table arrives whole, built by array
+    operations (a spec's ``table``, or a gather of a parent's table for a
+    subgroup or quotient); no scalar multiplication oracle is called.
     """
 
     def __init__(self, elements, table, name: str = ""):
@@ -653,46 +638,6 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-def group_close(generators, mul, cap: int = DEFAULT_CLOSURE_CAP,
-                name: str = "") -> FiniteGroup:
-    """Materialize the group generated by ``generators`` under the oracle
-    ``mul``.  Raises ClosureCapError when the closure exceeds ``cap``."""
-    generators = list(generators)
-    elements = list(dict.fromkeys(generators))
-    frontier = list(elements)
-    elem_set = set(elements)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                c = mul(a, g)
-                if c not in elem_set:
-                    elem_set.add(c)
-                    new.append(c)
-                    if len(elem_set) > cap:
-                        raise ClosureCapError(cap)
-        frontier = new
-    # canonicalize: sort keys so identical generator sets give identical groups
-    elements = sorted(elem_set)
-    return FiniteGroup(elements, tabulate(elements, mul), name=name)
-
-
-def tabulate(elements, mul) -> np.ndarray:
-    """Index multiplication table of ``elements`` under the scalar oracle
-    ``mul``: one oracle call per pair."""
-    elements = list(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    table = np.empty((len(elements), len(elements)), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            k = index.get(mul(a, b))
-            if k is None:
-                raise GroupStructureError(
-                    "multiplication left the element set: not closed")
-            table[i, j] = k
-    return table
-
-
 class Centre(NamedTuple):
     """The centre C of a central extension: ``map`` sends each carrier
     value to an element of C, and ``add`` is the addition table of C.
@@ -812,56 +757,39 @@ class CentralExtension:
         return [self._join(c, v) for v in vecs for c in centre]
 
     def table(self) -> np.ndarray:
-        """The index table of ``elements()``: the form as a q^(2n) x q^(2n)
-        array of carrier values, mapped into the centre, then extended."""
+        """The index table of ``elements()``, built by whole-array
+        operations: the form as a q^(2n) x q^(2n) array of carrier values,
+        mapped into the centre as the cocycle, then extended one block per
+        pair (c1, c2) of centre elements, c1 + c2 + cocycle[v1, v2] over
+        all v1, v2."""
         r = self.carrier
         add = np.asarray(r.add_table, dtype=np.int32)
         mul = np.asarray(r.mul_table, dtype=np.int32)
-        d = _digits(r.size, 2 * self.n)
+        # row v holds the 2n base-q digits of v, most significant first
+        k = 2 * self.n
+        d = (np.arange(r.size ** k)[:, None]
+             // r.size ** np.arange(k - 1, -1, -1)) % r.size
         form = np.zeros((len(d), len(d)), dtype=np.int32)
         for coeff, i, j in self._terms:
             form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
         cocycle = np.asarray(self._centre.map, dtype=np.int32)[form]
-        return central_extension_table(add, self.n, self._centre.add, cocycle,
-                                       self.centre_first)
+        vadd = np.zeros((len(d), len(d)), dtype=np.int32)
+        for i in range(k):
+            vadd = vadd * r.size + add[d[:, i, None], d[None, :, i]]
+        centre_add = np.asarray(self._centre.add, dtype=np.int32)
+        size, m = len(d), len(centre_add)
+        table = np.empty((size * m, size * m), dtype=np.int32)
+        for c1, c2 in itertools.product(range(m), repeat=2):
+            centre = centre_add[centre_add[c1, c2], cocycle]
+            if self.centre_first:
+                table[c1 * size:(c1 + 1) * size,
+                      c2 * size:(c2 + 1) * size] = centre * size + vadd
+            else:
+                table[c1::m, c2::m] = vadd * m + centre
+        return table
 
     def group(self) -> FiniteGroup:
         return FiniteGroup(self.elements(), self.table(), name=self.name)
-
-
-def central_extension_table(add, n: int, centre_add, cocycle,
-                            centre_first: bool) -> np.ndarray:
-    """Multiplication table of the central extension of R^n x R^n by a
-    centre C through a 2-cocycle, built by whole-array operations:
-
-        (c1, v1)(c2, v2) = (c1 + c2 + cocycle[v1, v2], v1 + v2).
-
-    ``add`` is the q x q addition table of the carrier R, ``centre_add``
-    the M x M addition table of C and ``cocycle`` a q^(2n) x q^(2n) array
-    of centre elements; indices follow the layout of
-    ``CentralExtension``."""
-    add = np.asarray(add, dtype=np.int32)
-    centre_add = np.asarray(centre_add, dtype=np.int32)
-    d = _digits(len(add), 2 * n)
-    vadd = np.zeros((len(d), len(d)), dtype=np.int32)
-    for i in range(2 * n):
-        vadd = vadd * len(add) + add[d[:, i, None], d[None, :, i]]
-    size, m = len(d), len(centre_add)
-    table = np.empty((size * m, size * m), dtype=np.int32)
-    # one (c1, c2) block at a time: c1 + c2 + cocycle[v1, v2] over all v
-    for c1, c2 in itertools.product(range(m), repeat=2):
-        centre = centre_add[centre_add[c1, c2], cocycle]
-        if centre_first:
-            table[c1 * size:(c1 + 1) * size,
-                  c2 * size:(c2 + 1) * size] = centre * size + vadd
-        else:
-            table[c1::m, c2::m] = vadd * m + centre
-    return table
-
-
-def _digits(q: int, k: int) -> np.ndarray:
-    """Row v holds the k base-q digits of v, most significant first."""
-    return (np.arange(q ** k)[:, None] // q ** np.arange(k - 1, -1, -1)) % q
 
 
 class Layer(NamedTuple):

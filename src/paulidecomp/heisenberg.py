@@ -17,15 +17,16 @@ polarized one matches the upper unitriangular 3x3 matrix model.
 
 D8 and Q8 are central extensions of GF(2) x GF(2) by GF(2) too, through
 the forms a1.a2 + b1.a2 and a1.a2 + b1.b2 + b1.a2; E2(p), whose cocycle
-is not bilinear, is tabulated from its scalar law.
+is not bilinear, has its table built from whole arrays of its law, as
+every other table is.
 """
 
 from __future__ import annotations
 
-from .algebra import Carrier, field_make
-from .groupcore import CentralExtension, FiniteGroup, tabulate
+import numpy as np
 
-HeisKey = tuple  # (a tuple, b tuple, t)
+from .algebra import Carrier, field_make
+from .groupcore import CentralExtension, FiniteGroup
 
 # the cocycles as signed block pairs (see ``CentralExtension``)
 COCYCLES = {
@@ -60,37 +61,6 @@ def heis_group(spec: CentralExtension) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# matrix model (characteristic != 2)
-# ---------------------------------------------------------------------------
-
-def unitriangular_mul(carrier, m1, m2):
-    """Product of the upper unitriangular 3x3 matrices M(a, b; t) over the
-    carrier, each given as its entry tuple (a, b, t)."""
-    a1, b1, t1 = m1
-    a2, b2, t2 = m2
-    return (
-        carrier.add(a1, a2),
-        carrier.add(b1, b2),
-        carrier.add(carrier.add(t1, t2), carrier.mul(a1, b2)),
-    )
-
-
-def phi_map(spec: CentralExtension, g: HeisKey):
-    """The classical isomorphism (a, b, t) -> M(a, b; (t + a b)/2) from
-    the symplectic cocycle model to the matrix model.  Defined for n = 1,
-    plain variant, odd characteristic."""
-    r = spec.carrier
-    if spec != heis_spec(r):
-        raise ValueError("phi_map applies to the plain symplectic model, n = 1")
-    if r.p == 2:
-        raise ValueError("phi_map requires odd characteristic")
-    a, b, t = g[0][0], g[1][0], g[2]
-    half = r.inv(2)  # the constant 2 has the same code in every carrier here
-    s = r.mul(half, r.add(t, r.mul(a, b)))
-    return (a, b, s)
-
-
-# ---------------------------------------------------------------------------
 # reference groups
 # ---------------------------------------------------------------------------
 
@@ -120,16 +90,17 @@ def extraspecial_e1(p: int) -> FiniteGroup:
 
 def extraspecial_e2(p: int) -> FiniteGroup:
     """E2(p): the extraspecial group Z/p^2 x| Z/p of exponent p^2, with
-    the generator of Z/p acting by x -> x^(1+p), for odd p."""
+    the generator of Z/p acting by x -> x^(1+p), for odd p.  The product
+    (x1, y1)(x2, y2) = (x1 + x2 (1+p)^y1 mod p^2, y1 + y2 mod p) is taken
+    over all pairs at once, with (1+p)^y = 1 + y p mod p^2; (x, y) has
+    index x p + y."""
     if p == 2:
         raise ValueError("E2 is defined for odd p")
-    p2 = p * p
-
-    def mul(g, h):
-        x1, y1 = g
-        x2, y2 = h
-        # (x1, y1)(x2, y2) = (x1 + x2 (1+p)^y1, y1 + y2)
-        return ((x1 + x2 * pow(1 + p, y1, p2)) % p2, (y1 + y2) % p)
-
-    elems = [(x, y) for x in range(p2) for y in range(p)]
-    return FiniteGroup(elems, tabulate(elems, mul), name=f"E2({p})")
+    x, y = np.arange(p * p, dtype=np.int32), np.arange(p, dtype=np.int32)
+    # the x part is indexed [x1, y1, x2] and the y part [y1, y2]; their
+    # broadcast sum over [x1, y1, x2, y2] is the one full-size array made
+    xs = (x[:, None, None] + x * (1 + p * y[:, None])) % (p * p) * p
+    ys = (y[:, None] + y) % p
+    table = (xs[..., None] + ys[:, None]).reshape(p ** 3, p ** 3)
+    elems = [(a, b) for a in range(p * p) for b in range(p)]
+    return FiniteGroup(elems, table, name=f"E2({p})")

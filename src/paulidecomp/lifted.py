@@ -14,18 +14,16 @@ form and the carrier as centre):
 
 The two conventions are exchanged by the relabeling alpha <-> beta, an
 anti-isomorphism composed with inversion, so the groups are isomorphic;
-tests check the matrix model agrees after the swap.  The group has order
-q^(2n+1) and projects onto the corresponding Pauli group by reducing the
-corner entry through the field trace.
+the tests check the matrix model against ``mul`` after the swap.  The
+group has order q^(2n+1) and projects onto the corresponding Pauli group
+by reducing the corner entry through the field trace.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import field_make
 from .groupcore import CentralExtension, FiniteGroup
-from .pauli import PAULI_FORM, pauli_law
+from .pauli import PAULI_FORM
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
 
@@ -42,41 +40,6 @@ def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
 def lifted_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize the lifted group."""
     return spec.group()
-
-
-# ---------------------------------------------------------------------------
-# independent matrix oracle
-# ---------------------------------------------------------------------------
-
-def lifted_matrix(spec: CentralExtension, g: LiftedKey):
-    """(n+2)x(n+2) unitriangular matrix over GF(q), row vector first.
-    The alpha <-> beta swap aligns the matrix cross term a1.b2 with the
-    phase-space cross term b1.a2 used by ``mul``."""
-    n = spec.n
-    size = n + 2
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = 1
-    for k in range(n):
-        rows[0][1 + k] = g[2][k]
-        rows[1 + k][size - 1] = g[1][k]
-    rows[0][size - 1] = g[0]
-    return tuple(tuple(r) for r in rows)
-
-
-def lifted_matrix_mul(spec: CentralExtension, m1, m2):
-    f = spec.carrier
-    size = spec.n + 2
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = 0
-            for k in range(size):
-                acc = f.add(acc, f.mul(m1[i][k], m2[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +78,3 @@ def pi_image_group(spec: CentralExtension) -> FiniteGroup:
                              centre_first=True, name=name)
     keys = sorted({pi_map(spec, g) for g in spec.elements()})
     return FiniteGroup(keys, image.table(), name=name)
-
-
-def pi_is_homomorphism(spec: CentralExtension) -> bool:
-    """Check Pi(gh) = Pi(g)Pi(h) against the product of ``pauli_law`` for
-    every pair g, h."""
-    tmul = pauli_law(spec.carrier, spec.n).mul
-    els = spec.elements()
-    for g, h in itertools.product(els, els):
-        if pi_map(spec, spec.mul(g, h)) != tmul(pi_map(spec, g), pi_map(spec, h)):
-            return False
-    return True

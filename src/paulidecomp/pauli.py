@@ -60,8 +60,9 @@ def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
 
 def pauli_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize P_{n,q}.  Elements are enumerated directly (the set is
-    known in closed form); the generation claim is covered separately by
-    tests that close the generators and compare."""
+    known in closed form); that the register generators generate it all
+    is checked by the ``assert_faithful_representation`` fixture of
+    ``tests/conftest.py``, which closes them under the scalar ``mul``."""
     return spec.group()
 
 

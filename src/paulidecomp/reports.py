@@ -9,6 +9,10 @@ Verdict statuses:
 * ``inconsistent_in_paper``: the claim as registered is self-contradictory
   and the verdict records which reading the oracle supports.
 * ``out_of_cap``: the instance exceeds the configured size caps.
+
+The error types and the default caps of the commands live here too, in a
+module that imports no numpy, so that ``--help`` and an unknown spec
+load no numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +24,19 @@ STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper",
             "out_of_cap")
 
 CLASSIFICATIONS = ("weak_central", "central", "none")
+
+DEFAULT_CLOSURE_CAP = 4096
+DEFAULT_SUBGROUP_CAP = 256
+
+
+class CapError(RuntimeError):
+    """A cap or size limit was exceeded: the input is valid but too large
+    for the exhaustive computation asked of it."""
+
+
+class GroupStructureError(RuntimeError):
+    """The supplied elements do not form a group, or an internal
+    cross-check failed (which would indicate a bug, not bad input)."""
 
 
 @dataclass

@@ -1,22 +1,46 @@
-"""Exact matrices over the cyclotomic integers Z[w_N], and the Pauli
-matrix oracle built from them.
+"""The independent oracles the tests compare the library against; no
+command uses them.
 
-Ring elements are integer coefficient tuples reduced modulo the N-th
-cyclotomic polynomial, so equality is canonical-representative comparison
-and matrix products are bit-exact.  These matrices serve as the
-independent oracle for the phase-space group arithmetic: the shift/clock
-unitaries live here with no floating point.  Only the tests use them; no
-command does.
+* ``tabulate``: the index table of a scalar multiplication law, one call
+  per pair, the reference for every whole-array table.
+* Exact matrices over the cyclotomic integers Z[w_N], and the Pauli
+  matrix oracle built from them.  Ring elements are integer coefficient
+  tuples reduced modulo the N-th cyclotomic polynomial, so equality is
+  canonical-representative comparison and matrix products are bit-exact:
+  the shift/clock unitaries live here with no floating point.
+* The unitriangular matrix models of the lifted and Heisenberg groups,
+  and the check that the lifted projection is a homomorphism.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from paulidecomp.groupcore import CentralExtension
-from paulidecomp.pauli import PauliKey
+import numpy as np
+
+from paulidecomp.groupcore import CentralExtension, GroupStructureError
+from paulidecomp.heisenberg import heis_spec
+from paulidecomp.lifted import pi_map
+from paulidecomp.pauli import PauliKey, pauli_law
+
+
+def tabulate(elements, mul) -> np.ndarray:
+    """Index multiplication table of ``elements`` under the scalar oracle
+    ``mul``: one oracle call per pair."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            k = index.get(mul(a, b))
+            if k is None:
+                raise GroupStructureError(
+                    "multiplication left the element set: not closed")
+            table[i, j] = k
+    return table
 
 
 def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -197,3 +221,81 @@ def pauli_matrix_oracle(spec: CentralExtension,
     for k in range(1, spec.n):
         mat = mat.kron(_single_register_matrix(spec, g[1][k], g[2][k]))
     return mat.scale(g[0])
+
+
+# ---------------------------------------------------------------------------
+# lifted matrix model and projection
+# ---------------------------------------------------------------------------
+
+def lifted_matrix(spec: CentralExtension, g):
+    """(n+2)x(n+2) unitriangular matrix over GF(q) of the lifted key
+    g = (eta, alpha, beta), row vector first.  The alpha <-> beta swap
+    aligns the matrix cross term a1.b2 with the phase-space cross term
+    b1.a2 used by ``mul``."""
+    n = spec.n
+    size = n + 2
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = 1
+    for k in range(n):
+        rows[0][1 + k] = g[2][k]
+        rows[1 + k][size - 1] = g[1][k]
+    rows[0][size - 1] = g[0]
+    return tuple(tuple(r) for r in rows)
+
+
+def lifted_matrix_mul(spec: CentralExtension, m1, m2):
+    f = spec.carrier
+    size = spec.n + 2
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = 0
+            for k in range(size):
+                acc = f.add(acc, f.mul(m1[i][k], m2[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def pi_is_homomorphism(spec: CentralExtension) -> bool:
+    """Check Pi(gh) = Pi(g)Pi(h) against the product of ``pauli_law`` for
+    every pair g, h."""
+    tmul = pauli_law(spec.carrier, spec.n).mul
+    els = spec.elements()
+    for g, h in itertools.product(els, els):
+        if pi_map(spec, spec.mul(g, h)) != tmul(pi_map(spec, g), pi_map(spec, h)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Heisenberg matrix model (characteristic != 2)
+# ---------------------------------------------------------------------------
+
+def unitriangular_mul(carrier, m1, m2):
+    """Product of the upper unitriangular 3x3 matrices M(a, b; t) over the
+    carrier, each given as its entry tuple (a, b, t)."""
+    a1, b1, t1 = m1
+    a2, b2, t2 = m2
+    return (
+        carrier.add(a1, a2),
+        carrier.add(b1, b2),
+        carrier.add(carrier.add(t1, t2), carrier.mul(a1, b2)),
+    )
+
+
+def phi_map(spec: CentralExtension, g):
+    """The classical isomorphism (a, b, t) -> M(a, b; (t + a b)/2) from
+    the symplectic cocycle model to the matrix model.  Defined for n = 1,
+    plain variant, odd characteristic."""
+    r = spec.carrier
+    if spec != heis_spec(r):
+        raise ValueError("phi_map applies to the plain symplectic model, n = 1")
+    if r.p == 2:
+        raise ValueError("phi_map requires odd characteristic")
+    a, b, t = g[0][0], g[1][0], g[2]
+    half = r.inv(2)  # the constant 2 has the same code in every carrier here
+    s = r.mul(half, r.add(t, r.mul(a, b)))
+    return (a, b, s)

@@ -8,7 +8,7 @@ each such verdict must carry an explicit witness.
 import itertools
 import time
 
-from matrix_oracle import pauli_matrix_oracle
+from matrix_oracle import pauli_matrix_oracle, pi_is_homomorphism
 from paulidecomp.algebra import field_make
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
@@ -18,8 +18,7 @@ from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 p22_relations_check)
 from paulidecomp.groupcore import abelian_invariants, isomorphic
 from paulidecomp.heisenberg import dihedral8, heis_spec
-from paulidecomp.lifted import (lifted_group, lifted_spec, pi_is_homomorphism,
-                                pi_kernel)
+from paulidecomp.lifted import lifted_group, lifted_spec, pi_kernel
 from paulidecomp.pauli import pauli_group, pauli_spec
 from paulidecomp.products import decompose_pauli_chain, pauli_chain_subgroups
 

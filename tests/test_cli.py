@@ -241,6 +241,22 @@ def test_command_leaves_numpy_ma_unimported(args):
     assert r.returncode == 0, r.stderr
 
 
+def test_help_and_unknown_spec_leave_numpy_unimported():
+    # the parser's defaults and the error types live in the numpy-free
+    # reports module, so neither --help nor a spec error pays for numpy
+    code = ("import sys\n"
+            "from paulidecomp.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert main(['build', 'nosuch']) == 2\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_openblas_default_set_only_by_main():
     # importing the package changes no environment variable (a program
     # that imports it, such as a benchmark harness, passes its own

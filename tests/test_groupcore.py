@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_oracle import tabulate
 from paulidecomp.claims import run_suite
-from paulidecomp.groupcore import (CapError, ClosureCapError, FiniteGroup,
-                                   GroupStructureError, abelian_invariants,
-                                   group_close, isomorphic, tabulate)
+from paulidecomp.groupcore import (CapError, FiniteGroup, GroupStructureError,
+                                   abelian_invariants, isomorphic)
 from paulidecomp.algebra import field_make
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
@@ -283,13 +283,6 @@ def test_quotient_and_normal_closure():
     # the normal closure of any non-central element of q8 has order >= 4
     non_central = [i for i in range(8) if i not in q8.center().members][0]
     assert q8.normal_closure([non_central]).order >= 4
-
-
-def test_group_close_and_caps():
-    g = group_close([5], lambda a, b: (a + b) % 12)
-    assert g.order == 12
-    with pytest.raises(ClosureCapError):
-        group_close([1], lambda a, b: (a + b) % 100, cap=10)
 
 
 def test_report_shape():

@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
+from matrix_oracle import phi_map, unitriangular_mul
 from paulidecomp.algebra import Carrier, field_make
 from paulidecomp.claims import heis_semidirect_report
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
-                                    phi_map, quaternion8, unitriangular_mul)
+                                    quaternion8)
 
 
 def test_order_formulas():

@@ -51,9 +51,9 @@ def test_no_function_local_imports(module):
 
 @pytest.mark.parametrize("module", LIBRARY)
 def test_no_cap_parameters(module):
-    """``cli`` checks a spec's order against its caps; only
-    ``group_close``, whose oracle's order is unknown, bounds its search.
-    The ``CapError`` types take the cap they report."""
+    """``cli`` checks a spec's order against its caps, and no library
+    function bounds its own search by one.  The ``CapError`` types take
+    the cap they report."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
     errors = {id(node) for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef)
@@ -62,7 +62,7 @@ def test_no_cap_parameters(module):
               for node in cls.body}
     capped = sorted(f"{func.name}({arg.arg})" for func in ast.walk(tree)
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and func.name != "group_close" and id(func) not in errors
+                    and id(func) not in errors
                     for arg in ast.walk(func.args)
                     if isinstance(arg, ast.arg)
                     and arg.arg in ("cap", "closure_cap"))

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from paulidecomp.groupcore import CapError, FiniteGroup, tabulate
+from matrix_oracle import tabulate
+from paulidecomp.groupcore import CapError, FiniteGroup
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
 from paulidecomp.algebra import field_make

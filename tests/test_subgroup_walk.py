@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_oracle import tabulate
 from paulidecomp.algebra import Carrier, field_make, prime_power
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, GroupStructureError,
-                                   isomorphic, tabulate)
+                                   isomorphic)
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
                                     quaternion8)

@@ -1,11 +1,13 @@
-"""The whole-array central-extension tables against the scalar ``mul``
-oracles, exhaustively, for every family up to order 1024."""
+"""The whole-array tables against their scalar laws, exhaustively: every
+central-extension family up to order 1024 against its ``mul`` oracle,
+and E2(p) against its semidirect-product law."""
 
 import pytest
 
+from matrix_oracle import tabulate
 from paulidecomp.algebra import Carrier, field_make
-from paulidecomp.groupcore import tabulate
-from paulidecomp.heisenberg import COCYCLES, heis_group, heis_spec
+from paulidecomp.heisenberg import (COCYCLES, extraspecial_e2, heis_group,
+                                    heis_spec)
 from paulidecomp.lifted import lifted_group, lifted_spec, pi_image_group
 from paulidecomp.pauli import pauli_group, pauli_law, pauli_spec
 
@@ -64,3 +66,17 @@ def heisenberg_cases():
 def test_heisenberg_table(carrier, n, cocycle, reduced):
     spec = heis_spec(carrier, n, cocycle, reduced)
     assert_oracle_table(heis_group(spec), spec.mul)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_e2_table(p):
+    p2 = p * p
+
+    def law(g, h):
+        (x1, y1), (x2, y2) = g, h
+        return ((x1 + x2 * pow(1 + p, y1, p2)) % p2, (y1 + y2) % p)
+
+    elems = [(x, y) for x in range(p2) for y in range(p)]
+    g = extraspecial_e2(p)
+    assert list(g.elements) == elems
+    assert_oracle_table(g, law)
