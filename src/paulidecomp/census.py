@@ -1,12 +1,14 @@
-"""Abelian subgroup counting and Hasse diagrams of subgroup lattices.
-The c_ab bounds for qubit Pauli groups are adjudicated in ``claims``.
+"""Abelian subgroup counting and Hasse diagrams of subgroup lattices of
+p-groups.  The c_ab bounds for qubit Pauli groups are adjudicated in
+``claims``.
 
-The census walks only the abelian subgroups, by cyclic extension inside
+The census walks only the abelian subgroups, in steps of index p inside
 centralizers (``FiniteGroup.abelian_layers``), and never enumerates the
 full lattice; an abelian A is maximal abelian exactly when C_G(A) = A,
 and the walk carries C_G(A) for every A it finds.  Hasse diagrams read
-the covers of the full lattice, which its enumeration records
-(``FiniteGroup.covers``), so they are drawn for p-groups only.
+the covers of the full lattice, which are the steps of its enumeration
+(``FiniteGroup.covers``).  Both walks serve p-groups only and raise
+ValueError for any other group.
 
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
@@ -49,9 +51,10 @@ class CensusResult:
 
 
 def abelian_census(g: FiniteGroup) -> CensusResult:
-    """Exact enumeration of the abelian subgroups of G, read from the
-    layers of the walk: each flags its normal subgroups and carries
-    |C_G(A)|, and A is maximal abelian when that is |A|."""
+    """Exact enumeration of the abelian subgroups of the p-group G, read
+    from the layers of the walk: each flags its normal subgroups and
+    carries |C_G(A)|, and A is maximal abelian when that is |A|.  Raises
+    ValueError when |G| is neither 1 nor a prime power."""
     layers = g.abelian_layers()[1:]
     orders = [layer.order for layer in layers for _ in layer.keys]
     normal = [flag for layer in layers for flag in layer.normal.tolist()]

@@ -23,8 +23,8 @@ its spec's order against its caps once, before any table is built.  Cap
 values are positive integers.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
-argument error (an --out path that is a directory or lies in a missing
-one among them), 3 a cap or size limit exceeded, 4 oracle
+argument error (an --out path that is a directory, lies in a missing
+one or cannot be written among them), 3 a cap or size limit exceeded, 4 oracle
 self-inconsistency.
 
 Environment: a command sets OPENBLAS_NUM_THREADS=1 for itself unless it is
@@ -35,6 +35,7 @@ OpenBLAS would otherwise start a worker thread that spins beside it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -193,9 +194,15 @@ def build_group(kind: str, spec):
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         tmp = out_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError as exc:
+            # a write that fails leaves no partial file behind
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise SpecError(f"--out: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -59,33 +59,32 @@ noncommuting pair) use it, in the batches of the same ``_blocks``,
 paying the per-pass numpy overhead once per batch rather than once per
 set.
 
-Subgroups are enumerated by cyclic extension (Neubüser 1960; Holt, Eick
-and O'Brien, Handbook of Computational Group Theory, 2005), with no
-closure: from each subgroup H found, the walk takes one x per coset Hx
-inside a subgroup that normalises H (its least member) and forms
-H<x> = H u Hx u Hx^2 u ... by gathers of the table until x^i falls in H.
-``subgroups_all`` draws x from N_G(H); a group is reached by such steps
-exactly when it is solvable, so a walk that ends without G raises
-``GroupStructureError`` rather than return a partial lattice.
-``abelian_subgroups`` draws x from C_G(H) and reaches every abelian
-subgroup of any finite group.  The walk goes one order at a time: the
-subgroups of one order are the rows of a boolean matrix, extended in
-blocks of rows whose gathers hold at most about BLOCK x |G| entries, and
-the rows reached are deduplicated on their masks packed by
-``np.packbits`` (|G|/8 bytes each), whose descending byte order is the
-canonical (order, members) order.  Each row carries what its next step
-needs: the abelian walk carries C_G(H), with C_G(H<x>) = C_G(H) & C_G(x)
-one AND with a row of the packed commuting matrix, and the census reads
+Subgroups of a p-group are enumerated by cyclic extension (Neubüser
+1960; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005), with no closure, in steps of index p: from each subgroup H
+found, the walk takes one x per coset Hx with x^p in H, inside a
+subgroup that normalises H (its least member), and forms H<x> = H u Hx
+u ... u Hx^(p-1) by p - 1 gathers of the table.  ``subgroups_all``
+draws x from N_G(H), ``abelian_subgroups`` from C_G(H); no solvability
+is tested, and any group that is not a p-group is refused.  The walk
+goes one order at a time, each layer feeding the next: the subgroups
+of one order are the rows of a boolean matrix, extended in blocks of
+rows whose gathers hold at most about BLOCK x |G| entries, and the rows
+reached are deduplicated on their masks packed by ``np.packbits``
+(|G|/8 bytes each), whose descending byte order is the canonical
+(order, members) order.  Each row carries what its next step needs:
+the abelian walk carries C_G(H), with C_G(H<x>) = C_G(H) & C_G(x) one
+AND with a row of the packed commuting matrix, and the census reads
 maximality from it (|C_G(A)| = |A|); the full walk carries the
 generators its path added, and N_G(H) is the x that conjugate each of
-them into H.  The walk also records its steps of prime index.  In a
-p-group these are exactly the covering pairs of the lattice
-(``covers``), so the maximal subgroups, the Frattini subgroup and Hasse
-diagrams are read from one cached enumeration with no containment test;
-these lattice questions are answered for p-groups only.  No command
-path calls ``np.unique`` without ``return_index``: under numpy 2 that
-call imports ``numpy.ma`` on first use, and distinct indices are read
-off a mask over range(|G|) instead.
+them into H.  Every step has index p, so the steps of the full walk
+are the covering pairs (``covers``), from which the maximal subgroups
+and Hasse diagrams are read with no containment test.  The Frattini
+subgroup needs no walk: it is G^p[G,G] (Burnside's basis theorem).
+No command path calls ``np.unique``
+without ``return_index``: under numpy 2 that call imports ``numpy.ma``
+on first use, and distinct indices are read off a mask over range(|G|)
+instead.
 
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
@@ -384,53 +383,65 @@ class FiniteGroup:
         return SubgroupHandle(self, self.closure_indices(self.conjugates(idx)))
 
     def subgroups_all(self) -> list["SubgroupHandle"]:
-        """Every subgroup exactly once, canonically sorted by
+        """Every subgroup of a p-group exactly once, canonically sorted by
         (order, member tuple).  Enumerated on the first call and cached.
-        Raises GroupStructureError for a group that is not solvable."""
+        Raises ValueError when |G| is neither 1 nor a prime power."""
         return [SubgroupHandle(self, m) for m in self._subgroups[0]]
 
     @cached_property
     def _subgroups(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The cyclic-extension walk with x drawn from N_G(H), and its
-        steps of index p.  In a solvable group every subgroup K > 1
-        has a normal subgroup H of prime index, so K = H<x> for any x in
-        K outside H, and x lies in N_G(H): the walk reaches every
-        subgroup.  Conversely a chain of steps H < H<x> with H normal in
-        H<x> and cyclic quotient is a subnormal series with cyclic
-        factors, so the walk reaches G exactly when G is solvable;
-        otherwise it raises rather than return a partial lattice.  The
+        steps, which are the covers.  Every subgroup K > 1 of a p-group
+        has a normal subgroup H of index p, and K = H<x> for any x in K
+        outside H, with x in N_G(H) and x^p in H, so the last layer is G;
+        a walk that ends below G is an internal contradiction.  The
         cache holds member tuples, not handles: a handle refers to its
         parent, and a group holding its handles would be freed only by
         the cyclic garbage collector."""
         layers, covers = self._extension_walk(abelian=False)
         if layers[-1].order != self.order:
             raise GroupStructureError(
-                "group is not solvable: cyclic extension does not reach it")
+                "the subgroup walk of a p-group ended below the group")
         return _member_tuples(layers), covers
 
     def abelian_subgroups(self) -> list["SubgroupHandle"]:
-        """Every abelian subgroup exactly once, the trivial one included,
-        canonically sorted by (order, member tuple)."""
+        """Every abelian subgroup of a p-group exactly once, the trivial
+        one included, canonically sorted by (order, member tuple)."""
         return [SubgroupHandle(self, m)
                 for m in _member_tuples(self.abelian_layers())]
 
     def abelian_layers(self) -> list["Layer"]:
-        """The abelian subgroups as the layers of the cyclic-extension
-        walk with x drawn from C_G(H): each step H<x> of an abelian H is
-        abelian, and every abelian subgroup is reached, in any finite
-        group.  Each layer flags its normal subgroups and gives
-        |C_G(H)| for each."""
+        """The abelian subgroups of a p-group as the layers of the
+        cyclic-extension walk with x drawn from C_G(H): each step H<x> of
+        an abelian H is abelian, and an abelian K > 1 is H<x> for any H of
+        index p in K.  Each layer flags its normal subgroups and gives
+        |C_G(H)| for each.  Raises ValueError for any other group."""
         return self._extension_walk(abelian=True)[0]
 
+    @cached_property
+    def _power_map(self) -> tuple[int, np.ndarray]:
+        """(p, x^p for each x) of a p-group, p = 1 for the trivial group;
+        the walks and ``frattini_indices`` raise ValueError through it
+        for any other group."""
+        p, _ = prime_power(self.order) or (1, 0)
+        if p == 1 < self.order:
+            raise ValueError(
+                f"subgroup walks serve p-groups only, not order {self.order}")
+        power = full = np.arange(self.order)
+        for _ in range(p - 1):
+            power = self.table[power, full]
+        return p, power
+
     def _extension_walk(self, abelian: bool) -> tuple[list["Layer"], np.ndarray]:
-        """Every subgroup reached from 1 by steps H -> H<x>, x outside H
-        in C_G(H) (``abelian``) or in N_G(H), as one ``Layer`` per order,
-        in increasing order; and, in the full walk of a p-group, the steps
-        of index p as distinct rows (lower, upper) of canonical positions,
-        sorted.  No closure is computed.  Each row carries C_G(H) as a
-        packed mask (``abelian``) or the generators its path added, padded
-        with the identity; the layers, blocks and keys are described in
-        the module docstring."""
+        """Every subgroup of a p-group reached from 1 by steps H -> H<x>
+        of index p, x outside H with x^p in H, in C_G(H) (``abelian``) or
+        in N_G(H), as one ``Layer`` per order, in increasing order; and,
+        in the full walk, its steps, which are the covers, as distinct
+        rows (lower, upper) of canonical positions, sorted.  No closure is
+        computed.  Each row carries C_G(H) as a packed mask (``abelian``)
+        or the generators its path added, one per step; the layers,
+        blocks and keys are described in the module docstring."""
+        p, power = self._power_map
         t, n, e = self.table, self.order, self.identity
         full = np.arange(n)
         if abelian:
@@ -439,21 +450,19 @@ class FiniteGroup:
             commute = np.packbits(t == t.T, axis=1)
             conj = self.conjugates(full, self.generating_set()).T
             start = np.packbits(np.ones((1, n), dtype=bool), axis=1)
-            p = 0
         else:
             # row s: x^-1 s x for each x
             conj = np.ascontiguousarray(self.conjugates(full).T)
             start = np.empty((1, 0), dtype=np.intp)
-            p = (prime_power(n) or (0,))[0]
         trivial = np.zeros((1, n), dtype=bool)
         trivial[0, e] = True
-        pending = {1: _Pending(e)}
-        pending[1].add(np.packbits(trivial, axis=1), start)
-        layers, total = [], 0
+        pending = _Pending()
+        pending.add(np.packbits(trivial, axis=1), start)
+        layers, total, m = [], 0, 1
         steps = [(np.empty(0, dtype=np.intp),) * 2]
-        while pending:
-            m = min(pending)
-            keys, carry, found = pending.pop(m).resolve(total)
+        while pending.rows:
+            keys, carry, found = pending.resolve(total)
+            pending = _Pending()
             steps += found
             normal = np.empty(len(keys), dtype=bool)
             centralizer = np.empty(len(keys), dtype=np.intp)
@@ -473,24 +482,19 @@ class FiniteGroup:
                 else:
                     within = h[at, conj[carry[block]]].all(axis=1)
                     normal[block] = within.all(axis=1)
-                r, x = np.nonzero(within & ~h)
+                r, x = np.nonzero(within & ~h & h[:, power])
                 keep = _coset_leaders(t, mem, r, x)
                 r, x = r[keep], x[keep]
-                for pairs, ext, index in _cyclic_extensions(t, h, mem, r, x):
+                for pairs, ext in _cyclic_extensions(t, h, mem, r, x, p):
                     parent, xx = b + r[pairs], x[pairs]
-                    for k in np.flatnonzero(np.bincount(index)).tolist():
-                        sel = index == k
-                        if abelian:
-                            grown = carry[parent[sel]] & commute[xx[sel]]
-                        else:
-                            grown = np.column_stack(
-                                [carry[parent[sel]], xx[sel]])
-                        pending.setdefault(m * k, _Pending(e)).add(
-                            np.packbits(ext[sel], axis=1), grown,
-                            total + parent[sel] if k == p else None)
+                    grown = (carry[parent] & commute[xx] if abelian else
+                             np.column_stack([carry[parent], xx]))
+                    pending.add(np.packbits(ext, axis=1), grown,
+                                None if abelian else total + parent)
             layers.append(Layer(m, keys, normal,
                                 centralizer if abelian else None))
             total += len(keys)
+            m *= p
         code = np.sort(np.concatenate([lower * total + upper
                                        for lower, upper in steps]))
         covers = np.divmod(code[np.diff(code, prepend=-1) != 0], total)
@@ -498,14 +502,10 @@ class FiniteGroup:
 
     def covers(self) -> np.ndarray:
         """The covering pairs H_i < H_j of the lattice of a p-group, as
-        sorted rows (i, j) of positions in ``subgroups_all``.  Every
-        maximal subgroup H of K is normal of index p (Huppert, Endliche
-        Gruppen I, 1967, III.7), so K = H<x> for the least x of any coset
-        Hx inside K, a step the walk takes from H.  Raises ValueError
-        when |G| is neither 1 nor a prime power."""
-        self.subgroups_all()
-        if self.order > 1 and prime_power(self.order) is None:
-            raise ValueError(f"covers are read for p-groups only, not order {self.order}")
+        sorted rows (i, j) of positions in ``subgroups_all``: the steps of
+        the walk.  Every maximal subgroup H of K is normal of index p, so
+        K = H<x> for the least x of any coset Hx inside K, a step the walk
+        takes from H."""
         return self._subgroups[1]
 
     def maximal_subgroups(self) -> list["SubgroupHandle"]:
@@ -516,19 +516,21 @@ class FiniteGroup:
         return [SubgroupHandle(self, subs[i])
                 for i in covers[covers[:, 1] == len(subs) - 1, 0]]
 
+    @cached_property
+    def frattini_indices(self) -> tuple[int, ...]:
+        """Phi(G) = G^p [G,G] of a p-group (Burnside's basis theorem), as
+        the closure of the p-th powers and G'."""
+        return self.closure_indices(
+            np.concatenate([self._power_map[1], self.derived_indices]))
+
     def frattini(self) -> "SubgroupHandle":
-        """Intersection of all maximal subgroups of a p-group (or of the
-        trivial group), cross-checked against G^p [G,G] (a mismatch is a
-        fatal internal error)."""
+        """The Frattini subgroup G^p [G,G] of a p-group, cross-checked
+        against the intersection of the maximal subgroups (a mismatch is
+        a fatal internal error)."""
+        handle = SubgroupHandle(self, self.frattini_indices)
         inter = set(range(self.order)).intersection(
             *(h.members for h in self.maximal_subgroups()))
-        handle = SubgroupHandle(self, tuple(sorted(inter)))
-        full = np.arange(self.order)
-        powers = full
-        for _ in range((prime_power(self.order) or (2, 1))[0] - 1):
-            powers = self.table[powers, full]
-        if self.closure_indices(np.concatenate(
-                [powers, self.derived_indices])) != handle.members:
+        if tuple(sorted(inter)) != handle.members:
             raise GroupStructureError(
                 "Frattini cross-check failed: maximal-subgroup intersection "
                 "differs from G^p[G,G] on a p-group")
@@ -628,9 +630,10 @@ class FiniteGroup:
             "fingerprint": fp.to_json(),
             "order_sequence": [list(t) for t in self.order_sequence],
         }
-        # the Frattini subgroup is read from the full lattice walk
+        # the ``build`` goldens of orders above the default subgroup cap
+        # pin the absence of this field
         if self.order <= DEFAULT_SUBGROUP_CAP:
-            out["frattini_order"] = self.frattini().order
+            out["frattini_order"] = len(self.frattini_indices)
         return out
 
     def __repr__(self) -> str:
@@ -831,35 +834,31 @@ def _coset_leaders(t: np.ndarray, mem: np.ndarray, r: np.ndarray,
 
 
 def _cyclic_extensions(t: np.ndarray, h: np.ndarray, mem: np.ndarray,
-                       r: np.ndarray, x: np.ndarray):
+                       r: np.ndarray, x: np.ndarray, p: int):
     """H<x> for each pair (r, x), H the mask ``h[r]`` with the members
-    ``mem[r]`` and x normalising H, in chunks of BLOCK pairs: yields the
-    chunk's slice of the pairs, the masks of H<x> and the indices
-    |H<x> : H|.  H<x> is the union of the cosets H x^i, gathered from the
-    table until x^i falls in H."""
+    ``mem[r]``, x normalising H with x^p in H, in chunks of BLOCK pairs:
+    yields the chunk's slice of the pairs and the masks of H<x>, the
+    union of H and the cosets H x^i for 0 < i < p, p - 1 gathers of the
+    table."""
     for a in range(0, len(r), BLOCK):
         rr, xx = r[a:a + BLOCK], x[a:a + BLOCK]
         ext = h[rr]
-        index = np.ones(len(rr), dtype=np.intp)
-        live, power = np.arange(len(rr)), xx
-        while len(live):
-            ext[live[:, None], t[mem[rr[live]], power[:, None]]] = True
-            index[live] += 1
-            power = t[power, xx[live]]
-            outside = ~h[rr[live], power]
-            live, power = live[outside], power[outside]
-        yield slice(a, a + BLOCK), ext, index
+        at, power = np.arange(len(rr))[:, None], xx
+        for _ in range(p - 1):
+            ext[at, t[mem[rr], power[:, None]]] = True
+            power = t[power, xx]
+        yield slice(a, a + BLOCK), ext
 
 
 class _Pending:
     """The subgroups of one order that a walk has reached but not yet
     extended: ``rows`` maps each packed member mask, as bytes, to its
     row in the order found; ``carry`` holds what each row carries (the
-    centraliser mask, or the path's generators); ``steps`` holds, for
-    each batch of steps of index p, their lower positions and rows."""
+    centraliser mask, or the path's generators, one per step, so one
+    width per order); ``steps`` holds, for each batch of steps of the
+    full walk, their lower positions and rows."""
 
-    def __init__(self, fill: int):
-        self.fill = fill
+    def __init__(self):
         self.rows: dict[bytes, int] = {}
         self.carry: list[np.ndarray] = []
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []
@@ -879,20 +878,14 @@ class _Pending:
 
     def resolve(self, total: int):
         """(keys, carry, steps): the packed masks in canonical order
-        (descending, as byte strings), their carried rows (lists of
-        generators padded with the identity ``fill`` to one width), and
-        the steps as (lower, upper) positions, the rows numbered from
-        ``total``."""
+        (descending, as byte strings), their carried rows, and the steps
+        as (lower, upper) positions, the rows numbered from ``total``."""
         keys = np.frombuffer(b"".join(self.rows), dtype=np.uint8).reshape(
             len(self.rows), -1)
         order = np.argsort(keys.view(f"V{keys.shape[1]}").ravel())[::-1]
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        width = max(c.shape[1] for c in self.carry)
-        carry = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])),
-                                       constant_values=self.fill)
-                                for c in self.carry])
-        return (keys[order], carry[order],
+        return (keys[order], np.concatenate(self.carry)[order],
                 [(lower, total + rank[ids]) for lower, ids in self.steps])
 
 

@@ -3,6 +3,9 @@ command uses them.
 
 * ``tabulate``: the index table of a scalar multiplication law, one call
   per pair, the reference for every whole-array table.
+* ``bfs_subgroups``: every subgroup of any finite group, by closing each
+  subgroup found with each element outside it, the reference for the
+  subgroup walks of p-groups and the subgroup lists of other groups.
 * Exact matrices over the cyclotomic integers Z[w_N], and the Pauli
   matrix oracle built from them.  Ring elements are integer coefficient
   tuples reduced modulo the N-th cyclotomic polynomial, so equality is
@@ -21,7 +24,8 @@ from math import gcd
 
 import numpy as np
 
-from paulidecomp.groupcore import CentralExtension, GroupStructureError
+from paulidecomp.groupcore import (CentralExtension, FiniteGroup,
+                                   GroupStructureError)
 from paulidecomp.heisenberg import heis_spec
 from paulidecomp.lifted import pi_map
 from paulidecomp.pauli import PauliKey, pauli_law
@@ -41,6 +45,28 @@ def tabulate(elements, mul) -> np.ndarray:
                     "multiplication left the element set: not closed")
             table[i, j] = k
     return table
+
+
+def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup as a sorted member tuple, in canonical (order,
+    members) order: close H u {x} for every found H and every x outside
+    H, until nothing new appears."""
+    trivial = (g.identity,)
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for members in frontier:
+            mem_set = set(members)
+            for x in range(g.order):
+                if x in mem_set:
+                    continue
+                ext = g.closure_indices(members + (x,))
+                if ext not in found:
+                    found.add(ext)
+                    new_frontier.append(ext)
+        frontier = new_frontier
+    return sorted(found, key=lambda m: (len(m), m))
 
 
 def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

@@ -124,6 +124,19 @@ def test_out_to_missing_directory_refused_before_work(tmp_path, monkeypatch,
     assert not out.parent.exists()
 
 
+def test_out_write_failure_exits_2_and_leaves_no_file(tmp_path, monkeypatch,
+                                                     capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "g.json"
+    assert main(["build", "d8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_deterministic():
     a = run_cli("build", "pauli:p=3,n=1").stdout
     b = run_cli("build", "pauli:p=3,n=1").stdout

@@ -293,6 +293,16 @@ def test_report_shape():
         assert key in rep
 
 
+def test_report_reads_frattini_without_a_walk(monkeypatch):
+    # Phi(G) = G^p [G,G]: {1, -1} in P(2,2) and the centre in E1(3)
+    def refuse(self, abelian):
+        raise AssertionError("subgroup walk during report()")
+
+    monkeypatch.setattr(FiniteGroup, "_extension_walk", refuse)
+    assert pauli_group(pauli_spec(2, 1, 2)).report()["frattini_order"] == 2
+    assert extraspecial_e1(3).report()["frattini_order"] == 3
+
+
 def test_subgroups_enumerated_once(monkeypatch):
     walks, closures = [], []
     walk = FiniteGroup._extension_walk

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from matrix_oracle import tabulate
+from matrix_oracle import bfs_subgroups, tabulate
 from paulidecomp.groupcore import CapError, FiniteGroup
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
@@ -235,7 +235,7 @@ def test_minimal_nonabelian_other_groups(make, relabel):
     # pair generates it; in Q8xZ2 only elements of order 4 generate one
     g = _by_element_order(make()) if relabel else make()
     _check_minimal_nonabelian(
-        g, [h for h in g.subgroups_all() if h.order < g.order])
+        g, [g.subgroup(m) for m in bfs_subgroups(g) if len(m) < g.order])
 
 
 def _schedules(monkeypatch, count):
@@ -257,7 +257,8 @@ def _check_just_nonabelian(g, monkeypatch):
     misses G', with that closure's order and index, whatever the batch
     schedule."""
     derived = set(g.derived_subgroup().members)
-    normal = [h for h in g.subgroups_all() if h.order > 1 and h.is_normal()]
+    normal = [h for h in map(g.subgroup, bfs_subgroups(g))
+              if h.order > 1 and h.is_normal()]
     answers = [just_nonabelian(g) for _ in _schedules(monkeypatch, g.order)]
     assert answers[1:] == answers[:-1]
     ok, facts = answers[0]

@@ -1,15 +1,16 @@
 """The cyclic-extension walks of ``FiniteGroup`` against the reference
-enumerator, a breadth-first closure over single-element extensions which
-needs no solvability and no normaliser, also with blocks of a few
-entries; the census of groups that are not p-groups against a
-centraliser and ``is_normal`` per subgroup; the walk of a generated
-subgroup with its Schreier vector against a scalar queue and a set
-closure; the batched closures against one walk per row; the centre,
-the nilpotency bound and normality, read on a generating set, against
-their definitions; the generating set grown from the last subgroup
-against one walk per pick; and the batched isomorphism search against
-a search that checks one candidate at a time, with no commutator
-filter."""
+enumerator ``bfs_subgroups``, a breadth-first closure over
+single-element extensions which needs no p-group and no normaliser, also
+with blocks of a few entries, on p-groups with elements of order p^2 or
+more among them; their refusal of groups that are not p-groups; the
+census against a centraliser and ``is_normal`` per subgroup; the walk of
+a generated subgroup with its Schreier vector against a scalar queue and
+a set closure; the batched closures against one walk per row; the
+centre, the nilpotency bound and normality, read on a generating set,
+against their definitions; the generating set grown from the last
+subgroup against one walk per pick; and the batched isomorphism search
+against a search that checks one candidate at a time, with no
+commutator filter."""
 
 import itertools
 from collections import Counter
@@ -20,12 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_oracle import tabulate
+from matrix_oracle import bfs_subgroups, tabulate
 from paulidecomp.algebra import Carrier, field_make, prime_power
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
-from paulidecomp.groupcore import (BLOCK, FiniteGroup, GroupStructureError,
-                                   isomorphic)
+from paulidecomp.groupcore import BLOCK, FiniteGroup, isomorphic
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
                                     quaternion8)
@@ -33,28 +33,6 @@ from paulidecomp.pauli import pauli_group, pauli_spec
 from test_census import _strictly_above
 from test_groupcore import LOOP5, _assert_isomorphism, _closure
 from test_products import _dihedral, _direct_product
-
-
-def bfs_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every subgroup as a sorted member tuple, in canonical (order,
-    members) order: close H u {x} for every found H and every x outside
-    H, until nothing new appears."""
-    trivial = (g.identity,)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new_frontier = []
-        for members in frontier:
-            mem_set = set(members)
-            for x in range(g.order):
-                if x in mem_set:
-                    continue
-                ext = g.closure_indices(members + (x,))
-                if ext not in found:
-                    found.add(ext)
-                    new_frontier.append(ext)
-        frontier = new_frontier
-    return sorted(found, key=lambda m: (len(m), m))
 
 
 def _normalizer_mask(g: FiniteGroup, members) -> np.ndarray:
@@ -101,6 +79,10 @@ GROUPS = {
         range(8), lambda a, b: (a + b) % 4 + (a ^ b) // 4 * 4)),
     "D12": lambda: dihedral(6),
     "S4": lambda: _permutation_group(list(itertools.permutations(range(4)))),
+    "Z8": lambda: cyclic(8),
+    "Z9": lambda: cyclic(9),
+    "E2(3)": lambda: extraspecial_e2(3),
+    "H(Z/4)": lambda: heis_group(heis_spec(Carrier(2, 2, False))),
 }
 
 
@@ -117,6 +99,20 @@ def _relabel(g: FiniteGroup, perm) -> FiniteGroup:
     return FiniteGroup(range(g.order), table)
 
 
+def _p_group(g: FiniteGroup) -> bool:
+    return g.order == 1 or prime_power(g.order) is not None
+
+
+def _assert_walks_refused(g: FiniteGroup) -> None:
+    """Every question the subgroup walk answers refuses a group that is
+    not a p-group."""
+    for ask in (FiniteGroup.subgroups_all, FiniteGroup.abelian_layers,
+                abelian_census, FiniteGroup.maximal_subgroups,
+                FiniteGroup.covers, hasse):
+        with pytest.raises(ValueError, match="p-groups"):
+            ask(g)
+
+
 @pytest.mark.parametrize("name", GROUPS)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -124,7 +120,10 @@ def test_walks_match_oracle_on_relabelled_tables(name, data):
     g = _group(name)
     perm = data.draw(st.permutations(range(g.order)))
     h = _relabel(g, perm)
-    oracle = bfs_subgroups(h)
+    if not _p_group(h):
+        _assert_walks_refused(h)
+        return
+    oracle = _relabelled_oracle(name, perm)
     assert [k.members for k in h.subgroups_all()] == oracle
     assert [k.members for k in h.abelian_subgroups()] == [
         m for m in oracle if _abelian(h, m)]
@@ -135,35 +134,12 @@ def alternating5() -> FiniteGroup:
         [p for p in itertools.permutations(range(5)) if _even(p)])
 
 
-def test_non_solvable_group_raises_and_abelian_walk_completes():
-    a5 = alternating5()
-    assert a5.order == 60
-    with pytest.raises(GroupStructureError, match="not solvable"):
-        a5.subgroups_all()
-    with pytest.raises(GroupStructureError, match="not solvable"):
-        a5.maximal_subgroups()
-    abelian = [m for m in bfs_subgroups(a5) if _abelian(a5, m)]
-    assert [k.members for k in a5.abelian_subgroups()] == abelian
-    census = abelian_census(a5)
-    # 15 involutions, 10 subgroups of order 3, 5 Klein four-groups and 6
-    # of order 5
-    assert census.c_ab == len(abelian) - 1 == 36
-    assert census.by_order == {2: 15, 3: 10, 4: 5, 5: 6}
-    assert census.normal_count == 0
-
-
 def test_lattice_questions_need_a_p_group():
-    """S4 (order 24) is solvable, so the walk enumerates its lattice; its
-    covers are read only for p-groups, so maximal subgroups and the Hasse
-    diagram are refused.  A5 is refused first for not being solvable."""
-    s4 = _group("S4")
-    assert [k.members for k in s4.subgroups_all()] == bfs_subgroups(s4)
-    with pytest.raises(ValueError, match="p-groups"):
-        s4.maximal_subgroups()
-    with pytest.raises(ValueError, match="p-groups"):
-        hasse(s4)
-    with pytest.raises(GroupStructureError, match="not solvable"):
-        hasse(alternating5())
+    """The walk takes steps of index p only, which reach every subgroup
+    of a p-group and no further, so it refuses every other group: Z12
+    is abelian, D12 and S4 solvable, A5 not."""
+    for name in ("Z12", "D12", "S4", "A5"):
+        _assert_walks_refused(_group(name))
 
 
 def test_walks_compute_no_closure(monkeypatch):
@@ -306,25 +282,22 @@ def test_walks_across_block_boundaries(name, data):
     g = _group(name)
     perm = data.draw(st.permutations(range(g.order)))
     h = _relabel(g, perm)
+    if not _p_group(h):
+        _assert_walks_refused(h)
+        return
     oracle = _relabelled_oracle(name, perm)
     abelian = [m for m in oracle if _abelian(h, m)]
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(groupcore, "BLOCK", data.draw(st.integers(1, 8)))
         layers = h.abelian_layers()
         assert [k.members for k in h.abelian_subgroups()] == abelian
-        if name == "A5":
-            with pytest.raises(GroupStructureError, match="not solvable"):
-                h.subgroups_all()
-        else:
-            assert [k.members for k in h.subgroups_all()] == oracle
+        assert [k.members for k in h.subgroups_all()] == oracle
     assert [tuple(m) for layer in layers
             for m in layer.members().tolist()] == abelian
     assert _layer_rows(layers, "normal") == [
         bool(_normalizer_mask(h, m).all()) for m in abelian]
     assert _layer_rows(layers, "centralizer_orders") == [
         int(h.centralizer_mask(np.array(m)).sum()) for m in abelian]
-    if prime_power(h.order) is None:
-        return
     # the covers, by containment: H < K with nothing strictly between
     above = _strictly_above([set(m) for m in oracle])
     covers = sorted((i, j) for i, up in enumerate(above)
@@ -332,13 +305,14 @@ def test_walks_across_block_boundaries(name, data):
     assert h.covers().tolist() == [list(c) for c in covers]
 
 
-@pytest.mark.parametrize("name", ["D12", "S4", "Z12", "A5"])
+@pytest.mark.parametrize("name", ["Z4xZ2", "Z8", "Z9", "E2(3)", "H(Z/4)"])
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
-def test_census_against_definitions_beyond_p_groups(name, data):
+def test_census_against_definitions(name, data):
     # maximality and normality as the census reads them from the layers,
     # against centralizer and is_normal per subgroup and against
-    # containment among the abelian subgroups
+    # containment among the abelian subgroups, on p-groups whose
+    # elements of order p^2 or more leave rows for the x^p filter to drop
     g = _group(name)
     h = _relabel(g, data.draw(st.permutations(range(g.order))))
     subs = h.abelian_subgroups()
