@@ -6,6 +6,10 @@ Every verdict, including the per-instance checks the aggregates fold, is
 a check returning ``(outcome, witness)`` under the ``_verdict`` decorator,
 which times it and builds the one ``VerdictReport``; aggregate statuses
 come from the one fold ``_worst_status``.
+
+``run_suite`` decides its claims in one run (``groupcore.run_scope``):
+each Pauli group is built once however many claims use it, and cor5.2
+embeds the Heisenberg comparison cor4.3 made at the same instance.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from collections import Counter
 
 from .algebra import Carrier, field_make, sigma_tau
 from .census import abelian_census
-from .groupcore import ISO_ORDER_CAP, FiniteGroup, isomorphic
+from .groupcore import ISO_ORDER_CAP, FiniteGroup, isomorphic, once, run_scope
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec)
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
@@ -357,15 +362,34 @@ def corollary43_check(p: int, m: int, n: int):
     return reduced_ok, witness
 
 
+def _heisenberg_comparison(p: int, m: int, n: int) -> VerdictReport:
+    """``corollary43_check(p, m, n)``, decided once per run: cor5.2 embeds
+    the report cor4.3 computed at the same instance."""
+    return once(("cor4.3", p, m, n),
+                functools.partial(corollary43_check, p, m, n))
+
+
+def _p12_candidates(g: FiniteGroup) -> list:
+    """The normal subgroups of g of order 16 whose element-order counts
+    are P_{1,2}'s.  An isomorphism keeps the counts, so no subgroup
+    isomorphic to P_{1,2} is dropped, and the dropped ones need no
+    table."""
+    p12 = pauli_group(pauli_spec(2, 1, 1))
+    orders, want = g.element_orders, Counter(p12.element_orders)
+    return [h for h in g.subgroups_all()
+            if h.order == p12.order
+            and Counter(orders[i] for i in h.members) == want
+            and h.is_normal()]
+
+
 def _p12_chain_search(g: FiniteGroup) -> list | None:
     """The shortest chain of normal subgroups isomorphic to P_{1,2} that
     ``weak_central_chain`` reads as a weak central product of g, or None.
     A factor that does not enlarge the product can be dropped, so a
     shortest chain has at most 1 + log2(|g| / 16) factors."""
     p12 = pauli_group(pauli_spec(2, 1, 1))
-    candidates = [h for h in g.subgroups_all()
-                  if h.order == p12.order and h.is_normal()
-                  and isomorphic(h.as_group(), p12)[0]]
+    candidates = [h for h in _p12_candidates(g)
+                  if isomorphic(h.as_group(), p12)[0]]
     for length in range(1, (g.order // p12.order).bit_length() + 1):
         for chain in itertools.combinations(candidates, length):
             if weak_central_chain(g, chain)[0] != "none":
@@ -399,7 +423,7 @@ def corollary52_53_check(p: int, m: int, n: int):
     if p != 2:
         iso_pauli, _ = isomorphic(image, pauli_group(pauli_spec(p, m, n)))
         witness["image_isomorphic_to_pauli"] = iso_pauli
-        heis = corollary43_check(p, m, n)
+        heis = _heisenberg_comparison(p, m, n)
         witness["heisenberg_comparison"] = heis.to_json()
         # the comparison's status stands unless the projection facts fail
         return ok and iso_pauli and _worst_status([heis.status]), witness
@@ -414,7 +438,7 @@ def corollary52_53_check(p: int, m: int, n: int):
 @_verdict("cor4.3")
 def check_cor43():
     """Aggregate of the Heisenberg comparisons at the desk instances."""
-    sub = {f"({p},{m},{n})": corollary43_check(p, m, n)
+    sub = {f"({p},{m},{n})": _heisenberg_comparison(p, m, n)
            for (p, m, n) in ((3, 1, 1), (3, 1, 2), (3, 2, 1))}
     return (_worst_status(v.status for v in sub.values()),
             {k: v.to_json() for k, v in sub.items()})
@@ -593,8 +617,12 @@ EXPECTED = {
 
 
 def run_suite(scope: str = "all") -> list[VerdictReport]:
-    if scope == "all":
-        return [CHECKS[claim]() for claim in sorted(CHECKS)]
-    if scope not in CHECKS:
+    """The verdict of one claim, or of every claim in id order, as one run
+    (``groupcore.run_scope``): each Pauli group is built and each
+    Heisenberg comparison decided at most once, and all of them are
+    released when the run ends."""
+    if scope != "all" and scope not in CHECKS:
         raise KeyError(scope)
-    return [CHECKS[scope]()]
+    with run_scope():
+        return [CHECKS[claim]()
+                for claim in (sorted(CHECKS) if scope == "all" else [scope])]

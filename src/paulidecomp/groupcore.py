@@ -12,8 +12,10 @@ tests keep that oracle as the reference.  Every table is verified at
 construction against the group axioms only: entries in range, an
 identity, two-sided inverses, and associativity decided exactly at every
 order by Light's test (a group table is a Latin square, so that is not
-checked).  Light's test and the table builder work in fixed blocks, so
-neither copies the table.  This module is the brute-force oracle: a
+checked).  Light's test and the inverse search work in blocks of
+max(1, BLOCK^2 // |G|) rows, about BLOCK^2 entries each at any order, and
+the table builder in one block per pair of centre elements, so none of
+them copies the table.  This module is the brute-force oracle: a
 structural claim about any group in the package is checked here by
 exhaustive computation, never assumed.
 
@@ -86,6 +88,10 @@ without ``return_index``: under numpy 2 that call imports ``numpy.ma``
 on first use, and distinct indices are read off a mask over range(|G|)
 instead.
 
+A run, opened by ``run_scope`` (``claims.run_suite`` opens one), shares
+values by key: inside it ``once`` builds each at most once, and the
+values are dropped when it closes.  Outside a run nothing is kept.
+
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
 any table is built; ``DEFAULT_CLOSURE_CAP`` and ``DEFAULT_SUBGROUP_CAP``
@@ -100,6 +106,8 @@ cyclic-subgroup generators, refuses the same orders.  Both raise a
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt, lcm
@@ -111,11 +119,49 @@ from .algebra import Carrier, prime_power
 from .reports import DEFAULT_SUBGROUP_CAP, CapError, GroupStructureError
 
 ISO_ORDER_CAP = 1024
-# rows per block of Light's test: at order 4096 a block is 4 MB of int32,
-# where the whole table is 64 MB; also the bound on rows times seeds per
-# block of ``closures``, the largest batch of ``_blocks``, and the bound
-# on the entries of a gather of the subgroup walk, over |G|
+# BLOCK^2 bounds the entries of each gather of Light's test and of the
+# inverse search (rows x |G|, ``_row_blocks``): 256 KB of int32 up to
+# order BLOCK^2, where the order-4096 table is 64 MB; BLOCK is also the bound on
+# rows times seeds per block of ``closures``, the largest batch of
+# ``_blocks``, and the bound on the entries of a gather of the subgroup
+# walk, over |G|
 BLOCK = 256
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of range(n) of max(1, BLOCK^2 // n) rows: one slice up to
+    order BLOCK, and at most about BLOCK^2 entries in a block of rows of
+    an n x n table."""
+    step = max(1, BLOCK * BLOCK // max(n, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+# the values the open run shares (see ``run_scope``), None outside a run;
+# a context variable, so a run in one thread shares nothing with another
+_run: ContextVar[dict | None] = ContextVar("paulidecomp_run", default=None)
+
+
+@contextmanager
+def run_scope():
+    """Open a run: until the block exits, ``once(key, build)`` calls
+    ``build`` at most once per key.  The values are dropped when the
+    block exits, by an exception too, so nothing outlives the run."""
+    token = _run.set({})
+    try:
+        yield
+    finally:
+        _run.reset(token)
+
+
+def once(key, build):
+    """``build()``; inside ``run_scope``, the value built for ``key``
+    earlier in the run, if any."""
+    run = _run.get()
+    if run is None:
+        return build()
+    if key not in run:
+        run[key] = build()
+    return run[key]
 
 
 class FiniteGroup:
@@ -159,7 +205,9 @@ class FiniteGroup:
         if not len(idem):
             raise GroupStructureError("no identity element")
         e = self.identity = int(idem[0])
-        inv = np.argmax(table == e, axis=1).astype(np.int32)
+        inv = np.empty(n, dtype=np.int32)
+        for rows in _row_blocks(n):
+            inv[rows] = np.argmax(table[rows] == e, axis=1)
         bad = np.flatnonzero((table[full, inv] != e) | (table[inv, full] != e))
         if len(bad):
             raise GroupStructureError(
@@ -172,13 +220,14 @@ class FiniteGroup:
         """Light's test, exact at every order.  The elements s with
         (xy)s = x(ys) for all x, y are closed under multiplication, in any
         magma, so it suffices to check the s of ``generating_set()``, whose
-        walk covers the table.  Each s is checked on fixed blocks of rows
-        x."""
+        walk covers the table.  Each s is checked on blocks of
+        max(1, BLOCK^2 // |G|) rows x, so each gather holds at most about
+        BLOCK^2 entries whatever the order."""
         t = self.table
         for s in self.generating_set():
             col = t[:, s]
-            for lo in range(0, self.order, BLOCK):
-                rows = t[lo:lo + BLOCK]
+            for block in _row_blocks(self.order):
+                rows = t[block]
                 # [x, y] entries: (xy)s on the left, x(ys) on the right
                 if (np.take(col, rows) != np.take(rows, col, axis=1)).any():
                     raise GroupStructureError(

@@ -23,7 +23,7 @@ matrix oracle over the cyclotomic integers).
 from __future__ import annotations
 
 from .algebra import Carrier, field_make
-from .groupcore import CentralExtension, FiniteGroup
+from .groupcore import CentralExtension, FiniteGroup, once
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
@@ -59,11 +59,14 @@ def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
 
 
 def pauli_group(spec: CentralExtension) -> FiniteGroup:
-    """Materialize P_{n,q}.  Elements are enumerated directly (the set is
-    known in closed form); that the register generators generate it all
-    is checked by the ``assert_faithful_representation`` fixture of
-    ``tests/conftest.py``, which closes them under the scalar ``mul``."""
-    return spec.group()
+    """Materialize P_{n,q}: one group per spec while a run is open
+    (``groupcore.run_scope``), with its table, Light's test and cached
+    invariants, and a new group on every call outside one.  Elements are
+    enumerated directly (the set is known in closed form); that the
+    register generators generate it all is checked by the
+    ``assert_faithful_representation`` fixture of ``tests/conftest.py``,
+    which closes them under the scalar ``mul``."""
+    return once(spec, spec.group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Fixtures shared by the family test modules."""
 
+import weakref
+
 import pytest
+
+from paulidecomp.groupcore import CentralExtension, FiniteGroup
 
 
 @pytest.fixture
@@ -26,3 +30,24 @@ def assert_faithful_representation():
         assert len(set(images.values())) == spec.order
 
     return check
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every group a ``CentralExtension`` spec builds, as (spec, weakref)
+    pairs, and every ``FiniteGroup`` construction, counted."""
+    record = {"groups": [], "tables": 0}
+    group, finish = CentralExtension.group, FiniteGroup._finish_init
+
+    def counted_group(spec):
+        g = group(spec)
+        record["groups"].append((spec, weakref.ref(g)))
+        return g
+
+    def counted_finish(self, *args):
+        record["tables"] += 1
+        return finish(self, *args)
+
+    monkeypatch.setattr(CentralExtension, "group", counted_group)
+    monkeypatch.setattr(FiniteGroup, "_finish_init", counted_finish)
+    return record

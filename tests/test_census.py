@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,19 @@ def c_ab_closed_form(p: int, n: int) -> int:
 def test_census_matches_closed_form(p, n, expected):
     assert c_ab_closed_form(p, n) == expected
     assert abelian_census(pauli_group(pauli_spec(p, 1, n))).c_ab == expected
+
+
+@pytest.mark.parametrize("p, n, expected", [
+    (2, 1, 6), (2, 2, 60), (2, 3, 1080), (3, 1, 12), (3, 2, 360),
+    (5, 1, 30)])
+def test_nonnormal_abelian_of_order_p_to_n_are_stabilizer_groups(
+        p, n, expected):
+    # the stabilizer groups of n qudits: p^n prod_{k=1..n} (p^k + 1) of
+    # them (Aaronson and Gottesman 2004 for p = 2; Gross 2006 for odd p)
+    assert p ** n * math.prod(p ** k + 1 for k in range(1, n + 1)) \
+        == expected
+    census = abelian_census(pauli_group(pauli_spec(p, 1, n)))
+    assert census.by_order_normality[(p ** n, False)] == expected
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -1,8 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from paulidecomp.claims import CHECKS, EXPECTED, _worst_status, run_suite
+from paulidecomp import claims
+from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
+                                _worst_status, run_suite)
+from paulidecomp.groupcore import isomorphic
+from paulidecomp.lifted import lifted_spec, pi_image_group
+from paulidecomp.pauli import pauli_group, pauli_spec
 from paulidecomp.reports import CLAIMS, STATUSES
 
 
@@ -51,3 +57,56 @@ def test_worst_status_matches_old_folds(statuses):
     assert folded == _old_cor43_rule(statuses)
     if "inconsistent_in_paper" not in statuses:
         assert folded == _old_cor53_rule(statuses)
+
+
+def test_no_sharing_outside_a_run():
+    s = pauli_spec(2, 1, 1)
+    assert pauli_group(s) is not pauli_group(s)
+
+
+def test_run_builds_each_pauli_group_once(built):
+    run_suite("all")
+    pauli = Counter(spec for spec, _ in built["groups"]
+                    if spec.name.startswith("P("))
+    assert len(pauli) == 7
+    assert set(pauli.values()) == {1}
+    # 173 before the run shared its Pauli groups and comparisons
+    assert built["tables"] <= 100
+
+
+def _without_wall_time(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_time(v) for k, v in value.items()
+                if k != "wall_time_s"}
+    if isinstance(value, list):
+        return [_without_wall_time(v) for v in value]
+    return value
+
+
+def test_each_claim_alone_matches_the_full_run(monkeypatch):
+    together = {r.claim: _without_wall_time(r.to_json())
+                for r in run_suite("all")}
+    comparisons = []
+    check = claims.corollary43_check
+    monkeypatch.setattr(claims, "corollary43_check",
+                        lambda *args: comparisons.append(args) or check(*args))
+    for claim in sorted(CHECKS):
+        comparisons.clear()
+        alone, = run_suite(claim)
+        assert _without_wall_time(alone.to_json()) == together[claim]
+        if claim == "cor5.2":
+            # with no cor4.3 before it in the run, cor5.2 makes its own
+            assert comparisons == [(3, 2, 1)]
+    assert together["cor5.2"]["witness"]["heisenberg_comparison"] == \
+        together["cor4.3"]["witness"]["(3,2,1)"]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+def test_p12_prefilter_keeps_exactly_the_isomorphic_factors(m, n):
+    image = pi_image_group(lifted_spec(2, m, n))
+    p12 = pauli_group(pauli_spec(2, 1, 1))
+    isomorphic_normal = [h for h in image.subgroups_all()
+                         if h.order == 16 and h.is_normal()
+                         and isomorphic(h.as_group(), p12)[0]]
+    assert len(isomorphic_normal) == 6
+    assert _p12_candidates(image) == isomorphic_normal

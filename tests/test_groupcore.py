@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_oracle import tabulate
-from paulidecomp.claims import run_suite
-from paulidecomp.groupcore import (CapError, FiniteGroup, GroupStructureError,
+from paulidecomp import groupcore
+from paulidecomp.claims import CHECKS, EXPECTED, run_suite
+from paulidecomp.groupcore import (BLOCK, CapError, FiniteGroup,
+                                   GroupStructureError, _row_blocks,
                                    abelian_invariants, isomorphic)
 from paulidecomp.algebra import field_make
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
@@ -115,6 +117,52 @@ def test_swap_in_the_last_block_is_not_associative(axis):
     table[5, [1000, 1001]] = table[5, [1001, 1000]]
     with pytest.raises(GroupStructureError, match="not associative"):
         FiniteGroup(range(1024), table if axis else table.T)
+
+
+def _z2_times_z150():
+    """Z_2 x Z_150, element 2z + b for (b, z): order 300, so Light's test
+    and the inverse search take blocks of 218 rows and a last block of
+    82."""
+    i = np.arange(300)
+    z, b = i // 2, i % 2
+    return 2 * ((z[:, None] + z[None, :]) % 150) + (b[:, None] ^ b[None, :])
+
+
+def test_row_blocks_bound_the_gathers():
+    assert _row_blocks(256) == [slice(0, 256)]
+    assert _row_blocks(300) == [slice(0, 218), slice(218, 436)]
+    assert len(_row_blocks(4096)) == 256
+    # past BLOCK^2 a block is one row
+    assert _row_blocks(BLOCK ** 2 + 1)[:2] == [slice(0, 1), slice(1, 2)]
+
+
+def test_inverses_found_in_every_row_block():
+    g = FiniteGroup(range(300), _z2_times_z150())
+    assert (g.table[np.arange(300), g.inverse] == g.identity).all()
+    assert (g.table[g.inverse, np.arange(300)] == g.identity).all()
+
+
+def test_light_rejects_intercalate_swap_in_the_last_row_block():
+    # rows 298 and 299 and columns 4 and 5 hold a 2x2 subsquare; swapped,
+    # the table is still a Latin square with the same identity and
+    # inverses.  Neither column is in the generating set (2, 3), so every
+    # failing triple (xy)s != x(ys) has x = 298 or 299: in the last row
+    # block, which holds fewer rows than the others
+    table = _z2_times_z150()
+    a, d, b, c = 298, 299, 5, 4
+    table[[a, a, d, d], [b, c, b, c]] = table[[a, a, d, d], [c, b, c, b]]
+    assert _row_blocks(300)[-1].start <= a < d
+    with pytest.raises(GroupStructureError, match="not associative"):
+        FiniteGroup(range(300), table)
+
+
+def test_inverse_missing_only_in_the_last_row_block_rejected():
+    # row 299 loses its identity entry (column 3); no other row changes
+    table = _z2_times_z150()
+    assert table[299, 3] == 0
+    table[299, 3] = table[299, 5]
+    with pytest.raises(GroupStructureError, match="two-sided inverse"):
+        FiniteGroup(range(300), table)
 
 
 def test_empty_table_rejected():
@@ -378,6 +426,29 @@ def test_groups_freed_after_isomorphic():
         del g, h
         assert [r() for r in refs] == [None, None]
     assert ok
+
+
+def test_run_scope_closed_and_groups_freed_after_run(built):
+    with _no_cyclic_gc():
+        statuses = [r.status for r in run_suite("all")]
+        assert groupcore._run.get() is None
+        assert any(spec.name == "P(1,2)" for spec, _ in built["groups"])
+        assert all(ref() is None for _, ref in built["groups"])
+    assert statuses == [EXPECTED[c] for c in sorted(CHECKS)]
+
+
+def test_run_scope_closed_when_a_claim_raises(built, monkeypatch):
+    def broken():
+        raise RuntimeError("claim failed")
+
+    # thm4.1 runs after claims that build P(1,2), P(2,2) and P(3,2)
+    monkeypatch.setitem(CHECKS, "thm4.1", broken)
+    with _no_cyclic_gc():
+        with pytest.raises(RuntimeError, match="claim failed"):
+            run_suite("all")
+        assert groupcore._run.get() is None
+        assert any(spec.name == "P(3,2)" for spec, _ in built["groups"])
+        assert all(ref() is None for _, ref in built["groups"])
 
 
 def test_run_suite_leaves_no_group_in_cyclic_garbage():
