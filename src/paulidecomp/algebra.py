@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: the carriers GF(p^m) and Z/p^m, the
-absolute trace map, and divisor functions.
+absolute trace map, primality, and divisor functions.
 
 One class, ``Carrier``, is both carriers: a frozen (p, m, field) whose
 elements are the integer codes in ``[0, p^m)``.  A field code's base-p
@@ -16,21 +16,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .reports import CapError
+
+
+# Primality is decided by Miller-Rabin on the 13 primes up to 41, which no
+# composite below MR_LIMIT passes (Sorenson and Webster, Math. Comp. 86,
+# 2017), and is refused with a ``CapError`` from MR_LIMIT on.  prime_power
+# keeps trial division below TRIAL_LIMIT, where it is the faster of the two:
+# every group order and element order a table can have lies there.
+TRIAL_LIMIT = 2 ** 20
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """n >= 2 is a strong probable prime to every base a: with
+    n - 1 = 2^s d, d odd, a^d = 1 or a^(2^i d) = -1 mod n for some i < s."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    if any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    if n >= MR_LIMIT:
+        raise CapError(f"primality of {n} is decided only below {MR_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in MR_BASES)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with p prime, k >= 1 and n = p^k, or None when n is not such
-    a power."""
+    a power.  Below TRIAL_LIMIT by trial division; from there, the largest
+    k whose exact k-th root is prime."""
+    if n >= TRIAL_LIMIT:
+        for k in range(n.bit_length(), 0, -1):
+            r = _iroot(n, k)
+            if r ** k == n and is_prime(r):
+                return r, k
+        return None
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -41,6 +65,15 @@ def prime_power(n: int) -> tuple[int, int] | None:
             return (p, k) if n == 1 else None
         p += 1
     return (n, 1) if n >= 2 else None
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from
+    2^ceil(bits/k), which is at least the root."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def sigma_tau(r: int) -> tuple[int, int]:
@@ -61,9 +94,10 @@ class Carrier:
 
     Elements are the integer codes 0 .. p^m - 1.  In Z/p^m a code is the
     residue itself.  In GF(p^m) its base-p digits, least significant
-    first, are the coefficients of a polynomial in x reduced modulo
-    ``modulus``.  The add, mul, neg, inv and trace tables are built on
-    first use, so a carrier costs nothing until it computes.
+    first, are the coefficients of a polynomial in x reduced modulo the
+    modulus that ``mul_table`` chooses.  The add, mul, neg, inv and trace
+    tables are built on first use, so a carrier costs nothing until it
+    computes.
     """
 
     p: int
@@ -90,19 +124,19 @@ class Carrier:
                  for y in range(q)] for x in range(q)]
 
     @cached_property
-    def _products(self) -> tuple[tuple[int, ...] | None, list[list[int]]]:
-        """(modulus, multiplication table).  The modulus of GF(p^m) is the
-        first monic f of degree m, taken in order of the code of its lower
+    def mul_table(self) -> list[list[int]]:
+        """The multiplication table.  The modulus of GF(p^m) is the first
+        monic f of degree m, taken in order of the code of its lower
         coefficients, for which F_p[x]/(f) has no zero divisors: that ring
         is a field exactly when f is irreducible (Lidl and Niederreiter,
-        Finite Fields, 1997, ch. 1).  Z/p^m has no modulus."""
+        Finite Fields, 1997, ch. 1)."""
         p, m, q = self.p, self.m, self.size
         if not self.field:
-            return None, [[x * y % q for y in range(q)] for x in range(q)]
+            return [[x * y % q for y in range(q)] for x in range(q)]
         for low in range(q):
             mul = self._fold_products(low)
             if all(0 not in row[1:] for row in mul[1:]):
-                return tuple(low // p ** i % p for i in range(m)) + (1,), mul
+                return mul
         raise RuntimeError(f"no irreducible polynomial of degree {m} "
                            f"over GF({p})")
 
@@ -125,16 +159,6 @@ class Carrier:
                 shifted = add[shifted % top * p][fold[shifted // top]]
             table.append(row)
         return table
-
-    @property
-    def modulus(self) -> tuple[int, ...] | None:
-        """Little-endian coefficients of the monic irreducible modulus of
-        GF(p^m); None for Z/p^m."""
-        return self._products[0]
-
-    @property
-    def mul_table(self) -> list[list[int]]:
-        return self._products[1]
 
     @cached_property
     def _neg_table(self) -> list[int]:

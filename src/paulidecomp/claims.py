@@ -25,8 +25,8 @@ from .groupcore import ISO_ORDER_CAP, FiniteGroup, isomorphic, once, run_scope
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec)
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
-from .pauli import (p12_named_elements, p12_spec, p22_named_generators,
-                    pauli_group, pauli_spec)
+from .pauli import (p12_named_elements, p22_named_generators, pauli_group,
+                    pauli_spec)
 from .products import (classify_special, decompose_pauli_chain,
                        pauli_chain_subgroups, weak_central_chain)
 from .reports import CLAIMS, VerdictReport
@@ -84,7 +84,7 @@ def _verdict(claim, inconsistent=False):
 def lemma31_presentation_check():
     """Evaluate both presentations of the one-qubit Pauli group and the
     derived structural facts (center, Frattini, abelianized quotient)."""
-    s = p12_spec()
+    s = pauli_spec(2, 1, 1)
     G = pauli_group(s)
     e = s.identity()
     named = p12_named_elements()

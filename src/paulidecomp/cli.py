@@ -15,12 +15,12 @@ Examples: "pauli:p=2,n=1", "heis:R=gf(3),n=1,cocycle=symplectic,
 reduced=true", "lifted:p=3,m=2,n=1", "e1:p=3".
 
 Options: --out PATH on every subcommand; --format json|text on build and
-json|dot on lattice; --cap-closure N on every subcommand that builds a
-group (it bounds the order of every group built, reference specs
-included), and --cap-subgroups N on census and lattice (it bounds the
-order of the group whose subgroups are enumerated).  Each command checks
-its spec's order against its caps once, before any table is built.  Cap
-values are positive integers.
+json|dot on lattice; --filter all|paper_figure on lattice; --cap-closure
+N on every subcommand that builds a group (it bounds the order of every
+group built, reference specs included), and --cap-subgroups N on census
+and lattice (it bounds the order of the group whose subgroups are
+enumerated).  Each command checks its spec's order against its caps
+once, before any table is built.  Cap values are positive integers.
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
 argument error (an --out path that is a directory, lies in a missing
@@ -43,7 +43,7 @@ import sys
 # unknown spec load no numpy.  Every other import sits in the
 # function or branch that uses it: a command loads only the layers it
 # runs, and ``main`` sets its OpenBLAS default before numpy loads.
-from .algebra import Carrier, is_prime, prime_power
+from .algebra import Carrier, field_make, is_prime, prime_power
 from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                       GroupStructureError, dump_json)
 
@@ -242,12 +242,13 @@ def cmd_lattice(args) -> int:
     from .census import export_dot, hasse, paper_figure_lattice
     kind, spec = _checked_spec(args)
     if args.filter == "paper_figure":
+        from .heisenberg import heis_spec
         from .pauli import pauli_spec
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
         elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
             lat = paper_figure_lattice("p12")
-        elif kind == "heis" and spec.n == 1 and spec.carrier.size == 3:
+        elif kind == "heis" and spec == heis_spec(field_make(3, 1)):
             lat = paper_figure_lattice("heis")
         else:
             raise SpecError(
@@ -318,12 +319,16 @@ def make_parser() -> argparse.ArgumentParser:
                              "are enumerated"}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, formats=(), caps=("closure",), spec=True):
+    def add(name, func, summary, formats=None, caps=("closure",), spec=True):
         p = sub.add_parser(name, help=summary)
         if spec:
             p.add_argument("spec", help="group spec string")
         if formats:
-            p.add_argument("--format", choices=formats, default=formats[0])
+            p.add_argument("--format", choices=tuple(formats),
+                           default=next(iter(formats)),
+                           help="; ".join(f"{k}: {v}" for k, v in
+                                          formats.items())
+                                + " (default %(default)s)")
         p.add_argument("--out", default=None, help="output path")
         for cap in caps:
             p.add_argument(f"--cap-{cap}", type=_positive_int,
@@ -334,14 +339,22 @@ def make_parser() -> argparse.ArgumentParser:
         return p
 
     add("build", cmd_build, "construct a group, print report",
-        formats=("json", "text"))
+        formats={"json": "the report as one JSON object",
+                 "text": "one 'key: value' line per field"})
     add("decompose", cmd_decompose, "weak central decomposition")
     add("census", cmd_census, "abelian subgroup census",
         caps=("closure", "subgroups"))
     p_lat = add("lattice", cmd_lattice, "Hasse diagram export",
-                formats=("json", "dot"), caps=("closure", "subgroups"))
+                formats={"json": "nodes and covering edges as JSON",
+                         "dot": "a Graphviz digraph"},
+                caps=("closure", "subgroups"))
     p_lat.add_argument("--filter", choices=("all", "paper_figure"),
-                       default="all")
+                       default="all",
+                       help="all: every subgroup of the group; "
+                            "paper_figure: the named-subgroup diagram, for "
+                            "d8, pauli:p=2,n=1 and heis:R=gf(3),n=1 only, "
+                            "exit 2 for any other spec (default "
+                            "%(default)s)")
     add("lifted", cmd_lifted, "lifted group projection report")
     p_ver = add("verify", cmd_verify, "run registered claim verdicts",
                 caps=(), spec=False)

@@ -274,11 +274,6 @@ class FiniteGroup:
         raise GroupStructureError(
             f"element {np.argmin(orders)} has no finite order")
 
-    def order_of(self, element) -> int:
-        """Order of an element given by key or index."""
-        i = element if isinstance(element, (int, np.integer)) else self.index[element]
-        return self.element_orders[i]
-
     @cached_property
     def exponent(self) -> int:
         return lcm(*self.element_orders)
@@ -377,13 +372,6 @@ class FiniteGroup:
                     break
         return out
 
-    def subgroup(self, members) -> "SubgroupHandle":
-        members = tuple(sorted(int(m) for m in members))
-        closed = self.closure_indices(members)
-        if closed != members:
-            raise GroupStructureError("member set is not a subgroup")
-        return SubgroupHandle(self, members)
-
     def generated_subgroup(self, generators) -> "SubgroupHandle":
         """Subgroup generated by element keys or indices."""
         idx = [g if isinstance(g, (int, np.integer)) else self.index[g]
@@ -425,11 +413,6 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.derived_indices)
-
-    def normal_closure(self, generators) -> "SubgroupHandle":
-        idx = [g if isinstance(g, (int, np.integer)) else self.index[g]
-               for g in generators]
-        return SubgroupHandle(self, self.closure_indices(self.conjugates(idx)))
 
     def subgroups_all(self) -> list["SubgroupHandle"]:
         """Every subgroup of a p-group exactly once, canonically sorted by
@@ -1045,15 +1028,13 @@ def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _blocks(count: int, first: int = 1):
-    """Consecutive slices of range(count) of ``first``, twice as many,
-    four times, ... up to BLOCK indices (first <= BLOCK), for batched
-    tests (the candidates of the isomorphism search; in the
-    classification flags, the seed rows of ``closures`` and the rows of
-    the commutation table): a search that stops early does so after a
-    few small batches, and a long run pays the per-call numpy overhead
-    once per BLOCK items."""
-    lo, size = 0, first
+def _blocks(count: int):
+    """Consecutive slices of range(count) of 1, 2, 4, ... up to BLOCK
+    indices, for batched tests (the candidates of the isomorphism search;
+    in the classification flags, the seed rows of ``closures``): a search
+    that stops early does so after a few small batches, and a long run
+    pays the per-call numpy overhead once per BLOCK items."""
+    lo, size = 0, 1
     while lo < count:
         yield slice(lo, lo + size)
         lo, size = lo + size, min(2 * size, BLOCK)

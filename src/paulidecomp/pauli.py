@@ -73,14 +73,10 @@ def pauli_group(spec: CentralExtension) -> FiniteGroup:
 # presentation data (qubit case)
 # ---------------------------------------------------------------------------
 
-def p12_spec() -> CentralExtension:
-    return pauli_spec(2, 1, 1)
-
-
 def p12_named_elements() -> dict[str, PauliKey]:
     """The standard named elements of the one-qubit Pauli group:
     X, Y, Z, u = XY, a = Y, b = XYZ."""
-    s = p12_spec()
+    s = pauli_spec(2, 1, 1)
     X, Z = pauli_element(s, x=1), pauli_element(s, z=1)
     Y = pauli_element(s, x=1, z=1, phase=1)
     u = s.mul(X, Y)

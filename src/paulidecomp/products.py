@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupcore import (BLOCK, ISO_ORDER_CAP, CapError, FiniteGroup,
+from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle, _blocks,
                         abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
@@ -102,18 +102,6 @@ def _chain_report(g: FiniteGroup, factors, fold, notes) -> DecompositionReport:
     )
 
 
-def verify_weak_central(g: FiniteGroup, h: SubgroupHandle,
-                        k: SubgroupHandle) -> DecompositionReport:
-    """Check the weak central product conditions for normal H, K <= G."""
-    fold = weak_central_chain(g, [h, k])
-    classification, (link,), _ = fold
-    notes = []
-    # the commutator lies in the link, so a trivial link makes G = H x K
-    if classification != "none" and link.order == 1:
-        notes.append("factors intersect trivially: the product is direct")
-    return _chain_report(g, [h, k], fold, notes)
-
-
 def pauli_chain_subgroups(g: FiniteGroup, spec) -> list[SubgroupHandle]:
     """The register factors H_j = <U, X_j, Z_j> with U the order-4 phase."""
     return [g.generated_subgroup([pauli_element(spec, phase=1),
@@ -183,27 +171,16 @@ def just_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     return True, {}
 
 
-def _noncommuting_pairs(g: FiniteGroup, reps: np.ndarray):
-    """The pairs (x, y) of members of ``reps`` with x before y and
-    xy != yx, in (x, y) order, one array per block of rows x of
-    ``_blocks``, the first of about BLOCK products x y."""
-    for rows in _blocks(len(reps), max(1, BLOCK // len(reps))):
-        x, y = reps[rows], reps[rows.start + 1:]
-        # entry [i, j] pairs x[i] with y[j], which comes after it iff j >= i
-        r, c = np.nonzero(np.triu(g.table[x[:, None], y]
-                                  != g.table[y[:, None], x].T))
-        yield np.stack([x[r], y[c]], axis=1)
-
-
 def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     """Nonabelian with every proper subgroup abelian.  Decided exactly:
     G is minimal nonabelian iff every noncommuting pair generates G (a
     nonabelian proper subgroup contains such a pair, and conversely).
     Since <x, y> depends only on <x> and <y>, the pairs range over one
     generator per cyclic subgroup, the least index among the generators,
-    in increasing (i, j) order, closed as seed rows of ``closures`` in
-    the batches of ``_blocks``; the first pair generating a proper
-    subgroup is the evidence."""
+    in increasing (i, j) order, read at once from the upper triangle of
+    the representatives' block of the table and closed as seed rows of
+    ``closures`` in the batches of ``_blocks``; the first pair
+    generating a proper subgroup is the evidence."""
     if g.is_abelian:
         return False, {"reason": "abelian"}
     if g.order > ISO_ORDER_CAP:
@@ -216,16 +193,11 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
         coprime = (np.gcd(k, orders) == 1) & (k < orders)
         least[coprime] = np.minimum(least[coprime], power[coprime])
     reps = np.flatnonzero(least == full)
-    listed = _noncommuting_pairs(g, reps)
-    pairs = np.empty((0, 2), dtype=np.intp)
-    for block in _blocks(len(reps) * (len(reps) - 1) // 2):
-        # list further rows of pairs until the batch is full
-        while len(pairs) < block.stop and (
-                more := next(listed, None)) is not None:
-            pairs = np.concatenate([pairs, more])
+    sub = g.table[np.ix_(reps, reps)]
+    # at most ISO_ORDER_CAP^2 booleans, in row-major (i, j) order
+    pairs = reps[np.argwhere(np.triu(sub != sub.T))]
+    for block in _blocks(len(pairs)):
         batch = pairs[block]
-        if not len(batch):
-            break
         closed = g.closures(batch)
         proper = np.flatnonzero(~closed.all(axis=1))
         if len(proper):

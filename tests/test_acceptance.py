@@ -16,7 +16,8 @@ from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 corollary43_check, corollary52_53_check,
                                 lemma31_presentation_check,
                                 p22_relations_check)
-from paulidecomp.groupcore import abelian_invariants, isomorphic
+from paulidecomp.groupcore import (SubgroupHandle, abelian_invariants,
+                                   isomorphic)
 from paulidecomp.heisenberg import dihedral8, heis_spec
 from paulidecomp.lifted import lifted_group, lifted_spec, pi_kernel
 from paulidecomp.pauli import pauli_group, pauli_spec
@@ -112,7 +113,9 @@ def test_criterion_5_lifted_projections():
         g = lifted_group(spec)
         assert g.order == 729
         assert len(pi_kernel(spec)) == 3
-        kernel = g.subgroup(sorted(g.index[k] for k in pi_kernel(spec)))
+        members = tuple(sorted(g.index[k] for k in pi_kernel(spec)))
+        assert g.closure_indices(members) == members
+        kernel = SubgroupHandle(g, members)
         q = g.quotient(kernel)
         ok, _ = isomorphic(q, pauli_group(pauli_spec(3, 2, 1)))
         assert ok

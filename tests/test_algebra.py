@@ -1,8 +1,11 @@
 import itertools
+from math import isqrt
 
 import pytest
 
+from paulidecomp import algebra
 from paulidecomp.algebra import Carrier, field_make, is_prime, prime_power
+from paulidecomp.reports import CapError
 from paulidecomp.cli import main
 from paulidecomp.heisenberg import heis_spec
 
@@ -68,8 +71,18 @@ def test_prime_field_matches_mod_arithmetic():
         assert f.mul(x, y) == (x * y) % 5
 
 
+def _modulus(f):
+    """Little-endian coefficients of the monic modulus x^m + low of
+    GF(p^m), read from the powers of x (code p) in ``mul_table``:
+    x^m = -low."""
+    power = 1
+    for _ in range(f.m):
+        power = f.mul(power, f.p)
+    return tuple(-(power // f.p ** i) % f.p for i in range(f.m)) + (1,)
+
+
 def test_deterministic_modulus():
-    assert field_make(2, 2).modulus == field_make(2, 2).modulus
+    assert _modulus(field_make(2, 2)) == _modulus(field_make(2, 2))
     f9a, f9b = field_make(3, 2), field_make(3, 2)
     assert f9a.mul_table == f9b.mul_table
 
@@ -100,7 +113,7 @@ def test_zmod_ring():
 ])
 def test_default_modulus(p, m, modulus):
     # every element code rests on the modulus chosen
-    assert field_make(p, m).modulus == modulus
+    assert _modulus(field_make(p, m)) == modulus
 
 
 # GF(4), GF(8) and GF(9) products, element codes as base-p digit vectors
@@ -142,6 +155,40 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def _trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-2, 5000):
+        assert is_prime(n) == _trial_is_prime(n), n
+
+
+def test_large_primes_composites_and_prime_powers():
+    for p in (100000000000000003, 999999999999999989, 2 ** 61 - 1):
+        assert is_prime(p) and prime_power(p) == (p, 1)
+    # 10^17 + 1 = 11 * 103 * 4013 * 21993833369; the next two are strong
+    # pseudoprimes to every prime base up to 23 and up to 37
+    for n in (100000000000000001, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n) and prime_power(n) is None
+    assert prime_power(2 ** 100) == (2, 100)
+    assert prime_power(3 ** 50) == (3, 50)
+    assert prime_power(1000003 ** 2) == (1000003, 2)
+    assert prime_power(999999999989 ** 2) == (999999999989, 2)
+    assert prime_power(6 ** 20) is None
+    assert prime_power(10 ** 12) is None
+
+
+def test_primality_refused_above_the_deterministic_bound():
+    # MR_LIMIT is the least strong pseudoprime to the 13 bases
+    with pytest.raises(CapError):
+        is_prime(algebra.MR_LIMIT)
+    with pytest.raises(CapError):
+        prime_power(algebra.MR_LIMIT)
+    assert not is_prime(2 * algebra.MR_LIMIT)
+
+
 def _prime_factors(n):
     out, d = [], 2
     while n > 1:
@@ -157,3 +204,11 @@ def test_prime_power_against_factoring():
         f = _prime_factors(n)
         expected = (f[0], len(f)) if f and len(set(f)) == 1 else None
         assert prime_power(n) == expected, n
+    # both branches, on the window across TRIAL_LIMIT and on prime powers
+    # either side of it
+    lo = algebra.TRIAL_LIMIT
+    for n in [*range(lo - 200, lo + 200), 1021 ** 2, 1031 ** 2, 101 ** 3,
+              3 ** 12, 3 ** 13, 1048573, 1048583 ** 2]:
+        q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+        k = next(k for k in range(n.bit_length(), -1, -1) if n % q ** k == 0)
+        assert prime_power(n) == ((q, k) if q ** k == n else None), n

@@ -143,6 +143,17 @@ def test_build_deterministic():
     assert a == b
 
 
+def test_lattice_help_documents_format_and_filter():
+    r = run_cli("lattice", "--help")
+    assert r.returncode == 0
+    text = " ".join(r.stdout.split())
+    assert "json: nodes and covering edges as JSON" in text
+    assert "dot: a Graphviz digraph" in text
+    assert ("paper_figure: the named-subgroup diagram, for d8, "
+            "pauli:p=2,n=1 and heis:R=gf(3),n=1 only, exit 2 for any "
+            "other spec") in text
+
+
 def test_help_documents_grammar():
     r = run_cli("--help")
     assert "spec" in r.stdout.lower()
@@ -186,6 +197,9 @@ EXIT_CODES = [
     (["lattice", "d8", "--cap-subgroups", "-3"], 2),
     (["build", "trivial", "--cap-closure", "0"], 2),
     (["build", "e1:p=4"], 2),
+    # the paper figure is drawn only for the spec it names
+    (["lattice", "heis:R=gf(3),n=1,cocycle=polarized", "--filter",
+      "paper_figure"], 2),
     # well-formed groups that are not extraspecial: one factor, "none"
     (["decompose", "heis:R=gf(4),n=1"], 0),
     (["decompose", "heis:R=z(9),n=1"], 0),
@@ -207,6 +221,9 @@ EXIT_CODES = [
     (["build", "q8", "--cap-closure", "7"], 3),
     (["build", "q8", "--cap-closure", "8"], 0),
     (["build", "e2:p=31"], 3),
+    # a huge prime is refused at the cap, not after trial division
+    (["build", "pauli:p=100000000000000003,n=1"], 3),
+    (["build", "heis:R=z(100000000000000003)"], 3),
     (["build", "d8", "--cap-closure", "5"], 3),
     (["build", "e1:p=7", "--cap-closure", "10"], 3),
     (["census", "q8", "--cap-closure", "2"], 3),

@@ -2,10 +2,12 @@
 weak-central-product fold rest on, read from the source: verdicts are
 built only in ``claims`` (``reports`` defines their types), the library
 modules import at module level only, every decomposition goes through
-``products.weak_central_chain``, and size caps are the command's policy,
-so no library function takes one."""
+``products.weak_central_chain``, size caps are the command's policy, so
+no library function takes one, and ``src/`` defines nothing that only
+the tests or the benchmark call."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,15 @@ LIBRARY = ("algebra", "groupcore", "pauli", "heisenberg", "lifted",
            "products", "census")
 
 
-def _names(tree: ast.AST) -> set[str]:
-    """Every identifier a module mentions: names, attributes, imports."""
-    names = set()
+def _mentions(tree: ast.AST) -> Counter:
+    """How often a module mentions each identifier: names, attributes,
+    imports."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(a.name.split(".")[-1] for a in node.names)
     return names
@@ -35,7 +38,8 @@ def _names(tree: ast.AST) -> set[str]:
 def test_only_claims_and_reports_name_verdicts(path):
     if path.stem in ("claims", "reports"):
         return
-    named = _names(ast.parse(path.read_text())) & {"CLAIMS", "VerdictReport"}
+    named = (_mentions(ast.parse(path.read_text())).keys()
+             & {"CLAIMS", "VerdictReport"})
     assert not named, f"{path.name} names {sorted(named)}"
 
 
@@ -105,7 +109,6 @@ def test_products_and_commutators_only_in_the_fold(module, method):
 @pytest.mark.parametrize("module,function", [
     ("products", "decompose_pauli_chain"),
     ("products", "extraspecial_decompose"),
-    ("products", "verify_weak_central"),
     ("claims", "_p12_chain_search"),
 ])
 def test_decompositions_call_the_fold(module, function):
@@ -125,3 +128,21 @@ def test_no_member_sets(module):
                            and sub.attr == "members"
                            for arg in node.args for sub in ast.walk(arg)))
     assert not lines, f"{module}.py builds set(... .members) at {lines}"
+
+
+def test_every_definition_is_used_in_src():
+    """Each function, method and class defined in ``src/`` is mentioned
+    by name somewhere in ``src/`` outside its own body; special methods,
+    which Python calls by protocol, are exempt.  A name that only tests
+    or the benchmark call belongs in the tests, or nowhere."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    mentioned = sum(map(_mentions, trees.values()), Counter())
+    unused = sorted(
+        f"{module}.{node.name}" for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and mentioned[node.name] == _mentions(node)[node.name])
+    assert not unused, f"defined in src/ but used nowhere there: {unused}"

@@ -3,7 +3,7 @@ import pytest
 from matrix_oracle import (lifted_matrix, lifted_matrix_mul,
                            pi_is_homomorphism)
 from paulidecomp.claims import corollary52_53_check
-from paulidecomp.groupcore import isomorphic
+from paulidecomp.groupcore import SubgroupHandle, isomorphic
 from paulidecomp.lifted import (lifted_group, lifted_spec, pi_image_group,
                                 pi_kernel)
 from paulidecomp.pauli import pauli_group, pauli_spec
@@ -55,7 +55,9 @@ def test_kernel_size():
 def test_quotient_is_pauli_group_odd():
     spec = lifted_spec(3, 2, 1)
     g = lifted_group(spec)
-    kernel = g.subgroup(sorted(g.index[k] for k in pi_kernel(spec)))
+    members = tuple(sorted(g.index[k] for k in pi_kernel(spec)))
+    assert g.closure_indices(members) == members
+    kernel = SubgroupHandle(g, members)
     quotient = g.quotient(kernel)
     image = pi_image_group(spec)
     assert quotient.order == image.order == 243

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matrix_oracle import bfs_subgroups, tabulate
-from paulidecomp.groupcore import CapError, FiniteGroup
+from paulidecomp.groupcore import CapError, FiniteGroup, SubgroupHandle
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
 from paulidecomp.algebra import field_make
@@ -15,8 +15,7 @@ from paulidecomp.claims import corollary43_check
 from paulidecomp.products import (classify_special, decompose_pauli_chain,
                                   extraspecial_decompose, identify_factor,
                                   just_nonabelian, minimal_nonabelian,
-                                  pauli_chain_subgroups, verify_weak_central,
-                                  weak_central_chain)
+                                  pauli_chain_subgroups, weak_central_chain)
 
 
 def test_identify_factor():
@@ -30,19 +29,19 @@ def test_identify_factor():
 def test_verify_weak_central_p22():
     spec = pauli_spec(2, 1, 2)
     g = pauli_group(spec)
-    h1, h2 = pauli_chain_subgroups(g, spec)
-    rep = verify_weak_central(g, h1, h2)
+    classification, links, commutators = weak_central_chain(
+        g, pauli_chain_subgroups(g, spec))
     # [H1,H2] = 1 != Z(G), so only the weak condition holds
-    assert rep.classification == "weak_central"
-    assert rep.intersections == [4]
-    assert rep.commutators == [1]
+    assert classification == "weak_central"
+    assert [x.order for x in links] == [4]
+    assert [c.order for c in commutators] == [1]
 
 
 def test_weak_central_rejects_nongenerating_pair():
     g = pauli_group(pauli_spec(2, 1, 2))
     z = g.center()
-    rep = verify_weak_central(g, z, z)
-    assert rep.classification == "none"
+    classification, _, _ = weak_central_chain(g, [z, z])
+    assert classification == "none"
 
 
 def _generated(g, seed):
@@ -235,7 +234,14 @@ def test_minimal_nonabelian_other_groups(make, relabel):
     # pair generates it; in Q8xZ2 only elements of order 4 generate one
     g = _by_element_order(make()) if relabel else make()
     _check_minimal_nonabelian(
-        g, [g.subgroup(m) for m in bfs_subgroups(g) if len(m) < g.order])
+        g, [h for h in _oracle_handles(g) if h.order < g.order])
+
+
+def _oracle_handles(g):
+    """Handles of the oracle's subgroups of G, each checked closed."""
+    handles = [SubgroupHandle(g, m) for m in bfs_subgroups(g)]
+    assert all(g.closure_indices(h.members) == h.members for h in handles)
+    return handles
 
 
 def _schedules(monkeypatch, count):
@@ -244,8 +250,8 @@ def _schedules(monkeypatch, count):
     after each."""
     default = products._blocks
     for blocks in (default,
-                   lambda n, first=1: (slice(k, k + 1) for k in range(n)),
-                   lambda n, first=1: [slice(0, count)]):
+                   lambda n: (slice(k, k + 1) for k in range(n)),
+                   lambda n: [slice(0, count)]):
         monkeypatch.setattr(products, "_blocks", blocks)
         yield
     monkeypatch.setattr(products, "_blocks", default)
@@ -257,7 +263,7 @@ def _check_just_nonabelian(g, monkeypatch):
     misses G', with that closure's order and index, whatever the batch
     schedule."""
     derived = set(g.derived_subgroup().members)
-    normal = [h for h in map(g.subgroup, bfs_subgroups(g))
+    normal = [h for h in _oracle_handles(g)
               if h.order > 1 and h.is_normal()]
     answers = [just_nonabelian(g) for _ in _schedules(monkeypatch, g.order)]
     assert answers[1:] == answers[:-1]
@@ -266,12 +272,12 @@ def _check_just_nonabelian(g, monkeypatch):
     if not ok:
         least, closure = next(
             (x, c) for x in range(g.order)
-            for c in [g.normal_closure([x])]
-            if x != g.identity and not derived <= set(c.members))
+            for c in [g.closure_indices(g.conjugates([x]))]
+            if x != g.identity and not derived <= set(c))
         assert facts == {
-            "normal_subgroup_order": closure.order,
+            "normal_subgroup_order": len(closure),
             "witness_element": repr(g.elements[least]),
-            "quotient_order": g.order // closure.order,
+            "quotient_order": g.order // len(closure),
         }
 
 
@@ -325,24 +331,6 @@ def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
     expected = _first_proper_pair(g)
     for _ in _schedules(monkeypatch, g.order ** 2):
         assert minimal_nonabelian(g) == (False, expected)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: pauli_group(pauli_spec(2, 1, 2)),
-    lambda: pauli_group(pauli_spec(3, 1, 2)),
-    lambda: _direct_product(dihedral8(), _dihedral(1)),
-], ids=["P(2,2)", "P(2,3)", "D8xZ2"])
-def test_noncommuting_pairs_listed_in_order(make, monkeypatch):
-    # whatever the blocks of rows, every noncommuting pair of the
-    # representatives is listed once, in (i, j) order; every third
-    # element stands in for the representatives
-    g = make()
-    reps = np.arange(0, g.order, 3)
-    expected = [[x, y] for i, x in enumerate(reps.tolist())
-                for y in reps[i + 1:].tolist() if g.mul(x, y) != g.mul(y, x)]
-    for _ in _schedules(monkeypatch, len(reps)):
-        listed = products._noncommuting_pairs(g, reps)
-        assert np.concatenate(list(listed)).tolist() == expected
 
 
 def test_classify_special():

@@ -25,7 +25,8 @@ from matrix_oracle import bfs_subgroups, tabulate
 from paulidecomp.algebra import Carrier, field_make, prime_power
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
-from paulidecomp.groupcore import BLOCK, FiniteGroup, isomorphic
+from paulidecomp.groupcore import (BLOCK, FiniteGroup, SubgroupHandle,
+                                   isomorphic)
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, heis_spec,
                                     quaternion8)
@@ -257,7 +258,9 @@ def test_generator_facts_match_definitions_on_relabelled_tables(name, data):
     assert h.nilpotency_class_bounded == (
         0 if h.order == 1 else 1 if h.is_abelian else 2 if commutes else 3)
     for members in _oracle_subgroups(name):
-        k = h.subgroup(perm[list(members)])
+        renamed = tuple(sorted(perm[list(members)].tolist()))
+        assert h.closure_indices(renamed) == renamed
+        k = SubgroupHandle(h, renamed)
         assert k.is_normal() == _normalizer_mask(h, k.members).all()
 
 
