@@ -5,8 +5,8 @@ One class, ``Carrier``, is both carriers: a frozen (p, m, field) whose
 elements are the integer codes in ``[0, p^m)``.  A field code's base-p
 digits are the coefficients (little-endian) of its polynomial in
 GF(p)[x]/(modulus); a ring code is the residue.  Arithmetic is lookup in
-add, mul, neg, inv and trace tables built by plain comprehensions on
-first use, so a spec may name GF(4096) and report its order without
+add, mul, neg and trace tables built by plain comprehensions on first
+use, so a spec may name GF(4096) and report its order without
 building a table.  All arithmetic is exact integer arithmetic; no
 floating point is used anywhere in this package.
 """
@@ -95,7 +95,7 @@ class Carrier:
     Elements are the integer codes 0 .. p^m - 1.  In Z/p^m a code is the
     residue itself.  In GF(p^m) its base-p digits, least significant
     first, are the coefficients of a polynomial in x reduced modulo the
-    modulus that ``mul_table`` chooses.  The add, mul, neg, inv and trace
+    modulus that ``mul_table`` chooses.  The add, mul, neg and trace
     tables are built on first use, so a carrier costs nothing until it
     computes.
     """
@@ -165,10 +165,6 @@ class Carrier:
         return [row.index(0) for row in self.add_table]
 
     @cached_property
-    def _inv_table(self) -> list[int | None]:
-        return [row.index(1) if 1 in row else None for row in self.mul_table]
-
-    @cached_property
     def trace_table(self) -> list[int]:
         if not self.field and self.m > 1:
             raise ValueError("trace is only defined on the field Z/p (m=1)")
@@ -182,20 +178,8 @@ class Carrier:
             out.append(t)
         return out
 
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
-
-    def mul(self, x: int, y: int) -> int:
-        return self.mul_table[x][y]
-
     def neg(self, x: int) -> int:
         return self._neg_table[x]
-
-    def inv(self, x: int) -> int:
-        y = self._inv_table[x]
-        if y is None:
-            raise ZeroDivisionError(f"{x} is not a unit")
-        return y
 
     def frobenius(self, x: int) -> int:
         y = 1
@@ -212,9 +196,6 @@ class Carrier:
         """The code of the integer c: c mod p in GF(p^m), c mod p^m in
         Z/p^m."""
         return c % (self.p if self.field else self.size)
-
-    def elements(self) -> list[int]:
-        return list(range(self.size))
 
 
 def _multiples(add: list[list[int]], x: int, p: int) -> list[int]:

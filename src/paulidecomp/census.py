@@ -86,42 +86,33 @@ class LatticeGraph:
                 "edges": [list(e) for e in self.edges]}
 
 
-def hasse(g: FiniteGroup, subgroups: list[SubgroupHandle] | None = None,
-          labels: list[str] | None = None) -> LatticeGraph:
-    """The Hasse diagram of the subgroup lattice of the p-group G,
-    restricted to the given subgroups (default: all): an edge H -> K for
-    each cover H < K of G with both ends listed.  Nodes are listed in
-    canonical (order, members) order and edges sorted by the orders of
-    their ends, then by node ids.  Raises ValueError when |G| is neither
-    1 nor a prime power."""
-    lattice = g.subgroups_all()
-    covers = g.covers()
-    if subgroups is None:
-        subgroups, labels = lattice, None
-    pairs = sorted(range(len(subgroups)),
-                   key=lambda i: (subgroups[i].order, subgroups[i].members))
-    subgroups = [subgroups[i] for i in pairs]
-    if labels is not None:
-        labels = [labels[i] for i in pairs]
+def hasse(g: FiniteGroup, named: dict | None = None) -> LatticeGraph:
+    """The Hasse diagram of the subgroup lattice of the p-group G, or of
+    its subgroups in ``named`` (member tuple -> label) when given: an edge
+    H -> K for each cover H < K of G with both ends kept.  Nodes follow
+    the canonical (order, members) order of ``subgroups_all`` and edges
+    are sorted by the orders of their ends, then by node ids.  Raises
+    ValueError when |G| is neither 1 nor a prime power."""
+    kept = {i: h for i, h in enumerate(g.subgroups_all())
+            if named is None or h.members in named}
+    ids = dict(zip(kept, range(len(kept))))
     center = g.center_indices
     derived = g.derived_indices
     frattini = g.frattini().members
     nodes = [{
-        "id": i,
-        "label": labels[i] if labels else _default_label(h, g),
+        "id": ids[i],
+        "label": named[h.members] if named else _default_label(h, g),
         "order": h.order,
         "abelian": h.is_abelian(),
         "normal": h.is_normal(),
         "center": h.members == center,
         "derived": h.members == derived,
         "frattini": h.members == frattini,
-    } for i, h in enumerate(subgroups)]
-    listed = {h.members: i for i, h in enumerate(subgroups)}
-    ids = [listed.get(h.members) for h in lattice]
+    } for i, h in kept.items()]
     # covers come sorted and rise by index p, so they are also sorted by
     # the orders of their ends
-    edges = [(ids[i], ids[j]) for i, j in covers.tolist()
-             if ids[i] is not None and ids[j] is not None]
+    edges = [(ids[i], ids[j]) for i, j in g.covers().tolist()
+             if i in ids and j in ids]
     return LatticeGraph(group=g.name or f"order{g.order}", nodes=nodes,
                         edges=edges)
 
@@ -155,39 +146,39 @@ def paper_figure_lattice(kind: str) -> LatticeGraph:
         ua = s.mul(u, a)
         u2a = s.mul(u2, a)
         u3a = s.mul(s.mul(u2, u), a)
-        named = [
-            ("1", g.trivial_subgroup()),
-            ("<u^2>", w(u2)),
-            ("<a>", w(a)),
-            ("<ua>", w(ua)),
-            ("<u^2a>", w(u2a)),
-            ("<u^3a>", w(u3a)),
-            ("<u>", w(u)),
-            ("<b>", w(b)),
-            ("<u^2,a>", w(u2, a)),
-            ("<u^2,ua>", w(u2, ua)),
-            ("<u,a>", w(u, a)),
-            ("<u,b>", w(u, b)),
-            ("<u,a,b>", w(u, a, b)),
-        ]
-        return hasse(g, [h for _, h in named], [n for n, _ in named])
-    if kind == "heis":
+        named = {
+            "1": g.trivial_subgroup(),
+            "<u^2>": w(u2),
+            "<a>": w(a),
+            "<ua>": w(ua),
+            "<u^2a>": w(u2a),
+            "<u^3a>": w(u3a),
+            "<u>": w(u),
+            "<b>": w(b),
+            "<u^2,a>": w(u2, a),
+            "<u^2,ua>": w(u2, ua),
+            "<u,a>": w(u, a),
+            "<u,b>": w(u, b),
+            "<u,a,b>": w(u, a, b),
+        }
+    elif kind == "heis":
         hs = heis_spec(field_make(3, 1))
         g = heis_group(hs)
         x = hs.element([1], [0])
         y = hs.element([0], [1])
         z = ((0,), (0,), 1)
-        named = [
-            ("1", g.trivial_subgroup()),
-            ("<x>", g.generated_subgroup([x])),
-            ("<y>", g.generated_subgroup([y])),
-            ("Z", g.generated_subgroup([z])),
-            ("A", g.generated_subgroup([z, x])),
-            ("B", g.generated_subgroup([z, y])),
-            ("G", g.whole_subgroup()),
-        ]
-        return hasse(g, [h for _, h in named], [n for n, _ in named])
-    raise ValueError(f"unknown figure kind {kind!r}")
+        named = {
+            "1": g.trivial_subgroup(),
+            "<x>": g.generated_subgroup([x]),
+            "<y>": g.generated_subgroup([y]),
+            "Z": g.generated_subgroup([z]),
+            "A": g.generated_subgroup([z, x]),
+            "B": g.generated_subgroup([z, y]),
+            "G": g.whole_subgroup(),
+        }
+    else:
+        raise ValueError(f"unknown figure kind {kind!r}")
+    return hasse(g, {h.members: label for label, h in named.items()})
 
 
 def export_dot(lat: LatticeGraph) -> str:

@@ -1,11 +1,14 @@
-"""The registered claim suite: one verdict function per claim id, plus an
-aggregator.  Every claim is decided by the brute-force oracle; statuses
-follow the convention in ``reports``.
+"""The registered claim suite, one table: ``CLAIMS`` maps each claim id to
+its source locator, its expected status and its verdict; ``CHECKS`` and
+``EXPECTED`` are read from it.  Every claim is decided by the brute-force
+oracle; statuses follow the convention in ``reports``.
 
 Every verdict, including the per-instance checks the aggregates fold, is
 a check returning ``(outcome, witness)`` under the ``_verdict`` decorator,
-which times it and builds the one ``VerdictReport``; aggregate statuses
-come from the one fold ``_worst_status``.
+which times it and builds the one ``VerdictReport``; the three aggregates
+(cor4.3, cor5.3, cor5.6) fold their sub-verdicts through ``_aggregate``
+and the one status fold ``_worst_status``.  An instance too large for
+the isomorphism search raises ``CapError``, not a status.
 
 ``run_suite`` decides its claims in one run (``groupcore.run_scope``):
 each Pauli group is built once however many claims use it, and cor5.2
@@ -21,7 +24,7 @@ from collections import Counter
 
 from .algebra import Carrier, field_make, sigma_tau
 from .census import abelian_census
-from .groupcore import ISO_ORDER_CAP, FiniteGroup, isomorphic, once, run_scope
+from .groupcore import FiniteGroup, isomorphic, once, run_scope
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group, heis_spec)
 from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
@@ -29,30 +32,35 @@ from .pauli import (p12_named_elements, p22_named_generators, pauli_group,
                     pauli_spec)
 from .products import (classify_special, decompose_pauli_chain,
                        pauli_chain_subgroups, weak_central_chain)
-from .reports import CLAIMS, VerdictReport
+from .reports import VerdictReport
 
-# statuses by increasing severity; an instance out of cap is not confirmed
+# statuses by increasing severity
 _SEVERITY = {"confirmed": 0, "inconsistent_in_paper": 1,
-             "refuted_at_desk_scale": 2, "out_of_cap": 2}
+             "refuted_at_desk_scale": 2}
 
 
 def _worst_status(statuses) -> str:
     """The aggregate of sub-verdict statuses: the worst of confirmed <
-    inconsistent_in_paper < refuted_at_desk_scale, with out_of_cap
-    counted as refuted."""
-    worst = max(statuses, key=_SEVERITY.__getitem__)
-    return "refuted_at_desk_scale" if worst == "out_of_cap" else worst
+    inconsistent_in_paper < refuted_at_desk_scale."""
+    return max(statuses, key=_SEVERITY.__getitem__)
+
+
+def _aggregate(sub: dict):
+    """The outcome of an aggregate verdict: the worst status of its
+    sub-verdicts, and their reports as the witness."""
+    return (_worst_status(v.status for v in sub.values()),
+            {k: v.to_json() for k, v in sub.items()})
 
 
 def _verdict(claim, inconsistent=False):
     """Turn a check returning ``(outcome, witness)`` into a timed verdict.
 
     ``claim`` (a claim id) and ``inconsistent`` may each be given as a
-    function of the check's arguments.  A true outcome reads
-    ``confirmed``, or ``inconsistent_in_paper`` when the registered
-    statement contradicts itself; a false one reads
-    ``refuted_at_desk_scale``; a status string (an aggregate from
-    ``_worst_status``, or ``out_of_cap``) is kept as it is."""
+    function of the check's arguments; the locator is read from
+    ``CLAIMS``.  A true outcome reads ``confirmed``, or
+    ``inconsistent_in_paper`` when the registered statement contradicts
+    itself; a false one reads ``refuted_at_desk_scale``; a status string
+    (an aggregate from ``_worst_status``) is kept as it is."""
     def decorate(check):
         @functools.wraps(check)
         def run(*args, **kwargs):
@@ -69,7 +77,7 @@ def _verdict(claim, inconsistent=False):
             else:
                 status = "refuted_at_desk_scale"
             cid = resolve(claim)
-            return VerdictReport(claim=cid, locator=CLAIMS[cid],
+            return VerdictReport(claim=cid, locator=CLAIMS[cid][0],
                                  status=status, witness=witness,
                                  wall_time_s=time.perf_counter() - t0)
         return run
@@ -140,12 +148,13 @@ def lemma31_presentation_check():
 def p22_relations_check():
     """Close the five named generators in the P_{2,2} table and verify the
     order they generate, the squared generators, the centrality of ABC,
-    and the nine commutator values."""
+    and the nine commutator values.  Generating order 64, they generate
+    P_{2,2}, so its centre and centralisers are read from its table."""
     s = pauli_spec(2, 1, 2)
     e = s.identity()
     minus_i = (2, (0, 0), (0, 0))
     g = p22_named_generators()
-    G = pauli_group(s).generated_subgroup(g.values()).as_group(name="P(2,2)")
+    G = pauli_group(s)
 
     def comm(x, y):
         return s.mul(s.mul(s.inverse(x), s.inverse(y)), s.mul(x, y))
@@ -171,7 +180,7 @@ def p22_relations_check():
     commutator_table = {k: commutators[k] == v for k, v in expected.items()}
     center = G.center()
     facts = {
-        "order": G.order,
+        "order": G.generated_subgroup(g.values()).order,
         "center_order": center.order,
         "center_cyclic": center.is_cyclic(),
         "ABC_central": G.centralizer([G.index[abc]]).order == G.order,
@@ -338,9 +347,6 @@ def corollary43_check(p: int, m: int, n: int):
     the oracle supports."""
     if p == 2:
         raise ValueError("the comparison is stated for odd p")
-    order = p ** (2 * n * m + 1)
-    if order > ISO_ORDER_CAP:
-        return "out_of_cap", {"required_order": order}
     pg = pauli_group(pauli_spec(p, m, n))
     reduced_spec = heis_spec(field_make(p, m), n, reduced=True)
     full_spec = heis_spec(Carrier(p, m, False), n)
@@ -404,8 +410,6 @@ def corollary52_53_check(p: int, m: int, n: int):
     Heisenberg reading (odd p) or search for a chain of P_{1,2} factors
     (p = 2)."""
     spec = lifted_spec(p, m, n)
-    if spec.order > ISO_ORDER_CAP:
-        return "out_of_cap", {"required_order": spec.order}
     g = lifted_group(spec)
     kernel = g.generated_subgroup(pi_kernel(spec))
     central = kernel <= g.center()
@@ -438,22 +442,14 @@ def corollary52_53_check(p: int, m: int, n: int):
 @_verdict("cor4.3")
 def check_cor43():
     """Aggregate of the Heisenberg comparisons at the desk instances."""
-    sub = {f"({p},{m},{n})": _heisenberg_comparison(p, m, n)
-           for (p, m, n) in ((3, 1, 1), (3, 1, 2), (3, 2, 1))}
-    return (_worst_status(v.status for v in sub.values()),
-            {k: v.to_json() for k, v in sub.items()})
-
-
-def check_cor52() -> VerdictReport:
-    return corollary52_53_check(3, 2, 1)
+    return _aggregate({f"({p},{m},{n})": _heisenberg_comparison(p, m, n)
+                       for (p, m, n) in ((3, 1, 1), (3, 1, 2), (3, 2, 1))})
 
 
 @_verdict("cor5.3")
 def check_cor53():
-    sub = {"(2,1,2)": corollary52_53_check(2, 1, 2),
-           "(2,2,1)": corollary52_53_check(2, 2, 1)}
-    return (_worst_status(v.status for v in sub.values()),
-            {k: v.to_json() for k, v in sub.items()})
+    return _aggregate({"(2,1,2)": corollary52_53_check(2, 1, 2),
+                       "(2,2,1)": corollary52_53_check(2, 2, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +508,7 @@ def bounds_check(n: int):
 def check_cor56():
     """Both registered bound inequalities at n = 1, 2 (exact) and the lower
     bound at n = 3 (constructive)."""
-    sub = {f"n={n}": bounds_check(n) for n in (1, 2, 3)}
-    return (_worst_status(v.status for v in sub.values()),
-            {k: v.to_json() for k, v in sub.items()})
+    return _aggregate({f"n={n}": bounds_check(n) for n in (1, 2, 3)})
 
 
 # ---------------------------------------------------------------------------
@@ -573,47 +567,33 @@ def check_remark32():
     return not iso and e1.exponent == 3 and e2.exponent == 9, witness
 
 
-def check_eq6() -> VerdictReport:
-    return heis_semidirect_report(heis_spec(field_make(3, 1)))
-
-
-CHECKS = {
-    "lemma3.1": lemma31_presentation_check,
-    "eq13-14": p22_relations_check,
-    "eq6": check_eq6,
-    "thm4.1": check_thm41,
-    "thm4.2": check_thm42,
-    "thm4.2-links": check_thm42_links,
-    "cor4.3": check_cor43,
-    "cor4.4": check_cor44,
-    "cor5.2": check_cor52,
-    "cor5.3": check_cor53,
-    "cor5.4": check_cor54,
-    "cor5.6": check_cor56,
-    "eq19": check_eq19,
-    "remark3.2": check_remark32,
-    "remark3.9": check_remark39,
+# Registered claims: id -> (source locator, expected status, verdict).  The
+# ids form the CLI interface of the verify subcommand.  The expected
+# statuses are the oracle-consistent results (refutations included: they
+# are valid outcomes, not tool failures).
+CLAIMS = {
+    "lemma3.1": ("Lemma 3.1", "confirmed", lemma31_presentation_check),
+    "eq13-14": ("Eq. (13)-(14)", "confirmed", p22_relations_check),
+    "eq6": ("Eq. (6) / Remark 3.4", "confirmed", functools.partial(
+        heis_semidirect_report, heis_spec(field_make(3, 1)))),
+    "thm4.1": ("Theorem 4.1", "confirmed", check_thm41),
+    "thm4.2": ("Theorem 4.2", "confirmed", check_thm42),
+    "thm4.2-links": ("Theorem 4.2 (link structure)",
+                     "refuted_at_desk_scale", check_thm42_links),
+    "cor4.3": ("Corollary 4.3", "inconsistent_in_paper", check_cor43),
+    "cor4.4": ("Corollary 4.4", "refuted_at_desk_scale", check_cor44),
+    "cor5.2": ("Corollary 5.2", "inconsistent_in_paper",
+               functools.partial(corollary52_53_check, 3, 2, 1)),
+    "cor5.3": ("Corollary 5.3", "confirmed", check_cor53),
+    "cor5.4": ("Corollary 5.4", "refuted_at_desk_scale", check_cor54),
+    "cor5.6": ("Corollary 5.6", "refuted_at_desk_scale", check_cor56),
+    "eq19": ("Eq. (19)", "confirmed", check_eq19),
+    "remark3.2": ("Remark 3.2", "inconsistent_in_paper", check_remark32),
+    "remark3.9": ("Remark 3.9", "inconsistent_in_paper", check_remark39),
 }
-
-# statuses the suite treats as oracle-consistent results (refutations
-# included: they are valid outcomes, not tool failures)
-EXPECTED = {
-    "lemma3.1": "confirmed",
-    "eq13-14": "confirmed",
-    "eq6": "confirmed",
-    "thm4.1": "confirmed",
-    "thm4.2": "confirmed",
-    "thm4.2-links": "refuted_at_desk_scale",
-    "cor4.3": "inconsistent_in_paper",
-    "cor4.4": "refuted_at_desk_scale",
-    "cor5.2": "inconsistent_in_paper",
-    "cor5.3": "confirmed",
-    "cor5.4": "refuted_at_desk_scale",
-    "cor5.6": "refuted_at_desk_scale",
-    "eq19": "confirmed",
-    "remark3.2": "inconsistent_in_paper",
-    "remark3.9": "inconsistent_in_paper",
-}
+# plain dicts, so that a caller may replace a verdict in place
+CHECKS = {cid: verdict for cid, (_, _, verdict) in CLAIMS.items()}
+EXPECTED = {cid: status for cid, (_, status, _) in CLAIMS.items()}
 
 
 def run_suite(scope: str = "all") -> list[VerdictReport]:
@@ -621,8 +601,6 @@ def run_suite(scope: str = "all") -> list[VerdictReport]:
     (``groupcore.run_scope``): each Pauli group is built and each
     Heisenberg comparison decided at most once, and all of them are
     released when the run ends."""
-    if scope != "all" and scope not in CHECKS:
-        raise KeyError(scope)
     with run_scope():
         return [CHECKS[claim]()
                 for claim in (sorted(CHECKS) if scope == "all" else [scope])]

@@ -205,8 +205,6 @@ def _emit(text: str, out_path: str | None) -> None:
             raise SpecError(f"--out: {exc}") from exc
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def cmd_build(args) -> int:

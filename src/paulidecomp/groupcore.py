@@ -44,13 +44,14 @@ the orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005).  From the identity, each
 breadth-first layer is one gather of the frontier times the generators,
 and each new element records its parent and the generator that reached
-it.  ``closure_indices`` reads the members, and ``isomorphic`` rebuilds
+it; the walk returns its layers as slices of the members.
+``closure_indices`` reads the members, and ``isomorphic`` rebuilds
 candidate maps along the Schreier vector of each prefix of the
-generating set, one layer per gather.  ``generating_set`` needs only the
-members, so it grows each <H, x> from the last subgroup H: H u Hx closed
-under right multiplication by the generators, with no walk from the
-identity.  ``isomorphic`` first drops each candidate image that changes
-the order of a commutator with an earlier generator, then checks the
+generating set, one returned layer per gather.  ``generating_set`` needs
+only the members, so it grows each <H, x> from the last subgroup H:
+H u Hx closed under right multiplication by the generators, with no walk
+from the identity.  ``isomorphic`` first drops each candidate image that
+changes the order of a commutator with an earlier generator, then checks the
 rest in batches of ``_blocks`` (1, 2, 4, ... up to BLOCK), one K x |G|
 matrix of maps per batch.  When many closures are wanted at once,
 ``closures`` takes one seed set per row of a boolean membership matrix
@@ -239,9 +240,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
     def conjugates(self, members, by=None) -> np.ndarray:
         """Entry [i, k] is x^-1 members[k] x for x = by[i]; ``by`` is
         every element unless given."""
@@ -301,20 +299,24 @@ class FiniteGroup:
 
     # -- subgroup machinery ------------------------------------------------
 
-    def _walk(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _walk(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   list[slice]]:
         """Breadth-first walk of <gens> from the identity with its Schreier
-        vector: ``(members, parent, pos)``, members in the order reached
-        and, for each, the member ``parent`` and the generator position
-        ``pos`` with member = parent * gens[pos] (the identity is its own
-        parent, at position -1).  Each layer is one gather of the frontier
-        times the generators, and a new element keeps its first occurrence
-        in row-major (frontier, generator) order."""
+        vector: ``(members, parent, pos, layers)``, members in the order
+        reached and, for each, the member ``parent`` and the generator
+        position ``pos`` with member = parent * gens[pos] (the identity is
+        its own parent, at position -1); ``layers`` are the breadth-first
+        layers after the identity, as slices of the members.  Each layer
+        is one gather of the frontier times the generators, and a new
+        element keeps its first occurrence in row-major (frontier,
+        generator) order."""
         t = self.table
         gens = np.asarray(gens, dtype=np.intp)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity] = True
         frontier = np.array([self.identity])
         members, parent, pos = [frontier], [frontier], [np.array([-1])]
+        layers, end = [], 1
         while len(frontier) and len(gens):
             prod = t[frontier[:, None], gens].ravel()
             fresh = np.flatnonzero(~seen[prod])
@@ -324,7 +326,10 @@ class FiniteGroup:
             frontier = prod[step]
             seen[frontier] = True
             members.append(frontier)
-        return tuple(np.concatenate(a) for a in (members, parent, pos))
+            if len(step):
+                layers.append(slice(end, end + len(step)))
+                end += len(step)
+        return (*(np.concatenate(a) for a in (members, parent, pos)), layers)
 
     def closure_indices(self, seed) -> tuple[int, ...]:
         """The subgroup generated by a set of element indices, as a sorted
@@ -1040,19 +1045,6 @@ def _blocks(count: int):
         lo, size = lo + size, min(2 * size, BLOCK)
 
 
-def _layers(walk) -> list[slice]:
-    """The breadth-first layers of a ``_walk`` after the identity, as
-    slices of its members: the parents of a layer fill the layer before
-    it, in order."""
-    members, parent, _ = walk
-    rank = np.empty(int(members.max()) + 1, dtype=np.intp)
-    rank[members] = np.arange(len(members))
-    ends = [1]
-    while ends[-1] < len(members):
-        ends.append(int(np.searchsorted(rank[parent], ends[-1])))
-    return [slice(a, b) for a, b in zip(ends, ends[1:])]
-
-
 def isomorphic(g: FiniteGroup, h: FiniteGroup):
     """Decide G ≅ H; returns (True, witness) with witness mapping element
     keys of G to element keys of H, or (False, None).
@@ -1086,8 +1078,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     for i in range(1, len(gens) + 1):
         walk = g._walk(gens[:i])
         # the table entries member * generator, for the homomorphism check
-        walks.append((*walk, _layers(walk),
-                      g.table[np.ix_(walk[0], gens[:i])]))
+        walks.append((*walk, g.table[np.ix_(walk[0], gens[:i])]))
     g_orders, h_orders = np.array(g.element_orders), np.array(h.element_orders)
     g_class, h_class = np.array(g.class_size_of), np.array(h.class_size_of)
     g_comm = g_orders[g.commutators(gens, gens)]

@@ -42,10 +42,10 @@ def pauli_law(field: Carrier, n: int) -> CentralExtension:
 
 def pauli_spec(p: int, m: int, n: int) -> CentralExtension:
     """P_{n,q} with q = p^m."""
-    if p == 2 and m != 1:
-        raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    if p == 2 and m != 1:
+        raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
     return pauli_law(field_make(p, m), n)
 
 

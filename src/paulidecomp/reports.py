@@ -1,5 +1,6 @@
 """Machine-readable outcome records: decomposition reports, classification
-flags, and claim verdicts.
+flags, and claim verdicts.  The registered claims themselves, with their
+locators and expected statuses, are the one table ``claims.CLAIMS``.
 
 Verdict statuses:
 
@@ -8,7 +9,8 @@ Verdict statuses:
   the witness field carries the counterexample.
 * ``inconsistent_in_paper``: the claim as registered is self-contradictory
   and the verdict records which reading the oracle supports.
-* ``out_of_cap``: the instance exceeds the configured size caps.
+
+An instance too large to decide has no status: it raises ``CapError``.
 
 The error types and the default caps of the commands live here too, in a
 module that imports no numpy, so that ``--help`` and an unknown spec
@@ -20,8 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper",
-            "out_of_cap")
+STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper")
 
 CLASSIFICATIONS = ("weak_central", "central", "none")
 
@@ -77,15 +78,6 @@ class ClassificationFlags:
     minimal_nonabelian: bool
     evidence: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "extraspecial": self.extraspecial,
-            "generalized_extraspecial": self.generalized_extraspecial,
-            "just_nonabelian": self.just_nonabelian,
-            "minimal_nonabelian": self.minimal_nonabelian,
-            "evidence": self.evidence,
-        }
-
 
 @dataclass
 class VerdictReport:
@@ -107,27 +99,6 @@ class VerdictReport:
             "witness": self.witness,
             "wall_time_s": round(self.wall_time_s, 3),
         }
-
-
-# Registered claims and their source locators.  These ids form the CLI
-# interface of the verify subcommand.
-CLAIMS = {
-    "lemma3.1": "Lemma 3.1",
-    "eq13-14": "Eq. (13)-(14)",
-    "thm4.1": "Theorem 4.1",
-    "thm4.2": "Theorem 4.2",
-    "thm4.2-links": "Theorem 4.2 (link structure)",
-    "eq6": "Eq. (6) / Remark 3.4",
-    "cor4.3": "Corollary 4.3",
-    "cor4.4": "Corollary 4.4",
-    "cor5.2": "Corollary 5.2",
-    "cor5.3": "Corollary 5.3",
-    "cor5.4": "Corollary 5.4",
-    "cor5.6": "Corollary 5.6",
-    "eq19": "Eq. (19)",
-    "remark3.9": "Remark 3.9",
-    "remark3.2": "Remark 3.2",
-}
 
 
 def dump_json(obj) -> str:

@@ -221,6 +221,7 @@ def _single_register_matrix(spec: CentralExtension, a: int,
     p = 2 and N = p for odd p (trace character for m > 1)."""
     f = spec.carrier
     q = f.size
+    add, mul = f.add_table, f.mul_table
     N = 4 if f.p == 2 else f.p
     scale = 2 if f.p == 2 else 1  # embed Z_2-valued characters into w_4
     rows = []
@@ -228,8 +229,8 @@ def _single_register_matrix(spec: CentralExtension, a: int,
         row = []
         for j in range(q):   # column index: input basis vector
             # X^a Z^b |j> = chi(b*j) |j+a>
-            if i == f.add(j, a):
-                chi = f.trace(f.mul(b, j)) * scale
+            if i == add[j][a]:
+                chi = f.trace(mul[b][j]) * scale
                 row.append(tuple([0] * (chi % N)) + (1,))
             else:
                 row.append(())
@@ -271,7 +272,7 @@ def lifted_matrix(spec: CentralExtension, g):
 
 
 def lifted_matrix_mul(spec: CentralExtension, m1, m2):
-    f = spec.carrier
+    add, mul = spec.carrier.add_table, spec.carrier.mul_table
     size = spec.n + 2
     out = []
     for i in range(size):
@@ -279,7 +280,7 @@ def lifted_matrix_mul(spec: CentralExtension, m1, m2):
         for j in range(size):
             acc = 0
             for k in range(size):
-                acc = f.add(acc, f.mul(m1[i][k], m2[k][j]))
+                acc = add[acc][mul[m1[i][k]][m2[k][j]]]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -303,13 +304,10 @@ def pi_is_homomorphism(spec: CentralExtension) -> bool:
 def unitriangular_mul(carrier, m1, m2):
     """Product of the upper unitriangular 3x3 matrices M(a, b; t) over the
     carrier, each given as its entry tuple (a, b, t)."""
+    add, mul = carrier.add_table, carrier.mul_table
     a1, b1, t1 = m1
     a2, b2, t2 = m2
-    return (
-        carrier.add(a1, a2),
-        carrier.add(b1, b2),
-        carrier.add(carrier.add(t1, t2), carrier.mul(a1, b2)),
-    )
+    return add[a1][a2], add[b1][b2], add[add[t1][t2]][mul[a1][b2]]
 
 
 def phi_map(spec: CentralExtension, g):
@@ -322,6 +320,7 @@ def phi_map(spec: CentralExtension, g):
     if r.p == 2:
         raise ValueError("phi_map requires odd characteristic")
     a, b, t = g[0][0], g[1][0], g[2]
-    half = r.inv(2)  # the constant 2 has the same code in every carrier here
-    s = r.mul(half, r.add(t, r.mul(a, b)))
+    add, mul = r.add_table, r.mul_table
+    half = mul[2].index(1)  # 2 has the same code in every carrier here
+    s = mul[half][add[t][mul[a][b]]]
     return (a, b, s)

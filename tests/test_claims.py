@@ -5,16 +5,15 @@ import pytest
 
 from paulidecomp import claims
 from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
-                                _worst_status, run_suite)
-from paulidecomp.groupcore import isomorphic
+                                _worst_status, corollary43_check, run_suite)
+from paulidecomp.groupcore import ISO_ORDER_CAP, CapError, isomorphic
 from paulidecomp.lifted import lifted_spec, pi_image_group
 from paulidecomp.pauli import pauli_group, pauli_spec
-from paulidecomp.reports import CLAIMS, STATUSES
+from paulidecomp.reports import STATUSES
 
 
 def test_registry_consistency():
-    assert set(CHECKS) == set(CLAIMS)
-    assert set(EXPECTED) == set(CHECKS)
+    # CHECKS and EXPECTED are read from the one table claims.CLAIMS
     assert all(v in STATUSES for v in EXPECTED.values())
 
 
@@ -47,12 +46,19 @@ def _old_cor53_rule(statuses):
             else "refuted_at_desk_scale")
 
 
+# out_of_cap, once a fourth status, is no status now: a too-large
+# instance raises CapError, and the fold refuses any multiset holding it
 MULTISETS = [c for k in (1, 2, 3)
-             for c in itertools.combinations_with_replacement(STATUSES, k)]
+             for c in itertools.combinations_with_replacement(
+                 STATUSES + ("out_of_cap",), k)]
 
 
 @pytest.mark.parametrize("statuses", MULTISETS, ids="+".join)
 def test_worst_status_matches_old_folds(statuses):
+    if "out_of_cap" in statuses:
+        with pytest.raises(KeyError):
+            _worst_status(statuses)
+        return
     folded = _worst_status(statuses)
     assert folded == _old_cor43_rule(statuses)
     if "inconsistent_in_paper" not in statuses:
@@ -110,3 +116,11 @@ def test_p12_prefilter_keeps_exactly_the_isomorphic_factors(m, n):
                          and isomorphic(h.as_group(), p12)[0]]
     assert len(isomorphic_normal) == 6
     assert _p12_candidates(image) == isomorphic_normal
+
+
+def test_out_of_range_comparison_raises_cap_error():
+    # P(3,3) has order 3^7 = 2187: the isomorphism search refuses it, and
+    # that CapError is the one size-limit signal (exit 3 in the CLI)
+    assert 3 ** 7 > ISO_ORDER_CAP
+    with pytest.raises(CapError):
+        corollary43_check(3, 1, 3)

@@ -48,6 +48,12 @@ def test_parse_error_exit_2():
     assert run_cli("verify", "nosuchclaim").returncode == 2
 
 
+def test_bad_exponent_names_the_exponent(capsys):
+    # m = 0 is refused as such, before the qubit rule for m is read
+    assert main(["build", "pauli:p=2,m=0,n=1"]) == 2
+    assert capsys.readouterr().err == "error: m and n must be >= 1\n"
+
+
 def test_cap_exceeded_exit_3():
     r = run_cli("build", "pauli:p=2,n=2", "--cap-closure", "10")
     assert r.returncode == 3
@@ -175,6 +181,7 @@ EXIT_CODES = [
     (["build", "heis:R=z(9),reduced=true"], 2),
     (["build", "heis:R=gf(6)"], 2),
     (["build", "heis:R=gf(3),reduced=yes"], 2),
+    (["build", "pauli:p=2,m=0,n=1"], 2),
     (["verify", "nosuchclaim"], 2),
     (["verify", "eq19", "--out", "no-such-directory/claims.json"], 2),
     (["verify", "eq19", "--out", "."], 2),

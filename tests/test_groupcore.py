@@ -300,7 +300,7 @@ def _assert_isomorphism(g, h, phi):
 def _relabelled_d8():
     d8 = dihedral8()
     perm = [3, 1, 4, 0, 6, 2, 7, 5]
-    table = {(perm[i], perm[j]): perm[d8.mul(i, j)]
+    table = {(perm[i], perm[j]): perm[d8.table[i, j]]
              for i in range(8) for j in range(8)}
     return FiniteGroup(range(8), tabulate(range(8), lambda a, b: table[(a, b)]))
 

@@ -7,6 +7,10 @@ no library function takes one, and ``src/`` defines nothing that only
 the tests or the benchmark call."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -146,3 +150,137 @@ def test_every_definition_is_used_in_src():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and mentioned[node.name] == _mentions(node)[node.name])
     assert not unused, f"defined in src/ but used nowhere there: {unused}"
+
+
+# Run in a fresh interpreter, so that the functions a command runs while
+# its modules load (the verdict decorators) are seen too: each argv goes
+# through cli.main with a tracer that records every code object entered,
+# and the exit codes and the entered (file, first line) pairs come back
+# as JSON.
+_SWEEP = """
+import contextlib, io, json, os, sys
+src, argvs = sys.argv[1], json.load(sys.stdin)
+entered = set()
+
+def trace(frame, event, arg):
+    entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.settrace(trace)
+from paulidecomp.cli import main
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.settrace(None)
+ours = [(os.path.basename(path), line) for path, line in entered
+        if os.path.dirname(os.path.realpath(path)) == src]
+json.dump({"codes": codes, "entered": sorted(ours)}, sys.stdout)
+"""
+
+# argv, exit code: every subcommand and format, the three paper figures,
+# the spec grammar's errors and the size limits
+SWEEP = [
+    (["--help"], 0),
+    (["build", "d8"], 0),
+    (["build", "q8", "--format", "text"], 0),
+    (["build", "trivial"], 0),
+    (["build", "e1:p=3"], 0),
+    (["build", "e2:p=3"], 0),
+    (["build", "pauli:p=3,m=2,n=1"], 0),
+    (["build", "heis:R=gf(4),n=1"], 0),
+    (["build", "heis:R=z(9),n=1"], 0),
+    (["build", "heis:R=gf(3),n=1,reduced=true"], 0),
+    (["build", "heis:R=gf(2),n=2,cocycle=polarized"], 0),
+    (["build", "lifted:p=3,m=1,n=1"], 0),
+    (["build", "lifted:p=2,m=2,n=1"], 0),
+    (["decompose", "pauli:p=2,n=2"], 0),
+    (["decompose", "pauli:p=3,n=1"], 0),
+    (["decompose", "heis:R=gf(4),n=1"], 0),
+    (["decompose", "heis:R=z(9),n=1"], 0),
+    (["decompose", "trivial"], 0),
+    (["decompose", "q8"], 0),
+    (["census", "d8"], 0),
+    (["census", "pauli:p=2,n=2"], 0),
+    (["census", "heis:R=z(4),n=1"], 0),
+    (["lattice", "d8"], 0),
+    (["lattice", "pauli:p=2,n=2", "--format", "dot"], 0),
+    (["lattice", "d8", "--filter", "paper_figure"], 0),
+    (["lattice", "pauli:p=2,n=1", "--filter", "paper_figure"], 0),
+    (["lattice", "heis:R=gf(3),n=1", "--filter", "paper_figure",
+      "--format", "dot"], 0),
+    (["lifted", "p=3,m=2,n=1"], 0),
+    (["lifted", "lifted:p=2,m=1,n=1"], 0),
+    (["verify", "all"], 0),
+    (["verify", "eq19"], 0),
+    (["build", "nosuch"], 2),
+    (["build", "pauli:p"], 2),
+    (["build", "pauli:p=2,p=3"], 2),
+    (["build", "pauli:n=1"], 2),
+    (["build", "pauli:p=x"], 2),
+    (["build", "pauli:p=4"], 2),
+    (["build", "pauli:p=2,m=0,n=1"], 2),
+    (["build", "pauli:p=2,q=1"], 2),
+    (["build", "heis:R=gf(x)"], 2),
+    (["build", "heis:R=gf(6)"], 2),
+    (["build", "heis:R=q(3)"], 2),
+    (["build", "heis:reduced=yes"], 2),
+    (["build", "heis:R=z(9),reduced=true"], 2),
+    (["build", "e1:p=2"], 2),
+    (["lifted", "pauli:p=3,n=1"], 2),
+    (["lattice", "q8", "--filter", "paper_figure"], 2),
+    (["verify", "nosuchclaim"], 2),
+    (["build", "d8", "--cap-closure", "0"], 2),
+    (["build", "pauli:p=2,n=2", "--cap-closure", "10"], 3),
+    (["census", "pauli:p=2,n=2", "--cap-subgroups", "10"], 3),
+    (["build", "heis:R=z(100000000000000003)"], 3),
+    (["build", "pauli:p=3317044064679887385961981,n=1"], 3),
+]
+
+
+def _functions(code, name: str):
+    """(file name, first line, qualified name) of each function and method
+    compiled into ``code``.  Comprehensions and lambdas are not counted,
+    nor special methods, which Python calls by protocol."""
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            short = const.co_name
+            if not (short.startswith("<")
+                    or (short.startswith("__") and short.endswith("__"))):
+                yield (name, const.co_firstlineno,
+                       getattr(const, "co_qualname", short))
+            yield from _functions(const, name)
+
+
+def test_every_function_runs_in_a_command(tmp_path):
+    """Each function and method in ``src/`` is entered by some command: a
+    sweep of CLI invocations covering every subcommand, format, paper
+    figure, error exit and size limit, with ``--out`` writing to a file,
+    to a missing directory, to a directory and to a path that cannot be
+    written.  A function no command runs serves only the tests, or
+    nothing."""
+    (tmp_path / "blocked.json.tmp").mkdir()
+    sweep = SWEEP + [
+        (["build", "d8", "--out", str(tmp_path / "d8.json")], 0),
+        (["build", "d8", "--out", str(tmp_path / "missing" / "d8.json")], 2),
+        (["build", "d8", "--out", str(tmp_path)], 2),
+        (["build", "d8", "--out", str(tmp_path / "blocked.json")], 2),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _SWEEP, str(SRC.resolve())],
+        input=json.dumps([argv for argv, _ in sweep]), capture_output=True,
+        text=True, env=env, check=True)
+    result = json.loads(run.stdout)
+    assert result["codes"] == [code for _, code in sweep]
+    entered = set(map(tuple, result["entered"]))
+    idle = sorted(
+        qualname for path in sorted(SRC.glob("*.py"))
+        for name, line, qualname in _functions(
+            compile(path.read_text(), str(path), "exec"), path.name)
+        if (name, line) not in entered)
+    assert not idle, f"defined in src/ but run by no command: {idle}"

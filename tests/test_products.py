@@ -46,9 +46,10 @@ def test_weak_central_rejects_nongenerating_pair():
 
 def _generated(g, seed):
     """The subgroup generated by ``seed``, by products until closed."""
+    t = g.table.tolist()
     members = set(seed) | {g.identity}
     while True:
-        grown = members | {g.mul(a, b) for a in members for b in members}
+        grown = members | {t[a][b] for a in members for b in members}
         if grown == members:
             return members
         members = grown
@@ -57,16 +58,16 @@ def _generated(g, seed):
 def _pair_by_definition(g, h, k):
     """(classification, link, commutator) of the pair H, K from the
     definitions, as member sets."""
-    elements = range(g.order)
-    inv = {x: next(y for y in elements if g.mul(x, y) == g.identity)
+    elements, t = range(g.order), g.table.tolist()
+    inv = {x: next(y for y in elements if t[x][y] == g.identity)
            for x in elements}
     center = {z for z in elements
-              if all(g.mul(z, x) == g.mul(x, z) for x in elements)}
+              if all(t[z][x] == t[x][z] for x in elements)}
     hs, ks = set(h.members), set(k.members)
     link = hs & ks
-    comm = _generated(g, {g.mul(g.mul(inv[a], inv[b]), g.mul(a, b))
+    comm = _generated(g, {t[t[inv[a]][inv[b]]][t[a][b]]
                           for a in hs for b in ks})
-    covers = {g.mul(a, b) for a in hs for b in ks} == set(elements)
+    covers = {t[a][b] for a in hs for b in ks} == set(elements)
     if not covers or not comm <= center:
         return "none", link, comm
     if comm == center and link == center:
@@ -308,7 +309,7 @@ def _first_proper_pair(g):
             if min(y for y in cyclic[x] if cyclic[y] == cyclic[x]) == x]
     for i, x in enumerate(reps):
         for y in reps[i + 1:]:
-            if g.mul(x, y) != g.mul(y, x):
+            if g.table[x, y] != g.table[y, x]:
                 closed = g.closure_indices([x, y])
                 if len(closed) < g.order:
                     return {"nonabelian_subgroup_order": len(closed),

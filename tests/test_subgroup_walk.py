@@ -178,7 +178,7 @@ def test_walk_and_generating_set_on_relabelled_tables(name, data):
     h = _relabel(g, data.draw(st.permutations(range(g.order))))
     gens = data.draw(st.lists(st.integers(0, h.order - 1), max_size=4))
     t = h.table.tolist()
-    members, parent, pos = h._walk(gens)
+    members, parent, pos, layers = h._walk(gens)
     assert [a.tolist() for a in (members, parent, pos)] == \
         list(_queue_walk(t, h.identity, gens))
     assert h.closure_indices(gens) == _closure(t, h.identity, gens)
@@ -190,6 +190,14 @@ def test_walk_and_generating_set_on_relabelled_tables(name, data):
     rank = np.empty(h.order, dtype=int)
     rank[members] = np.arange(len(members))
     assert (rank[parent[1:]] < np.arange(1, len(members))).all()
+    # the layers are nonempty slices that tile the members after the
+    # identity, and the parents of each lie in the layer before it
+    ends = [1] + [s.stop for s in layers]
+    assert [(s.start, s.stop) for s in layers] == list(zip(ends, ends[1:]))
+    assert ends[-1] == len(members) and all(s.stop > s.start for s in layers)
+    for before, s in zip([slice(0, 1)] + layers, layers):
+        assert ((before.start <= rank[parent[s]])
+                & (rank[parent[s]] < before.stop)).all()
     # each generator lies outside the subgroup of those before it, and
     # the grown subgroups pick what walks from the identity pick
     chosen = h.generating_set()
@@ -391,14 +399,14 @@ def _one_candidate_search(g: FiniteGroup, h: FiniteGroup):
                 and (pos or c in h_reps)]
 
     def check(images):
-        members, parent, pos = walks[len(images) - 1]
+        members, parent, pos, _ = walks[len(images) - 1]
         phi = {g.identity: h.identity}
         for x, par, k in zip(members[1:].tolist(), parent[1:].tolist(),
                              pos[1:].tolist()):
-            phi[x] = h.mul(phi[par], images[k])
+            phi[x] = int(h.table[phi[par], images[k]])
         for x in members.tolist():
             for k, s in enumerate(gens[:len(images)].tolist()):
-                if phi[g.mul(x, s)] != h.mul(phi[x], images[k]):
+                if phi[g.table[x, s]] != h.table[phi[x], images[k]]:
                     return None
         return phi if len(set(phi.values())) == len(phi) else None
 
