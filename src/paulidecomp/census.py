@@ -30,24 +30,11 @@ from .pauli import p12_named_elements, pauli_group, pauli_spec
 class CensusResult:
     group: str
     c_ab: int
-    by_order: dict          # order -> count of abelian subgroups
-    by_order_normality: dict  # (order, normal) -> count
+    by_order: dict          # "16" -> count of abelian subgroups of order 16
+    by_order_normality: dict  # "16:normal" or "16:nonnormal" -> count
     maximal_abelian_orders: list
     normal_count: int
     nonnormal_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "c_ab": self.c_ab,
-            "by_order": {str(k): v for k, v in sorted(self.by_order.items())},
-            "by_order_normality": {
-                f"{k[0]}:{'normal' if k[1] else 'nonnormal'}": v
-                for k, v in sorted(self.by_order_normality.items())},
-            "maximal_abelian_orders": self.maximal_abelian_orders,
-            "normal_count": self.normal_count,
-            "nonnormal_count": self.nonnormal_count,
-        }
 
 
 def abelian_census(g: FiniteGroup) -> CensusResult:
@@ -61,8 +48,10 @@ def abelian_census(g: FiniteGroup) -> CensusResult:
     return CensusResult(
         group=g.name or f"order{g.order}",
         c_ab=len(orders),
-        by_order=dict(Counter(orders)),
-        by_order_normality=dict(Counter(zip(orders, normal))),
+        by_order=dict(Counter(map(str, orders))),
+        by_order_normality=dict(Counter(
+            f"{o}:{'normal' if f else 'nonnormal'}"
+            for o, f in zip(orders, normal))),
         maximal_abelian_orders=[
             layer.order for layer in layers
             for c in layer.centralizer_orders.tolist() if c == layer.order],
@@ -79,11 +68,7 @@ def abelian_census(g: FiniteGroup) -> CensusResult:
 class LatticeGraph:
     group: str
     nodes: list = field(default_factory=list)  # dicts, canonical order
-    edges: list = field(default_factory=list)  # [lower_id, upper_id]
-
-    def to_json(self) -> dict:
-        return {"group": self.group, "nodes": self.nodes,
-                "edges": [list(e) for e in self.edges]}
+    edges: list = field(default_factory=list)  # (lower_id, upper_id)
 
 
 def hasse(g: FiniteGroup, named: dict | None = None) -> LatticeGraph:

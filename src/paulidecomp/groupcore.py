@@ -283,10 +283,7 @@ class FiniteGroup:
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted index tuples, listed by least member."""
-        t, full = self.table, np.arange(self.order)
-        # ``conjugates`` of every element: entry [x, m] is x^-1 m x, read
-        # through the rows x^-1 m of table[inverse]
-        least = t[t[self.inverse], full[:, None]].min(axis=0)
+        least = self.conjugates(np.arange(self.order)).min(axis=0)
         classes: dict[int, list[int]] = {}
         for x, m in enumerate(least.tolist()):
             classes.setdefault(m, []).append(x)
@@ -650,10 +647,10 @@ class FiniteGroup:
         return GroupFingerprint(
             order=self.order,
             exponent=self.exponent,
-            order_sequence=self.order_sequence,
+            order_sequence=[list(t) for t in self.order_sequence],
             center_order=len(self.center_indices),
             derived_order=len(self.derived_indices),
-            abelianization=abelian_invariants(ab_quotient),
+            abelianization=list(abelian_invariants(ab_quotient)),
             nilpotency_class=self.nilpotency_class_bounded,
         )
 
@@ -664,7 +661,7 @@ class FiniteGroup:
             "exponent": self.exponent,
             "center_order": fp.center_order,
             "derived_order": fp.derived_order,
-            "fingerprint": fp.to_json(),
+            "fingerprint": dict(vars(fp)),
             "order_sequence": [list(t) for t in self.order_sequence],
         }
         # the ``build`` goldens of orders above the default subgroup cap
@@ -990,22 +987,11 @@ class GroupFingerprint:
 
     order: int
     exponent: int
-    order_sequence: tuple[tuple[int, int], ...]
+    order_sequence: list  # [order, count] pairs, by order
     center_order: int
     derived_order: int
-    abelianization: tuple[int, ...]
+    abelianization: list
     nilpotency_class: int
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "exponent": self.exponent,
-            "order_sequence": [list(t) for t in self.order_sequence],
-            "center_order": self.center_order,
-            "derived_order": self.derived_order,
-            "abelianization": list(self.abelianization),
-            "nilpotency_class": self.nilpotency_class,
-        }
 
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
@@ -1045,6 +1031,14 @@ def _blocks(count: int):
         lo, size = lo + size, min(2 * size, BLOCK)
 
 
+def refuse_above_iso_cap(order: int) -> None:
+    """The ``CapError`` of the isomorphism search for a group of this
+    order above ``ISO_ORDER_CAP``; a caller that knows the order from a
+    spec asks before any table is built."""
+    if order > ISO_ORDER_CAP:
+        raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
+
+
 def isomorphic(g: FiniteGroup, h: FiniteGroup):
     """Decide G ≅ H; returns (True, witness) with witness mapping element
     keys of G to element keys of H, or (False, None).
@@ -1064,8 +1058,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     passing candidates in increasing order, as a one-at-a-time search
     would, so the witness is the same.
     """
-    if g.order > ISO_ORDER_CAP or h.order > ISO_ORDER_CAP:
-        raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
+    refuse_above_iso_cap(max(g.order, h.order))
     if g.order != h.order:
         return False, None
     if g.fingerprint() != h.fingerprint():

@@ -210,50 +210,15 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
 
 
 def classify_special(g: FiniteGroup) -> ClassificationFlags:
-    """Extraspecial / generalized extraspecial / just nonabelian / minimal
-    nonabelian flags with evidence for the False cases."""
-    p, _ = prime_power(g.order) or (None, None)
-    center = g.center()
-    derived = g.derived_subgroup()
-    evidence: dict = {}
-
-    extraspecial = bool(p and center.order == p and center == derived)
-    if not extraspecial:
-        evidence["extraspecial"] = {
-            "center_order": center.order, "derived_order": derived.order}
-
-    generalized = bool(p and derived.order == p and center.is_cyclic())
-    if generalized:
-        # consistency facts: [G,G] <= Z(G), G/Z elementary abelian even rank
-        quot = g.quotient(center)
-        rank_ok = (quot.is_abelian and quot.exponent == p)
-        _, log = prime_power(quot.order)
-        evidence["generalized_extraspecial_facts"] = {
-            "derived_in_center": derived <= center,
-            "central_quotient_elementary_abelian": rank_ok,
-            "central_quotient_rank": log,
-            "rank_even": log % 2 == 0,
-        }
-    else:
-        evidence["generalized_extraspecial"] = {
-            "derived_order": derived.order,
-            "center_cyclic": center.is_cyclic(),
-        }
-
+    """Just nonabelian / minimal nonabelian flags with evidence for the
+    False cases.  Whether G is extraspecial is decided in one place,
+    ``extraspecial_decompose``."""
     jna, jna_evidence = just_nonabelian(g)
-    if jna_evidence:
-        evidence["just_nonabelian"] = jna_evidence
     mna, mna_evidence = minimal_nonabelian(g)
-    if mna_evidence:
-        evidence["minimal_nonabelian"] = mna_evidence
-
-    return ClassificationFlags(
-        extraspecial=extraspecial,
-        generalized_extraspecial=generalized,
-        just_nonabelian=jna,
-        minimal_nonabelian=mna,
-        evidence=evidence,
-    )
+    evidence = {"just_nonabelian": jna_evidence,
+                "minimal_nonabelian": mna_evidence}
+    return ClassificationFlags(jna, mna,
+                               {k: v for k, v in evidence.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 flags, and claim verdicts.  The registered claims themselves, with their
 locators and expected statuses, are the one table ``claims.CLAIMS``.
 
+``dump_json`` is the one serialiser.  A record, here or elsewhere (the
+census and the lattice), is a dataclass that holds its printed form, and
+it is written as its fields, nested records included: a verdict's wall
+time is rounded when it is measured, and census keys are strings.
+
 Verdict statuses:
 
 * ``confirmed``: the brute-force oracle agrees with the registered claim.
@@ -20,7 +25,7 @@ load no numpy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper")
 
@@ -45,7 +50,7 @@ class DecompositionReport:
     """Outcome of a (chain of) weak central product checks."""
 
     group: str
-    factors: list  # list of dicts {order, isomorphism_type, generators}
+    factors: list  # list of dicts {order, isomorphism_type[, normal]}
     links: list    # list of dicts {order, source} for L_1 .. L_{n-1}
     commutators: list  # orders of [H_1...H_j, H_{j+1}]
     intersections: list  # orders of H_1...H_j cap H_{j+1}
@@ -56,24 +61,11 @@ class DecompositionReport:
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"classification must be one of {CLASSIFICATIONS}")
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "factors": self.factors,
-            "links": self.links,
-            "commutators": self.commutators,
-            "intersections": self.intersections,
-            "classification": self.classification,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class ClassificationFlags:
     """Structural booleans with evidence for the False cases."""
 
-    extraspecial: bool
-    generalized_extraspecial: bool
     just_nonabelian: bool
     minimal_nonabelian: bool
     evidence: dict = field(default_factory=dict)
@@ -91,20 +83,15 @@ class VerdictReport:
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}")
 
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "locator": self.locator,
-            "status": self.status,
-            "witness": self.witness,
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
+
+def _fields(obj) -> dict:
+    """A record, at any depth, is written as its fields."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return vars(obj)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON for reports: sorted keys, stable separators."""
-    if hasattr(obj, "to_json"):
-        obj = obj.to_json()
-    elif isinstance(obj, list):
-        obj = [x.to_json() if hasattr(x, "to_json") else x for x in obj]
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_fields)

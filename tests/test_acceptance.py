@@ -136,18 +136,18 @@ def test_criterion_6_census():
         assert rep.status == "confirmed"
         p12 = abelian_census(pauli_group(pauli_spec(2, 1, 1)))
         assert p12.c_ab == 17
-        assert p12.by_order == {2: 7, 4: 7, 8: 3}
+        assert p12.by_order == {"2": 7, "4": 7, "8": 3}
         # breakdown 1 + 6 + 4 + 3 + 3: one normal and six nonnormal of
         # order 2, four cyclic and three Klein subgroups of order 4,
         # three of order 8
-        assert p12.by_order_normality[(2, True)] == 1
-        assert p12.by_order_normality[(2, False)] == 6
+        assert p12.by_order_normality["2:normal"] == 1
+        assert p12.by_order_normality["2:nonnormal"] == 6
         g = pauli_group(pauli_spec(2, 1, 1))
         quads = [h for h in g.subgroups_all()
                  if h.order == 4 and h.is_abelian()]
         assert sum(1 for h in quads if h.is_cyclic()) == 4
         assert sum(1 for h in quads if not h.is_cyclic()) == 3
-        assert p12.by_order_normality[(8, True)] == 3
+        assert p12.by_order_normality["8:normal"] == 3
 
 
 def test_criterion_7_bounds():

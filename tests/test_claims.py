@@ -1,15 +1,18 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
 from paulidecomp import claims
 from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
-                                _worst_status, corollary43_check, run_suite)
-from paulidecomp.groupcore import ISO_ORDER_CAP, CapError, isomorphic
+                                _worst_status, corollary43_check,
+                                corollary52_53_check, run_suite)
+from paulidecomp.groupcore import (ISO_ORDER_CAP, CapError, CentralExtension,
+                                   isomorphic)
 from paulidecomp.lifted import lifted_spec, pi_image_group
 from paulidecomp.pauli import pauli_group, pauli_spec
-from paulidecomp.reports import STATUSES
+from paulidecomp.reports import STATUSES, dump_json
 
 
 def test_registry_consistency():
@@ -26,7 +29,7 @@ def test_single_scope():
 
 def test_report_json_shape():
     rep = run_suite("eq19")[0]
-    d = rep.to_json()
+    d = json.loads(dump_json(rep))
     for key in ("claim", "locator", "status", "witness", "wall_time_s"):
         assert key in d
 
@@ -90,7 +93,7 @@ def _without_wall_time(value):
 
 
 def test_each_claim_alone_matches_the_full_run(monkeypatch):
-    together = {r.claim: _without_wall_time(r.to_json())
+    together = {r.claim: _without_wall_time(json.loads(dump_json(r)))
                 for r in run_suite("all")}
     comparisons = []
     check = claims.corollary43_check
@@ -99,7 +102,8 @@ def test_each_claim_alone_matches_the_full_run(monkeypatch):
     for claim in sorted(CHECKS):
         comparisons.clear()
         alone, = run_suite(claim)
-        assert _without_wall_time(alone.to_json()) == together[claim]
+        assert _without_wall_time(json.loads(dump_json(alone))) \
+            == together[claim]
         if claim == "cor5.2":
             # with no cor4.3 before it in the run, cor5.2 makes its own
             assert comparisons == [(3, 2, 1)]
@@ -118,9 +122,18 @@ def test_p12_prefilter_keeps_exactly_the_isomorphic_factors(m, n):
     assert _p12_candidates(image) == isomorphic_normal
 
 
-def test_out_of_range_comparison_raises_cap_error():
-    # P(3,3) has order 3^7 = 2187: the isomorphism search refuses it, and
-    # that CapError is the one size-limit signal (exit 3 in the CLI)
+def test_out_of_range_comparison_raises_cap_error(monkeypatch):
+    # P(3,3) has order 3^7 = 2187, and the image of the lifted (3,3,1)
+    # group, P(1,27), 3^7 as well: the isomorphism search refuses both,
+    # and that CapError is the one size-limit signal (exit 3 in the CLI).
+    # It comes from the spec orders, before any table is built.
     assert 3 ** 7 > ISO_ORDER_CAP
-    with pytest.raises(CapError):
-        corollary43_check(3, 1, 3)
+
+    def no_table(self):
+        raise AssertionError(f"built the table of {self.name}")
+
+    monkeypatch.setattr(CentralExtension, "table", no_table)
+    for check, args in ((corollary43_check, (3, 1, 3)),
+                        (corollary52_53_check, (3, 3, 1))):
+        with pytest.raises(CapError, match="isomorphism search capped"):
+            check(*args)

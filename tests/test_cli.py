@@ -33,10 +33,43 @@ def test_build_json():
     assert doc["center_order"] == 4
 
 
+BUILD_TEXT = {
+    "d8": """\
+order: 8
+exponent: 4
+center_order: 2
+derived_order: 2
+fingerprint: {'order': 8, 'exponent': 4, 'order_sequence': [[1, 1], [2, 5], \
+[4, 2]], 'center_order': 2, 'derived_order': 2, 'abelianization': [2, 2], \
+'nilpotency_class': 2}
+order_sequence: [[1, 1], [2, 5], [4, 2]]
+frattini_order: 2
+""",
+    "pauli:p=3,n=1": """\
+order: 27
+exponent: 3
+center_order: 3
+derived_order: 3
+fingerprint: {'order': 27, 'exponent': 3, 'order_sequence': [[1, 1], \
+[3, 26]], 'center_order': 3, 'derived_order': 3, 'abelianization': [3, 3], \
+'nilpotency_class': 2}
+order_sequence: [[1, 1], [3, 26]]
+frattini_order: 3
+""",
+}
+
+
 def test_build_text_format():
     r = run_cli("build", "d8", "--format", "text")
     assert r.returncode == 0
     assert "order: 8" in r.stdout
+
+
+@pytest.mark.parametrize("spec", sorted(BUILD_TEXT))
+def test_build_text_stdout(spec, capsys):
+    # the whole text report, fingerprint line included, byte for byte
+    assert main(["build", spec, "--format", "text"]) == 0
+    assert capsys.readouterr().out == BUILD_TEXT[spec]
 
 
 def test_parse_error_exit_2():

@@ -392,7 +392,7 @@ def test_fingerprint_computed_once(monkeypatch):
     assert isomorphic(g, pauli_group(pauli_spec(2, 1, 1)))[0]
     # one G/G' for g, one for the fresh copy
     assert len(quotients) == 2
-    assert first.abelianization == (2, 2, 2)
+    assert first.abelianization == [2, 2, 2]
 
 
 @contextmanager

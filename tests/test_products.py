@@ -336,14 +336,17 @@ def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
 
 def test_classify_special():
     flags = classify_special(dihedral8())
-    assert flags.extraspecial
+    assert set(vars(flags)) == {"just_nonabelian", "minimal_nonabelian",
+                                "evidence"}
     assert flags.minimal_nonabelian
     flags = classify_special(pauli_group(pauli_spec(2, 1, 1)))
-    assert not flags.extraspecial
-    assert flags.generalized_extraspecial
     assert flags.just_nonabelian
-    flags = classify_special(extraspecial_e2(3))
-    assert flags.extraspecial
+    # whether G is extraspecial is decided by extraspecial_decompose
+    atom = ["order p^3 extraspecial group is irreducible"]
+    assert extraspecial_decompose(dihedral8()).notes == atom
+    assert extraspecial_decompose(extraspecial_e2(3)).notes == atom
+    assert extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1))).notes \
+        == ["group is not extraspecial: no splitting into order p^3 factors"]
 
 
 def test_extraspecial_decompose_atoms():

@@ -338,8 +338,9 @@ def test_census_against_definitions(name, data):
     assert census.maximal_abelian_orders == sorted(
         k.order for k, _, c, _ in rest if c == k.order) == sorted(
         k.order for k, _, _, up in rest if not up)
-    assert census.by_order_normality == dict(
-        Counter((k.order, f) for k, f, _, _ in rest))
+    assert census.by_order_normality == dict(Counter(
+        f"{k.order}:{'normal' if f else 'nonnormal'}"
+        for k, f, _, _ in rest))
     assert census.normal_count == sum(f for _, f, _, _ in rest)
     assert census.nonnormal_count == len(rest) - census.normal_count
 
