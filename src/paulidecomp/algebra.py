@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: the carriers GF(p^m) and Z/p^m, the
-absolute trace map, primality, and divisor functions.
+absolute trace map, primality, divisor functions, and the law of every
+group family as one central-extension spec.
 
 One class, ``Carrier``, is both carriers: a frozen (p, m, field) whose
 elements are the integer codes in ``[0, p^m)``.  A field code's base-p
@@ -9,12 +10,26 @@ add, mul, neg and trace tables built by plain comprehensions on first
 use, so a spec may name GF(4096) and report its order without
 building a table.  All arithmetic is exact integer arithmetic; no
 floating point is used anywhere in this package.
+
+The Pauli, Heisenberg and lifted families are one object: a central
+extension of R^n x R^n by a centre C through a bilinear form, given by
+its carrier R, n, the form (signed pairs of blocks), the centre (R
+itself, Z_p through the trace, or Z_4 through the doubled trace) and the
+key layout.  The spec, ``CentralExtension``, lists its element keys in
+the order of its table's indices, has one scalar ``mul`` (the oracle)
+and one table path, ``groupcore.extension_table``: the form as an array,
+mapped into the centre, then extended over the centre one block per
+pair of centre elements.  ``pauli_spec``, ``heis_spec`` and
+``lifted_spec`` only choose the parameters.  No numpy is loaded before
+a table is built, so a spec that is refused costs none.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .reports import CapError
 
@@ -209,3 +224,183 @@ def _multiples(add: list[list[int]], x: int, p: int) -> list[int]:
 def field_make(p: int, m: int) -> Carrier:
     """GF(p^m) with the default modulus."""
     return Carrier(p, m, True)
+
+
+# ---------------------------------------------------------------------------
+# central extensions of R^n x R^n: the Pauli, Heisenberg and lifted laws
+# ---------------------------------------------------------------------------
+
+class Centre(NamedTuple):
+    """The centre C of a central extension: ``map`` sends each carrier
+    value to an element of C, and ``add`` is the addition table of C.
+    Elements of C are the integers 0 .. |C| - 1, with 0 the identity."""
+
+    map: tuple[int, ...]
+    add: list[list[int]]
+
+
+@dataclass(frozen=True)
+class CentralExtension:
+    """The central extension of R^n x R^n by a centre C through a bilinear
+    form on R^(2n):
+
+        (c1, v1)(c2, v2) = (c1 + c2 + centre.map[form(v1, v2)], v1 + v2).
+
+    ``carrier`` is GF(p^m) or Z/p^m.  ``centre`` names C: "carrier" (R
+    itself), "trace" (Z_p through the absolute trace) or "doubled_trace"
+    (Z_4 through twice the trace, for characteristic 2: the phases i^k,
+    with the Z_2-valued trace landing on +-1).  C and the carrier's tables
+    are built on first use, so ``order`` and equality read only p, m and
+    n, and a spec too large to build costs nothing.  A vector v in R^(2n)
+    is split into block 0 (its first n coordinates: alpha, or a) and
+    block 1 (the last n: beta, or b).  ``form`` is a tuple of signed block
+    pairs (sign, left, right), and form(v, w) sums sign * (block left of
+    v) . (block right of w) over its terms: ((1, 1, 0),) is b1.a2,
+    ((1, 0, 1), (-1, 1, 0)) is a1.b2 - b1.a2.
+
+    Keys are plain-int tuples: (c, alpha, beta) when ``centre_first``,
+    else (a, b, c).  ``elements()`` lists them in sorted order, which is
+    also the index layout of the table: (c, v) has index c * q^(2n) + v
+    when ``centre_first``, else v * |C| + c, with v read as 2n base-q
+    digits.  ``mul`` is the scalar oracle; ``groupcore.extension_table``
+    builds the same law by whole-array operations."""
+
+    carrier: Carrier
+    n: int
+    form: tuple[tuple[int, int, int], ...]
+    centre: str
+    centre_first: bool
+    name: str
+
+    @property
+    def centre_order(self) -> int:
+        return {"carrier": self.carrier.size, "trace": self.carrier.p,
+                "doubled_trace": 4}[self.centre]
+
+    @property
+    def order(self) -> int:
+        return self.carrier.size ** (2 * self.n) * self.centre_order
+
+    @cached_property
+    def centre_law(self) -> Centre:
+        r, k = self.carrier, self.centre_order
+        if self.centre == "carrier":
+            return Centre(tuple(range(k)), r.add_table)
+        scale = 2 if self.centre == "doubled_trace" else 1
+        return Centre(tuple(scale * t for t in r.trace_table),
+                      [[(x + y) % k for y in range(k)] for x in range(k)])
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(carrier code of the sign, coordinate of v, coordinate of w)
+        for each product the form sums."""
+        n = self.n
+        return tuple((self.carrier.scalar(sign), left * n + i, right * n + i)
+                     for sign, left, right in self.form for i in range(n))
+
+    def _split(self, g) -> tuple[int, tuple]:
+        """(centre element, the 2n carrier coordinates) of a key."""
+        if self.centre_first:
+            return g[0], g[1] + g[2]
+        return g[2], g[0] + g[1]
+
+    def _join(self, c: int, v: tuple) -> tuple:
+        a, b = v[:self.n], v[self.n:]
+        return (c, a, b) if self.centre_first else (a, b, c)
+
+    def _cocycle(self, v: tuple, w: tuple) -> int:
+        add, mul = self.carrier.add_table, self.carrier.mul_table
+        x = 0
+        for coeff, i, j in self.terms:
+            x = add[x][mul[coeff][mul[v[i]][w[j]]]]
+        return self.centre_law.map[x]
+
+    def mul(self, g, h):
+        c1, v1 = self._split(g)
+        c2, v2 = self._split(h)
+        add, cadd = self.carrier.add_table, self.centre_law.add
+        v = tuple(add[x][y] for x, y in zip(v1, v2))
+        return self._join(cadd[cadd[c1][c2]][self._cocycle(v1, v2)], v)
+
+    def inverse(self, g):
+        c, v = self._split(g)
+        w = tuple(self.carrier.neg(x) for x in v)
+        # g g^-1 = (c + c' + cocycle(v, w), 0) is the identity
+        s = self.centre_law.add[c][self._cocycle(v, w)]
+        return self._join(self.centre_law.add[s].index(0), w)
+
+    def identity(self):
+        return self._join(0, (0,) * (2 * self.n))
+
+    def element(self, a, b, c: int = 0):
+        """The key with vector blocks a, b and centre element c."""
+        if len(a) != self.n or len(b) != self.n:
+            raise ValueError(f"vectors must have length n = {self.n}")
+        size = self.carrier.size
+        v = tuple(int(x) % size for x in (*a, *b))
+        return self._join(int(c) % self.centre_order, v)
+
+    def elements(self) -> list:
+        vecs = list(itertools.product(range(self.carrier.size),
+                                      repeat=2 * self.n))
+        centre = range(self.centre_order)
+        if self.centre_first:
+            return [self._join(c, v) for c in centre for v in vecs]
+        return [self._join(c, v) for v in vecs for c in centre]
+
+
+PAULI_FORM = ((1, 1, 0),)  # beta1 . alpha2
+
+# the Heisenberg cocycles as signed block pairs (see ``CentralExtension``)
+COCYCLES = {
+    "symplectic": ((1, 0, 1), (-1, 1, 0)),  # a1.b2 - b1.a2
+    "polarized": ((1, 0, 1),),              # a1.b2
+}
+
+
+def pauli_law(field: Carrier, n: int) -> CentralExtension:
+    """The phase-space law over any GF(p^m): phases Z_4 through the
+    doubled trace for p = 2, Z_p through the trace for odd p.  For p = 2
+    and m > 1 this is the law of the lifted projection's image, not a
+    Pauli group (see ``pauli_spec``)."""
+    centre = "doubled_trace" if field.p == 2 else "trace"
+    return CentralExtension(field, n, PAULI_FORM, centre, centre_first=True,
+                            name=f"P({n},{field.size})")
+
+
+def pauli_spec(p: int, m: int, n: int) -> CentralExtension:
+    """P_{n,q} with q = p^m."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    if p == 2 and m != 1:
+        raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
+    return pauli_law(field_make(p, m), n)
+
+
+def heis_spec(carrier: Carrier, n: int = 1, cocycle: str = "symplectic",
+              reduced: bool = False) -> CentralExtension:
+    """H(R^n) with a chosen cocycle and optional trace reduction of the
+    central coordinate."""
+    if cocycle not in COCYCLES:
+        raise ValueError(f"cocycle must be one of {tuple(COCYCLES)}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reduced and not carrier.field and carrier.m > 1:
+        raise ValueError("the reduced variant needs a field carrier: the "
+                         f"trace is not defined on Z/{carrier.size}")
+    tag = "Hred" if reduced else "H"
+    rname = (f"gf({carrier.size})" if carrier.field
+             else f"z{carrier.size}")
+    return CentralExtension(carrier, n, COCYCLES[cocycle],
+                            "trace" if reduced else "carrier",
+                            centre_first=False,
+                            name=f"{tag}({rname}^{n},{cocycle})")
+
+
+def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
+    """The lifted Pauli group over GF(p^m) on n registers."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    f = field_make(p, m)
+    return CentralExtension(f, n, PAULI_FORM, "carrier", centre_first=True,
+                            name=f"Plift({n},{f.size})")

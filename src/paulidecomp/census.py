@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import field_make
+from .algebra import field_make, heis_spec, pauli_spec
 from .groupcore import FiniteGroup, SubgroupHandle
-from .heisenberg import dihedral8, heis_group, heis_spec
-from .pauli import p12_named_elements, pauli_group, pauli_spec
+from .heisenberg import dihedral8, heis_group
+from .pauli import p12_named_elements, pauli_group
 
 
 @dataclass

@@ -22,15 +22,15 @@ import itertools
 import time
 from collections import Counter
 
-from .algebra import Carrier, field_make, sigma_tau
+from .algebra import (Carrier, field_make, heis_spec, lifted_spec, pauli_spec,
+                      sigma_tau)
 from .census import abelian_census
 from .groupcore import (FiniteGroup, isomorphic, once,
                         refuse_above_iso_cap, run_scope)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
-                         heis_group, heis_spec)
-from .lifted import lifted_group, lifted_spec, pi_image_group, pi_kernel
-from .pauli import (p12_named_elements, p22_named_generators, pauli_group,
-                    pauli_spec)
+                         heis_group)
+from .lifted import lifted_group, pi_image_group, pi_kernel
+from .pauli import p12_named_elements, p22_named_generators, pauli_group
 from .products import (classify_special, decompose_pauli_chain,
                        pauli_chain_subgroups, weak_central_chain)
 from .reports import VerdictReport

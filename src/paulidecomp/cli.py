@@ -39,11 +39,13 @@ import contextlib
 import os
 import sys
 
-# Only the numpy-free modules are imported here, so ``--help`` and an
-# unknown spec load no numpy.  Every other import sits in the
-# function or branch that uses it: a command loads only the layers it
-# runs, and ``main`` sets its OpenBLAS default before numpy loads.
-from .algebra import Carrier, field_make, is_prime, prime_power
+# Only the numpy-free modules are imported here, so ``--help``, an
+# unknown spec and a family spec refused for a bad parameter or its
+# order load no numpy.  Every other import sits in the function or
+# branch that uses it: a command loads only the layers it runs, and
+# ``main`` sets its OpenBLAS default before numpy loads.
+from .algebra import (Carrier, field_make, heis_spec, is_prime, lifted_spec,
+                      pauli_spec, prime_power)
 from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                       GroupStructureError, dump_json)
 
@@ -116,20 +118,10 @@ def parse_spec(text: str):
         params = _parse_params(rest)
         _check_keys(params, ("p", "m", "n"))
         p = _int_param(params, "p")
-        if not is_prime(p):
-            raise SpecError(f"p must be prime, got {p}")
         m = _int_param(params, "m", 1)
         n = _int_param(params, "n", 1)
-        if head == "pauli":
-            from .pauli import pauli_spec as make
-        else:
-            from .lifted import lifted_spec as make
-        try:
-            return head, make(p, m, n)
-        except ValueError as exc:
-            raise SpecError(str(exc))
+        return head, (pauli_spec if head == "pauli" else lifted_spec)(p, m, n)
     if head == "heis":
-        from .heisenberg import heis_spec
         params = _parse_params(rest)
         _check_keys(params, ("R", "n", "cocycle", "reduced"))
         carrier = _parse_carrier(params.get("R", "gf(3)"))
@@ -138,10 +130,7 @@ def parse_spec(text: str):
         reduced = params.get("reduced", "false").lower()
         if reduced not in ("true", "false"):
             raise SpecError(f"reduced must be true or false, got {reduced!r}")
-        try:
-            return "heis", heis_spec(carrier, n, cocycle, reduced == "true")
-        except ValueError as exc:
-            raise SpecError(str(exc))
+        return "heis", heis_spec(carrier, n, cocycle, reduced == "true")
     raise SpecError(f"unknown spec {text!r}")
 
 
@@ -219,8 +208,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .products import decompose_pauli_chain, extraspecial_decompose
     kind, spec = _checked_spec(args)
+    from .products import decompose_pauli_chain, extraspecial_decompose
     if kind == "pauli" and spec.carrier.p == 2:
         rep = decompose_pauli_chain(spec.n)
     else:
@@ -230,18 +219,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_census(args) -> int:
+    g = build_group(*_checked_spec(args))
     from .census import abelian_census
-    result = abelian_census(build_group(*_checked_spec(args)))
-    _emit(dump_json(result) + "\n", args.out)
+    _emit(dump_json(abelian_census(g)) + "\n", args.out)
     return 0
 
 
 def cmd_lattice(args) -> int:
-    from .census import export_dot, hasse, paper_figure_lattice
     kind, spec = _checked_spec(args)
+    from .census import export_dot, hasse, paper_figure_lattice
     if args.filter == "paper_figure":
-        from .heisenberg import heis_spec
-        from .pauli import pauli_spec
         if kind == "reference" and spec[0] == "d8":
             lat = paper_figure_lattice("d8")
         elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
@@ -260,9 +247,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_lifted(args) -> int:
-    from .lifted import lifted_group, pi_image_group, pi_kernel
     kind, spec = _checked_spec(args, args.spec if ":" in args.spec
                               else "lifted:" + args.spec)
+    from .lifted import lifted_group, pi_image_group, pi_kernel
     if kind != "lifted":
         raise SpecError("the lifted subcommand expects a lifted spec")
     g = lifted_group(spec)
@@ -377,7 +364,7 @@ def main(argv=None) -> int:
         if args.out and os.path.isdir(args.out):
             raise SpecError(f"--out: {args.out!r} is a directory")
         return args.func(args)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:  # a SpecError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapError as exc:

@@ -4,8 +4,8 @@ A group is materialized from a canonical list of opaque hashable element
 keys plus its index-based multiplication table; everything downstream
 (centers, derived and Frattini subgroups, subgroup lattices, quotients,
 isomorphism tests) works on that table.  Every table is built one way,
-by whole-array operations: a family's from its ``CentralExtension`` spec
-(E2(p), whose cocycle is not bilinear, from arrays of its own law), a
+by whole-array operations: a central extension's by ``extension_table``
+(a group whose cocycle is not bilinear, from arrays of its own law), a
 subgroup's or a quotient's by gathers of its parent's table.  No table
 is built by calling a scalar multiplication oracle pair by pair; the
 tests keep that oracle as the reference.  Every table is verified at
@@ -23,16 +23,6 @@ Facts closed under products are read on the one cached
 ``generating_set()`` S, not on all of G: Light's test checks (xy)s =
 x(ys) for the s in S, the centre is C_G(S), and H is normal iff s^-1 H s
 lies in H for each s in S.
-
-The Pauli, Heisenberg and lifted families are one object: a central
-extension of R^n x R^n by a centre C through a bilinear form, given by
-its carrier R, n, the form (signed pairs of blocks), the centre (R
-itself, Z_p through the trace, or Z_4 through the doubled trace) and the
-key layout.  The spec lists its element keys in the order of its table's
-indices, has one scalar ``mul`` (the oracle) and one table path: the form
-as an array, mapped into the centre, then extended over the centre
-one block per pair of centre elements.  The family modules only choose
-the parameters.
 
 Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
@@ -116,7 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Carrier, prime_power
+from .algebra import CentralExtension, prime_power
 from .reports import DEFAULT_SUBGROUP_CAP, CapError, GroupStructureError
 
 ISO_ORDER_CAP = 1024
@@ -675,158 +665,43 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-class Centre(NamedTuple):
-    """The centre C of a central extension: ``map`` sends each carrier
-    value to an element of C, and ``add`` is the addition table of C.
-    Elements of C are the integers 0 .. |C| - 1, with 0 the identity."""
+def extension_table(spec: CentralExtension) -> np.ndarray:
+    """The index table of ``spec.elements()``, built by whole-array
+    operations: the form as a q^(2n) x q^(2n) array of carrier values,
+    mapped into the centre as the cocycle, then extended one block per
+    pair (c1, c2) of centre elements, c1 + c2 + cocycle[v1, v2] over
+    all v1, v2."""
+    r = spec.carrier
+    add = np.asarray(r.add_table, dtype=np.int32)
+    mul = np.asarray(r.mul_table, dtype=np.int32)
+    # row v holds the 2n base-q digits of v, most significant first
+    k = 2 * spec.n
+    d = (np.arange(r.size ** k)[:, None]
+         // r.size ** np.arange(k - 1, -1, -1)) % r.size
+    form = np.zeros((len(d), len(d)), dtype=np.int32)
+    for coeff, i, j in spec.terms:
+        form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
+    cocycle = np.asarray(spec.centre_law.map, dtype=np.int32)[form]
+    vadd = np.zeros((len(d), len(d)), dtype=np.int32)
+    for i in range(k):
+        vadd = vadd * r.size + add[d[:, i, None], d[None, :, i]]
+    centre_add = np.asarray(spec.centre_law.add, dtype=np.int32)
+    size, m = len(d), len(centre_add)
+    table = np.empty((size * m, size * m), dtype=np.int32)
+    for c1, c2 in itertools.product(range(m), repeat=2):
+        centre = centre_add[centre_add[c1, c2], cocycle]
+        if spec.centre_first:
+            table[c1 * size:(c1 + 1) * size,
+                  c2 * size:(c2 + 1) * size] = centre * size + vadd
+        else:
+            table[c1::m, c2::m] = vadd * m + centre
+    return table
 
-    map: tuple[int, ...]
-    add: list[list[int]]
 
-
-@dataclass(frozen=True)
-class CentralExtension:
-    """The central extension of R^n x R^n by a centre C through a bilinear
-    form on R^(2n):
-
-        (c1, v1)(c2, v2) = (c1 + c2 + centre.map[form(v1, v2)], v1 + v2).
-
-    ``carrier`` is GF(p^m) or Z/p^m.  ``centre`` names C: "carrier" (R
-    itself), "trace" (Z_p through the absolute trace) or "doubled_trace"
-    (Z_4 through twice the trace, for characteristic 2: the phases i^k,
-    with the Z_2-valued trace landing on +-1).  C and the carrier's tables
-    are built on first use, so ``order`` and equality read only p, m and
-    n, and a spec too large to build costs nothing.  A vector v in R^(2n)
-    is split into block 0 (its first n coordinates: alpha, or a) and
-    block 1 (the last n: beta, or b).  ``form`` is a tuple of signed block
-    pairs (sign, left, right), and form(v, w) sums sign * (block left of
-    v) . (block right of w) over its terms: ((1, 1, 0),) is b1.a2,
-    ((1, 0, 1), (-1, 1, 0)) is a1.b2 - b1.a2.
-
-    Keys are plain-int tuples: (c, alpha, beta) when ``centre_first``,
-    else (a, b, c).  ``elements()`` lists them in sorted order, which is
-    also the index layout of ``table()``: (c, v) has index c * q^(2n) + v
-    when ``centre_first``, else v * |C| + c, with v read as 2n base-q
-    digits.  ``mul`` is the scalar oracle; ``table`` builds the same law
-    by whole-array operations."""
-
-    carrier: Carrier
-    n: int
-    form: tuple[tuple[int, int, int], ...]
-    centre: str
-    centre_first: bool
-    name: str
-
-    @property
-    def centre_order(self) -> int:
-        return {"carrier": self.carrier.size, "trace": self.carrier.p,
-                "doubled_trace": 4}[self.centre]
-
-    @property
-    def order(self) -> int:
-        return self.carrier.size ** (2 * self.n) * self.centre_order
-
-    @cached_property
-    def _centre(self) -> Centre:
-        r, k = self.carrier, self.centre_order
-        if self.centre == "carrier":
-            return Centre(tuple(range(k)), r.add_table)
-        scale = 2 if self.centre == "doubled_trace" else 1
-        return Centre(tuple(scale * t for t in r.trace_table),
-                      [[(x + y) % k for y in range(k)] for x in range(k)])
-
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int, int], ...]:
-        """(carrier code of the sign, coordinate of v, coordinate of w)
-        for each product the form sums."""
-        n = self.n
-        return tuple((self.carrier.scalar(sign), left * n + i, right * n + i)
-                     for sign, left, right in self.form for i in range(n))
-
-    def _split(self, g) -> tuple[int, tuple]:
-        """(centre element, the 2n carrier coordinates) of a key."""
-        if self.centre_first:
-            return g[0], g[1] + g[2]
-        return g[2], g[0] + g[1]
-
-    def _join(self, c: int, v: tuple) -> tuple:
-        a, b = v[:self.n], v[self.n:]
-        return (c, a, b) if self.centre_first else (a, b, c)
-
-    def _cocycle(self, v: tuple, w: tuple) -> int:
-        add, mul = self.carrier.add_table, self.carrier.mul_table
-        x = 0
-        for coeff, i, j in self._terms:
-            x = add[x][mul[coeff][mul[v[i]][w[j]]]]
-        return self._centre.map[x]
-
-    def mul(self, g, h):
-        c1, v1 = self._split(g)
-        c2, v2 = self._split(h)
-        add, cadd = self.carrier.add_table, self._centre.add
-        v = tuple(add[x][y] for x, y in zip(v1, v2))
-        return self._join(cadd[cadd[c1][c2]][self._cocycle(v1, v2)], v)
-
-    def inverse(self, g):
-        c, v = self._split(g)
-        w = tuple(self.carrier.neg(x) for x in v)
-        # g g^-1 = (c + c' + cocycle(v, w), 0) is the identity
-        s = self._centre.add[c][self._cocycle(v, w)]
-        return self._join(self._centre.add[s].index(0), w)
-
-    def identity(self):
-        return self._join(0, (0,) * (2 * self.n))
-
-    def element(self, a, b, c: int = 0):
-        """The key with vector blocks a, b and centre element c."""
-        if len(a) != self.n or len(b) != self.n:
-            raise ValueError(f"vectors must have length n = {self.n}")
-        size = self.carrier.size
-        v = tuple(int(x) % size for x in (*a, *b))
-        return self._join(int(c) % self.centre_order, v)
-
-    def elements(self) -> list:
-        vecs = list(itertools.product(range(self.carrier.size),
-                                      repeat=2 * self.n))
-        centre = range(self.centre_order)
-        if self.centre_first:
-            return [self._join(c, v) for c in centre for v in vecs]
-        return [self._join(c, v) for v in vecs for c in centre]
-
-    def table(self) -> np.ndarray:
-        """The index table of ``elements()``, built by whole-array
-        operations: the form as a q^(2n) x q^(2n) array of carrier values,
-        mapped into the centre as the cocycle, then extended one block per
-        pair (c1, c2) of centre elements, c1 + c2 + cocycle[v1, v2] over
-        all v1, v2."""
-        r = self.carrier
-        add = np.asarray(r.add_table, dtype=np.int32)
-        mul = np.asarray(r.mul_table, dtype=np.int32)
-        # row v holds the 2n base-q digits of v, most significant first
-        k = 2 * self.n
-        d = (np.arange(r.size ** k)[:, None]
-             // r.size ** np.arange(k - 1, -1, -1)) % r.size
-        form = np.zeros((len(d), len(d)), dtype=np.int32)
-        for coeff, i, j in self._terms:
-            form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
-        cocycle = np.asarray(self._centre.map, dtype=np.int32)[form]
-        vadd = np.zeros((len(d), len(d)), dtype=np.int32)
-        for i in range(k):
-            vadd = vadd * r.size + add[d[:, i, None], d[None, :, i]]
-        centre_add = np.asarray(self._centre.add, dtype=np.int32)
-        size, m = len(d), len(centre_add)
-        table = np.empty((size * m, size * m), dtype=np.int32)
-        for c1, c2 in itertools.product(range(m), repeat=2):
-            centre = centre_add[centre_add[c1, c2], cocycle]
-            if self.centre_first:
-                table[c1 * size:(c1 + 1) * size,
-                      c2 * size:(c2 + 1) * size] = centre * size + vadd
-            else:
-                table[c1::m, c2::m] = vadd * m + centre
-        return table
-
-    def group(self) -> FiniteGroup:
-        return FiniteGroup(self.elements(), self.table(), name=self.name)
+def extension_group(spec: CentralExtension) -> FiniteGroup:
+    """The group of a central-extension spec, its table built by
+    ``extension_table``."""
+    return FiniteGroup(spec.elements(), extension_table(spec), name=spec.name)
 
 
 class Layer(NamedTuple):

@@ -11,7 +11,8 @@ cocycle is composed with the trace form).  The product is
     (a1,b1,t1)(a2,b2,t2) = (a1+a2, b1+b2, t1+t2+c((a1,b1),(a2,b2)))
 
 with cocycle c = a1.b2 - b1.a2 (symplectic) or c = a1.b2 (polarized): a
-``groupcore.CentralExtension`` with the centre last in the key.
+``algebra.CentralExtension`` (spec ``algebra.heis_spec``) with the
+centre last in the key.
 The two cocycles give isomorphic groups in odd characteristic; the
 polarized one matches the upper unitriangular 3x3 matrix model.
 
@@ -25,39 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Carrier, field_make
-from .groupcore import CentralExtension, FiniteGroup
-
-# the cocycles as signed block pairs (see ``CentralExtension``)
-COCYCLES = {
-    "symplectic": ((1, 0, 1), (-1, 1, 0)),  # a1.b2 - b1.a2
-    "polarized": ((1, 0, 1),),              # a1.b2
-}
-
-
-def heis_spec(carrier: Carrier, n: int = 1, cocycle: str = "symplectic",
-              reduced: bool = False) -> CentralExtension:
-    """H(R^n) with a chosen cocycle and optional trace reduction of the
-    central coordinate."""
-    if cocycle not in COCYCLES:
-        raise ValueError(f"cocycle must be one of {tuple(COCYCLES)}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if reduced and not carrier.field and carrier.m > 1:
-        raise ValueError("the reduced variant needs a field carrier: the "
-                         f"trace is not defined on Z/{carrier.size}")
-    tag = "Hred" if reduced else "H"
-    rname = (f"gf({carrier.size})" if carrier.field
-             else f"z{carrier.size}")
-    return CentralExtension(carrier, n, COCYCLES[cocycle],
-                            "trace" if reduced else "carrier",
-                            centre_first=False,
-                            name=f"{tag}({rname}^{n},{cocycle})")
+from .algebra import CentralExtension, field_make, heis_spec, is_prime
+from .groupcore import FiniteGroup, extension_group
 
 
 def heis_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize H(R^n)."""
-    return spec.group()
+    return extension_group(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +42,17 @@ def heis_group(spec: CentralExtension) -> FiniteGroup:
 def dihedral8() -> FiniteGroup:
     """D8 as the central extension of GF(2)^2 by GF(2) through the form
     a1.a2 + b1.a2."""
-    return CentralExtension(field_make(2, 1), 1, ((1, 0, 0), (1, 1, 0)),
-                            "carrier", centre_first=True, name="D8").group()
+    return extension_group(CentralExtension(
+        field_make(2, 1), 1, ((1, 0, 0), (1, 1, 0)), "carrier",
+        centre_first=True, name="D8"))
 
 
 def quaternion8() -> FiniteGroup:
     """Q8 as the central extension of GF(2)^2 by GF(2) through the form
     a1.a2 + b1.b2 + b1.a2."""
-    return CentralExtension(field_make(2, 1), 1,
-                            ((1, 0, 0), (1, 1, 1), (1, 1, 0)), "carrier",
-                            centre_first=True, name="Q8").group()
+    return extension_group(CentralExtension(
+        field_make(2, 1), 1, ((1, 0, 0), (1, 1, 1), (1, 1, 0)), "carrier",
+        centre_first=True, name="Q8"))
 
 
 def extraspecial_e1(p: int) -> FiniteGroup:
@@ -94,8 +70,8 @@ def extraspecial_e2(p: int) -> FiniteGroup:
     (x1, y1)(x2, y2) = (x1 + x2 (1+p)^y1 mod p^2, y1 + y2 mod p) is taken
     over all pairs at once, with (1+p)^y = 1 + y p mod p^2; (x, y) has
     index x p + y."""
-    if p == 2:
-        raise ValueError("E2 is defined for odd p")
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"E2 is defined for odd primes p, got {p}")
     x, y = np.arange(p * p, dtype=np.int32), np.arange(p, dtype=np.int32)
     # the x part is indexed [x1, y1, x2] and the y part [y1, y2]; their
     # broadcast sum over [x1, y1, x2, y2] is the one full-size array made

@@ -7,8 +7,8 @@ alpha, beta in GF(q)^n.  Matrix multiplication gives
     (e1,a1,b1)(e2,a2,b2) = (e1 + e2 + a1.b2, a1+a2, b1+b2).
 
 Here we keep the cross term on the beta-alpha side, matching the Pauli
-phase-space convention (a ``groupcore.CentralExtension`` with the Pauli
-form and the carrier as centre):
+phase-space convention (an ``algebra.CentralExtension``, built by
+``algebra.lifted_spec``, with the Pauli form and the carrier as centre):
 
     (e1,a1,b1)(e2,a2,b2) = (e1 + e2 + b1.a2, a1+a2, b1+b2).
 
@@ -21,25 +21,15 @@ by reducing the corner entry through the field trace.
 
 from __future__ import annotations
 
-from .algebra import field_make
-from .groupcore import CentralExtension, FiniteGroup
-from .pauli import PAULI_FORM
+from .algebra import PAULI_FORM, CentralExtension
+from .groupcore import FiniteGroup, extension_group, extension_table
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
 
 
-def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
-    """The lifted Pauli group over GF(p^m) on n registers."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    f = field_make(p, m)
-    return CentralExtension(f, n, PAULI_FORM, "carrier", centre_first=True,
-                            name=f"Plift({n},{f.size})")
-
-
 def lifted_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize the lifted group."""
-    return spec.group()
+    return extension_group(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -77,4 +67,4 @@ def pi_image_group(spec: CentralExtension) -> FiniteGroup:
     image = CentralExtension(f, spec.n, PAULI_FORM, "trace",
                              centre_first=True, name=name)
     keys = sorted({pi_map(spec, g) for g in spec.elements()})
-    return FiniteGroup(keys, image.table(), name=name)
+    return FiniteGroup(keys, extension_table(image), name=name)

@@ -11,42 +11,21 @@ Multiplication pulls X factors left past Z factors:
     (c1,a1,b1)(c2,a2,b2) = (c1 + c2 + x, a1+a2, b1+b2)
 
 with cross term x = tr(b1 . a2) for odd p and x = 2 (b1 . a2) for p = 2,
-the dot product taken in GF(q): a ``groupcore.CentralExtension`` with
-form b1 . a2 and centre Z_4 through the doubled trace (p = 2) or Z_p
-through the trace (odd p).  For m > 1 the phase convention is the
-trace form: phases live in Z_p and the clock operator acts through the
-additive character j -> w_p^tr(j), which is what makes the phase-space
-product match the exact matrix product (the tests check it against a
-matrix oracle over the cyclotomic integers).
+the dot product taken in GF(q): an ``algebra.CentralExtension`` (spec
+``algebra.pauli_spec``) with form b1 . a2 and centre Z_4 through the
+doubled trace (p = 2) or Z_p through the trace (odd p).  For m > 1 the
+phase convention is the trace form: phases live in Z_p and the clock
+operator acts through the additive character j -> w_p^tr(j), which is
+what makes the phase-space product match the exact matrix product (the
+tests check it against a matrix oracle over the cyclotomic integers).
 """
 
 from __future__ import annotations
 
-from .algebra import Carrier, field_make
-from .groupcore import CentralExtension, FiniteGroup, once
+from .algebra import CentralExtension, pauli_spec
+from .groupcore import FiniteGroup, extension_group, once
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
-
-PAULI_FORM = ((1, 1, 0),)  # beta1 . alpha2
-
-
-def pauli_law(field: Carrier, n: int) -> CentralExtension:
-    """The phase-space law over any GF(p^m): phases Z_4 through the
-    doubled trace for p = 2, Z_p through the trace for odd p.  For p = 2
-    and m > 1 this is the law of the lifted projection's image, not a
-    Pauli group (see ``pauli_spec``)."""
-    centre = "doubled_trace" if field.p == 2 else "trace"
-    return CentralExtension(field, n, PAULI_FORM, centre, centre_first=True,
-                            name=f"P({n},{field.size})")
-
-
-def pauli_spec(p: int, m: int, n: int) -> CentralExtension:
-    """P_{n,q} with q = p^m."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    if p == 2 and m != 1:
-        raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
-    return pauli_law(field_make(p, m), n)
 
 
 def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
@@ -66,7 +45,7 @@ def pauli_group(spec: CentralExtension) -> FiniteGroup:
     register generators generate it all is checked by the
     ``assert_faithful_representation`` fixture of ``tests/conftest.py``,
     which closes them under the scalar ``mul``."""
-    return once(spec, spec.group)
+    return once(spec, lambda: extension_group(spec))
 
 
 # ---------------------------------------------------------------------------

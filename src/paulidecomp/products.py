@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import pauli_spec, prime_power
 from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle, _blocks,
                         abelian_invariants, isomorphic)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
-from .algebra import is_prime, prime_power
-from .pauli import pauli_element, pauli_group, pauli_spec
+from .pauli import pauli_element, pauli_group
 from .reports import ClassificationFlags, DecompositionReport
 
 
@@ -35,8 +35,6 @@ def reference_group(name: str, p: int | None = None) -> FiniteGroup:
     if key == "q8":
         return quaternion8()
     if key in ("e1", "e2"):
-        if p is None or not is_prime(p) or p == 2:
-            raise ValueError("E1/E2 require an odd prime p")
         return extraspecial_e1(p) if key == "e1" else extraspecial_e2(p)
     raise ValueError(f"unknown reference group {name!r}")
 

@@ -4,7 +4,8 @@ import weakref
 
 import pytest
 
-from paulidecomp.groupcore import CentralExtension, FiniteGroup
+from paulidecomp import groupcore, heisenberg, lifted, pauli
+from paulidecomp.groupcore import FiniteGroup
 
 
 @pytest.fixture
@@ -35,9 +36,11 @@ def assert_faithful_representation():
 @pytest.fixture
 def built(monkeypatch):
     """Every group a ``CentralExtension`` spec builds, as (spec, weakref)
-    pairs, and every ``FiniteGroup`` construction, counted."""
+    pairs, and every ``FiniteGroup`` construction, counted.  The spec's
+    builder, ``groupcore.extension_group``, is replaced in each family
+    module that binds it."""
     record = {"groups": [], "tables": 0}
-    group, finish = CentralExtension.group, FiniteGroup._finish_init
+    group, finish = groupcore.extension_group, FiniteGroup._finish_init
 
     def counted_group(spec):
         g = group(spec)
@@ -48,6 +51,7 @@ def built(monkeypatch):
         record["tables"] += 1
         return finish(self, *args)
 
-    monkeypatch.setattr(CentralExtension, "group", counted_group)
+    for module in (pauli, heisenberg, lifted):
+        monkeypatch.setattr(module, "extension_group", counted_group)
     monkeypatch.setattr(FiniteGroup, "_finish_init", counted_finish)
     return record

@@ -24,11 +24,10 @@ from math import gcd
 
 import numpy as np
 
-from paulidecomp.groupcore import (CentralExtension, FiniteGroup,
-                                   GroupStructureError)
-from paulidecomp.heisenberg import heis_spec
+from paulidecomp.algebra import CentralExtension, heis_spec, pauli_law
+from paulidecomp.groupcore import FiniteGroup, GroupStructureError
 from paulidecomp.lifted import pi_map
-from paulidecomp.pauli import PauliKey, pauli_law
+from paulidecomp.pauli import PauliKey
 
 
 def tabulate(elements, mul) -> np.ndarray:

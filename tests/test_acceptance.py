@@ -9,7 +9,7 @@ import itertools
 import time
 
 from matrix_oracle import pauli_matrix_oracle, pi_is_homomorphism
-from paulidecomp.algebra import field_make
+from paulidecomp.algebra import field_make, heis_spec, lifted_spec, pauli_spec
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 check_eq19, check_remark39, check_thm42_links,
@@ -18,9 +18,9 @@ from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 p22_relations_check)
 from paulidecomp.groupcore import (SubgroupHandle, abelian_invariants,
                                    isomorphic)
-from paulidecomp.heisenberg import dihedral8, heis_spec
-from paulidecomp.lifted import lifted_group, lifted_spec, pi_kernel
-from paulidecomp.pauli import pauli_group, pauli_spec
+from paulidecomp.heisenberg import dihedral8
+from paulidecomp.lifted import lifted_group, pi_kernel
+from paulidecomp.pauli import pauli_group
 from paulidecomp.products import decompose_pauli_chain, pauli_chain_subgroups
 
 

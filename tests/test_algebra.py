@@ -4,10 +4,10 @@ from math import isqrt
 import pytest
 
 from paulidecomp import algebra
-from paulidecomp.algebra import Carrier, field_make, is_prime, prime_power
+from paulidecomp.algebra import (Carrier, field_make, heis_spec, is_prime,
+                                 prime_power)
 from paulidecomp.reports import CapError
 from paulidecomp.cli import main
-from paulidecomp.heisenberg import heis_spec
 
 # every prime power up to 25
 PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),

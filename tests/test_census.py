@@ -3,14 +3,14 @@ import math
 
 import pytest
 
-from paulidecomp.algebra import field_make
+from paulidecomp.algebra import field_make, heis_spec, lifted_spec, pauli_spec
 from paulidecomp.census import (abelian_census, export_dot, hasse,
                                 paper_figure_lattice)
 from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e2, heis_group,
-                                    heis_spec, quaternion8)
-from paulidecomp.lifted import lifted_group, lifted_spec
-from paulidecomp.pauli import pauli_group, pauli_spec
+                                    quaternion8)
+from paulidecomp.lifted import lifted_group
+from paulidecomp.pauli import pauli_group
 from paulidecomp.reports import dump_json
 
 

@@ -4,14 +4,14 @@ from collections import Counter
 
 import pytest
 
-from paulidecomp import claims
+from paulidecomp import claims, groupcore, lifted
+from paulidecomp.algebra import lifted_spec, pauli_spec
 from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
                                 _worst_status, corollary43_check,
                                 corollary52_53_check, run_suite)
-from paulidecomp.groupcore import (ISO_ORDER_CAP, CapError, CentralExtension,
-                                   isomorphic)
-from paulidecomp.lifted import lifted_spec, pi_image_group
-from paulidecomp.pauli import pauli_group, pauli_spec
+from paulidecomp.groupcore import ISO_ORDER_CAP, CapError, isomorphic
+from paulidecomp.lifted import pi_image_group
+from paulidecomp.pauli import pauli_group
 from paulidecomp.reports import STATUSES, dump_json
 
 
@@ -129,10 +129,13 @@ def test_out_of_range_comparison_raises_cap_error(monkeypatch):
     # It comes from the spec orders, before any table is built.
     assert 3 ** 7 > ISO_ORDER_CAP
 
-    def no_table(self):
-        raise AssertionError(f"built the table of {self.name}")
+    def no_table(spec):
+        raise AssertionError(f"built the table of {spec.name}")
 
-    monkeypatch.setattr(CentralExtension, "table", no_table)
+    # every spec's table is built by this one function, called by name
+    # from ``groupcore.extension_group`` and ``lifted.pi_image_group``
+    for module in (groupcore, lifted):
+        monkeypatch.setattr(module, "extension_table", no_table)
     for check, args in ((corollary43_check, (3, 1, 3)),
                         (corollary52_53_check, (3, 3, 1))):
         with pytest.raises(CapError, match="isomorphism search capped"):

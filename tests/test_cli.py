@@ -311,20 +311,52 @@ def test_command_leaves_numpy_ma_unimported(args):
     assert r.returncode == 0, r.stderr
 
 
+# each spec parameter is checked once, by the spec constructors and the
+# carrier, whose ValueError main() reports as exit 2; a prime too large
+# to tabulate passes and is refused at the closure cap
+REFUSED_SPECS = [("pauli:p=4", 2), ("lifted:p=9", 2), ("pauli:p=2,m=2", 2),
+                 ("heis:R=gf(9),cocycle=x", 2), ("e1:p=4", 2),
+                 ("e2:p=2", 2), ("pauli:p=100000000000000003,n=1", 3)]
+
+
+@pytest.mark.parametrize("spec,code", REFUSED_SPECS,
+                         ids=[spec for spec, _ in REFUSED_SPECS])
+def test_refused_spec_exit_code(spec, code, capsys):
+    assert main(["build", spec]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_and_unknown_spec_leave_numpy_unimported():
     # the parser's defaults and the error types live in the numpy-free
-    # reports module, so neither --help nor a spec error pays for numpy
-    code = ("import sys\n"
-            "from paulidecomp.cli import main\n"
-            "try:\n"
-            "    main(['--help'])\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "assert main(['build', 'nosuch']) == 2\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True)
-    assert r.returncode == 0, r.stderr
+    # reports module, and the family specs in the numpy-free algebra, so
+    # neither --help, a spec error nor a family spec refused for its order
+    # pays for numpy, and a spec answers its scalar law without it
+    refused = [(["build", "nosuch"], 2), (["build", "pauli:p=2,n=99"], 3),
+               (["build", "pauli:p=4,n=1"], 2),
+               (["build", "heis:R=gf(4096),n=1"], 3),
+               (["census", "lifted:p=3,m=9,n=9"], 3)]
+    cli_code = ("from paulidecomp.cli import main\n"
+                "try:\n"
+                "    main(['--help'])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                + "".join(f"assert main({argv!r}) == {code}\n"
+                          for argv, code in refused))
+    spec_code = (
+        "from paulidecomp.algebra import (field_make, heis_spec,\n"
+        "                                 lifted_spec, pauli_spec)\n"
+        "for s in (pauli_spec(3, 1, 1), heis_spec(field_make(3, 2)),\n"
+        "          lifted_spec(2, 2, 1)):\n"
+        "    keys = s.elements()\n"
+        "    assert len(keys) == s.order\n"
+        "    assert s.mul(keys[1], keys[-1]) in keys\n")
+    for code in (cli_code, spec_code):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code
+             + "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
+            capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
 
 def test_openblas_default_set_only_by_main():

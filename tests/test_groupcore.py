@@ -14,11 +14,10 @@ from paulidecomp.claims import CHECKS, EXPECTED, run_suite
 from paulidecomp.groupcore import (BLOCK, CapError, FiniteGroup,
                                    GroupStructureError, _row_blocks,
                                    abelian_invariants, isomorphic)
-from paulidecomp.algebra import field_make
+from paulidecomp.algebra import field_make, heis_spec, pauli_spec
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, heis_spec,
-                                    quaternion8)
-from paulidecomp.pauli import pauli_group, pauli_spec
+                                    extraspecial_e2, heis_group, quaternion8)
+from paulidecomp.pauli import pauli_group
 
 
 def cyclic(n):

@@ -3,12 +3,11 @@ import itertools
 import pytest
 
 from matrix_oracle import phi_map, unitriangular_mul
-from paulidecomp.algebra import Carrier, field_make
+from paulidecomp.algebra import Carrier, field_make, heis_spec
 from paulidecomp.claims import heis_semidirect_report
 from paulidecomp.groupcore import isomorphic
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, heis_spec,
-                                    quaternion8)
+                                    extraspecial_e2, heis_group, quaternion8)
 
 
 def test_order_formulas():
@@ -98,3 +97,12 @@ def test_extraspecial_invariants(p):
         assert g.order == p ** 3
         assert g.center().order == p
         assert g.derived_subgroup().order == p
+
+
+@pytest.mark.parametrize("p", [2, 4, 9])
+def test_extraspecial_groups_refuse_p_that_is_not_an_odd_prime(p):
+    # E1 through its carrier, E2 by its own guard: with no check, E2(4)
+    # and E2(9) were groups of order 64 and 729 that are not extraspecial
+    for make in (extraspecial_e1, extraspecial_e2):
+        with pytest.raises(ValueError):
+            make(p)

@@ -2,11 +2,11 @@ import pytest
 
 from matrix_oracle import (lifted_matrix, lifted_matrix_mul,
                            pi_is_homomorphism)
+from paulidecomp.algebra import lifted_spec, pauli_spec
 from paulidecomp.claims import corollary52_53_check
 from paulidecomp.groupcore import SubgroupHandle, isomorphic
-from paulidecomp.lifted import (lifted_group, lifted_spec, pi_image_group,
-                                pi_kernel)
-from paulidecomp.pauli import pauli_group, pauli_spec
+from paulidecomp.lifted import lifted_group, pi_image_group, pi_kernel
+from paulidecomp.pauli import pauli_group
 
 
 @pytest.mark.parametrize("p,m,n,order", [

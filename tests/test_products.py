@@ -7,10 +7,12 @@ from matrix_oracle import bfs_subgroups, tabulate
 from paulidecomp.groupcore import CapError, FiniteGroup, SubgroupHandle
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, quaternion8)
-from paulidecomp.algebra import field_make
-from paulidecomp.heisenberg import heis_group, heis_spec
+from paulidecomp.algebra import (Carrier, field_make, heis_spec, lifted_spec,
+                                 pauli_spec, prime_power)
+from paulidecomp.heisenberg import heis_group
+from paulidecomp.lifted import lifted_group
 from paulidecomp import products
-from paulidecomp.pauli import pauli_element, pauli_group, pauli_spec
+from paulidecomp.pauli import pauli_element, pauli_group
 from paulidecomp.claims import corollary43_check
 from paulidecomp.products import (classify_special, decompose_pauli_chain,
                                   extraspecial_decompose, identify_factor,
@@ -347,6 +349,52 @@ def test_classify_special():
     assert extraspecial_decompose(extraspecial_e2(3)).notes == atom
     assert extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1))).notes \
         == ["group is not extraspecial: no splitting into order p^3 factors"]
+
+
+# A second oracle for the flags, from three cached invariants: a
+# nonabelian p-group G is just nonabelian iff |G'| = p and Z(G) is cyclic
+# (every nontrivial normal subgroup meets Z(G), so it contains the one
+# subgroup of order p of a cyclic Z(G)), and minimal nonabelian iff
+# |G'| = p and G needs two generators, |G : Phi(G)| = p^2 (Redei 1947;
+# Burnside's basis theorem).
+FLAG_GROUPS = {
+    "D8": dihedral8,
+    "Q8": quaternion8,
+    "E1(3)": lambda: extraspecial_e1(3),
+    "E2(3)": lambda: extraspecial_e2(3),
+    "E1(5)": lambda: extraspecial_e1(5),
+    **{f"P({n},2)": (lambda n=n: pauli_group(pauli_spec(2, 1, n)))
+       for n in (1, 2, 3)},
+    **{f"P({n},{p ** m})": (lambda p=p, m=m, n=n:
+                            pauli_group(pauli_spec(p, m, n)))
+       for p, m, n in ((3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1),
+                       (3, 2, 1))},
+    **{f"Plift{pmn}": (lambda pmn=pmn: lifted_group(lifted_spec(*pmn)))
+       for pmn in ((2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 1, 3),
+                   (3, 1, 2))},
+    "H(GF(3))": lambda: heis_group(heis_spec(field_make(3, 1))),
+    "H(GF(5))": lambda: heis_group(heis_spec(field_make(5, 1))),
+    "H(GF(9))": lambda: heis_group(heis_spec(field_make(3, 2))),
+    "Hred(GF(9))": lambda: heis_group(heis_spec(field_make(3, 2),
+                                                reduced=True)),
+    "H(Z/4)": lambda: heis_group(heis_spec(Carrier(2, 2, False))),
+    "H(Z/4^2)": lambda: heis_group(heis_spec(Carrier(2, 2, False), 2)),
+    "H(Z/9)": lambda: heis_group(heis_spec(Carrier(3, 2, False))),
+}
+
+
+@pytest.mark.parametrize("make", FLAG_GROUPS.values(), ids=FLAG_GROUPS)
+def test_classification_flags_match_derived_centre_and_frattini(make):
+    g = make()
+    p, _ = prime_power(g.order)
+    assert not g.is_abelian
+    centre = g.center_indices
+    cyclic_centre = max(g.element_orders[x] for x in centre) == len(centre)
+    small_derived = len(g.derived_indices) == p
+    two_generated = g.order == p * p * len(g.frattini_indices)
+    flags = classify_special(g)
+    assert flags.just_nonabelian == (small_derived and cyclic_centre)
+    assert flags.minimal_nonabelian == (small_derived and two_generated)
 
 
 def test_extraspecial_decompose_atoms():

@@ -22,15 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_oracle import bfs_subgroups, tabulate
-from paulidecomp.algebra import Carrier, field_make, prime_power
+from paulidecomp.algebra import (Carrier, field_make, heis_spec, pauli_spec,
+                                 prime_power)
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, SubgroupHandle,
                                    isomorphic)
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, heis_spec,
-                                    quaternion8)
-from paulidecomp.pauli import pauli_group, pauli_spec
+                                    extraspecial_e2, heis_group, quaternion8)
+from paulidecomp.pauli import pauli_group
 from test_census import _strictly_above
 from test_groupcore import LOOP5, _assert_isomorphism, _closure
 from test_products import _dihedral, _direct_product

@@ -5,11 +5,11 @@ and E2(p) against its semidirect-product law."""
 import pytest
 
 from matrix_oracle import tabulate
-from paulidecomp.algebra import Carrier, field_make
-from paulidecomp.heisenberg import (COCYCLES, extraspecial_e2, heis_group,
-                                    heis_spec)
-from paulidecomp.lifted import lifted_group, lifted_spec, pi_image_group
-from paulidecomp.pauli import pauli_group, pauli_law, pauli_spec
+from paulidecomp.algebra import (COCYCLES, Carrier, field_make, heis_spec,
+                                 lifted_spec, pauli_law, pauli_spec)
+from paulidecomp.heisenberg import extraspecial_e2, heis_group
+from paulidecomp.lifted import lifted_group, pi_image_group
+from paulidecomp.pauli import pauli_group
 
 
 def assert_oracle_table(g, mul):
