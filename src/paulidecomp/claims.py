@@ -11,8 +11,10 @@ and the one status fold ``_worst_status``.  An instance too large for
 the isomorphism search raises ``CapError``, not a status.
 
 ``run_suite`` decides its claims in one run (``groupcore.run_scope``):
-each Pauli group is built once however many claims use it, and cor5.2
-embeds the Heisenberg comparison cor4.3 made at the same instance.
+each Pauli group is built and classified once however many claims use
+it, thm4.2 and thm4.2-links read one chain decomposition of P_{2,2},
+and cor5.2 embeds the Heisenberg comparison cor4.3 made at the same
+instance.
 """
 
 from __future__ import annotations
@@ -235,12 +237,25 @@ def heis_semidirect_report(spec):
 # classification and decomposition of Pauli groups
 # ---------------------------------------------------------------------------
 
+def _pauli_flags(p: int, n: int):
+    """``classify_special`` of P_{n,p}, decided once per run."""
+    spec = pauli_spec(p, 1, n)
+    return once(("flags", spec),
+                lambda: classify_special(pauli_group(spec)))
+
+
+def _pauli_chain(n: int):
+    """``decompose_pauli_chain(n)``, decided once per run: thm4.2 and
+    thm4.2-links read the same report."""
+    return once(("chain", n), functools.partial(decompose_pauli_chain, n))
+
+
 @_verdict("thm4.1")
 def check_thm41():
     """P_{1,2} just nonabelian, not minimal; P_{1,p} both for odd p."""
-    f12 = classify_special(pauli_group(pauli_spec(2, 1, 1)))
-    f13 = classify_special(pauli_group(pauli_spec(3, 1, 1)))
-    f15 = classify_special(pauli_group(pauli_spec(5, 1, 1)))
+    f12 = _pauli_flags(2, 1)
+    f13 = _pauli_flags(3, 1)
+    f15 = _pauli_flags(5, 1)
     ok = (f12.just_nonabelian and not f12.minimal_nonabelian
           and f13.just_nonabelian and f13.minimal_nonabelian
           and f15.just_nonabelian and f15.minimal_nonabelian)
@@ -262,7 +277,7 @@ def check_thm42():
     witness = {}
     ok = True
     for n in (2, 3):
-        rep = decompose_pauli_chain(n)
+        rep = _pauli_chain(n)
         good = (rep.classification == "weak_central"
                 and all(f["isomorphism_type"] == "P(1,2)"
                         for f in rep.factors)
@@ -283,7 +298,7 @@ def check_thm42_links():
     registers commute, so the commutator subgroup of the two order-16
     factors has order 1 and can never equal the order-4 link; the oracle
     records the counterexample."""
-    rep = decompose_pauli_chain(2)
+    rep = _pauli_chain(2)
     comm_order = rep.commutators[0]
     inter_order = rep.intersections[0]
     witness = {
@@ -302,9 +317,9 @@ def check_cor44():
     just nonabelian for all n.  The oracle finds P_{2,2} just nonabelian
     as well (every nontrivial normal subgroup contains -I, hence the
     derived subgroup), refuting the 'only if' direction."""
-    f12 = classify_special(pauli_group(pauli_spec(2, 1, 1)))
-    f22 = classify_special(pauli_group(pauli_spec(2, 1, 2)))
-    f23 = classify_special(pauli_group(pauli_spec(3, 1, 2)))
+    f12 = _pauli_flags(2, 1)
+    f22 = _pauli_flags(2, 2)
+    f23 = _pauli_flags(3, 2)
     odd_ok = f23.just_nonabelian
     iff_ok = f12.just_nonabelian and not f22.just_nonabelian
     witness = {
@@ -322,8 +337,8 @@ def check_cor44():
 def check_cor54():
     """Registered: P_{n,p^m} minimal nonabelian for all odd p, n, m.
     The oracle exhibits a proper nonabelian subgroup of P_{2,3}."""
-    f13 = classify_special(pauli_group(pauli_spec(3, 1, 1)))
-    f23 = classify_special(pauli_group(pauli_spec(3, 1, 2)))
+    f13 = _pauli_flags(3, 1)
+    f23 = _pauli_flags(3, 2)
     witness = {
         "P(1,3)_minimal_nonabelian": f13.minimal_nonabelian,
         "P(2,3)_minimal_nonabelian": f23.minimal_nonabelian,
@@ -395,13 +410,20 @@ def _p12_chain_search(g: FiniteGroup) -> list | None:
     """The shortest chain of normal subgroups isomorphic to P_{1,2} that
     ``weak_central_chain`` reads as a weak central product of g, or None.
     A factor that does not enlarge the product can be dropped, so a
-    shortest chain has at most 1 + log2(|g| / 16) factors."""
+    shortest chain has at most 1 + log2(|g| / 16) factors.  Only the
+    members of a chain the fold accepts are tested against P_{1,2}, each
+    at most once; the first chain of isomorphic members is returned."""
     p12 = pauli_group(pauli_spec(2, 1, 1))
-    candidates = [h for h in _p12_candidates(g)
-                  if isomorphic(h.as_group(), p12)[0]]
+
+    @functools.cache
+    def is_p12(h) -> bool:
+        return isomorphic(h.as_group(), p12)[0]
+
+    candidates = _p12_candidates(g)
     for length in range(1, (g.order // p12.order).bit_length() + 1):
         for chain in itertools.combinations(candidates, length):
-            if weak_central_chain(g, chain)[0] != "none":
+            if (weak_central_chain(g, chain)[0] != "none"
+                    and all(map(is_p12, chain))):
                 return list(chain)
     return None
 
@@ -602,9 +624,9 @@ EXPECTED = {cid: status for cid, (_, status, _) in CLAIMS.items()}
 
 def run_suite(scope: str = "all") -> list[VerdictReport]:
     """The verdict of one claim, or of every claim in id order, as one run
-    (``groupcore.run_scope``): each Pauli group is built and each
-    Heisenberg comparison decided at most once, and all of them are
-    released when the run ends."""
+    (``groupcore.run_scope``): each Pauli group is built and classified,
+    each chain decomposition and each Heisenberg comparison decided, at
+    most once, and all of them are released when the run ends."""
     with run_scope():
         return [CHECKS[claim]()
                 for claim in (sorted(CHECKS) if scope == "all" else [scope])]

@@ -7,11 +7,13 @@ import pytest
 from paulidecomp import claims, groupcore, lifted
 from paulidecomp.algebra import lifted_spec, pauli_spec
 from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
-                                _worst_status, corollary43_check,
-                                corollary52_53_check, run_suite)
+                                _p12_chain_search, _worst_status,
+                                corollary43_check, corollary52_53_check,
+                                run_suite)
 from paulidecomp.groupcore import ISO_ORDER_CAP, CapError, isomorphic
 from paulidecomp.lifted import pi_image_group
 from paulidecomp.pauli import pauli_group
+from paulidecomp.products import weak_central_chain
 from paulidecomp.reports import STATUSES, dump_json
 
 
@@ -120,6 +122,91 @@ def test_p12_prefilter_keeps_exactly_the_isomorphic_factors(m, n):
                          and isomorphic(h.as_group(), p12)[0]]
     assert len(isomorphic_normal) == 6
     assert _p12_candidates(image) == isomorphic_normal
+
+
+def _eager_chain_search(g, candidates):
+    """The chain search that tests every candidate against P(1,2) first,
+    then the chains of isomorphic ones in ``combinations`` order."""
+    p12 = pauli_group(pauli_spec(2, 1, 1))
+    isomorphic_ones = [h for h in candidates
+                       if isomorphic(h.as_group(), p12)[0]]
+    for length in range(1, (g.order // p12.order).bit_length() + 1):
+        for chain in itertools.combinations(isomorphic_ones, length):
+            if weak_central_chain(g, chain)[0] != "none":
+                return [h.members for h in chain]
+    return None
+
+
+def _counted_isomorphic(monkeypatch) -> list:
+    calls = []
+
+    def counted(g, h):
+        calls.append(g.order)
+        return isomorphic(g, h)
+
+    monkeypatch.setattr(claims, "isomorphic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+def test_chain_search_returns_the_eager_chain(m, n, monkeypatch):
+    image = pi_image_group(lifted_spec(2, m, n))
+    eager = _eager_chain_search(image, _p12_candidates(image))
+    calls = _counted_isomorphic(monkeypatch)
+    chain = _p12_chain_search(image)
+    assert [h.members for h in chain] == eager
+    # the two members of the first chain the fold accepts
+    assert len(calls) <= 2
+
+
+def _d8xz2_factors(image) -> list:
+    """The normal subgroups of order 16 that the element-order prefilter
+    drops: each is D8 x Z2 (11 involutions), not P(1,2) (7)."""
+    kept = _p12_candidates(image)
+    return [h for h in image.subgroups_all()
+            if h.order == 16 and h.is_normal() and h not in kept]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("order", ["reversed", "d8xz2_first"])
+def test_chain_search_skips_candidates_not_isomorphic_to_p12(
+        m, n, order, monkeypatch):
+    # every pair of the real candidates, and every pair with a D8 x Z2
+    # factor, is a weak central product of the image: only the
+    # isomorphism test tells the D8 x Z2 chains apart
+    image = pi_image_group(lifted_spec(2, m, n))
+    kept = _p12_candidates(image)
+    d8xz2 = _d8xz2_factors(image)
+    assert len(d8xz2) == 9
+    assert weak_central_chain(image, [d8xz2[0], kept[0]])[0] != "none"
+    candidates = (kept[::-1] if order == "reversed"
+                  else [d8xz2[0], *kept, *d8xz2[1:3]])
+    eager = _eager_chain_search(image, candidates)
+    monkeypatch.setattr(claims, "_p12_candidates", lambda g: candidates)
+    calls = _counted_isomorphic(monkeypatch)
+    chain = _p12_chain_search(image)
+    assert [h.members for h in chain] == eager
+    assert set(eager).isdisjoint(h.members for h in d8xz2)
+    # the D8 x Z2 factor is searched once however many chains hold it
+    assert len(calls) <= (2 if order == "reversed" else 3)
+
+
+def test_run_classifies_each_pauli_group_once(monkeypatch):
+    classified, chains = Counter(), Counter()
+    classify, decompose = claims.classify_special, claims.decompose_pauli_chain
+    monkeypatch.setattr(claims, "classify_special",
+                        lambda g: classified.update([g.name]) or classify(g))
+    monkeypatch.setattr(claims, "decompose_pauli_chain",
+                        lambda n: chains.update([n]) or decompose(n))
+    run_suite("all")
+    # thm4.1, cor4.4 and cor5.4 ask for P(1,2), P(1,3) and P(2,3) twice
+    assert classified == Counter(
+        ["P(1,2)", "P(1,3)", "P(1,5)", "P(2,2)", "P(2,3)"])
+    # thm4.2 and thm4.2-links both read the chain of P(2,2)
+    assert chains == Counter([2, 3])
+    chains.clear()
+    run_suite("thm4.2-links")
+    assert chains == Counter([2])
 
 
 def test_out_of_range_comparison_raises_cap_error(monkeypatch):
