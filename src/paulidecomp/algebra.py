@@ -11,17 +11,19 @@ use, so a spec may name GF(4096) and report its order without
 building a table.  All arithmetic is exact integer arithmetic; no
 floating point is used anywhere in this package.
 
-The Pauli, Heisenberg and lifted families are one object: a central
-extension of R^n x R^n by a centre C through a bilinear form, given by
-its carrier R, n, the form (signed pairs of blocks), the centre (R
-itself, Z_p through the trace, or Z_4 through the doubled trace) and the
-key layout.  The spec, ``CentralExtension``, lists its element keys in
-the order of its table's indices, has one scalar ``mul`` (the oracle)
-and one table path, ``groupcore.extension_table``: the form as an array,
-mapped into the centre, then extended over the centre one block per
-pair of centre elements.  ``pauli_spec``, ``heis_spec`` and
-``lifted_spec`` only choose the parameters.  No numpy is loaded before
-a table is built, so a spec that is refused costs none.
+The Pauli, Heisenberg and lifted families, and the reference groups D8,
+Q8 and E1(p), are one object: a central extension of R^n x R^n by a
+centre C through a bilinear form, given by its carrier R, n, the form
+(signed pairs of blocks), the centre (R itself, Z_p through the trace,
+or Z_4 through the doubled trace) and the key layout.  The spec,
+``CentralExtension``, lists its element keys in the order of its
+table's indices, has one scalar ``mul`` (the oracle) and one table
+path, ``groupcore.extension_table``: the form as an array, mapped into
+the centre, then extended over the centre one block per pair of centre
+elements.  ``pauli_spec``, ``heis_spec``, ``lifted_spec`` and
+``e1_spec`` only choose the parameters, and ``D8`` and ``Q8`` are specs
+themselves.  No numpy is loaded before a table is built, so a spec that
+is refused costs none.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def field_make(p: int, m: int) -> Carrier:
 
 
 # ---------------------------------------------------------------------------
-# central extensions of R^n x R^n: the Pauli, Heisenberg and lifted laws
+# central extensions of R^n x R^n: the family laws and D8, Q8, E1(p)
 # ---------------------------------------------------------------------------
 
 class Centre(NamedTuple):
@@ -404,3 +406,19 @@ def lifted_spec(p: int, m: int, n: int) -> CentralExtension:
     f = field_make(p, m)
     return CentralExtension(f, n, PAULI_FORM, "carrier", centre_first=True,
                             name=f"Plift({n},{f.size})")
+
+
+# D8 and Q8: central extensions of GF(2)^2 by GF(2) through the forms
+# a1.a2 + b1.a2 and a1.a2 + b1.b2 + b1.a2
+D8 = CentralExtension(field_make(2, 1), 1, ((1, 0, 0), (1, 1, 0)), "carrier",
+                      centre_first=True, name="D8")
+Q8 = CentralExtension(field_make(2, 1), 1, ((1, 0, 0), (1, 1, 1), (1, 1, 0)),
+                      "carrier", centre_first=True, name="Q8")
+
+
+def e1_spec(p: int) -> CentralExtension:
+    """E1(p): the extraspecial group of order p^3 and exponent p, the
+    polarized Heisenberg group over GF(p), for odd primes p."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"e1 requires an odd prime p, got {p}")
+    return heis_spec(field_make(p, 1), cocycle="polarized")

@@ -13,6 +13,11 @@ ValueError for any other group.
 Counting convention: c_ab(G) counts every abelian subgroup except the
 trivial one; the whole group is included when abelian.  This calibration
 reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
+
+The paper's three named-subgroup figures are one table, ``FIGURES``,
+keyed by the spec each draws; ``cli`` builds the group and hands the
+named subgroups to ``hasse``.  At import the table holds only specs and
+functions: no group is built.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import field_make, heis_spec, pauli_spec
+from .algebra import D8, field_make, heis_spec, pauli_spec
 from .groupcore import FiniteGroup, SubgroupHandle
-from .heisenberg import dihedral8, heis_group
-from .pauli import p12_named_elements, pauli_group
+from .pauli import p12_named_elements
 
 
 @dataclass
@@ -110,60 +114,32 @@ def _default_label(h: SubgroupHandle, g: FiniteGroup) -> str:
     return f"S{h.order}." + ".".join(str(i) for i in h.members[:4])
 
 
-def paper_figure_lattice(kind: str) -> LatticeGraph:
-    """The named-subgroup diagrams: 'd8' (the full 10-node lattice),
-    'p12' (the 13 named subgroups of the order-16 group), and 'heis'
-    (the 7-node diagram for H(GF(3)))."""
-    kind = kind.lower()
-    if kind == "d8":
-        g = dihedral8()
-        return hasse(g)
-    if kind == "p12":
-        s = pauli_spec(2, 1, 1)
-        g = pauli_group(s)
-        e = p12_named_elements()
-        u, a, b = e["u"], e["a"], e["b"]
+def _p12_words(s) -> dict:
+    """The generators of the 13 named subgroups of P(1,2), as words in
+    its named elements u, a and b."""
+    e = p12_named_elements()
+    u, a, b = e["u"], e["a"], e["b"]
+    u2, ua = s.mul(u, u), s.mul(u, a)
+    return {"1": [], "<u^2>": [u2], "<a>": [a], "<ua>": [ua],
+            "<u^2a>": [s.mul(u2, a)], "<u^3a>": [s.mul(s.mul(u2, u), a)],
+            "<u>": [u], "<b>": [b], "<u^2,a>": [u2, a],
+            "<u^2,ua>": [u2, ua], "<u,a>": [u, a], "<u,b>": [u, b],
+            "<u,a,b>": [u, a, b]}
 
-        def w(*gens):
-            return g.generated_subgroup(list(gens))
 
-        u2 = s.mul(u, u)
-        ua = s.mul(u, a)
-        u2a = s.mul(u2, a)
-        u3a = s.mul(s.mul(u2, u), a)
-        named = {
-            "1": g.trivial_subgroup(),
-            "<u^2>": w(u2),
-            "<a>": w(a),
-            "<ua>": w(ua),
-            "<u^2a>": w(u2a),
-            "<u^3a>": w(u3a),
-            "<u>": w(u),
-            "<b>": w(b),
-            "<u^2,a>": w(u2, a),
-            "<u^2,ua>": w(u2, ua),
-            "<u,a>": w(u, a),
-            "<u,b>": w(u, b),
-            "<u,a,b>": w(u, a, b),
-        }
-    elif kind == "heis":
-        hs = heis_spec(field_make(3, 1))
-        g = heis_group(hs)
-        x = hs.element([1], [0])
-        y = hs.element([0], [1])
-        z = ((0,), (0,), 1)
-        named = {
-            "1": g.trivial_subgroup(),
-            "<x>": g.generated_subgroup([x]),
-            "<y>": g.generated_subgroup([y]),
-            "Z": g.generated_subgroup([z]),
-            "A": g.generated_subgroup([z, x]),
-            "B": g.generated_subgroup([z, y]),
-            "G": g.whole_subgroup(),
-        }
-    else:
-        raise ValueError(f"unknown figure kind {kind!r}")
-    return hasse(g, {h.members: label for label, h in named.items()})
+def _heis_words(s) -> dict:
+    """The generators of the 7 named subgroups of H(GF(3))."""
+    x, y, z = s.element([1], [0]), s.element([0], [1]), s.element([0], [0], 1)
+    return {"1": [], "<x>": [x], "<y>": [y], "Z": [z], "A": [z, x],
+            "B": [z, y], "G": [x, y]}
+
+
+# The paper's named-subgroup diagrams, keyed by spec: a function of the
+# spec giving the generators of each named subgroup (the P(1,2) words call
+# the scalar ``mul``, so they are computed only when the figure is drawn),
+# or None for D8, whose figure is its whole 10-node lattice.
+FIGURES = {D8: None, pauli_spec(2, 1, 1): _p12_words,
+           heis_spec(field_make(3, 1)): _heis_words}
 
 
 def export_dot(lat: LatticeGraph) -> str:

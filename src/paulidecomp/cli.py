@@ -39,13 +39,12 @@ import contextlib
 import os
 import sys
 
-# Only the numpy-free modules are imported here, so ``--help``, an
-# unknown spec and a family spec refused for a bad parameter or its
-# order load no numpy.  Every other import sits in the function or
-# branch that uses it: a command loads only the layers it runs, and
+# Only the numpy-free ``reports`` is imported here, so ``--help`` loads
+# no spec layer, and an unknown spec or a spec refused for a bad
+# parameter or its order loads no numpy.  Every other import sits in the
+# function or branch that uses it: the spec constructors of ``algebra``
+# in the parsers, and a command loads only the layers it runs, so
 # ``main`` sets its OpenBLAS default before numpy loads.
-from .algebra import (Carrier, field_make, heis_spec, is_prime, lifted_spec,
-                      pauli_spec, prime_power)
 from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                       GroupStructureError, dump_json)
 
@@ -85,6 +84,7 @@ def _int_param(params: dict, key: str, default=None) -> int:
 
 
 def _parse_carrier(text: str):
+    from .algebra import Carrier, prime_power
     text = text.lower()
     for prefix, field in (("gf(", True), ("z(", False)):
         if text.startswith(prefix) and text.endswith(")"):
@@ -100,20 +100,26 @@ def _parse_carrier(text: str):
 
 
 def parse_spec(text: str):
-    """Parse a group spec string into a (kind, spec-object) pair."""
+    """Parse a group spec string into a (kind, spec) pair: a
+    ``CentralExtension`` for every kind except ``trivial`` (None) and
+    ``e2`` (the prime p)."""
+    from .algebra import (D8, Q8, e1_spec, heis_spec, is_prime, lifted_spec,
+                          pauli_spec)
     text = text.strip()
     if text == "trivial":
         return "trivial", None
     if text in ("d8", "q8"):
-        return "reference", (text, None)
+        return "reference", D8 if text == "d8" else Q8
     head, _, rest = text.partition(":")
     if head in ("e1", "e2"):
         params = _parse_params(rest) if rest else {}
         _check_keys(params, ("p",))
         p = _int_param(params, "p")
+        if head == "e1":
+            return "reference", e1_spec(p)
         if not is_prime(p) or p == 2:
-            raise SpecError(f"{head} requires an odd prime p, got {p}")
-        return "reference", (head, p)
+            raise SpecError(f"e2 requires an odd prime p, got {p}")
+        return "e2", p
     if head in ("pauli", "lifted"):
         params = _parse_params(rest)
         _check_keys(params, ("p", "m", "n"))
@@ -137,16 +143,15 @@ def parse_spec(text: str):
 def _checked_spec(args, text: str | None = None):
     """Parse the subcommand's spec (``args.spec`` unless ``text`` is
     given) and refuse it, before any table is built, when its group order
-    exceeds a cap the subcommand declares: 1, 8 and p^3 for the reference
-    groups, the spec's order for the families.  This is the only cap
+    exceeds a cap the subcommand declares: 1 for ``trivial``, p^3 for
+    ``e2``, the spec's order for every other kind.  This is the only cap
     check: every other group a command builds (a subgroup, a quotient,
     the lifted image) is no larger."""
     kind, spec = parse_spec(text or args.spec)
     if kind == "trivial":
         order = 1
-    elif kind == "reference":
-        p = spec[1]
-        order = 8 if p is None else p ** 3
+    elif kind == "e2":
+        order = spec ** 3
     else:
         order = spec.order
     if order > args.cap_closure:
@@ -165,9 +170,11 @@ def build_group(kind: str, spec):
         from .groupcore import FiniteGroup
         return FiniteGroup([0], [[0]], name="1")
     if kind == "reference":
-        from .products import reference_group
-        name, p = spec
-        return reference_group(name, p)
+        from .groupcore import extension_group
+        return extension_group(spec)
+    if kind == "e2":
+        from .heisenberg import extraspecial_e2
+        return extraspecial_e2(spec)
     if kind == "pauli":
         from .pauli import pauli_group
         return pauli_group(spec)
@@ -227,20 +234,15 @@ def cmd_census(args) -> int:
 
 def cmd_lattice(args) -> int:
     kind, spec = _checked_spec(args)
-    from .census import export_dot, hasse, paper_figure_lattice
-    if args.filter == "paper_figure":
-        if kind == "reference" and spec[0] == "d8":
-            lat = paper_figure_lattice("d8")
-        elif kind == "pauli" and spec == pauli_spec(2, 1, 1):
-            lat = paper_figure_lattice("p12")
-        elif kind == "heis" and spec == heis_spec(field_make(3, 1)):
-            lat = paper_figure_lattice("heis")
-        else:
-            raise SpecError(
-                "paper_figure filter applies to d8, pauli:p=2,n=1, or "
-                "heis:R=gf(3),n=1")
-    else:
-        lat = hasse(build_group(kind, spec))
+    from .census import FIGURES, export_dot, hasse
+    figure = args.filter == "paper_figure"
+    if figure and spec not in FIGURES:
+        raise SpecError("paper_figure filter applies to d8, pauli:p=2,n=1, "
+                        "or heis:R=gf(3),n=1")
+    g = build_group(kind, spec)
+    words = FIGURES[spec] if figure else None
+    lat = hasse(g, words and {g.generated_subgroup(gens).members: label
+                              for label, gens in words(spec).items()})
     text = export_dot(lat) if args.format == "dot" else dump_json(lat) + "\n"
     _emit(text, args.out)
     return 0

@@ -370,9 +370,6 @@ class FiniteGroup:
                for g in generators]
         return SubgroupHandle(self, self.closure_indices(idx))
 
-    def trivial_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, (self.identity,))
-
     def whole_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, tuple(range(self.order)))
 
@@ -825,14 +822,14 @@ class SubgroupHandle:
         inside[list(self.members)] = True
         return bool(inside[g.conjugates(self.members, g.generating_set())].all())
 
-    def as_group(self, name: str = "") -> FiniteGroup:
+    def as_group(self) -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the
         parent's element keys."""
         remap = np.zeros(self.parent.order, dtype=np.int32)
         remap[list(self.members)] = np.arange(self.order)
         table = remap[self.parent.table[np.ix_(self.members, self.members)]]
         keys = [self.parent.elements[m] for m in self.members]
-        return FiniteGroup(keys, table, name=name)
+        return FiniteGroup(keys, table)
 
     def __le__(self, other: "SubgroupHandle") -> bool:
         """Containment: every member of this subgroup lies in ``other``."""

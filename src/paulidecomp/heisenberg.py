@@ -16,17 +16,17 @@ centre last in the key.
 The two cocycles give isomorphic groups in odd characteristic; the
 polarized one matches the upper unitriangular 3x3 matrix model.
 
-D8 and Q8 are central extensions of GF(2) x GF(2) by GF(2) too, through
-the forms a1.a2 + b1.a2 and a1.a2 + b1.b2 + b1.a2; E2(p), whose cocycle
-is not bilinear, has its table built from whole arrays of its law, as
-every other table is.
+D8, Q8 and E1(p) are central extensions of GF(p)^2 by GF(p) too: the
+specs ``algebra.D8``, ``algebra.Q8`` and ``algebra.e1_spec(p)``, built
+here in one line each.  E2(p), whose cocycle is not bilinear, has its
+table built from whole arrays of its law, as every other table is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import CentralExtension, field_make, heis_spec, is_prime
+from .algebra import D8, Q8, CentralExtension, e1_spec, is_prime
 from .groupcore import FiniteGroup, extension_group
 
 
@@ -40,28 +40,18 @@ def heis_group(spec: CentralExtension) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def dihedral8() -> FiniteGroup:
-    """D8 as the central extension of GF(2)^2 by GF(2) through the form
-    a1.a2 + b1.a2."""
-    return extension_group(CentralExtension(
-        field_make(2, 1), 1, ((1, 0, 0), (1, 1, 0)), "carrier",
-        centre_first=True, name="D8"))
+    """The group of ``algebra.D8``."""
+    return extension_group(D8)
 
 
 def quaternion8() -> FiniteGroup:
-    """Q8 as the central extension of GF(2)^2 by GF(2) through the form
-    a1.a2 + b1.b2 + b1.a2."""
-    return extension_group(CentralExtension(
-        field_make(2, 1), 1, ((1, 0, 0), (1, 1, 1), (1, 1, 0)), "carrier",
-        centre_first=True, name="Q8"))
+    """The group of ``algebra.Q8``."""
+    return extension_group(Q8)
 
 
 def extraspecial_e1(p: int) -> FiniteGroup:
-    """E1(p): exponent-p extraspecial group of order p^3 (the Heisenberg
-    group over GF(p)), for odd p."""
-    if p == 2:
-        raise ValueError("E1 is defined for odd p")
-    spec = heis_spec(field_make(p, 1), cocycle="polarized")
-    return heis_group(spec)
+    """The group of ``algebra.e1_spec(p)``."""
+    return heis_group(e1_spec(p))
 
 
 def extraspecial_e2(p: int) -> FiniteGroup:

@@ -27,33 +27,19 @@ from .pauli import pauli_element, pauli_group
 from .reports import ClassificationFlags, DecompositionReport
 
 
-def reference_group(name: str, p: int | None = None) -> FiniteGroup:
-    """Concrete realizations of D8, Q8, E1(p), E2(p)."""
-    key = name.lower()
-    if key == "d8":
-        return dihedral8()
-    if key == "q8":
-        return quaternion8()
-    if key in ("e1", "e2"):
-        return extraspecial_e1(p) if key == "e1" else extraspecial_e2(p)
-    raise ValueError(f"unknown reference group {name!r}")
-
-
 def identify_factor(g: FiniteGroup) -> str:
     """Isomorphism type of a factor against the reference families, by
     oracle, never by name.  Falls back to an invariant string."""
     n = g.order
     if n == 8:
-        for ref_name in ("d8", "q8"):
-            ok, _ = isomorphic(g, reference_group(ref_name))
-            if ok:
-                return ref_name.upper()
+        for name, make in (("D8", dihedral8), ("Q8", quaternion8)):
+            if isomorphic(g, make())[0]:
+                return name
     p, k = prime_power(n) or (None, None)
     if k == 3 and p > 2:
-        for ref_name in ("e1", "e2"):
-            ok, _ = isomorphic(g, reference_group(ref_name, p))
-            if ok:
-                return f"{ref_name.upper()}({p})"
+        for name, make in (("E1", extraspecial_e1), ("E2", extraspecial_e2)):
+            if isomorphic(g, make(p))[0]:
+                return f"{name}({p})"
     if g.is_abelian:
         return "abelian" + str(list(abelian_invariants(g)))
     p12 = pauli_spec(2, 1, 1)

@@ -7,13 +7,13 @@ census and the lattice), is a dataclass that holds its printed form, and
 it is written as its fields, nested records included: a verdict's wall
 time is rounded when it is measured, and census keys are strings.
 
-Verdict statuses:
+Verdict statuses, by increasing severity (``STATUSES``):
 
 * ``confirmed``: the brute-force oracle agrees with the registered claim.
-* ``refuted_at_desk_scale``: the oracle disagrees on a concrete instance;
-  the witness field carries the counterexample.
 * ``inconsistent_in_paper``: the claim as registered is self-contradictory
   and the verdict records which reading the oracle supports.
+* ``refuted_at_desk_scale``: the oracle disagrees on a concrete instance;
+  the witness field carries the counterexample.
 
 An instance too large to decide has no status: it raises ``CapError``.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, is_dataclass
 
-STATUSES = ("confirmed", "refuted_at_desk_scale", "inconsistent_in_paper")
+STATUSES = ("confirmed", "inconsistent_in_paper", "refuted_at_desk_scale")
 
 CLASSIFICATIONS = ("weak_central", "central", "none")
 

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from paulidecomp.algebra import field_make, heis_spec, lifted_spec, pauli_spec
-from paulidecomp.census import (abelian_census, export_dot, hasse,
-                                paper_figure_lattice)
+from paulidecomp.algebra import (D8, field_make, heis_spec, lifted_spec,
+                                 pauli_spec)
+from paulidecomp.census import FIGURES, abelian_census, export_dot, hasse
 from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
+from paulidecomp.groupcore import extension_group
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e2, heis_group,
                                     quaternion8)
 from paulidecomp.lifted import lifted_group
@@ -130,17 +131,25 @@ def test_hasse_d8():
         assert orders[lo] < orders[hi]
 
 
+def _figure(spec):
+    """The paper figure of ``spec``, drawn as ``lattice --filter
+    paper_figure`` draws it."""
+    g, words = extension_group(spec), FIGURES[spec]
+    return hasse(g, words and {g.generated_subgroup(gens).members: label
+                               for label, gens in words(spec).items()})
+
+
 def test_paper_figures():
-    d8 = paper_figure_lattice("d8")
+    d8 = _figure(D8)
     assert len(d8.nodes) == 10 and len(d8.edges) == 15
-    p12 = paper_figure_lattice("p12")
+    p12 = _figure(pauli_spec(2, 1, 1))
     assert len(p12.nodes) == 13 and len(p12.edges) == 20
-    heis = paper_figure_lattice("heis")
+    heis = _figure(heis_spec(field_make(3, 1)))
     assert len(heis.nodes) == 7 and len(heis.edges) == 9
 
 
 def test_export_dot():
-    dot = export_dot(paper_figure_lattice("d8"))
+    dot = export_dot(_figure(D8))
     assert dot.startswith("digraph")
     assert "rankdir=BT" in dot
     assert "shape=box" in dot  # the nonabelian top node
@@ -148,7 +157,7 @@ def test_export_dot():
 
 
 def test_export_json_round_trip():
-    lat = paper_figure_lattice("heis")
+    lat = _figure(heis_spec(field_make(3, 1)))
     assert json.loads(dump_json(lat)) == {
         "group": lat.group, "nodes": lat.nodes,
         "edges": [list(e) for e in lat.edges]}

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from paulidecomp import cli
-from paulidecomp.cli import main, parse_spec
+from paulidecomp.algebra import CentralExtension
+from paulidecomp.cli import build_group, main, parse_spec
 
 CLI = [sys.executable, "-m", "paulidecomp.cli"]
 
@@ -23,6 +24,14 @@ def test_parse_spec_defaults():
     assert kind == "heis" and spec.carrier.size == 3
     kind, spec = parse_spec("lifted:p=3,m=2,n=1")
     assert kind == "lifted" and spec.carrier.size == 9
+
+
+@pytest.mark.parametrize("text", ["d8", "q8", "e1:p=5"])
+def test_reference_specs_parse_to_central_extensions(text):
+    kind, spec = parse_spec(text)
+    assert kind == "reference" and isinstance(spec, CentralExtension)
+    g = build_group(kind, spec)
+    assert (spec.order, spec.name) == (g.order, g.name)
 
 
 def test_build_json():
@@ -161,6 +170,19 @@ def test_out_to_missing_directory_refused_before_work(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("spec", ["q8", "e1:p=3", "e2:p=3", "trivial"])
+def test_paper_figure_refused_before_any_group_is_built(spec, monkeypatch,
+                                                        capsys):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    assert main(["lattice", spec, "--filter", "paper_figure"]) == 2
+    assert capsys.readouterr().err == (
+        "error: paper_figure filter applies to d8, pauli:p=2,n=1, or "
+        "heis:R=gf(3),n=1\n")
 
 
 def test_out_write_failure_exits_2_and_leaves_no_file(tmp_path, monkeypatch,
@@ -357,6 +379,21 @@ def test_help_and_unknown_spec_leave_numpy_unimported():
              + "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
             capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
+
+
+def test_help_loads_no_spec_layer():
+    # the spec constructors are imported by the parsers that call them
+    code = ("import sys\n"
+            "from paulidecomp.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'paulidecomp.algebra' not in sys.modules, "
+            "'algebra imported'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_openblas_default_set_only_by_main():

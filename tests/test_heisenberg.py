@@ -71,7 +71,7 @@ def test_reduced_rejects_ring_carrier():
 
 
 def test_semidirect_report():
-    rep = heis_semidirect_report(heis_spec(field_make(3, 1)))
+    rep = heis_semidirect_report()
     assert rep.status == "confirmed"
     facts = rep.witness["facts"]
     assert facts["A_order"] == 9 and facts["B_order"] == 9
