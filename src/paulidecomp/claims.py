@@ -10,11 +10,11 @@ which times it and builds the one ``VerdictReport``; the three aggregates
 and the one status fold ``_worst_status``.  An instance too large for
 the isomorphism search raises ``CapError``, not a status.
 
-``run_suite`` decides its claims in one run (``groupcore.run_scope``):
-each Pauli group is built and classified once however many claims use
-it, thm4.2 and thm4.2-links read one chain decomposition of P_{2,2},
-and cor5.2 embeds the Heisenberg comparison cor4.3 made at the same
-instance.
+``run_suite`` decides its claims in one run (``groupcore.run_scope``),
+in which each ``@shared`` value is computed once however many claims
+use it: each spec's group and each Pauli group's flags, one chain
+decomposition of P_{2,2} for thm4.2 and thm4.2-links, and the
+Heisenberg comparison (``corollary43_check``) cor5.2 embeds from cor4.3.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from collections import Counter
 from .algebra import (Carrier, field_make, heis_spec, lifted_spec, pauli_spec,
                       sigma_tau)
 from .census import abelian_census
-from .groupcore import (FiniteGroup, isomorphic, once,
-                        refuse_above_iso_cap, run_scope)
+from .groupcore import (FiniteGroup, isomorphic, refuse_above_iso_cap,
+                        run_scope, shared)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          heis_group)
 from .lifted import lifted_group, pi_image_group, pi_kernel
@@ -237,16 +237,8 @@ def heis_semidirect_report():
 # ---------------------------------------------------------------------------
 
 def _pauli_flags(p: int, n: int):
-    """``classify_special`` of P_{n,p}, decided once per run."""
-    spec = pauli_spec(p, 1, n)
-    return once(("flags", spec),
-                lambda: classify_special(pauli_group(spec)))
-
-
-def _pauli_chain(n: int):
-    """``decompose_pauli_chain(n)``, decided once per run: thm4.2 and
-    thm4.2-links read the same report."""
-    return once(("chain", n), functools.partial(decompose_pauli_chain, n))
+    """``classify_special`` of P_{n,p}."""
+    return classify_special(pauli_group(pauli_spec(p, 1, n)))
 
 
 @_verdict("thm4.1")
@@ -276,7 +268,7 @@ def check_thm42():
     witness = {}
     ok = True
     for n in (2, 3):
-        rep = _pauli_chain(n)
+        rep = decompose_pauli_chain(n)
         good = (rep.classification == "weak_central"
                 and all(f["isomorphism_type"] == "P(1,2)"
                         for f in rep.factors)
@@ -297,7 +289,7 @@ def check_thm42_links():
     registers commute, so the commutator subgroup of the two order-16
     factors has order 1 and can never equal the order-4 link; the oracle
     records the counterexample."""
-    rep = _pauli_chain(2)
+    rep = decompose_pauli_chain(2)
     comm_order = rep.commutators[0]
     inter_order = rep.intersections[0]
     witness = {
@@ -352,6 +344,7 @@ def check_cor54():
 # Heisenberg comparison and the lifted projection
 # ---------------------------------------------------------------------------
 
+@shared
 @_verdict("cor4.3", inconsistent=lambda p, m, n: m > 1)
 def corollary43_check(p: int, m: int, n: int):
     """Compare P_{n,p^m} against both Heisenberg variants: full center
@@ -383,13 +376,6 @@ def corollary43_check(p: int, m: int, n: int):
     if m > 1:
         witness["supported_reading"] = "reduced" if reduced_ok else "none"
     return reduced_ok, witness
-
-
-def _heisenberg_comparison(p: int, m: int, n: int) -> VerdictReport:
-    """``corollary43_check(p, m, n)``, decided once per run: cor5.2 embeds
-    the report cor4.3 computed at the same instance."""
-    return once(("cor4.3", p, m, n),
-                functools.partial(corollary43_check, p, m, n))
 
 
 def _p12_candidates(g: FiniteGroup) -> list:
@@ -452,7 +438,7 @@ def corollary52_53_check(p: int, m: int, n: int):
     if p != 2:
         iso_pauli, _ = isomorphic(image, pauli_group(pauli_spec(p, m, n)))
         witness["image_isomorphic_to_pauli"] = iso_pauli
-        heis = _heisenberg_comparison(p, m, n)
+        heis = corollary43_check(p, m, n)
         witness["heisenberg_comparison"] = heis
         # the comparison's status stands unless the projection facts fail
         return ok and iso_pauli and _worst_status([heis.status]), witness
@@ -467,7 +453,7 @@ def corollary52_53_check(p: int, m: int, n: int):
 @_verdict("cor4.3")
 def check_cor43():
     """Aggregate of the Heisenberg comparisons at the desk instances."""
-    return _aggregate({f"({p},{m},{n})": _heisenberg_comparison(p, m, n)
+    return _aggregate({f"({p},{m},{n})": corollary43_check(p, m, n)
                        for (p, m, n) in ((3, 1, 1), (3, 1, 2), (3, 2, 1))})
 
 
@@ -622,9 +608,8 @@ EXPECTED = {cid: status for cid, (_, status, _) in CLAIMS.items()}
 
 def run_suite(scope: str = "all") -> list[VerdictReport]:
     """The verdict of one claim, or of every claim in id order, as one run
-    (``groupcore.run_scope``): each Pauli group is built and classified,
-    each chain decomposition and each Heisenberg comparison decided, at
-    most once, and all of them are released when the run ends."""
+    (``groupcore.run_scope``), in which each ``@shared`` value is computed
+    at most once and released when the run ends."""
     with run_scope():
         return [CHECKS[claim]()
                 for claim in (sorted(CHECKS) if scope == "all" else [scope])]

@@ -216,11 +216,13 @@ def cmd_build(args) -> int:
 
 def cmd_decompose(args) -> int:
     kind, spec = _checked_spec(args)
+    from .groupcore import run_scope
     from .products import decompose_pauli_chain, extraspecial_decompose
-    if kind == "pauli" and spec.carrier.p == 2:
-        rep = decompose_pauli_chain(spec.n)
-    else:
-        rep = extraspecial_decompose(build_group(kind, spec))
+    with run_scope():
+        if kind == "pauli" and spec.carrier.p == 2:
+            rep = decompose_pauli_chain(spec.n)
+        else:
+            rep = extraspecial_decompose(build_group(kind, spec))
     _emit(dump_json(rep) + "\n", args.out)
     return 0
 
@@ -251,9 +253,9 @@ def cmd_lattice(args) -> int:
 def cmd_lifted(args) -> int:
     kind, spec = _checked_spec(args, args.spec if ":" in args.spec
                               else "lifted:" + args.spec)
-    from .lifted import lifted_group, pi_image_group, pi_kernel
     if kind != "lifted":
         raise SpecError("the lifted subcommand expects a lifted spec")
+    from .lifted import lifted_group, pi_image_group, pi_kernel
     g = lifted_group(spec)
     image = pi_image_group(spec)
     kernel = pi_kernel(spec)

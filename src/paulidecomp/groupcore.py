@@ -79,9 +79,10 @@ without ``return_index``: under numpy 2 that call imports ``numpy.ma``
 on first use, and distinct indices are read off a mask over range(|G|)
 instead.
 
-A run, opened by ``run_scope`` (``claims.run_suite`` opens one), shares
-values by key: inside it ``once`` builds each at most once, and the
-values are dropped when it closes.  Outside a run nothing is kept.
+A run, opened by ``run_scope`` (by ``claims.run_suite`` and by ``cli``'s
+``decompose``), computes each function declared ``@shared`` at most once
+per argument tuple and drops the values when it closes.  Outside a run
+nothing is kept.
 
 Limits: how large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
@@ -100,7 +101,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from math import isqrt, lcm
 from typing import NamedTuple
 
@@ -134,9 +135,9 @@ _run: ContextVar[dict | None] = ContextVar("paulidecomp_run", default=None)
 
 @contextmanager
 def run_scope():
-    """Open a run: until the block exits, ``once(key, build)`` calls
-    ``build`` at most once per key.  The values are dropped when the
-    block exits, by an exception too, so nothing outlives the run."""
+    """Open a run: until the block exits, each ``@shared`` function is
+    computed at most once per argument tuple.  The values are dropped
+    when it exits, by an exception too, so nothing outlives the run."""
     token = _run.set({})
     try:
         yield
@@ -144,15 +145,19 @@ def run_scope():
         _run.reset(token)
 
 
-def once(key, build):
-    """``build()``; inside ``run_scope``, the value built for ``key``
-    earlier in the run, if any."""
-    run = _run.get()
-    if run is None:
-        return build()
-    if key not in run:
-        run[key] = build()
-    return run[key]
+def shared(fn):
+    """``fn``, computed at most once per argument tuple inside
+    ``run_scope``, keyed by ``(fn, args)``; a plain call outside a run."""
+    @wraps(fn)
+    def memo(*args):
+        run = _run.get()
+        if run is None:
+            return fn(*args)
+        key = (fn, args)
+        if key not in run:
+            run[key] = fn(*args)
+        return run[key]
+    return memo
 
 
 class FiniteGroup:
@@ -695,9 +700,10 @@ def extension_table(spec: CentralExtension) -> np.ndarray:
     return table
 
 
+@shared
 def extension_group(spec: CentralExtension) -> FiniteGroup:
     """The group of a central-extension spec, its table built by
-    ``extension_table``."""
+    ``extension_table``: one group per spec while a run is open."""
     return FiniteGroup(spec.elements(), extension_table(spec), name=spec.name)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import D8, Q8, CentralExtension, e1_spec, is_prime
-from .groupcore import FiniteGroup, extension_group
+from .groupcore import FiniteGroup, extension_group, shared
 
 
 def heis_group(spec: CentralExtension) -> FiniteGroup:
@@ -54,6 +54,7 @@ def extraspecial_e1(p: int) -> FiniteGroup:
     return heis_group(e1_spec(p))
 
 
+@shared
 def extraspecial_e2(p: int) -> FiniteGroup:
     """E2(p): the extraspecial group Z/p^2 x| Z/p of exponent p^2, with
     the generator of Z/p acting by x -> x^(1+p), for odd p.  The product

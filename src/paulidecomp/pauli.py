@@ -23,7 +23,7 @@ tests check it against a matrix oracle over the cyclotomic integers).
 from __future__ import annotations
 
 from .algebra import CentralExtension, pauli_spec
-from .groupcore import FiniteGroup, extension_group, once
+from .groupcore import FiniteGroup, extension_group
 
 PauliKey = tuple  # (phase, alpha tuple, beta tuple)
 
@@ -38,14 +38,13 @@ def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
 
 
 def pauli_group(spec: CentralExtension) -> FiniteGroup:
-    """Materialize P_{n,q}: one group per spec while a run is open
-    (``groupcore.run_scope``), with its table, Light's test and cached
-    invariants, and a new group on every call outside one.  Elements are
-    enumerated directly (the set is known in closed form); that the
-    register generators generate it all is checked by the
-    ``assert_faithful_representation`` fixture of ``tests/conftest.py``,
-    which closes them under the scalar ``mul``."""
-    return once(spec, lambda: extension_group(spec))
+    """Materialize P_{n,q}, shared within a run as every spec's group is
+    (``groupcore.extension_group``).  Elements are enumerated directly
+    (the set is known in closed form); that the register generators
+    generate it all is checked by the ``assert_faithful_representation``
+    fixture of ``tests/conftest.py``, which closes them under the scalar
+    ``mul``."""
+    return extension_group(spec)
 
 
 # ---------------------------------------------------------------------------

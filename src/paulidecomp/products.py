@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import pauli_spec, prime_power
 from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle, _blocks,
-                        abelian_invariants, isomorphic)
+                        abelian_invariants, isomorphic, shared)
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
 from .pauli import pauli_element, pauli_group
@@ -94,6 +94,7 @@ def pauli_chain_subgroups(g: FiniteGroup, spec) -> list[SubgroupHandle]:
             for j in range(spec.n)]
 
 
+@shared
 def decompose_pauli_chain(n: int) -> DecompositionReport:
     """Iterated weak central product P_{n,2} = H_1 * H_2 * ... * H_n with
     register factors H_j = <U, X_j, Z_j> and links L_j = (H_1...H_j) cap
@@ -193,6 +194,7 @@ def minimal_nonabelian(g: FiniteGroup) -> tuple[bool, dict]:
     return True, {}
 
 
+@shared
 def classify_special(g: FiniteGroup) -> ClassificationFlags:
     """Just nonabelian / minimal nonabelian flags with evidence for the
     False cases.  Whether G is extraspecial is decided in one place,

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from paulidecomp import groupcore, heisenberg, lifted, pauli
+from paulidecomp import groupcore
 from paulidecomp.groupcore import FiniteGroup
 
 
@@ -36,22 +36,31 @@ def assert_faithful_representation():
 @pytest.fixture
 def built(monkeypatch):
     """Every group a ``CentralExtension`` spec builds, as (spec, weakref)
-    pairs, and every ``FiniteGroup`` construction, counted.  The spec's
-    builder, ``groupcore.extension_group``, is replaced in each family
-    module that binds it."""
+    pairs, and every ``FiniteGroup`` construction, counted.  A spec's
+    group is computed by ``groupcore.extension_group``, which looks up
+    ``extension_table`` by name and hands the table straight to the
+    constructor, so the spec whose table was built last is paired with
+    the next group constructed.  A group a run's memo hands out again is
+    not built again, so it is not recorded again."""
     record = {"groups": [], "tables": 0}
-    group, finish = groupcore.extension_group, FiniteGroup._finish_init
+    table, init = groupcore.extension_table, FiniteGroup.__init__
+    finish, pending = FiniteGroup._finish_init, []
 
-    def counted_group(spec):
-        g = group(spec)
-        record["groups"].append((spec, weakref.ref(g)))
-        return g
+    def counted_table(spec):
+        pending.append(spec)
+        return table(spec)
+
+    def counted_init(self, *args, **kwargs):
+        spec = pending.pop() if pending else None
+        init(self, *args, **kwargs)
+        if spec is not None:
+            record["groups"].append((spec, weakref.ref(self)))
 
     def counted_finish(self, *args):
         record["tables"] += 1
         return finish(self, *args)
 
-    for module in (pauli, heisenberg, lifted):
-        monkeypatch.setattr(module, "extension_group", counted_group)
+    monkeypatch.setattr(groupcore, "extension_table", counted_table)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
     monkeypatch.setattr(FiniteGroup, "_finish_init", counted_finish)
     return record

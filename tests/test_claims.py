@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from paulidecomp import claims, groupcore, lifted
+from paulidecomp import claims, groupcore, lifted, products
 from paulidecomp.algebra import lifted_spec, pauli_spec
 from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
                                 _p12_chain_search, _worst_status,
@@ -89,8 +89,9 @@ def test_run_builds_each_pauli_group_once(built):
                     if spec.name.startswith("P("))
     assert len(pauli) == 7
     assert set(pauli.values()) == {1}
-    # 173 before the run shared its Pauli groups and comparisons
-    assert built["tables"] <= 100
+    # 173 before the run shared its Pauli groups and comparisons, 69
+    # before it shared every spec's group and E2(3)
+    assert built["tables"] <= 64
 
 
 def _without_wall_time(value):
@@ -200,12 +201,16 @@ def test_chain_search_skips_candidates_not_isomorphic_to_p12(
 
 
 def test_run_classifies_each_pauli_group_once(monkeypatch):
+    # computations, not calls: each classification runs just_nonabelian
+    # once and each chain decomposition pauli_chain_subgroups once, both
+    # looked up by name in ``products``
     classified, chains = Counter(), Counter()
-    classify, decompose = claims.classify_special, claims.decompose_pauli_chain
-    monkeypatch.setattr(claims, "classify_special",
-                        lambda g: classified.update([g.name]) or classify(g))
-    monkeypatch.setattr(claims, "decompose_pauli_chain",
-                        lambda n: chains.update([n]) or decompose(n))
+    jna, subgroups = products.just_nonabelian, products.pauli_chain_subgroups
+    monkeypatch.setattr(products, "just_nonabelian",
+                        lambda g: classified.update([g.name]) or jna(g))
+    monkeypatch.setattr(
+        products, "pauli_chain_subgroups",
+        lambda g, spec: chains.update([spec.n]) or subgroups(g, spec))
     run_suite("all")
     # thm4.1, cor4.4 and cor5.4 ask for P(1,2), P(1,3) and P(2,3) twice
     assert classified == Counter(

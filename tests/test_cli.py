@@ -357,7 +357,8 @@ def test_help_and_unknown_spec_leave_numpy_unimported():
     refused = [(["build", "nosuch"], 2), (["build", "pauli:p=2,n=99"], 3),
                (["build", "pauli:p=4,n=1"], 2),
                (["build", "heis:R=gf(4096),n=1"], 3),
-               (["census", "lifted:p=3,m=9,n=9"], 3)]
+               (["census", "lifted:p=3,m=9,n=9"], 3),
+               (["lifted", "pauli:p=3,n=1"], 2)]
     cli_code = ("from paulidecomp.cli import main\n"
                 "try:\n"
                 "    main(['--help'])\n"

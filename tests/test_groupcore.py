@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from matrix_oracle import tabulate
 from paulidecomp import groupcore
-from paulidecomp.claims import CHECKS, EXPECTED, run_suite
+from paulidecomp.claims import CHECKS, EXPECTED, corollary43_check, run_suite
+from paulidecomp.cli import main
 from paulidecomp.groupcore import (BLOCK, CapError, FiniteGroup,
                                    GroupStructureError, _row_blocks,
                                    abelian_invariants, isomorphic)
-from paulidecomp.algebra import field_make, heis_spec, pauli_spec
+from paulidecomp.algebra import e1_spec, field_make, heis_spec, pauli_spec
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, quaternion8)
 from paulidecomp.pauli import pauli_group
+from paulidecomp.products import classify_special, decompose_pauli_chain
 
 
 def cyclic(n):
@@ -448,6 +451,52 @@ def test_run_scope_closed_when_a_claim_raises(built, monkeypatch):
         assert groupcore._run.get() is None
         assert any(spec.name == "P(3,2)" for spec, _ in built["groups"])
         assert all(ref() is None for _, ref in built["groups"])
+
+
+# each @shared function with arguments it may be called with
+SHARED = {
+    "extension_group": lambda: (groupcore.extension_group,
+                                (pauli_spec(2, 1, 1),)),
+    "extraspecial_e2": lambda: (extraspecial_e2, (3,)),
+    "classify_special": lambda: (classify_special, (dihedral8(),)),
+    "decompose_pauli_chain": lambda: (decompose_pauli_chain, (2,)),
+    "corollary43_check": lambda: (corollary43_check, (3, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_no_sharing_outside_a_run(name):
+    fn, args = SHARED[name]()
+    assert fn(*args) is not fn(*args)
+    with groupcore.run_scope():
+        assert fn(*args) is fn(*args)
+    assert fn(*args) is not fn(*args)
+
+
+@pytest.mark.parametrize("spec, tables", [("pauli:p=2,n=4", 11),
+                                          ("pauli:p=3,n=3", 9)])
+def test_decompose_builds_each_reference_group_once(built, capsys, spec,
+                                                    tables):
+    # 17 and 13 when identify_factor built its reference group anew for
+    # every factor
+    assert main(["decompose", spec]) == 0
+    capsys.readouterr()
+    assert built["tables"] <= tables
+    assert set(Counter(s for s, _ in built["groups"]).values()) == {1}
+
+
+@pytest.mark.parametrize("spec, reference",
+                         [("pauli:p=2,n=2", pauli_spec(2, 1, 1)),
+                          ("pauli:p=3,n=2", e1_spec(3))])
+def test_decompose_run_closed_and_groups_freed(built, capsys, spec,
+                                               reference):
+    # the factors are identified against ``reference``
+    with _no_cyclic_gc():
+        assert main(["decompose", spec]) == 0
+        assert groupcore._run.get() is None
+        assert reference in {s for s, _ in built["groups"]}
+        assert all(ref() is None for _, ref in built["groups"])
+    capsys.readouterr()
 
 
 def test_run_suite_leaves_no_group_in_cyclic_garbage():
