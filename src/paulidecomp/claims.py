@@ -5,10 +5,11 @@ oracle; statuses follow the convention in ``reports``.
 
 Every verdict, including the per-instance checks the aggregates fold, is
 a check returning ``(outcome, witness)`` under the ``_verdict`` decorator,
-which times it and builds the one ``VerdictReport``; the three aggregates
-(cor4.3, cor5.3, cor5.6) fold their sub-verdicts through ``_aggregate``
-and the one status fold ``_worst_status``.  An instance too large for
-the isomorphism search raises ``CapError``, not a status.
+which times it and builds the one record, a ``VerdictReport`` (defined
+here); the three aggregates (cor4.3, cor5.3, cor5.6) fold their
+sub-verdicts through ``_aggregate`` and the one status fold
+``_worst_status``.  An instance too large for the isomorphism search
+raises ``CapError``, not a status.
 
 ``run_suite`` decides its claims in one run (``groupcore.run_scope``),
 in which each ``@shared`` value is computed once however many claims
@@ -24,6 +25,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from dataclasses import dataclass, field
 
 from .algebra import (Carrier, field_make, heis_spec, lifted_spec, pauli_spec,
                       sigma_tau)
@@ -36,9 +38,22 @@ from .lifted import lifted_group, pi_image_group, pi_kernel
 from .pauli import p12_named_elements, p22_named_generators, pauli_group
 from .products import (classify_special, decompose_pauli_chain,
                        pauli_chain_subgroups, weak_central_chain)
-from .reports import STATUSES, VerdictReport
+from .reports import STATUSES
 
 _SEVERITY = {status: rank for rank, status in enumerate(STATUSES)}
+
+
+@dataclass
+class VerdictReport:
+    claim: str
+    locator: str
+    status: str
+    witness: dict = field(default_factory=dict)
+    wall_time_s: float = 0.0
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}")
 
 
 def _worst_status(statuses) -> str:

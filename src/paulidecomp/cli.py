@@ -39,12 +39,12 @@ import contextlib
 import os
 import sys
 
-# Only the numpy-free ``reports`` is imported here, so ``--help`` loads
-# no spec layer, and an unknown spec or a spec refused for a bad
-# parameter or its order loads no numpy.  Every other import sits in the
-# function or branch that uses it: the spec constructors of ``algebra``
-# in the parsers, and a command loads only the layers it runs, so
-# ``main`` sets its OpenBLAS default before numpy loads.
+# Only ``reports``, which loads neither numpy nor ``dataclasses``, is
+# imported here, so ``--help`` and a usage error load no spec layer and
+# no record, and an unknown spec or one refused for a bad parameter or
+# its order loads no numpy.  Every other import sits where it is used:
+# the spec constructors of ``algebra`` in the parsers, and a command loads
+# only the layers it runs, so ``main`` sets its OpenBLAS default first.
 from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
                       GroupStructureError, dump_json)
 

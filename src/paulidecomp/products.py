@@ -1,7 +1,9 @@
 """Weak central products, the register chain decomposition of qubit Pauli
-groups, the extraspecial splitting, and structural classification flags.
-The claim verdicts built on them (among them the Heisenberg comparison)
-live in ``claims``.
+groups, the extraspecial splitting, and structural classification flags,
+with the records they fill: ``DecompositionReport`` (its classification
+one of ``CLASSIFICATIONS``) and ``ClassificationFlags``.  The claim
+verdicts built on them (among them the Heisenberg comparison) live in
+``claims``.
 
 Conventions.  Every decomposition is read by one fold,
 ``weak_central_chain``, over normal factors H_1, ..., H_n of G.  With
@@ -15,6 +17,8 @@ in its link.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .algebra import pauli_spec, prime_power
@@ -24,7 +28,34 @@ from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
 from .pauli import pauli_element, pauli_group
-from .reports import ClassificationFlags, DecompositionReport
+
+CLASSIFICATIONS = ("weak_central", "central", "none")
+
+
+@dataclass
+class DecompositionReport:
+    """Outcome of a (chain of) weak central product checks."""
+
+    group: str
+    factors: list  # list of dicts {order, isomorphism_type[, normal]}
+    links: list    # list of dicts {order, source} for L_1 .. L_{n-1}
+    commutators: list  # orders of [H_1...H_j, H_{j+1}]
+    intersections: list  # orders of H_1...H_j cap H_{j+1}
+    classification: str
+    notes: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.classification not in CLASSIFICATIONS:
+            raise ValueError(f"classification must be one of {CLASSIFICATIONS}")
+
+
+@dataclass
+class ClassificationFlags:
+    """Structural booleans with evidence for the False cases."""
+
+    just_nonabelian: bool
+    minimal_nonabelian: bool
+    evidence: dict = field(default_factory=dict)
 
 
 def identify_factor(g: FiniteGroup) -> str:

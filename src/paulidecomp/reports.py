@@ -1,11 +1,14 @@
-"""Machine-readable outcome records: decomposition reports, classification
-flags, and claim verdicts.  The registered claims themselves, with their
-locators and expected statuses, are the one table ``claims.CLAIMS``.
+"""The numpy-free, dataclass-free front that ``cli`` imports at start-up:
+the error types, the default caps of the commands, the verdict statuses
+and the one JSON serialiser, so that ``--help`` and a usage error load
+neither numpy nor ``dataclasses``.  Each record is defined beside its only
+builder, in ``products``, ``claims`` or ``census``, and the registered
+claims are the one table ``claims.CLAIMS``.
 
-``dump_json`` is the one serialiser.  A record, here or elsewhere (the
-census and the lattice), is a dataclass that holds its printed form, and
-it is written as its fields, nested records included: a verdict's wall
-time is rounded when it is measured, and census keys are strings.
+``dump_json`` is the one serialiser.  A record is a dataclass that holds
+its printed form, and it is written as its fields, nested records
+included: a verdict's wall time is rounded when it is measured, and
+census keys are strings.
 
 Verdict statuses, by increasing severity (``STATUSES``):
 
@@ -16,20 +19,13 @@ Verdict statuses, by increasing severity (``STATUSES``):
   the witness field carries the counterexample.
 
 An instance too large to decide has no status: it raises ``CapError``.
-
-The error types and the default caps of the commands live here too, in a
-module that imports no numpy, so that ``--help`` and an unknown spec
-load no numpy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass
 
 STATUSES = ("confirmed", "inconsistent_in_paper", "refuted_at_desk_scale")
-
-CLASSIFICATIONS = ("weak_central", "central", "none")
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
@@ -45,48 +41,10 @@ class GroupStructureError(RuntimeError):
     cross-check failed (which would indicate a bug, not bad input)."""
 
 
-@dataclass
-class DecompositionReport:
-    """Outcome of a (chain of) weak central product checks."""
-
-    group: str
-    factors: list  # list of dicts {order, isomorphism_type[, normal]}
-    links: list    # list of dicts {order, source} for L_1 .. L_{n-1}
-    commutators: list  # orders of [H_1...H_j, H_{j+1}]
-    intersections: list  # orders of H_1...H_j cap H_{j+1}
-    classification: str
-    notes: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.classification not in CLASSIFICATIONS:
-            raise ValueError(f"classification must be one of {CLASSIFICATIONS}")
-
-
-@dataclass
-class ClassificationFlags:
-    """Structural booleans with evidence for the False cases."""
-
-    just_nonabelian: bool
-    minimal_nonabelian: bool
-    evidence: dict = field(default_factory=dict)
-
-
-@dataclass
-class VerdictReport:
-    claim: str
-    locator: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}")
-
-
 def _fields(obj) -> dict:
-    """A record, at any depth, is written as its fields."""
-    if is_dataclass(obj) and not isinstance(obj, type):
+    """A record, at any depth, is written as its fields.  A record is a
+    dataclass instance: its type carries the marker ``is_dataclass`` reads."""
+    if hasattr(type(obj), "__dataclass_fields__"):
         return vars(obj)
     raise TypeError(
         f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -397,6 +397,26 @@ def test_help_loads_no_spec_layer():
     assert r.returncode == 0, r.stderr
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["build"], 2)])
+def test_help_and_usage_error_load_no_dataclasses(argv, code):
+    # the records live beside their builders, so the start-up front
+    # ``reports`` pays for neither ``dataclasses`` nor the ``inspect`` it
+    # imports
+    script = ("import sys\n"
+              "from paulidecomp.cli import main\n"
+              "try:\n"
+              f"    main({argv!r})\n"
+              "except SystemExit as exc:\n"
+              f"    assert exc.code == {code}, exc.code\n"
+              "else:\n"
+              "    raise AssertionError('no SystemExit')\n"
+              "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+              "assert not loaded, sorted(loaded)\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_openblas_default_set_only_by_main():
     # importing the package changes no environment variable (a program
     # that imports it, such as a benchmark harness, passes its own

@@ -1,6 +1,6 @@
 """The module layout the single verdict path and the single
 weak-central-product fold rest on, read from the source: verdicts are
-built only in ``claims`` (``reports`` defines their types), the library
+built and their type defined only in ``claims``, the library
 modules import at module level only, every decomposition goes through
 ``products.weak_central_chain``, size caps are the command's policy, so
 no library function takes one, and ``src/`` defines nothing that only

@@ -1,9 +1,13 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
-from paulidecomp.reports import DecompositionReport, VerdictReport, dump_json
+from paulidecomp.claims import VerdictReport
+from paulidecomp.heisenberg import dihedral8
+from paulidecomp.products import DecompositionReport
+from paulidecomp.reports import dump_json
 
 
 def test_dump_json_writes_nested_records_as_their_fields():
@@ -32,7 +36,8 @@ def test_dump_json_writes_nested_records_as_their_fields():
 
 
 @pytest.mark.parametrize("value", [object(), np.int64(1),
-                                   DecompositionReport])
+                                   DecompositionReport,
+                                   types.SimpleNamespace(a=1), dihedral8()])
 def test_dump_json_refuses_what_is_not_a_record(value):
     with pytest.raises(TypeError):
         dump_json({"value": value})
