@@ -85,19 +85,19 @@ def hasse(g: FiniteGroup, named: dict | None = None) -> LatticeGraph:
     kept = {i: h for i, h in enumerate(g.subgroups_all())
             if named is None or h.members in named}
     ids = dict(zip(kept, range(len(kept))))
-    center = g.center_indices
-    derived = g.derived_indices
+    center, derived = g.center_indices, g.derived_indices
     frattini = g.frattini().members
+    abelian = g.abelian_flags([h.members for h in kept.values()])
     nodes = [{
         "id": ids[i],
         "label": named[h.members] if named else _default_label(h, g),
         "order": h.order,
-        "abelian": h.is_abelian(),
+        "abelian": flag,
         "normal": h.is_normal(),
         "center": h.members == center,
         "derived": h.members == derived,
         "frattini": h.members == frattini,
-    } for i, h in kept.items()]
+    } for (i, h), flag in zip(kept.items(), abelian)]
     # covers come sorted and rise by index p, so they are also sorted by
     # the orders of their ends
     edges = [(ids[i], ids[j]) for i, j in g.covers().tolist()

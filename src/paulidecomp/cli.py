@@ -29,20 +29,25 @@ self-inconsistency.
 
 Environment: a command sets OPENBLAS_NUM_THREADS=1 for itself unless it is
 already set, since no command does floating-point linear algebra and
-OpenBLAS would otherwise start a worker thread that spins beside it.
+OpenBLAS would otherwise start a worker thread that spins beside it.  An
+atexit hook freezes what is alive at exit, so the last collection skips
+numpy's import graph.  ``main`` does both, not the import: an importer keeps
+its environment, and a caller of ``main`` its collector until it exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import os
 import sys
 
 # Only ``reports``, which loads neither numpy nor ``dataclasses``, is
-# imported here, so ``--help`` and a usage error load no spec layer and
-# no record, and an unknown spec or one refused for a bad parameter or
-# its order loads no numpy.  Every other import sits where it is used:
+# imported here, so ``--help``, a usage error and an unknown spec head
+# load no spec layer and no record, and a spec refused for a bad parameter
+# or its order loads no numpy.  Every other import sits where it is used:
 # the spec constructors of ``algebra`` in the parsers, and a command loads
 # only the layers it runs, so ``main`` sets its OpenBLAS default first.
 from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
@@ -103,14 +108,16 @@ def parse_spec(text: str):
     """Parse a group spec string into a (kind, spec) pair: a
     ``CentralExtension`` for every kind except ``trivial`` (None) and
     ``e2`` (the prime p)."""
+    text = text.strip()
+    head, _, rest = text.partition(":")
+    if head not in "trivial d8 q8 e1 e2 pauli lifted heis".split():
+        raise SpecError(f"unknown spec {text!r}")
     from .algebra import (D8, Q8, e1_spec, heis_spec, is_prime, lifted_spec,
                           pauli_spec)
-    text = text.strip()
     if text == "trivial":
         return "trivial", None
     if text in ("d8", "q8"):
         return "reference", D8 if text == "d8" else Q8
-    head, _, rest = text.partition(":")
     if head in ("e1", "e2"):
         params = _parse_params(rest) if rest else {}
         _check_keys(params, ("p",))
@@ -353,11 +360,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # No command does floating-point linear algebra, yet numpy loads
-    # OpenBLAS, whose pthreads build starts a spinning worker thread.  Set
-    # here, before numpy loads, and not at import, so that a program that
-    # imports the package keeps its own environment.
+    # the Environment defaults of the module docstring, before numpy loads;
+    # the exit hook is registered once however often main runs
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

@@ -27,7 +27,9 @@ lies in H for each s in S.
 Conjugation and commutators are whole-array operations: ``conjugates``
 and ``commutators`` return every x^-1 m x and every [a, b] at once, and the
 conjugacy classes, derived subgroup, normal closures, normalisers and
-normality tests are read off those arrays.
+normality tests are read off those arrays.  ``abelian_flags`` compares
+with its transpose one gather of all products of each block of
+max(1, BLOCK^2 // m^2) subgroups of one order m.
 
 A subgroup generated by given elements is read from one walk, ``_walk``:
 the orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
@@ -407,6 +409,17 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> "SubgroupHandle":
         return SubgroupHandle(self, self.derived_indices)
+
+    def abelian_flags(self, subgroups) -> list[bool]:
+        """Whether each subgroup, given as its sorted members, is abelian."""
+        t, flags = self.table, []
+        for m, run in itertools.groupby(subgroups, len):
+            mem = np.array(list(run), dtype=np.intp)
+            step = max(1, BLOCK * BLOCK // (m * m))
+            for block in (mem[a:a + step] for a in range(0, len(mem), step)):
+                sub = t[block[:, :, None], block[:, None, :]]
+                flags += (sub == sub.swapaxes(1, 2)).all(axis=(1, 2)).tolist()
+        return flags
 
     def subgroups_all(self) -> list["SubgroupHandle"]:
         """Every subgroup of a p-group exactly once, canonically sorted by
@@ -813,8 +826,7 @@ class SubgroupHandle:
         return len(self.members)
 
     def is_abelian(self) -> bool:
-        sub = self.parent.table[np.ix_(self.members, self.members)]
-        return bool((sub == sub.T).all())
+        return self.parent.abelian_flags([self.members])[0]
 
     def is_cyclic(self) -> bool:
         return any(self.parent.element_orders[i] == self.order

@@ -5,10 +5,13 @@ neither numpy nor ``dataclasses``.  Each record is defined beside its only
 builder, in ``products``, ``claims`` or ``census``, and the registered
 claims are the one table ``claims.CLAIMS``.
 
-``dump_json`` is the one serialiser.  A record is a dataclass that holds
-its printed form, and it is written as its fields, nested records
-included: a verdict's wall time is rounded when it is measured, and
-census keys are strings.
+``dump_json`` writes dicts with str keys, lists, tuples, str, int, float,
+bool, None and records as ``json.dumps(obj, sort_keys=True, indent=2)``
+does, and raises TypeError for anything else.  A record is a dataclass
+that holds its printed form (a verdict's wall time is rounded when it is
+measured, census keys are strings), written as its fields.  A list of
+equal-length scalar lists (a lattice's edges) or of flat dicts with one key
+set (its nodes) is written from one %-template.
 
 Verdict statuses, by increasing severity (``STATUSES``):
 
@@ -23,7 +26,8 @@ An instance too large to decide has no status: it raises ``CapError``.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 
 STATUSES = ("confirmed", "inconsistent_in_paper", "refuted_at_desk_scale")
 
@@ -41,15 +45,62 @@ class GroupStructureError(RuntimeError):
     cross-check failed (which would indicate a bug, not bad input)."""
 
 
-def _fields(obj) -> dict:
-    """A record, at any depth, is written as its fields.  A record is a
-    dataclass instance: its type carries the marker ``is_dataclass`` reads."""
-    if hasattr(type(obj), "__dataclass_fields__"):
-        return vars(obj)
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable")
+# the text of a scalar, by its exact type; a float as json writes it
+_SCALARS = {str: _quote, int: int.__repr__, type(None): lambda _: "null",
+            bool: {True: "true", False: "false"}.__getitem__,
+            float: lambda x: "NaN" if x != x else "Infinity" if x == inf
+            else "-Infinity" if x == -inf else float.__repr__(x)}
+
+
+def _wrap(brackets: str, parts: list, pad: str) -> str:
+    """``parts`` one to a line, indented, between ``brackets``."""
+    inner = pad + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts)
+            + f"\n{pad}{brackets[1]}") if parts else brackets
+
+
+def _uniform(items, pad: str) -> str | None:
+    """A nonempty list written from one template when its items are lists
+    of one length, or dicts with one key set, of scalars; None otherwise."""
+    first = items[0]
+    if isinstance(first, dict):
+        same = all(isinstance(d, dict) and d.keys() == first.keys()
+                   for d in items)
+        keys = sorted(first)
+        labels = [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+        cells = same and [d[k] for d in items for k in keys]
+    elif isinstance(first, (list, tuple)):
+        same = all(isinstance(r, (list, tuple)) and len(r) == len(first)
+                   for r in items)
+        labels = ["%s"] * len(first)
+        cells = same and [x for row in items for x in row]
+    else:
+        return None
+    if not (labels and same and set(map(type, cells)) <= _SCALARS.keys()):
+        return None
+    item = _wrap("{}" if isinstance(first, dict) else "[]", labels, pad + "  ")
+    return _wrap("[]", [item] * len(items), pad) % tuple(
+        x if type(x) is int else _SCALARS[type(x)](x) for x in cells)
+
+
+def _text(obj, pad: str) -> str:
+    """The JSON text of ``obj``, its inner lines indented under ``pad``."""
+    for kind in type(obj).__mro__:  # a subclass as json writes it
+        if kind in _SCALARS:
+            return _SCALARS[kind](obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        return obj and _uniform(obj, pad) or _wrap(
+            "[]", [_text(x, inner) for x in obj], pad)
+    if not isinstance(obj, dict):  # a record, a dataclass instance
+        if not hasattr(type(obj), "__dataclass_fields__"):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = vars(obj)
+    # ``sorted`` or ``_quote`` raises TypeError for a key that is not str
+    return _wrap("{}", [_quote(k) + ": " + _text(obj[k], inner)
+                        for k in sorted(obj)], pad)
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON for reports: sorted keys, stable separators."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_fields)
+    return _text(obj, "")

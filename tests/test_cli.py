@@ -7,7 +7,9 @@ import pytest
 
 from paulidecomp import cli
 from paulidecomp.algebra import CentralExtension
+from paulidecomp.census import hasse
 from paulidecomp.cli import build_group, main, parse_spec
+from paulidecomp.reports import dump_json
 
 CLI = [sys.executable, "-m", "paulidecomp.cli"]
 
@@ -397,19 +399,20 @@ def test_help_loads_no_spec_layer():
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["build"], 2)])
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["build"], 2),
+                                        (["build", "nosuch"], 2)])
 def test_help_and_usage_error_load_no_dataclasses(argv, code):
     # the records live beside their builders, so the start-up front
     # ``reports`` pays for neither ``dataclasses`` nor the ``inspect`` it
-    # imports
+    # imports; an unknown spec head is refused before the spec layer,
+    # which imports ``dataclasses``, loads
     script = ("import sys\n"
               "from paulidecomp.cli import main\n"
               "try:\n"
-              f"    main({argv!r})\n"
+              f"    code = main({argv!r})\n"
               "except SystemExit as exc:\n"
-              f"    assert exc.code == {code}, exc.code\n"
-              "else:\n"
-              "    raise AssertionError('no SystemExit')\n"
+              "    code = exc.code\n"
+              f"assert code == {code}, code\n"
               "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
               "assert not loaded, sorted(loaded)\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -434,3 +437,46 @@ def test_openblas_default_set_only_by_main():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
+
+
+def test_main_leaves_the_collector_working_in_process():
+    # main registers its exit hook and freezes nothing before the exit, so
+    # a caller that runs commands in process (the tests, a traced benchmark)
+    # keeps a working collector; the leak tests rely on it
+    code = ("import gc\n"
+            "from paulidecomp.cli import main\n"
+            "assert main(['build', 'd8']) == 0\n"
+            "assert main(['lattice', 'd8']) == 0\n"
+            "assert gc.isenabled()\n"
+            "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_exit_hook_freezes_before_the_hooks_registered_earlier():
+    # atexit hooks run last in, first out, so a hook registered before
+    # main runs after main's gc.freeze, however often main ran
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count()"
+            " > 0))\n"
+            "from paulidecomp.cli import main\n"
+            "assert main(['build', 'd8']) == 0\n"
+            "assert main(['build', 'q8']) == 0\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.endswith("frozen: True\n")
+
+
+def test_command_process_writes_its_whole_output(tmp_path):
+    # the exit hook leaves the file written and stdout flushed
+    out = tmp_path / "d8.json"
+    r = run_cli("build", "d8", "--out", str(out))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    assert out.read_text() == dump_json(build_group(*parse_spec("d8"))
+                                        .report()) + "\n"
+    r = run_cli("lattice", "pauli:p=2,n=2")
+    assert r.returncode == 0, r.stderr
+    g = build_group(*parse_spec("pauli:p=2,n=2"))
+    assert r.stdout == dump_json(hasse(g)) + "\n"

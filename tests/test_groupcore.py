@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from matrix_oracle import tabulate
 from paulidecomp import groupcore
 from paulidecomp.claims import CHECKS, EXPECTED, corollary43_check, run_suite
-from paulidecomp.cli import main
+from paulidecomp.cli import build_group, main, parse_spec
 from paulidecomp.groupcore import (BLOCK, CapError, FiniteGroup,
                                    GroupStructureError, _row_blocks,
                                    abelian_invariants, isomorphic)
@@ -571,3 +571,24 @@ def test_conjugation_against_definitions(make):
 def test_conjugation_against_definitions_p22_subgroups():
     for h in pauli_group(pauli_spec(2, 1, 2)).subgroups_all():
         _check_against_definitions(h.as_group())
+
+
+@pytest.mark.parametrize("spec", ["d8", "q8", "pauli:p=2,n=1",
+                                  "pauli:p=2,n=2", "heis:R=gf(3),n=1",
+                                  "heis:R=z(4),n=1", "lifted:p=2,m=2,n=1"])
+def test_abelian_flags_against_each_subgroup_table(spec, monkeypatch):
+    # the flags of one gather per block of subgroups of one order, against
+    # each subgroup's own table; in canonical order, reversed, interleaved
+    # (short runs of one order) and in blocks of at most 16 entries
+    g = build_group(*parse_spec(spec))
+    subs = [h.members for h in g.subgroups_all()]
+    expected = [bool((g.table[np.ix_(m, m)] == g.table[np.ix_(m, m)].T).all())
+                for m in subs]
+    assert False in expected and True in expected
+    assert g.abelian_flags(subs) == expected
+    assert g.abelian_flags(subs[::-1]) == expected[::-1]
+    assert (g.abelian_flags(subs[::2] + subs[1::2])
+            == expected[::2] + expected[1::2])
+    assert [h.is_abelian() for h in g.subgroups_all()] == expected
+    monkeypatch.setattr(groupcore, "BLOCK", 4)
+    assert g.abelian_flags(subs) == expected
