@@ -367,7 +367,10 @@ def corollary43_check(p: int, m: int, n: int):
     coincide and a match confirms the claim; for m > 1 the registered
     statement is order-inconsistent (its order p^(2nm+1) contradicts the
     full variant's p^(m(2n+1))) and the verdict records which variant
-    the oracle supports."""
+    the oracle supports.  Of equal order, the full variant is compared
+    with the reduced one first: if they are isomorphic it inherits the
+    reduced variant's verdict against P, by transitivity, and P is
+    searched against it only otherwise."""
     if p == 2:
         raise ValueError("the comparison is stated for odd p")
     # P_{n,q} and the reduced variant have order p q^(2n), q = p^m
@@ -380,13 +383,16 @@ def corollary43_check(p: int, m: int, n: int):
         "reduced_variant_order": reduced_spec.order,
         "full_variant_order": full_spec.order,
     }
-    reduced_ok = False
-    if reduced_spec.order == pg.order:
-        reduced_ok, _ = isomorphic(pg, heis_group(reduced_spec))
+    reduced = heis_group(reduced_spec)
+    reduced_ok, _ = isomorphic(pg, reduced)
     witness["reduced_variant_isomorphic"] = reduced_ok
     full_ok = False
     if full_spec.order == pg.order:
-        full_ok, _ = isomorphic(pg, heis_group(full_spec))
+        # isomorphic to the reduced variant (at m = 1 the laws coincide,
+        # which the certificate sees), it has that variant's verdict
+        full = heis_group(full_spec)
+        full_ok = (reduced_ok if isomorphic(reduced, full)[0]
+                   else isomorphic(pg, full)[0])
     witness["full_variant_isomorphic"] = full_ok
     if m > 1:
         witness["supported_reading"] = "reduced" if reduced_ok else "none"

@@ -39,7 +39,10 @@ and each new element records its parent and the generator that reached
 it; the walk returns its layers as slices of the members.
 ``closure_indices`` reads the members, and ``isomorphic`` rebuilds
 candidate maps along the Schreier vector of each prefix of the
-generating set, one returned layer per gather.  ``generating_set`` needs
+generating set, one returned layer per gather.  It searches only a pair
+that nothing cheaper decides: ``certify`` first checks the identity of
+indices, on the generating set, and the pre-filter compares the
+``invariants``, which need no table of G/G'.  ``generating_set`` needs
 only the members, so it grows each <H, x> from the last subgroup H:
 H u Hx closed under right multiplication by the generators, with no walk
 from the identity.  ``isomorphic`` first drops each candidate image that
@@ -107,10 +110,12 @@ from functools import cached_property, wraps
 from math import isqrt, lcm
 from typing import NamedTuple
 
-import numpy as np
-
 from .algebra import CentralExtension, prime_power
 from .reports import DEFAULT_SUBGROUP_CAP, CapError, GroupStructureError
+
+# numpy is imported after the package modules, here and in every module:
+# compiled from source (no bytecode cache), they then peak below numpy
+import numpy as np
 
 ISO_ORDER_CAP = 1024
 # BLOCK^2 bounds the entries of each gather of Light's test and of the
@@ -642,22 +647,28 @@ class FiniteGroup:
             return 0 if self.order == 1 else 1
         return 2 if set(self.derived_indices) <= set(self.center_indices) else 3
 
+    @cached_property
+    def invariants(self) -> dict:
+        """The fingerprint's fields that need no table but G's: all but
+        the abelianization.  Equal invariants are necessary for
+        isomorphism; ``isomorphic`` compares them."""
+        return dict(order=self.order, exponent=self.exponent,
+                    order_sequence=[list(t) for t in self.order_sequence],
+                    center_order=len(self.center_indices),
+                    derived_order=len(self.derived_indices),
+                    nilpotency_class=self.nilpotency_class_bounded)
+
     def fingerprint(self) -> "GroupFingerprint":
         return self._fingerprint
 
     @cached_property
     def _fingerprint(self) -> "GroupFingerprint":
-        derived = SubgroupHandle(self, self.derived_indices)
-        ab_quotient = self.quotient(derived)
+        """The invariants and the abelianization, read on the table of
+        G/G'."""
+        ab_quotient = self.quotient(SubgroupHandle(self, self.derived_indices))
         return GroupFingerprint(
-            order=self.order,
-            exponent=self.exponent,
-            order_sequence=[list(t) for t in self.order_sequence],
-            center_order=len(self.center_indices),
-            derived_order=len(self.derived_indices),
-            abelianization=list(abelian_invariants(ab_quotient)),
-            nilpotency_class=self.nilpotency_class_bounded,
-        )
+            **self.invariants,
+            abelianization=list(abelian_invariants(ab_quotient)))
 
     def report(self) -> dict:
         fp = self.fingerprint()
@@ -929,11 +940,27 @@ def refuse_above_iso_cap(order: int) -> None:
         raise CapError(f"isomorphism search capped at order {ISO_ORDER_CAP}")
 
 
+def certify(g: FiniteGroup, h: FiniteGroup, phi) -> bool:
+    """Whether the index array ``phi`` (phi[x] in H for each x in G) is an
+    isomorphism: a bijection with phi(xs) = phi(x) phi(s) for every x
+    and every s of ``g.generating_set()``, one gather of |G| x |S|.  The
+    s that pass for every x are closed under products, so the law then
+    holds on all of G."""
+    phi = np.asarray(phi, dtype=np.intp)
+    if not np.array_equal(np.sort(phi), np.arange(h.order)):
+        return False
+    s = np.array(g.generating_set(), dtype=np.intp)
+    return bool((phi[g.table[:, s]] == h.table[phi[:, None], phi[s]]).all())
+
+
 def isomorphic(g: FiniteGroup, h: FiniteGroup):
     """Decide G ≅ H; returns (True, witness) with witness mapping element
-    keys of G to element keys of H, or (False, None).
+    keys of G to element keys of H, or (False, None).  No table is built.
 
-    Strategy: fingerprint pre-filter, then depth-first backtracking over
+    Strategy: the identity of indices is tried first by ``certify`` (equal
+    laws laid out alike give equal tables) and is the witness when it
+    passes; then the pre-filter compares the ``invariants``; then
+    depth-first backtracking over
     images of a small generating set of G, pruned by element order and
     conjugacy-class size; the first generator image only ranges over
     class representatives (composing with an inner automorphism of H
@@ -946,15 +973,16 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
     gather checks that each preserves every product with a generator,
     and sorted rows that it is injective.  The search descends into the
     passing candidates in increasing order, as a one-at-a-time search
-    would, so the witness is the same.
+    would, so the witness is the same: the first map of the depth-first
+    search.
     """
     refuse_above_iso_cap(max(g.order, h.order))
     if g.order != h.order:
         return False, None
-    if g.fingerprint() != h.fingerprint():
+    if certify(g, h, np.arange(g.order)):
+        return True, dict(zip(g.elements, h.elements))
+    if g.invariants != h.invariants:
         return False, None
-    if g.order == 1:
-        return True, {g.elements[0]: h.elements[0]}
 
     gens = np.array(g.generating_set())
     walks = []

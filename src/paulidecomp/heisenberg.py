@@ -24,10 +24,10 @@ table built from whole arrays of its law, as every other table is.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import D8, Q8, CentralExtension, e1_spec, is_prime
 from .groupcore import FiniteGroup, extension_group, shared
+
+import numpy as np
 
 
 def heis_group(spec: CentralExtension) -> FiniteGroup:

@@ -21,7 +21,7 @@ by reducing the corner entry through the field trace.
 
 from __future__ import annotations
 
-from .algebra import PAULI_FORM, CentralExtension
+from .algebra import PAULI_FORM, CentralExtension, pauli_law
 from .groupcore import FiniteGroup, extension_group, extension_table
 
 LiftedKey = tuple  # (eta, alpha tuple, beta tuple)
@@ -57,13 +57,16 @@ def pi_kernel(spec: CentralExtension) -> list[LiftedKey]:
 
 def pi_image_group(spec: CentralExtension) -> FiniteGroup:
     """The image of the projection, materialized as a group.  For odd p
-    this is all of P_{n,q}; for p = 2 it is a group of order 2^(2nm+1)
-    with phases restricted to +-1, a subgroup of ``pauli_law``."""
+    its keys (tr eta, alpha, beta) are those of P_{n,q}, so it is the
+    group of ``pauli_law``, shared within a run with ``pauli_group``; for
+    p = 2 it is a group of order 2^(2nm+1) with phases restricted to +-1,
+    a subgroup of ``pauli_law``."""
     f = spec.carrier
-    name = f"Re Plift-image({spec.n},{f.size})" if f.p == 2 \
-        else f"P({spec.n},{f.size})"
-    # centre Z_p in both cases: the phase index is the trace of eta (the
-    # key stores it doubled for p = 2)
+    if f.p != 2:
+        return extension_group(pauli_law(f, spec.n))
+    name = f"Re Plift-image({spec.n},{f.size})"
+    # centre Z_2: the phase index is the trace of eta, which the key
+    # stores doubled
     image = CentralExtension(f, spec.n, PAULI_FORM, "trace",
                              centre_first=True, name=name)
     keys = sorted({pi_map(spec, g) for g in spec.elements()})

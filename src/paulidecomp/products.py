@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import pauli_spec, prime_power
 from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle, _blocks,
@@ -28,6 +26,8 @@ from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
 from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
                          quaternion8)
 from .pauli import pauli_element, pauli_group
+
+import numpy as np
 
 CLASSIFICATIONS = ("weak_central", "central", "none")
 

@@ -26,7 +26,8 @@ An instance too large to decide has no status: it raises ``CapError``.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+# the C function that ``json.encoder`` re-exports, without loading json
+from _json import encode_basestring_ascii as _quote
 from math import inf
 
 STATUSES = ("confirmed", "inconsistent_in_paper", "refuted_at_desk_scale")

@@ -11,7 +11,7 @@ from paulidecomp.claims import (CHECKS, EXPECTED, _p12_candidates,
                                 corollary43_check, corollary52_53_check,
                                 run_suite)
 from paulidecomp.groupcore import ISO_ORDER_CAP, CapError, isomorphic
-from paulidecomp.lifted import pi_image_group
+from paulidecomp.lifted import pi_image_group, pi_map
 from paulidecomp.pauli import pauli_group
 from paulidecomp.products import weak_central_chain
 from paulidecomp.reports import STATUSES, dump_json
@@ -90,8 +90,9 @@ def test_run_builds_each_pauli_group_once(built):
     assert len(pauli) == 7
     assert set(pauli.values()) == {1}
     # 173 before the run shared its Pauli groups and comparisons, 69
-    # before it shared every spec's group and E2(3)
-    assert built["tables"] <= 64
+    # before it shared every spec's group and E2(3), 64 while the
+    # isomorphism pre-filter read G/G' and the odd-p image had its own
+    assert built["tables"] <= 37
 
 
 def _without_wall_time(value):
@@ -240,3 +241,31 @@ def test_out_of_range_comparison_raises_cap_error(monkeypatch):
                         (corollary52_53_check, (3, 3, 1))):
         with pytest.raises(CapError, match="isomorphism search capped"):
             check(*args)
+
+
+def test_odd_image_is_the_pauli_group_of_the_run():
+    # for odd p the image's keys are those of P_{n,q}, so the run shares
+    # one table; for p = 2 the image keeps its doubled phases
+    with groupcore.run_scope():
+        assert (pi_image_group(lifted_spec(3, 2, 1))
+                is pauli_group(pauli_spec(3, 2, 1)))
+    spec = lifted_spec(2, 2, 1)
+    image = pi_image_group(spec)
+    assert list(image.elements) == sorted(
+        {pi_map(spec, g) for g in spec.elements()})
+    assert {key[0] for key in image.elements} == {0, 2}
+
+
+@pytest.mark.parametrize("instance", [(3, 1, 1), (3, 1, 2)])
+def test_cor43_searches_once_per_instance(instance, monkeypatch):
+    # at m = 1 the full and reduced variants have one law: the full one
+    # is certified against the reduced one and inherits its verdict, so
+    # only P against the reduced variant is searched
+    certified = []
+    certify = groupcore.certify
+    monkeypatch.setattr(groupcore, "certify", lambda *args: certified.append(
+        certify(*args)) or certified[-1])
+    report = corollary43_check(*instance)
+    assert report.status == "confirmed"
+    assert report.witness["full_variant_isomorphic"]
+    assert certified == [False, True]

@@ -404,8 +404,9 @@ def test_help_loads_no_spec_layer():
 def test_help_and_usage_error_load_no_dataclasses(argv, code):
     # the records live beside their builders, so the start-up front
     # ``reports`` pays for neither ``dataclasses`` nor the ``inspect`` it
-    # imports; an unknown spec head is refused before the spec layer,
-    # which imports ``dataclasses``, loads
+    # imports, and it quotes strings with ``_json``, not ``json``; an
+    # unknown spec head is refused before the spec layer, which imports
+    # ``dataclasses``, loads
     script = ("import sys\n"
               "from paulidecomp.cli import main\n"
               "try:\n"
@@ -413,7 +414,7 @@ def test_help_and_usage_error_load_no_dataclasses(argv, code):
               "except SystemExit as exc:\n"
               "    code = exc.code\n"
               f"assert code == {code}, code\n"
-              "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+              "loaded = {'dataclasses', 'inspect', 'json'} & set(sys.modules)\n"
               "assert not loaded, sorted(loaded)\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                        text=True)

@@ -392,9 +392,24 @@ def test_fingerprint_computed_once(monkeypatch):
     first = g.fingerprint()
     assert g.fingerprint() is first
     assert isomorphic(g, pauli_group(pauli_spec(2, 1, 1)))[0]
-    # one G/G' for g, one for the fresh copy
-    assert len(quotients) == 2
+    # one G/G' for g; ``isomorphic`` builds none
+    assert len(quotients) == 1
     assert first.abelianization == [2, 2, 2]
+
+
+def test_isomorphic_builds_no_table(built):
+    # neither the certificate, the pre-filter nor the search builds a
+    # group: no table of G/G' is read
+    pairs = [(dihedral8, quaternion8),
+             (lambda: extraspecial_e1(3), lambda: extraspecial_e2(3)),
+             (lambda: pauli_group(pauli_spec(3, 1, 1)),
+              lambda: heis_group(heis_spec(field_make(3, 1)))),
+             (lambda: pauli_group(pauli_spec(2, 1, 1)),) * 2]
+    for make_g, make_h in pairs:
+        g, h = make_g(), make_h()
+        tables = built["tables"]
+        isomorphic(g, h)
+        assert built["tables"] == tables
 
 
 @contextmanager

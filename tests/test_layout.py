@@ -57,6 +57,19 @@ def test_no_function_local_imports(module):
     assert not local, f"{module}.py imports inside a function at {local}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_numpy_imported_after_the_package_modules(path):
+    # compiled from source, a package module then peaks below numpy
+    body = ast.parse(path.read_text()).body
+    numpy = [node.lineno for node in body if isinstance(node, ast.Import)
+             and any(a.name == "numpy" for a in node.names)]
+    package = [node.lineno for node in body
+               if isinstance(node, ast.ImportFrom) and node.level]
+    assert not numpy or not package or min(numpy) > max(package), \
+        f"{path.name} imports numpy at {numpy}, before line {max(package)}"
+
+
 @pytest.mark.parametrize("module", LIBRARY)
 def test_no_cap_parameters(module):
     """``cli`` checks a spec's order against its caps, and no library

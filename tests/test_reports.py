@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulidecomp import cli
+from paulidecomp import cli, reports
 from paulidecomp.claims import VerdictReport
 from paulidecomp.heisenberg import dihedral8
 from paulidecomp.products import DecompositionReport
@@ -137,3 +137,8 @@ def test_every_command_record_written_as_json_dumps_writes_it(monkeypatch,
         assert cli.main(argv) == 0
     assert capsys.readouterr().out == "".join(t + "\n" for t in written)
     assert len(written) == len(COMMANDS)
+
+
+def test_strings_quoted_by_the_function_json_uses():
+    # ``reports`` reads it from ``_json``, so no command loads ``json``
+    assert reports._quote is json.encoder.encode_basestring_ascii

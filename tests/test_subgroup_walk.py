@@ -10,7 +10,8 @@ centre, the nilpotency bound and normality, read on a generating set,
 against their definitions; the generating set grown from the last
 subgroup against one walk per pick; and the batched isomorphism search
 against a search that checks one candidate at a time, with no
-commutator filter."""
+commutator filter; and the certificate against its definition, on the
+search's witnesses and on maps that break the law at one generator."""
 
 import itertools
 from collections import Counter
@@ -27,7 +28,7 @@ from paulidecomp.algebra import (Carrier, field_make, heis_spec, pauli_spec,
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, SubgroupHandle,
-                                   isomorphic)
+                                   certify, isomorphic)
 from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
                                     extraspecial_e2, heis_group, quaternion8)
 from paulidecomp.pauli import pauli_group
@@ -427,11 +428,20 @@ def _one_candidate_search(g: FiniteGroup, h: FiniteGroup):
     return True, {g.elements[a]: h.elements[b] for a, b in phi.items()}
 
 
+def _certified_or_searched(g: FiniteGroup, h: FiniteGroup):
+    """The identity of indices as the witness when the two tables are
+    equal, else ``_one_candidate_search``."""
+    if np.array_equal(g.table, h.table):
+        return True, dict(zip(g.elements, h.elements))
+    return _one_candidate_search(g, h)
+
+
 def _assert_search_matches_oracle(g, h, monkeypatch):
     """The same answer and witness, with the members in the order of the
-    walk, under the default batch schedule, one candidate per batch and
-    one batch of all candidates; returns the witness."""
-    expected = _one_candidate_search(g, h)
+    walk (in index order when certified), under the default batch
+    schedule, one candidate per batch and one batch of all candidates;
+    returns the witness."""
+    expected = _certified_or_searched(g, h)
     for blocks in (groupcore._blocks,
                    lambda n: (slice(k, k + 1) for k in range(n)),
                    lambda n: [slice(0, n)]):
@@ -469,12 +479,79 @@ def _z4_by_z4() -> FiniteGroup:
     (lambda: _direct_product(quaternion8(), _dihedral(1)), _z4_by_z4),
 ], ids=["D8-Q8", "E1(3)-E2(3)", "Q8xZ2-Z4:Z4"])
 def test_search_rejects_without_the_fingerprint(make_g, make_h, monkeypatch):
-    # with every fingerprint equal, the search itself must find no map.
-    # Q8 x Z2 and Z4 : Z4 share element orders, class sizes and the
+    # with every pre-filter record equal, the search itself must find no
+    # map.  Q8 x Z2 and Z4 : Z4 share element orders, class sizes and the
     # orders of commutators (they differ in G/G'), so only the
     # homomorphism check rejects the injective maps tried
-    monkeypatch.setattr(FiniteGroup, "fingerprint", lambda self: None)
+    monkeypatch.setattr(FiniteGroup, "invariants", property(lambda self: None))
     g, h = make_g(), make_h()
     assert isomorphic(g, h) == (False, None)
     assert isomorphic(h, g) == (False, None)
     assert _one_candidate_search(g, h) == (False, None)
+
+
+def _is_isomorphism(g: FiniteGroup, h: FiniteGroup, phi) -> bool:
+    """The definition: a bijection that keeps every product."""
+    phi = np.asarray(phi)
+    return (sorted(phi.tolist()) == list(range(h.order))
+            and bool((phi[g.table] == h.table[np.ix_(phi, phi)]).all()))
+
+
+def _fixing_all_but(g: FiniteGroup, j: int) -> np.ndarray | None:
+    """A bijection of G that is no isomorphism but keeps the product with
+    every generator except the j-th, or None.  It is the identity on K,
+    the subgroup of the other generators, and sends each other left coset
+    rK onto a coset by rk -> tk; tried in turn are t = rz for z in K and
+    the swap of two cosets."""
+    gens = g.generating_set()
+    k = list(g.closure_indices(gens[:j] + gens[j + 1:]))
+    reps = [r for r in g._distinct(g.table[:, k].min(axis=1)).tolist()
+            if r not in k]
+
+    def moved(pairs):
+        phi = np.arange(g.order)
+        for r, t in pairs:
+            phi[g.table[r, k]] = g.table[t, k]
+        return phi
+
+    tries = itertools.chain(
+        (moved([(r, g.table[r, z])]) for r in reps for z in k),
+        (moved([(r, t), (t, r)]) for r, t in itertools.combinations(reps, 2)))
+    return next((m for m in tries if not _is_isomorphism(g, g, m)), None)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_certify_against_its_definition(name, data):
+    # the search's witness passes; maps that keep the product with every
+    # generator but one fail, and so does a homomorphism that is not one
+    # to one
+    g = _group(name)
+    a = _relabel(g, data.draw(st.permutations(range(g.order))))
+    b = _relabel(g, data.draw(st.permutations(range(g.order))))
+    ok, phi = isomorphic(a, b)
+    assert ok and certify(a, b, [b.index[phi[x]] for x in a.elements])
+    gens = a.generating_set()
+    broken = {j: m for j in range(len(gens))
+              if (m := _fixing_all_but(a, j)) is not None}
+    # in Q8 a bijection that keeps the product with one of two
+    # generators of order 4 is an automorphism
+    assert broken or name == "Q8"
+    for j, m in broken.items():
+        assert all((m[a.table[:, s]] == a.table[m, m[s]]).all()
+                   for i, s in enumerate(gens) if i != j)
+        assert not certify(a, a, m)
+    assert not certify(a, a, np.full(a.order, a.identity))
+
+
+def test_isomorphic_matches_the_reference_on_every_pair():
+    # the certificate and the table-free pre-filter change no verdict of
+    # the search, which reads no fingerprint
+    groups = {name: _group(name) for name in
+              ("D8", "Q8", "P(1,2)", "P(1,3)", "H(GF(3))", "E2(3)", "Z4xZ2")}
+    groups.update({"E1(3)": extraspecial_e1(3), "Z4:Z4": _z4_by_z4(),
+                   "Q8xZ2": _direct_product(quaternion8(), _dihedral(1))})
+    for (x, g), (y, h) in itertools.product(groups.items(), repeat=2):
+        expected = g.order == h.order and _one_candidate_search(g, h)[0]
+        assert isomorphic(g, h)[0] == expected, (x, y)
