@@ -22,14 +22,23 @@ path, ``groupcore.extension_table``: the form as an array, mapped into
 the centre, then extended over the centre one block per pair of centre
 elements.  ``pauli_spec``, ``heis_spec``, ``lifted_spec`` and
 ``e1_spec`` only choose the parameters, and ``D8`` and ``Q8`` are specs
-themselves.  No numpy is loaded before a table is built, so a spec that
-is refused costs none.
+themselves; ``pauli_element`` and the named Pauli elements read only a
+spec.  No numpy is loaded before a table is built, so a spec that is
+refused costs none.
+
+A spec is its law: equality and hash read the carrier, n, the form, the
+centre and the key layout, and the name is a label.  At m = 1 the law
+is written in one canonical form: Z/p is GF(p), and the trace centre of
+GF(p) is the carrier centre.  So H(Z/p^n), H(GF(p)^n) and Hred(GF(p)^n)
+are one spec, as are the lifted and Pauli specs for odd p at m = 1.  In
+a run a law's group is built once, under the name of the first spec
+that asked for it; every command builds the spec it prints first.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -105,7 +114,7 @@ def sigma_tau(r: int) -> tuple[int, int]:
 # the carriers GF(p^m) and Z/p^m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Carrier:
     """The field GF(p^m) when ``field`` is set, else the ring Z/p^m.
 
@@ -241,7 +250,7 @@ class Centre(NamedTuple):
     add: list[list[int]]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CentralExtension:
     """The central extension of R^n x R^n by a centre C through a bilinear
     form on R^(2n):
@@ -252,8 +261,9 @@ class CentralExtension:
     itself), "trace" (Z_p through the absolute trace) or "doubled_trace"
     (Z_4 through twice the trace, for characteristic 2: the phases i^k,
     with the Z_2-valued trace landing on +-1).  C and the carrier's tables
-    are built on first use, so ``order`` and equality read only p, m and
-    n, and a spec too large to build costs nothing.  A vector v in R^(2n)
+    are built on first use, so ``order``, equality and hash read no
+    table, and a spec too large to build costs nothing; ``name`` is a
+    label they ignore (see the module docstring).  A vector v in R^(2n)
     is split into block 0 (its first n coordinates: alpha, or a) and
     block 1 (the last n: beta, or b).  ``form`` is a tuple of signed block
     pairs (sign, left, right), and form(v, w) sums sign * (block left of
@@ -272,7 +282,18 @@ class CentralExtension:
     form: tuple[tuple[int, int, int], ...]
     centre: str
     centre_first: bool
-    name: str
+    name: str = dataclasses.field(compare=False)
+
+    def __post_init__(self):
+        """The m = 1 identities, in one canonical form: Z/p is the field
+        GF(p), and the trace of GF(p) is the identity, so its trace centre
+        is the carrier centre."""
+        if self.carrier.m > 1:
+            return
+        if not self.carrier.field:
+            object.__setattr__(self, "carrier", field_make(self.carrier.p, 1))
+        if self.centre == "trace":
+            object.__setattr__(self, "centre", "carrier")
 
     @property
     def centre_order(self) -> int:
@@ -377,6 +398,38 @@ def pauli_spec(p: int, m: int, n: int) -> CentralExtension:
     if p == 2 and m != 1:
         raise ValueError("qubit Pauli groups are defined for q = 2 (m = 1)")
     return pauli_law(field_make(p, m), n)
+
+
+def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
+                  z: int = 0, phase: int = 0) -> tuple:
+    """w^phase X^x Z^z on one register (w = i for p = 2); Y = iXZ is
+    x = z = phase = 1."""
+    def unit(e):
+        return tuple(e if k == register else 0 for k in range(spec.n))
+    return spec.element(unit(x), unit(z), phase)
+
+
+def p12_named_elements() -> dict[str, tuple]:
+    """The standard named elements of the one-qubit Pauli group:
+    X, Y, Z, u = XY, a = Y, b = XYZ."""
+    s = pauli_spec(2, 1, 1)
+    X, Z = pauli_element(s, x=1), pauli_element(s, z=1)
+    Y = pauli_element(s, x=1, z=1, phase=1)
+    u = s.mul(X, Y)
+    b = s.mul(u, Z)
+    return {"X": X, "Y": Y, "Z": Z, "u": u, "a": Y, "b": b}
+
+
+def p22_named_generators() -> dict[str, tuple]:
+    """The five order-64 generators X@I, Y@I, Z@I, I@Z, I@X."""
+    s = pauli_spec(2, 1, 2)
+    return {
+        "A": pauli_element(s, 0, x=1),
+        "B": pauli_element(s, 0, x=1, z=1, phase=1),
+        "C": pauli_element(s, 0, z=1),
+        "D": pauli_element(s, 1, z=1),
+        "E": pauli_element(s, 1, x=1),
+    }
 
 
 def heis_spec(carrier: Carrier, n: int = 1, cocycle: str = "symplectic",

@@ -15,19 +15,23 @@ trivial one; the whole group is included when abelian.  This calibration
 reproduces c_ab(D8) = 8 and c_ab(P_{1,2}) = 17.
 
 The paper's three named-subgroup figures are one table, ``FIGURES``,
-keyed by the spec each draws; ``cli`` builds the group and hands the
-named subgroups to ``hasse``.  At import the table holds only specs and
-functions: no group is built.
+keyed by the spec each draws, so every spec of the same law finds its
+figure (heis:R=z(3),n=1 draws H(GF(3))'s); ``cli`` builds the group and
+hands the named subgroups to ``hasse``.  This module loads no numpy: at
+import the table holds only specs and functions, no group is built, and
+``cli`` refuses a spec with no figure before any table is.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .algebra import D8, field_make, heis_spec, pauli_spec
-from .groupcore import FiniteGroup, SubgroupHandle
-from .pauli import p12_named_elements
+from .algebra import D8, field_make, heis_spec, p12_named_elements, pauli_spec
+
+if TYPE_CHECKING:
+    from .groupcore import FiniteGroup, SubgroupHandle
 
 
 @dataclass
@@ -134,7 +138,7 @@ def _heis_words(s) -> dict:
             "B": [z, y], "G": [x, y]}
 
 
-# The paper's named-subgroup diagrams, keyed by spec: a function of the
+# The paper's named-subgroup diagrams, keyed by law: a function of the
 # spec giving the generators of each named subgroup (the P(1,2) words call
 # the scalar ``mul``, so they are computed only when the figure is drawn),
 # or None for D8, whose figure is its whole 10-node lattice.

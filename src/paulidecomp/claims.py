@@ -27,15 +27,15 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import (Carrier, field_make, heis_spec, lifted_spec, pauli_spec,
-                      sigma_tau)
+from .algebra import (D8, Carrier, e1_spec, field_make, heis_spec,
+                      lifted_spec, p12_named_elements, p22_named_generators,
+                      pauli_spec, sigma_tau)
 from .census import abelian_census
-from .groupcore import (FiniteGroup, isomorphic, refuse_above_iso_cap,
-                        run_scope, shared)
-from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
-                         heis_group)
+from .groupcore import (FiniteGroup, extension_group, isomorphic,
+                        refuse_above_iso_cap, run_scope, shared)
+from .heisenberg import extraspecial_e2, heis_group
 from .lifted import lifted_group, pi_image_group, pi_kernel
-from .pauli import p12_named_elements, p22_named_generators, pauli_group
+from .pauli import pauli_group
 from .products import (classify_special, decompose_pauli_chain,
                        pauli_chain_subgroups, weak_central_chain)
 from .reports import STATUSES
@@ -140,7 +140,7 @@ def lemma31_presentation_check():
     derived = G.derived_subgroup()
     frattini = G.frattini()
     d8 = G.generated_subgroup([u, a])
-    abelianization = G.fingerprint().abelianization
+    abelianization = G.fingerprint()["abelianization"]
     facts = {
         "order": G.order,
         "center_order": center.order,
@@ -364,13 +364,10 @@ def check_cor54():
 def corollary43_check(p: int, m: int, n: int):
     """Compare P_{n,p^m} against both Heisenberg variants: full center
     over Z/p^m and trace-reduced center over GF(p^m).  For m = 1 the two
-    coincide and a match confirms the claim; for m > 1 the registered
-    statement is order-inconsistent (its order p^(2nm+1) contradicts the
-    full variant's p^(m(2n+1))) and the verdict records which variant
-    the oracle supports.  Of equal order, the full variant is compared
-    with the reduced one first: if they are isomorphic it inherits the
-    reduced variant's verdict against P, by transitivity, and P is
-    searched against it only otherwise."""
+    are one law (``algebra.CentralExtension``) and a match confirms the
+    claim; for m > 1 the registered statement is order-inconsistent (its
+    order p^(2nm+1) contradicts the full variant's p^(m(2n+1))) and the
+    verdict records which variant the oracle supports."""
     if p == 2:
         raise ValueError("the comparison is stated for odd p")
     # P_{n,q} and the reduced variant have order p q^(2n), q = p^m
@@ -383,17 +380,12 @@ def corollary43_check(p: int, m: int, n: int):
         "reduced_variant_order": reduced_spec.order,
         "full_variant_order": full_spec.order,
     }
-    reduced = heis_group(reduced_spec)
-    reduced_ok, _ = isomorphic(pg, reduced)
+    reduced_ok, _ = isomorphic(pg, heis_group(reduced_spec))
     witness["reduced_variant_isomorphic"] = reduced_ok
-    full_ok = False
-    if full_spec.order == pg.order:
-        # isomorphic to the reduced variant (at m = 1 the laws coincide,
-        # which the certificate sees), it has that variant's verdict
-        full = heis_group(full_spec)
-        full_ok = (reduced_ok if isomorphic(reduced, full)[0]
-                   else isomorphic(pg, full)[0])
-    witness["full_variant_isomorphic"] = full_ok
+    # P and the full variant have equal orders only at m = 1, where the
+    # full variant is the reduced variant's law
+    witness["full_variant_isomorphic"] = (full_spec == reduced_spec
+                                          and reduced_ok)
     if m > 1:
         witness["supported_reading"] = "reduced" if reduced_ok else "none"
     return reduced_ok, witness
@@ -551,7 +543,7 @@ def check_cor56():
 def check_eq19():
     """sigma(4) + tau(4) = 10 = |L(D8)|."""
     s, t = sigma_tau(4)
-    lattice_size = len(dihedral8().subgroups_all())
+    lattice_size = len(extension_group(D8).subgroups_all())
     ok = s == 7 and t == 3 and s + t == lattice_size == 10
     return ok, {"sigma(4)": s, "tau(4)": t, "lattice_size": lattice_size}
 
@@ -563,7 +555,7 @@ def check_remark39():
     and the isomorphism oracle both select E_1 (the exponent-p group), so
     the registered label contradicts the registered exponent."""
     pg = pauli_group(pauli_spec(3, 1, 1))
-    e1 = extraspecial_e1(3)
+    e1 = extension_group(e1_spec(3))
     e2 = extraspecial_e2(3)
     h = heis_group(heis_spec(field_make(3, 1)))
     iso_e1, _ = isomorphic(pg, e1)
@@ -586,7 +578,7 @@ def check_remark32():
     verifies the checkable part: E_1 and E_2 are nonisomorphic nonabelian
     groups of order 27 with exponents 3 and 9, so uniqueness holds only
     with the exponent qualifier attached."""
-    e1 = extraspecial_e1(3)
+    e1 = extension_group(e1_spec(3))
     e2 = extraspecial_e2(3)
     iso, _ = isomorphic(e1, e2)
     witness = {

@@ -348,9 +348,11 @@ def make_parser() -> argparse.ArgumentParser:
                        default="all",
                        help="all: every subgroup of the group; "
                             "paper_figure: the named-subgroup diagram, for "
-                            "d8, pauli:p=2,n=1 and heis:R=gf(3),n=1 only, "
-                            "exit 2 for any other spec (default "
-                            "%(default)s)")
+                            "d8, pauli:p=2,n=1 and heis:R=gf(3),n=1 and "
+                            "every spec of the same law (heis:R=z(3),n=1 "
+                            "and heis:R=gf(3),n=1,reduced=true draw "
+                            "H(GF(3))'s), exit 2 for any other spec "
+                            "(default %(default)s)")
     add("lifted", cmd_lifted, "lifted group projection report")
     p_ver = add("verify", cmd_verify, "run registered claim verdicts",
                 caps=(), spec=False)

@@ -658,26 +658,29 @@ class FiniteGroup:
                     derived_order=len(self.derived_indices),
                     nilpotency_class=self.nilpotency_class_bounded)
 
-    def fingerprint(self) -> "GroupFingerprint":
+    def fingerprint(self) -> dict:
         return self._fingerprint
 
     @cached_property
-    def _fingerprint(self) -> "GroupFingerprint":
-        """The invariants and the abelianization, read on the table of
-        G/G'."""
+    def _fingerprint(self) -> dict:
+        """Cheap isomorphism invariants, necessary (not sufficient) for
+        isomorphism: the ``invariants`` and the abelianization, read on
+        the table of G/G'."""
         ab_quotient = self.quotient(SubgroupHandle(self, self.derived_indices))
-        return GroupFingerprint(
-            **self.invariants,
-            abelianization=list(abelian_invariants(ab_quotient)))
+        fp = {**self.invariants,
+              "abelianization": list(abelian_invariants(ab_quotient))}
+        # the class last, where ``build --format text`` prints it
+        fp["nilpotency_class"] = fp.pop("nilpotency_class")
+        return fp
 
     def report(self) -> dict:
         fp = self.fingerprint()
         out = {
             "order": self.order,
             "exponent": self.exponent,
-            "center_order": fp.center_order,
-            "derived_order": fp.derived_order,
-            "fingerprint": dict(vars(fp)),
+            "center_order": fp["center_order"],
+            "derived_order": fp["derived_order"],
+            "fingerprint": dict(fp),
             "order_sequence": [list(t) for t in self.order_sequence],
         }
         # the ``build`` goldens of orders above the default subgroup cap
@@ -879,20 +882,6 @@ class SubgroupHandle:
         g = self.parent
         comms = g.commutators(self.members, other.members)
         return SubgroupHandle(g, g.closure_indices(comms))
-
-
-@dataclass(frozen=True)
-class GroupFingerprint:
-    """Cheap isomorphism invariants: equal fingerprints are necessary (not
-    sufficient) for isomorphism."""
-
-    order: int
-    exponent: int
-    order_sequence: list  # [order, count] pairs, by order
-    center_order: int
-    derived_order: int
-    abelianization: list
-    nilpotency_class: int
 
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:

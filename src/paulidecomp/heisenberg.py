@@ -1,5 +1,6 @@
-"""Heisenberg groups over finite carriers, plus the small reference groups
-used to identify factors of central-product decompositions.
+"""Heisenberg groups over finite carriers, and E2(p), the one reference
+group used to identify factors of central-product decompositions that
+is not a central-extension spec.
 
 The carrier R is an ``algebra.Carrier``: the field GF(p^m) or the ring
 Z/p^m, one class whose tables are built on first use, so a spec reports
@@ -17,14 +18,15 @@ The two cocycles give isomorphic groups in odd characteristic; the
 polarized one matches the upper unitriangular 3x3 matrix model.
 
 D8, Q8 and E1(p) are central extensions of GF(p)^2 by GF(p) too: the
-specs ``algebra.D8``, ``algebra.Q8`` and ``algebra.e1_spec(p)``, built
-here in one line each.  E2(p), whose cocycle is not bilinear, has its
-table built from whole arrays of its law, as every other table is.
+specs ``algebra.D8``, ``algebra.Q8`` and ``algebra.e1_spec(p)``, whose
+groups come from ``groupcore.extension_group`` as every spec's do.
+E2(p), whose cocycle is not bilinear, has its table built here from
+whole arrays of its law, as every other table is.
 """
 
 from __future__ import annotations
 
-from .algebra import D8, Q8, CentralExtension, e1_spec, is_prime
+from .algebra import CentralExtension, is_prime
 from .groupcore import FiniteGroup, extension_group, shared
 
 import numpy as np
@@ -33,25 +35,6 @@ import numpy as np
 def heis_group(spec: CentralExtension) -> FiniteGroup:
     """Materialize H(R^n)."""
     return extension_group(spec)
-
-
-# ---------------------------------------------------------------------------
-# reference groups
-# ---------------------------------------------------------------------------
-
-def dihedral8() -> FiniteGroup:
-    """The group of ``algebra.D8``."""
-    return extension_group(D8)
-
-
-def quaternion8() -> FiniteGroup:
-    """The group of ``algebra.Q8``."""
-    return extension_group(Q8)
-
-
-def extraspecial_e1(p: int) -> FiniteGroup:
-    """The group of ``algebra.e1_spec(p)``."""
-    return heis_group(e1_spec(p))
 
 
 @shared

@@ -18,23 +18,15 @@ phase convention is the trace form: phases live in Z_p and the clock
 operator acts through the additive character j -> w_p^tr(j), which is
 what makes the phase-space product match the exact matrix product (the
 tests check it against a matrix oracle over the cyclotomic integers).
+The element keys ``algebra.pauli_element`` and the named elements of
+P_{1,2} and P_{2,2} are read from the spec alone, in the numpy-free
+``algebra``.
 """
 
 from __future__ import annotations
 
-from .algebra import CentralExtension, pauli_spec
+from .algebra import CentralExtension
 from .groupcore import FiniteGroup, extension_group
-
-PauliKey = tuple  # (phase, alpha tuple, beta tuple)
-
-
-def pauli_element(spec: CentralExtension, register: int = 0, x: int = 0,
-                  z: int = 0, phase: int = 0) -> PauliKey:
-    """w^phase X^x Z^z on one register (w = i for p = 2); Y = iXZ is
-    x = z = phase = 1."""
-    def unit(e):
-        return tuple(e if k == register else 0 for k in range(spec.n))
-    return spec.element(unit(x), unit(z), phase)
 
 
 def pauli_group(spec: CentralExtension) -> FiniteGroup:
@@ -45,30 +37,3 @@ def pauli_group(spec: CentralExtension) -> FiniteGroup:
     fixture of ``tests/conftest.py``, which closes them under the scalar
     ``mul``."""
     return extension_group(spec)
-
-
-# ---------------------------------------------------------------------------
-# presentation data (qubit case)
-# ---------------------------------------------------------------------------
-
-def p12_named_elements() -> dict[str, PauliKey]:
-    """The standard named elements of the one-qubit Pauli group:
-    X, Y, Z, u = XY, a = Y, b = XYZ."""
-    s = pauli_spec(2, 1, 1)
-    X, Z = pauli_element(s, x=1), pauli_element(s, z=1)
-    Y = pauli_element(s, x=1, z=1, phase=1)
-    u = s.mul(X, Y)
-    b = s.mul(u, Z)
-    return {"X": X, "Y": Y, "Z": Z, "u": u, "a": Y, "b": b}
-
-
-def p22_named_generators() -> dict[str, PauliKey]:
-    """The five order-64 generators X@I, Y@I, Z@I, I@Z, I@X."""
-    s = pauli_spec(2, 1, 2)
-    return {
-        "A": pauli_element(s, 0, x=1),
-        "B": pauli_element(s, 0, x=1, z=1, phase=1),
-        "C": pauli_element(s, 0, z=1),
-        "D": pauli_element(s, 1, z=1),
-        "E": pauli_element(s, 1, x=1),
-    }

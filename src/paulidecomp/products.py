@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import pauli_spec, prime_power
+from .algebra import D8, Q8, e1_spec, pauli_element, pauli_spec, prime_power
 from .groupcore import (ISO_ORDER_CAP, CapError, FiniteGroup,
                         GroupStructureError, SubgroupHandle, _blocks,
-                        abelian_invariants, isomorphic, shared)
-from .heisenberg import (dihedral8, extraspecial_e1, extraspecial_e2,
-                         quaternion8)
-from .pauli import pauli_element, pauli_group
+                        abelian_invariants, extension_group, isomorphic,
+                        shared)
+from .heisenberg import extraspecial_e2
+from .pauli import pauli_group
 
 import numpy as np
 
@@ -63,14 +63,15 @@ def identify_factor(g: FiniteGroup) -> str:
     oracle, never by name.  Falls back to an invariant string."""
     n = g.order
     if n == 8:
-        for name, make in (("D8", dihedral8), ("Q8", quaternion8)):
-            if isomorphic(g, make())[0]:
+        for name, spec in (("D8", D8), ("Q8", Q8)):
+            if isomorphic(g, extension_group(spec))[0]:
                 return name
     p, k = prime_power(n) or (None, None)
     if k == 3 and p > 2:
-        for name, make in (("E1", extraspecial_e1), ("E2", extraspecial_e2)):
-            if isomorphic(g, make(p))[0]:
-                return f"{name}({p})"
+        if isomorphic(g, extension_group(e1_spec(p)))[0]:
+            return f"E1({p})"
+        if isomorphic(g, extraspecial_e2(p))[0]:
+            return f"E2({p})"
     if g.is_abelian:
         return "abelian" + str(list(abelian_invariants(g)))
     p12 = pauli_spec(2, 1, 1)

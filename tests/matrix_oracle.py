@@ -27,7 +27,6 @@ import numpy as np
 from paulidecomp.algebra import CentralExtension, heis_spec, pauli_law
 from paulidecomp.groupcore import FiniteGroup, GroupStructureError
 from paulidecomp.lifted import pi_map
-from paulidecomp.pauli import PauliKey
 
 
 def tabulate(elements, mul) -> np.ndarray:
@@ -238,7 +237,7 @@ def _single_register_matrix(spec: CentralExtension, a: int,
 
 
 def pauli_matrix_oracle(spec: CentralExtension,
-                        g: PauliKey) -> CyclotomicMatrix:
+                        g: tuple) -> CyclotomicMatrix:
     """Exact q^n x q^n matrix over Z[w] realizing g.  This is the
     independent oracle: tests check the map is a faithful homomorphism."""
     if spec.carrier.size ** spec.n > 9:

@@ -9,7 +9,8 @@ import itertools
 import time
 
 from matrix_oracle import pauli_matrix_oracle, pi_is_homomorphism
-from paulidecomp.algebra import field_make, heis_spec, lifted_spec, pauli_spec
+from paulidecomp.algebra import (D8, field_make, heis_spec, lifted_spec,
+                                 pauli_spec)
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 check_eq19, check_remark39, check_thm42_links,
@@ -17,8 +18,7 @@ from paulidecomp.claims import (bounds_check, check_cor43, check_cor54,
                                 lemma31_presentation_check,
                                 p22_relations_check)
 from paulidecomp.groupcore import (SubgroupHandle, abelian_invariants,
-                                   isomorphic)
-from paulidecomp.heisenberg import dihedral8
+                                   extension_group, isomorphic)
 from paulidecomp.lifted import lifted_group, pi_kernel
 from paulidecomp.pauli import pauli_group
 from paulidecomp.products import decompose_pauli_chain, pauli_chain_subgroups
@@ -127,9 +127,9 @@ def test_criterion_5_lifted_projections():
 
 def test_criterion_6_census():
     with timed("6 abelian census and lattice counts", 5.0):
-        d8 = abelian_census(dihedral8())
+        d8 = abelian_census(extension_group(D8))
         assert d8.c_ab == 8
-        lat = hasse(dihedral8())
+        lat = hasse(extension_group(D8))
         sigma4, tau4 = 1 + 2 + 4, 3  # divisor sum and divisor count of 4
         assert len(lat.nodes) == 10 == sigma4 + tau4
         rep = check_eq19()

@@ -1,11 +1,17 @@
+import dataclasses
 import itertools
 from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulidecomp import algebra
-from paulidecomp.algebra import (Carrier, field_make, heis_spec, is_prime,
+from paulidecomp.algebra import (COCYCLES, Carrier, field_make, heis_spec,
+                                 is_prime, lifted_spec, pauli_spec,
                                  prime_power)
+from paulidecomp.groupcore import extension_table
 from paulidecomp.reports import CapError
 from paulidecomp.cli import main
 
@@ -214,3 +220,67 @@ def test_prime_power_against_factoring():
         q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
         k = next(k for k in range(n.bit_length(), -1, -1) if n % q ** k == 0)
         assert prime_power(n) == ((q, k) if q ** k == n else None), n
+
+
+# ---------------------------------------------------------------------------
+# a spec is its law
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_m1_canonical_form_keeps_the_law(p):
+    # Z/p and GF(p) have one arithmetic, and the trace centre of GF(p)
+    # (Z_p through the trace, which is the identity on GF(p)) has the
+    # carrier centre's map and addition
+    ring, field = Carrier(p, 1, False), Carrier(p, 1, True)
+    for table in ("add_table", "mul_table", "trace_table"):
+        assert getattr(ring, table) == getattr(field, table)
+    assert ([ring.neg(x) for x in range(p)]
+            == [field.neg(x) for x in range(p)])
+    assert field.trace_table == list(range(p))
+    assert field.add_table == [[(x + y) % p for y in range(p)]
+                               for x in range(p)]
+
+
+def _spellings(p: int, m: int, n: int) -> list:
+    """Every spec with carrier size p^m and n registers that the spec
+    constructors accept."""
+    out = [lifted_spec(p, m, n)]
+    if p > 2 or m == 1:
+        out.append(pauli_spec(p, m, n))
+    for field, cocycle, reduced in itertools.product(
+            (True, False), COCYCLES, (True, False)):
+        if field or m == 1 or not reduced:
+            out.append(heis_spec(Carrier(p, m, field), n, cocycle, reduced))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(p, m, n) for p in (2, 3, 5) for m in (1, 2)
+                        for n in (1, 2) if (p ** m) ** (2 * n) <= 81])
+       .flatmap(lambda pmn: st.tuples(*[st.sampled_from(_spellings(*pmn))]
+                                      * 2)))
+def test_equal_specs_have_equal_tables(pair):
+    a, b = pair
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a.elements() == b.elements()
+        assert np.array_equal(extension_table(a), extension_table(b))
+
+
+def test_a_spec_is_its_law():
+    gf3, z3 = field_make(3, 1), Carrier(3, 1, False)
+    assert (heis_spec(gf3, reduced=True) == heis_spec(z3)
+            == heis_spec(gf3))
+    assert heis_spec(gf3, 2, reduced=True) == heis_spec(z3, 2)
+    for p in (3, 5, 7):
+        assert lifted_spec(p, 1, 1) == pauli_spec(p, 1, 1)
+    # the name is a label: it makes no spec unequal
+    spec = pauli_spec(2, 1, 1)
+    renamed = dataclasses.replace(spec, name="other")
+    assert renamed == spec and hash(renamed) == hash(spec)
+    # distinct laws stay distinct: gf(9) and z(9), the two cocycles, and
+    # the qubit law with its doubled trace
+    assert heis_spec(field_make(3, 2)) != heis_spec(Carrier(3, 2, False))
+    assert heis_spec(gf3) != heis_spec(gf3, cocycle="polarized")
+    assert pauli_spec(2, 1, 1) != lifted_spec(2, 1, 1)
+    assert pauli_spec(3, 2, 1) != lifted_spec(3, 2, 1)

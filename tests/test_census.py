@@ -3,20 +3,19 @@ import math
 
 import pytest
 
-from paulidecomp.algebra import (D8, field_make, heis_spec, lifted_spec,
+from paulidecomp.algebra import (D8, Q8, field_make, heis_spec, lifted_spec,
                                  pauli_spec)
 from paulidecomp.census import FIGURES, abelian_census, export_dot, hasse
 from paulidecomp.claims import bounds_check, constructive_abelian_subgroups
 from paulidecomp.groupcore import extension_group
-from paulidecomp.heisenberg import (dihedral8, extraspecial_e2, heis_group,
-                                    quaternion8)
+from paulidecomp.heisenberg import extraspecial_e2, heis_group
 from paulidecomp.lifted import lifted_group
 from paulidecomp.pauli import pauli_group
 from paulidecomp.reports import dump_json
 
 
 def test_census_d8():
-    res = abelian_census(dihedral8())
+    res = abelian_census(extension_group(D8))
     assert res.c_ab == 8
     assert res.by_order == {"2": 5, "4": 3}
     assert res.normal_count == 4
@@ -33,7 +32,7 @@ def test_census_p12():
 
 
 def test_census_json_round():
-    res = abelian_census(dihedral8())
+    res = abelian_census(extension_group(D8))
     d = json.loads(dump_json(res))
     assert d["c_ab"] == 8
 
@@ -122,7 +121,7 @@ def test_bounds_check_n2_upper_refuted():
 
 
 def test_hasse_d8():
-    lat = hasse(dihedral8())
+    lat = hasse(extension_group(D8))
     assert len(lat.nodes) == 10
     assert len(lat.edges) == 15
     # every edge goes strictly up in order
@@ -164,8 +163,8 @@ def test_export_json_round_trip():
 
 
 def test_lattice_deterministic():
-    a = dump_json(hasse(dihedral8()))
-    b = dump_json(hasse(dihedral8()))
+    a = dump_json(hasse(extension_group(D8)))
+    b = dump_json(hasse(extension_group(D8)))
     assert a == b
 
 
@@ -175,11 +174,11 @@ def _strictly_above(sets):
 
 
 @pytest.mark.parametrize("make", [
-    dihedral8,
+    lambda: extension_group(D8),
     lambda: pauli_group(pauli_spec(2, 1, 1)),
     lambda: pauli_group(pauli_spec(2, 1, 2)),
     lambda: heis_group(heis_spec(field_make(3, 1))),
-    quaternion8,
+    lambda: extension_group(Q8),
     lambda: extraspecial_e2(3),
     lambda: pauli_group(pauli_spec(3, 1, 1)),
     lambda: lifted_group(lifted_spec(2, 2, 1)),

@@ -136,6 +136,19 @@ def test_lattice_dot_and_figures():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("spec", ["heis:R=z(3),n=1",
+                                  "heis:R=gf(3),n=1,reduced=true"])
+def test_paper_figure_is_found_by_law(spec, capsys):
+    # a spec of H(GF(3))'s law draws H(GF(3))'s figure
+    figures = []
+    for text in ("heis:R=gf(3),n=1", spec):
+        assert main(["lattice", text, "--filter", "paper_figure"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        figures.append((doc["nodes"], doc["edges"]))
+    assert figures[0] == figures[1]
+    assert (len(figures[0][0]), len(figures[0][1])) == (7, 9)
+
+
 def test_lifted_subcommand():
     r = run_cli("lifted", "p=3,m=2,n=1")
     doc = json.loads(r.stdout)
@@ -213,8 +226,9 @@ def test_lattice_help_documents_format_and_filter():
     assert "json: nodes and covering edges as JSON" in text
     assert "dot: a Graphviz digraph" in text
     assert ("paper_figure: the named-subgroup diagram, for d8, "
-            "pauli:p=2,n=1 and heis:R=gf(3),n=1 only, exit 2 for any "
-            "other spec") in text
+            "pauli:p=2,n=1 and heis:R=gf(3),n=1 and every spec of the same "
+            "law (heis:R=z(3),n=1 and heis:R=gf(3),n=1,reduced=true draw "
+            "H(GF(3))'s), exit 2 for any other spec") in text
 
 
 def test_help_documents_grammar():
@@ -354,13 +368,15 @@ def test_refused_spec_exit_code(spec, code, capsys):
 def test_help_and_unknown_spec_leave_numpy_unimported():
     # the parser's defaults and the error types live in the numpy-free
     # reports module, and the family specs in the numpy-free algebra, so
-    # neither --help, a spec error nor a family spec refused for its order
-    # pays for numpy, and a spec answers its scalar law without it
+    # neither --help, a spec error, a family spec refused for its order nor
+    # a spec with no paper figure pays for numpy, and a spec answers its
+    # scalar law without it
     refused = [(["build", "nosuch"], 2), (["build", "pauli:p=2,n=99"], 3),
                (["build", "pauli:p=4,n=1"], 2),
                (["build", "heis:R=gf(4096),n=1"], 3),
                (["census", "lifted:p=3,m=9,n=9"], 3),
-               (["lifted", "pauli:p=3,n=1"], 2)]
+               (["lifted", "pauli:p=3,n=1"], 2),
+               (["lattice", "q8", "--filter", "paper_figure"], 2)]
     cli_code = ("from paulidecomp.cli import main\n"
                 "try:\n"
                 "    main(['--help'])\n"

@@ -15,10 +15,11 @@ from paulidecomp.claims import CHECKS, EXPECTED, corollary43_check, run_suite
 from paulidecomp.cli import build_group, main, parse_spec
 from paulidecomp.groupcore import (BLOCK, CapError, FiniteGroup,
                                    GroupStructureError, _row_blocks,
-                                   abelian_invariants, isomorphic)
-from paulidecomp.algebra import e1_spec, field_make, heis_spec, pauli_spec
-from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, quaternion8)
+                                   abelian_invariants, extension_group,
+                                   isomorphic)
+from paulidecomp.algebra import (D8, Q8, e1_spec, field_make, heis_spec,
+                                 pauli_spec)
+from paulidecomp.heisenberg import extraspecial_e2, heis_group
 from paulidecomp.pauli import pauli_group
 from paulidecomp.products import classify_special, decompose_pauli_chain
 
@@ -262,7 +263,7 @@ def test_axioms_decide_tables_of_order_4_to_8(t):
 
 
 def test_d8_invariants():
-    d8 = dihedral8()
+    d8 = extension_group(D8)
     assert d8.order == 8
     assert d8.center().order == 2
     assert d8.derived_subgroup().order == 2
@@ -272,7 +273,7 @@ def test_d8_invariants():
 
 
 def test_subgroup_enumeration_d8():
-    d8 = dihedral8()
+    d8 = extension_group(D8)
     subs = d8.subgroups_all()
     assert len(subs) == 10
     assert sorted(h.order for h in subs) == [1, 2, 2, 2, 2, 2, 4, 4, 4, 8]
@@ -280,7 +281,7 @@ def test_subgroup_enumeration_d8():
 
 
 def test_subgroup_handle_operations():
-    d8 = dihedral8()
+    d8 = extension_group(D8)
     subs = d8.subgroups_all()
     maxes = [h for h in subs if h.order == 4]
     a, b = maxes[0], maxes[1]
@@ -300,7 +301,7 @@ def _assert_isomorphism(g, h, phi):
 
 
 def _relabelled_d8():
-    d8 = dihedral8()
+    d8 = extension_group(D8)
     perm = [3, 1, 4, 0, 6, 2, 7, 5]
     table = {(perm[i], perm[j]): perm[d8.table[i, j]]
              for i in range(8) for j in range(8)}
@@ -308,10 +309,11 @@ def _relabelled_d8():
 
 
 @pytest.mark.parametrize("make_g,make_h", [
-    (dihedral8, _relabelled_d8),
+    (lambda: extension_group(D8), _relabelled_d8),
     (lambda: pauli_group(pauli_spec(3, 1, 1)),
      lambda: heis_group(heis_spec(field_make(3, 1)))),
-    (lambda: pauli_group(pauli_spec(3, 1, 1)), lambda: extraspecial_e1(3)),
+    (lambda: pauli_group(pauli_spec(3, 1, 1)),
+     lambda: extension_group(e1_spec(3))),
 ], ids=["D8-relabelled", "P(1,3)-H(GF(3))", "P(1,3)-E1(3)"])
 def test_isomorphism_witness(make_g, make_h):
     g, h = make_g(), make_h()
@@ -322,12 +324,14 @@ def test_isomorphism_witness(make_g, make_h):
 
 def test_isomorphism_oracle():
     # rejections: equal orders, different groups
-    assert isomorphic(dihedral8(), quaternion8()) == (False, None)
-    assert isomorphic(extraspecial_e1(3), extraspecial_e2(3)) == (False, None)
+    d8, q8 = extension_group(D8), extension_group(Q8)
+    assert isomorphic(d8, q8) == (False, None)
+    e1 = extension_group(e1_spec(3))
+    assert isomorphic(e1, extraspecial_e2(3)) == (False, None)
 
 
 def test_quotient_and_normal_closure():
-    q8 = quaternion8()
+    q8 = extension_group(Q8)
     q = q8.quotient(q8.center())
     assert abelian_invariants(q) == (2, 2)
     # the normal closure of any non-central element of q8 has order >= 4
@@ -336,7 +340,7 @@ def test_quotient_and_normal_closure():
 
 
 def test_report_shape():
-    d8 = dihedral8()
+    d8 = extension_group(D8)
     rep = d8.report()
     for key in ("order", "exponent", "center_order", "derived_order",
                 "frattini_order", "fingerprint", "order_sequence"):
@@ -350,7 +354,7 @@ def test_report_reads_frattini_without_a_walk(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_extension_walk", refuse)
     assert pauli_group(pauli_spec(2, 1, 2)).report()["frattini_order"] == 2
-    assert extraspecial_e1(3).report()["frattini_order"] == 3
+    assert extension_group(e1_spec(3)).report()["frattini_order"] == 3
 
 
 def test_subgroups_enumerated_once(monkeypatch):
@@ -394,14 +398,14 @@ def test_fingerprint_computed_once(monkeypatch):
     assert isomorphic(g, pauli_group(pauli_spec(2, 1, 1)))[0]
     # one G/G' for g; ``isomorphic`` builds none
     assert len(quotients) == 1
-    assert first.abelianization == [2, 2, 2]
+    assert first["abelianization"] == [2, 2, 2]
 
 
 def test_isomorphic_builds_no_table(built):
     # neither the certificate, the pre-filter nor the search builds a
     # group: no table of G/G' is read
-    pairs = [(dihedral8, quaternion8),
-             (lambda: extraspecial_e1(3), lambda: extraspecial_e2(3)),
+    pairs = [(lambda: extension_group(D8), lambda: extension_group(Q8)),
+             (lambda: extension_group(e1_spec(3)), lambda: extraspecial_e2(3)),
              (lambda: pauli_group(pauli_spec(3, 1, 1)),
               lambda: heis_group(heis_spec(field_make(3, 1)))),
              (lambda: pauli_group(pauli_spec(2, 1, 1)),) * 2]
@@ -437,7 +441,7 @@ def test_group_freed_after_subgroups_all():
 
 def test_groups_freed_after_isomorphic():
     with _no_cyclic_gc():
-        g, h = dihedral8(), _relabelled_d8()
+        g, h = extension_group(D8), _relabelled_d8()
         ok = isomorphic(g, h)[0]
         refs = [weakref.ref(g), weakref.ref(h)]
         del g, h
@@ -473,7 +477,7 @@ SHARED = {
     "extension_group": lambda: (groupcore.extension_group,
                                 (pauli_spec(2, 1, 1),)),
     "extraspecial_e2": lambda: (extraspecial_e2, (3,)),
-    "classify_special": lambda: (classify_special, (dihedral8(),)),
+    "classify_special": lambda: (classify_special, (extension_group(D8),)),
     "decompose_pauli_chain": lambda: (decompose_pauli_chain, (2,)),
     "corollary43_check": lambda: (corollary43_check, (3, 1, 1)),
 }
@@ -574,7 +578,7 @@ def _check_against_definitions(g, subgroups=()):
 
 
 @pytest.mark.parametrize("make", [
-    dihedral8, quaternion8,
+    lambda: extension_group(D8), lambda: extension_group(Q8),
     lambda: pauli_group(pauli_spec(3, 1, 1)),
     lambda: pauli_group(pauli_spec(2, 1, 2)),
 ], ids=["D8", "Q8", "P(1,3)", "P(2,2)"])

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from matrix_oracle import phi_map, unitriangular_mul
-from paulidecomp.algebra import Carrier, field_make, heis_spec
+from paulidecomp.algebra import D8, Q8, Carrier, e1_spec, field_make, heis_spec
 from paulidecomp.claims import heis_semidirect_report
-from paulidecomp.groupcore import isomorphic
-from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, quaternion8)
+from paulidecomp import groupcore
+from paulidecomp.groupcore import extension_group, isomorphic
+from paulidecomp.heisenberg import extraspecial_e2, heis_group
 
 
 def test_order_formulas():
@@ -64,6 +64,19 @@ def test_reduced_center():
     assert g.center().order == 3
 
 
+def test_one_group_per_law_in_a_run(built):
+    # at m = 1, Hred(GF(3)), H(Z/3) and H(GF(3)) are one law: a run builds
+    # its group once, under the name of the spec that asked first
+    gf3 = field_make(3, 1)
+    specs = [heis_spec(gf3, reduced=True), heis_spec(Carrier(3, 1, False)),
+             heis_spec(gf3)]
+    with groupcore.run_scope():
+        groups = [heis_group(spec) for spec in specs]
+    assert [spec for spec, _ in built["groups"]] == specs[:1]
+    assert all(g is groups[0] for g in groups)
+    assert groups[0].name == "Hred(gf(3)^1,symplectic)"
+
+
 def test_reduced_rejects_ring_carrier():
     with pytest.raises(ValueError, match="field carrier"):
         heis_spec(Carrier(3, 2, False), reduced=True)
@@ -79,11 +92,11 @@ def test_semidirect_report():
 
 
 def test_reference_groups():
-    d8, q8 = dihedral8(), quaternion8()
+    d8, q8 = extension_group(D8), extension_group(Q8)
     assert d8.order == q8.order == 8
     assert sorted(d8.element_orders).count(2) == 5
     assert sorted(q8.element_orders).count(2) == 1
-    e1, e2 = extraspecial_e1(3), extraspecial_e2(3)
+    e1, e2 = extension_group(e1_spec(3)), extraspecial_e2(3)
     assert e1.order == e2.order == 27
     assert e1.exponent == 3
     assert e2.exponent == 9
@@ -93,7 +106,7 @@ def test_reference_groups():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_extraspecial_invariants(p):
-    for g in (extraspecial_e1(p), extraspecial_e2(p)):
+    for g in (extension_group(e1_spec(p)), extraspecial_e2(p)):
         assert g.order == p ** 3
         assert g.center().order == p
         assert g.derived_subgroup().order == p
@@ -103,6 +116,6 @@ def test_extraspecial_invariants(p):
 def test_extraspecial_groups_refuse_p_that_is_not_an_odd_prime(p):
     # E1 through its carrier, E2 by its own guard: with no check, E2(4)
     # and E2(9) were groups of order 64 and 729 that are not extraspecial
-    for make in (extraspecial_e1, extraspecial_e2):
+    for make in (lambda p: extension_group(e1_spec(p)), extraspecial_e2):
         with pytest.raises(ValueError):
             make(p)

@@ -225,6 +225,7 @@ SWEEP = [
     (["lattice", "pauli:p=2,n=1", "--filter", "paper_figure"], 0),
     (["lattice", "heis:R=gf(3),n=1", "--filter", "paper_figure",
       "--format", "dot"], 0),
+    (["lattice", "heis:R=z(3),n=1", "--filter", "paper_figure"], 0),
     (["lifted", "p=3,m=2,n=1"], 0),
     (["lifted", "lifted:p=2,m=1,n=1"], 0),
     (["verify", "all"], 0),

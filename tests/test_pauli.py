@@ -4,9 +4,9 @@ import operator
 import pytest
 
 from matrix_oracle import pauli_matrix_oracle
-from paulidecomp.algebra import pauli_spec
+from paulidecomp.algebra import p12_named_elements, pauli_element, pauli_spec
 from paulidecomp.claims import lemma31_presentation_check, p22_relations_check
-from paulidecomp.pauli import p12_named_elements, pauli_element, pauli_group
+from paulidecomp.pauli import pauli_group
 
 
 def order_of(spec, g):

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from matrix_oracle import bfs_subgroups, tabulate
-from paulidecomp.groupcore import CapError, FiniteGroup, SubgroupHandle
-from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, quaternion8)
-from paulidecomp.algebra import (Carrier, field_make, heis_spec, lifted_spec,
+from paulidecomp.groupcore import (CapError, FiniteGroup, SubgroupHandle,
+                                   extension_group)
+from paulidecomp.heisenberg import extraspecial_e2
+from paulidecomp.algebra import (D8, Q8, Carrier, e1_spec, field_make,
+                                 heis_spec, lifted_spec, pauli_element,
                                  pauli_spec, prime_power)
 from paulidecomp.heisenberg import heis_group
 from paulidecomp.lifted import lifted_group
 from paulidecomp import products
-from paulidecomp.pauli import pauli_element, pauli_group
+from paulidecomp.pauli import pauli_group
 from paulidecomp.claims import corollary43_check
 from paulidecomp.products import (classify_special, decompose_pauli_chain,
                                   extraspecial_decompose, identify_factor,
@@ -21,9 +22,9 @@ from paulidecomp.products import (classify_special, decompose_pauli_chain,
 
 
 def test_identify_factor():
-    assert identify_factor(dihedral8()) == "D8"
-    assert identify_factor(quaternion8()) == "Q8"
-    assert identify_factor(extraspecial_e1(3)) == "E1(3)"
+    assert identify_factor(extension_group(D8)) == "D8"
+    assert identify_factor(extension_group(Q8)) == "Q8"
+    assert identify_factor(extension_group(e1_spec(3))) == "E1(3)"
     assert identify_factor(extraspecial_e2(3)) == "E2(3)"
     assert identify_factor(pauli_group(pauli_spec(2, 1, 1))) == "P(1,2)"
 
@@ -78,7 +79,8 @@ def _pair_by_definition(g, h, k):
 
 
 @pytest.mark.parametrize("make", [
-    dihedral8, quaternion8, lambda: extraspecial_e2(3),
+    lambda: extension_group(D8), lambda: extension_group(Q8),
+    lambda: extraspecial_e2(3),
     lambda: pauli_group(pauli_spec(2, 1, 1)),
     lambda: heis_group(heis_spec(field_make(3, 1))),
     lambda: _dihedral(8),
@@ -99,7 +101,7 @@ def test_weak_central_chain_against_definition(make):
 
 
 def test_weak_central_chain_central_pair_d8():
-    g = dihedral8()
+    g = extension_group(D8)
     fours = [h for h in g.subgroups_all() if h.order == 4]
     rotations = next(h for h in fours if h.is_cyclic())
     klein = next(h for h in fours if not h.is_cyclic())
@@ -109,7 +111,7 @@ def test_weak_central_chain_central_pair_d8():
 
 
 def test_weak_central_chain_rejects_non_normal_factor():
-    g = dihedral8()
+    g = extension_group(D8)
     reflection = next(h for h in g.subgroups_all()
                       if h.order == 2 and not h.is_normal())
     with pytest.raises(ValueError):
@@ -135,7 +137,7 @@ def test_decompose_pauli_chain_n3():
 
 
 def test_just_nonabelian():
-    ok, _ = just_nonabelian(dihedral8())
+    ok, _ = just_nonabelian(extension_group(D8))
     assert ok
     ok, _ = just_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
     assert ok
@@ -146,7 +148,7 @@ def test_just_nonabelian():
 
 
 def test_minimal_nonabelian():
-    ok, _ = minimal_nonabelian(dihedral8())
+    ok, _ = minimal_nonabelian(extension_group(D8))
     assert ok
     # P(1,2) contains a nonabelian proper subgroup of order 8
     ok, facts = minimal_nonabelian(pauli_group(pauli_spec(2, 1, 1)))
@@ -176,8 +178,8 @@ def _check_minimal_nonabelian(g, proper):
 
 
 @pytest.mark.parametrize("make", [
-    dihedral8, quaternion8,
-    lambda: extraspecial_e1(3), lambda: extraspecial_e2(3),
+    lambda: extension_group(D8), lambda: extension_group(Q8),
+    lambda: extension_group(e1_spec(3)), lambda: extraspecial_e2(3),
     lambda: pauli_group(pauli_spec(2, 1, 1)),
     lambda: pauli_group(pauli_spec(3, 1, 1)),
     lambda: pauli_group(pauli_spec(2, 1, 2)),
@@ -223,8 +225,8 @@ def _by_element_order(g):
 OTHER_GROUPS = pytest.mark.parametrize("make", [
     lambda: _dihedral(3), lambda: _dihedral(5), lambda: _dihedral(6),
     lambda: _dihedral(8),
-    lambda: _direct_product(quaternion8(), _dihedral(1)),
-    lambda: _direct_product(dihedral8(), _dihedral(1)),
+    lambda: _direct_product(extension_group(Q8), _dihedral(1)),
+    lambda: _direct_product(extension_group(D8), _dihedral(1)),
 ], ids=["D6", "D10", "D12", "D16", "Q8xZ2", "D8xZ2"])
 RELABELLED = pytest.mark.parametrize("relabel", [False, True],
                                      ids=["plain", "by_order"])
@@ -326,8 +328,10 @@ def _first_proper_pair(g):
     lambda: pauli_group(pauli_spec(3, 1, 2)),
     lambda: _by_element_order(_dihedral(6)),
     lambda: _by_element_order(_dihedral(8)),
-    lambda: _by_element_order(_direct_product(quaternion8(), _dihedral(1))),
-    lambda: _by_element_order(_direct_product(dihedral8(), _dihedral(1))),
+    lambda: _by_element_order(_direct_product(extension_group(Q8),
+                                              _dihedral(1))),
+    lambda: _by_element_order(_direct_product(extension_group(D8),
+                                              _dihedral(1))),
 ], ids=["P(1,2)", "P(2,2)", "P(2,3)", "D12", "D16", "Q8xZ2", "D8xZ2"])
 def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
     g = make()
@@ -337,7 +341,7 @@ def test_minimal_nonabelian_evidence_is_first_proper_pair(make, monkeypatch):
 
 
 def test_classify_special():
-    flags = classify_special(dihedral8())
+    flags = classify_special(extension_group(D8))
     assert set(vars(flags)) == {"just_nonabelian", "minimal_nonabelian",
                                 "evidence"}
     assert flags.minimal_nonabelian
@@ -345,7 +349,7 @@ def test_classify_special():
     assert flags.just_nonabelian
     # whether G is extraspecial is decided by extraspecial_decompose
     atom = ["order p^3 extraspecial group is irreducible"]
-    assert extraspecial_decompose(dihedral8()).notes == atom
+    assert extraspecial_decompose(extension_group(D8)).notes == atom
     assert extraspecial_decompose(extraspecial_e2(3)).notes == atom
     assert extraspecial_decompose(pauli_group(pauli_spec(2, 1, 1))).notes \
         == ["group is not extraspecial: no splitting into order p^3 factors"]
@@ -358,11 +362,11 @@ def test_classify_special():
 # |G'| = p and G needs two generators, |G : Phi(G)| = p^2 (Redei 1947;
 # Burnside's basis theorem).
 FLAG_GROUPS = {
-    "D8": dihedral8,
-    "Q8": quaternion8,
-    "E1(3)": lambda: extraspecial_e1(3),
+    "D8": lambda: extension_group(D8),
+    "Q8": lambda: extension_group(Q8),
+    "E1(3)": lambda: extension_group(e1_spec(3)),
     "E2(3)": lambda: extraspecial_e2(3),
-    "E1(5)": lambda: extraspecial_e1(5),
+    "E1(5)": lambda: extension_group(e1_spec(5)),
     **{f"P({n},2)": (lambda n=n: pauli_group(pauli_spec(2, 1, n)))
        for n in (1, 2, 3)},
     **{f"P({n},{p ** m})": (lambda p=p, m=m, n=n:
@@ -398,7 +402,7 @@ def test_classification_flags_match_derived_centre_and_frattini(make):
 
 
 def test_extraspecial_decompose_atoms():
-    for g in (dihedral8(), quaternion8(), extraspecial_e1(3)):
+    for g in map(extension_group, (D8, Q8, e1_spec(3))):
         rep = extraspecial_decompose(g)
         assert rep.classification == "none"
         assert len(rep.factors) == 1

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulidecomp import cli, reports
+from paulidecomp.algebra import D8
 from paulidecomp.claims import VerdictReport
-from paulidecomp.heisenberg import dihedral8
+from paulidecomp.groupcore import extension_group
 from paulidecomp.products import DecompositionReport
 from paulidecomp.reports import dump_json
 
@@ -40,7 +41,8 @@ def test_dump_json_writes_nested_records_as_their_fields():
 
 @pytest.mark.parametrize("value", [object(), np.int64(1),
                                    DecompositionReport,
-                                   types.SimpleNamespace(a=1), dihedral8()])
+                                   types.SimpleNamespace(a=1),
+                                   extension_group(D8)])
 def test_dump_json_refuses_what_is_not_a_record(value):
     with pytest.raises(TypeError):
         dump_json({"value": value})

@@ -23,14 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_oracle import bfs_subgroups, tabulate
-from paulidecomp.algebra import (Carrier, field_make, heis_spec, pauli_spec,
-                                 prime_power)
+from paulidecomp.algebra import (D8, Q8, Carrier, e1_spec, field_make,
+                                 heis_spec, pauli_spec, prime_power)
 from paulidecomp import groupcore
 from paulidecomp.census import abelian_census, hasse
 from paulidecomp.groupcore import (BLOCK, FiniteGroup, SubgroupHandle,
-                                   certify, isomorphic)
-from paulidecomp.heisenberg import (dihedral8, extraspecial_e1,
-                                    extraspecial_e2, heis_group, quaternion8)
+                                   certify, extension_group, isomorphic)
+from paulidecomp.heisenberg import extraspecial_e2, heis_group
 from paulidecomp.pauli import pauli_group
 from test_census import _strictly_above
 from test_groupcore import LOOP5, _assert_isomorphism, _closure
@@ -71,8 +70,8 @@ def dihedral(n: int) -> FiniteGroup:
 
 
 GROUPS = {
-    "D8": dihedral8,
-    "Q8": quaternion8,
+    "D8": lambda: extension_group(D8),
+    "Q8": lambda: extension_group(Q8),
     "P(1,2)": lambda: pauli_group(pauli_spec(2, 1, 1)),
     "P(1,3)": lambda: pauli_group(pauli_spec(3, 1, 1)),
     "H(GF(3))": lambda: heis_group(heis_spec(field_make(3, 1))),
@@ -474,9 +473,9 @@ def _z4_by_z4() -> FiniteGroup:
 
 
 @pytest.mark.parametrize("make_g,make_h", [
-    (dihedral8, quaternion8),
-    (lambda: extraspecial_e1(3), lambda: extraspecial_e2(3)),
-    (lambda: _direct_product(quaternion8(), _dihedral(1)), _z4_by_z4),
+    (lambda: extension_group(D8), lambda: extension_group(Q8)),
+    (lambda: extension_group(e1_spec(3)), lambda: extraspecial_e2(3)),
+    (lambda: _direct_product(extension_group(Q8), _dihedral(1)), _z4_by_z4),
 ], ids=["D8-Q8", "E1(3)-E2(3)", "Q8xZ2-Z4:Z4"])
 def test_search_rejects_without_the_fingerprint(make_g, make_h, monkeypatch):
     # with every pre-filter record equal, the search itself must find no
@@ -550,8 +549,9 @@ def test_isomorphic_matches_the_reference_on_every_pair():
     # the search, which reads no fingerprint
     groups = {name: _group(name) for name in
               ("D8", "Q8", "P(1,2)", "P(1,3)", "H(GF(3))", "E2(3)", "Z4xZ2")}
-    groups.update({"E1(3)": extraspecial_e1(3), "Z4:Z4": _z4_by_z4(),
-                   "Q8xZ2": _direct_product(quaternion8(), _dihedral(1))})
+    groups.update({"E1(3)": extension_group(e1_spec(3)), "Z4:Z4": _z4_by_z4(),
+                   "Q8xZ2": _direct_product(extension_group(Q8),
+                                            _dihedral(1))})
     for (x, g), (y, h) in itertools.product(groups.items(), repeat=2):
         expected = g.order == h.order and _one_candidate_search(g, h)[0]
         assert isomorphic(g, h)[0] == expected, (x, y)
