@@ -20,12 +20,14 @@ N on every subcommand that builds a group (it bounds the order of every
 group built, reference specs included), and --cap-subgroups N on census
 and lattice (it bounds the order of the group whose subgroups are
 enumerated).  Each command checks its spec's order against its caps
-once, before any table is built.  Cap values are positive integers.
+once, before any table is built.  Cap values are positive integers no
+larger than 65,536, the largest order of any group (element indices are
+stored as uint16).
 
 Exit codes: 0 success (including refuted paper claims), 2 spec or
-argument error (an --out path that is a directory, lies in a missing
-one or cannot be written among them), 3 a cap or size limit exceeded, 4 oracle
-self-inconsistency.
+argument error (among them a cap value above 65,536, and an --out path
+that is a directory, lies in a missing one or cannot be written), 3 a
+cap or size limit exceeded, 4 oracle self-inconsistency.
 
 Environment: a command sets OPENBLAS_NUM_THREADS=1 for itself unless it is
 already set, since no command does floating-point linear algebra and
@@ -50,8 +52,8 @@ import sys
 # or its order loads no numpy.  Every other import sits where it is used:
 # the spec constructors of ``algebra`` in the parsers, and a command loads
 # only the layers it runs, so ``main`` sets its OpenBLAS default first.
-from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, CapError,
-                      GroupStructureError, dump_json)
+from .reports import (DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_CAP, MAX_ORDER,
+                      CapError, GroupStructureError, dump_json)
 
 
 class SpecError(ValueError):
@@ -246,8 +248,9 @@ def cmd_lattice(args) -> int:
     from .census import FIGURES, export_dot, hasse
     figure = args.filter == "paper_figure"
     if figure and spec not in FIGURES:
-        raise SpecError("paper_figure filter applies to d8, pauli:p=2,n=1, "
-                        "or heis:R=gf(3),n=1")
+        raise SpecError("paper_figure filter applies to d8, pauli:p=2,n=1 "
+                        "and heis:R=gf(3),n=1 and every spec of the same "
+                        "law")
     g = build_group(kind, spec)
     words = FIGURES[spec] if figure else None
     lat = hasse(g, words and {g.generated_subgroup(gens).members: label
@@ -290,14 +293,14 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """The one parser of cap values."""
+    """The one parser of cap values: 1 to ``MAX_ORDER``."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
+    if not 1 <= value <= MAX_ORDER:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+            f"must be a positive integer at most {MAX_ORDER}, got {text!r}")
     return value
 
 

@@ -89,7 +89,19 @@ A run, opened by ``run_scope`` (by ``claims.run_suite`` and by ``cli``'s
 per argument tuple and drops the values when it closes.  Outside a run
 nothing is kept.
 
-Limits: how large a group a command may build or enumerate is the
+Every stored array of element indices has one dtype, ``INDEX``
+(uint16): the tables, the inverses, a quotient's coset labels, a
+subgroup's remap in ``as_group`` and the maps of the isomorphism search.
+A table is narrow from its first allocation: ``extension_table`` fills a
+uint16 table block by block, and the constructor checks a caller's
+entries in the caller's own dtype before it narrows them.  Arithmetic on
+index values that can leave [0, 2^16), such as a flat position
+row * n + col, runs in intp, since uint16 arithmetic wraps silently.
+
+Limits: no group may have more than ``MAX_ORDER`` (65,536) elements, the
+most that uint16 indices can number; the constructor and every table
+builder raise a ``CapError`` above it, before any table is allocated.
+How large a group a command may build or enumerate is the
 command's policy, checked by ``cli`` against the group's order before
 any table is built; ``DEFAULT_CLOSURE_CAP`` and ``DEFAULT_SUBGROUP_CAP``
 are its defaults, defined with the error types in the numpy-free
@@ -111,20 +123,31 @@ from math import isqrt, lcm
 from typing import NamedTuple
 
 from .algebra import CentralExtension, prime_power
-from .reports import DEFAULT_SUBGROUP_CAP, CapError, GroupStructureError
+from .reports import (DEFAULT_SUBGROUP_CAP, MAX_ORDER, CapError,
+                      GroupStructureError)
 
 # numpy is imported after the package modules, here and in every module:
 # compiled from source (no bytecode cache), they then peak below numpy
 import numpy as np
 
+# the dtype of every stored element index (see the module docstring)
+INDEX = np.uint16
 ISO_ORDER_CAP = 1024
 # BLOCK^2 bounds the entries of each gather of Light's test and of the
-# inverse search (rows x |G|, ``_row_blocks``): 256 KB of int32 up to
-# order BLOCK^2, where the order-4096 table is 64 MB; BLOCK is also the bound on
+# inverse search (rows x |G|, ``_row_blocks``): 128 KB of uint16 at any
+# order, where the order-4096 table is 32 MB; BLOCK is also the bound on
 # rows times seeds per block of ``closures``, the largest batch of
 # ``_blocks``, and the bound on the entries of a gather of the subgroup
 # walk, over |G|
 BLOCK = 256
+
+
+def refuse_above_max_order(order: int) -> None:
+    """The ``CapError`` for a group of more than ``MAX_ORDER`` elements,
+    whose indices uint16 cannot hold; asked before a table is allocated."""
+    if order > MAX_ORDER:
+        raise CapError(f"group of order {order} exceeds the largest order "
+                       f"{MAX_ORDER} an index table can hold")
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -177,30 +200,36 @@ class FiniteGroup:
     two-sided inverses, and associativity, decided exactly by Light's test
     on the generating set.  The table arrives whole, built by array
     operations (a spec's ``table``, or a gather of a parent's table for a
-    subgroup or quotient); no scalar multiplication oracle is called.
+    subgroup or quotient); no scalar multiplication oracle is called.  It
+    is stored as ``INDEX``; more than ``MAX_ORDER`` elements raise a
+    ``CapError``.
     """
 
     def __init__(self, elements, table, name: str = ""):
         elements = list(elements)
+        refuse_above_max_order(len(elements))
         if len(set(elements)) != len(elements):
             raise GroupStructureError("duplicate element keys")
         self.elements = tuple(elements)
         self.name = name
         index = {e: i for i, e in enumerate(self.elements)}
-        # a read-only view: an int32 table is shared, not copied
-        self._finish_init(np.asarray(table, dtype=np.int32).view(), index)
-
-    def _finish_init(self, table: np.ndarray, index: dict) -> None:
-        n = len(self.elements)
+        table = np.asarray(table)
+        n = len(elements)
         if table.shape != (n, n):
             raise GroupStructureError(
                 f"table of shape {table.shape} for {n} elements")
+        # checked in the caller's dtype, where no entry has wrapped yet
         if n and not 0 <= table.min() <= table.max() < n:
             raise GroupStructureError(f"table entries must lie in [0, {n})")
+        # a read-only view: an INDEX table is shared, not copied
+        self._finish_init(table.astype(INDEX, copy=False).view(), index)
+
+    def _finish_init(self, table: np.ndarray, index: dict) -> None:
+        n = len(self.elements)
         self.index = index
         self.table = table
         self.table.setflags(write=False)
-        full = np.arange(n, dtype=np.int32)
+        full = np.arange(n, dtype=INDEX)
         # the identity is among the x with x * x = x
         idem = np.flatnonzero(table.diagonal() == full)
         idem = idem[(table[idem] == full).all(axis=1)
@@ -208,7 +237,7 @@ class FiniteGroup:
         if not len(idem):
             raise GroupStructureError("no identity element")
         e = self.identity = int(idem[0])
-        inv = np.empty(n, dtype=np.int32)
+        inv = np.empty(n, dtype=INDEX)
         for rows in _row_blocks(n):
             inv[rows] = np.argmax(table[rows] == e, axis=1)
         bad = np.flatnonzero((table[full, inv] != e) | (table[inv, full] != e))
@@ -247,15 +276,15 @@ class FiniteGroup:
         every element unless given."""
         t = self.table
         x = np.arange(self.order) if by is None else np.asarray(by, np.intp)
-        mem = np.asarray(members, dtype=np.int32)
+        mem = np.asarray(members, dtype=np.intp)
         return t[t[self.inverse[x, None], mem], x[:, None]]
 
     def commutators(self, left, right) -> np.ndarray:
         """Entry [i, j] is the commutator [left[i], right[j]] =
         left[i]^-1 right[j]^-1 left[i] right[j]."""
         t = self.table
-        a = np.asarray(left, dtype=np.int32)[:, None]
-        b = np.asarray(right, dtype=np.int32)[None, :]
+        a = np.asarray(left, dtype=np.intp)[:, None]
+        b = np.asarray(right, dtype=np.intp)[None, :]
         return t[t[t[self.inverse[a], self.inverse[b]], a], b]
 
     @cached_property
@@ -334,7 +363,7 @@ class FiniteGroup:
         """The subgroup generated by a set of element indices, as a sorted
         index tuple: the members of the walk of the distinct seeds."""
         if not isinstance(seed, np.ndarray):
-            seed = np.fromiter(seed, dtype=np.int32)
+            seed = np.fromiter(seed, dtype=np.intp)
         return tuple(np.sort(self._walk(self._distinct(seed))[0]).tolist())
 
     def _distinct(self, indices) -> np.ndarray:
@@ -361,8 +390,9 @@ class FiniteGroup:
         out[:, self.identity] = True
         out[np.arange(len(seeds))[:, None], seeds] = True
         step = max(1, BLOCK // max(seeds.shape[1], 1))
-        # row k of a block starts at flat position k n
-        offsets = np.arange(0, step * n, n)[:, None, None]
+        # row k of a block starts at flat position k n; the intp offsets
+        # make the sums below intp, where they cannot wrap
+        offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None, None]
         for lo in range(0, len(seeds), step):
             rows = out[lo:lo + step]
             # entry [k, j, y]: the flat position of y g_j^-1 in row k
@@ -395,7 +425,7 @@ class FiniteGroup:
         return SubgroupHandle(self, self.center_indices)
 
     def centralizer(self, members) -> "SubgroupHandle":
-        mask = self.centralizer_mask(np.fromiter(members, dtype=np.int32))
+        mask = self.centralizer_mask(np.fromiter(members, dtype=np.intp))
         return SubgroupHandle(self, tuple(int(i) for i in np.nonzero(mask)[0]))
 
     def centralizer_mask(self, members: np.ndarray) -> np.ndarray:
@@ -592,7 +622,7 @@ class FiniteGroup:
         least = coset.min(axis=1)
         reps = self._distinct(least)
         cosets = [tuple(c) for c in np.sort(coset[reps], axis=1).tolist()]
-        label = np.searchsorted(reps, least).astype(np.int32)
+        label = np.searchsorted(reps, least).astype(INDEX)
         table = label[self.table[np.ix_(reps, reps)]]
         return FiniteGroup(cosets, table,
                            name=f"{self.name}/N" if self.name else "")
@@ -699,7 +729,11 @@ def extension_table(spec: CentralExtension) -> np.ndarray:
     operations: the form as a q^(2n) x q^(2n) array of carrier values,
     mapped into the centre as the cocycle, then extended one block per
     pair (c1, c2) of centre elements, c1 + c2 + cocycle[v1, v2] over
-    all v1, v2."""
+    all v1, v2.  The table is ``INDEX`` from its allocation, each block
+    narrowed from its int32 values as it is written.  A block depends on
+    c1 + c2 alone, so it is formed, in place, once per centre element,
+    and the form is dropped once the cocycle is read from it."""
+    refuse_above_max_order(spec.order)
     r = spec.carrier
     add = np.asarray(r.add_table, dtype=np.int32)
     mul = np.asarray(r.mul_table, dtype=np.int32)
@@ -711,19 +745,27 @@ def extension_table(spec: CentralExtension) -> np.ndarray:
     for coeff, i, j in spec.terms:
         form = add[form, mul[coeff, mul[d[:, i, None], d[None, :, j]]]]
     cocycle = np.asarray(spec.centre_law.map, dtype=np.int32)[form]
+    del form
     vadd = np.zeros((len(d), len(d)), dtype=np.int32)
     for i in range(k):
         vadd = vadd * r.size + add[d[:, i, None], d[None, :, i]]
     centre_add = np.asarray(spec.centre_law.add, dtype=np.int32)
     size, m = len(d), len(centre_add)
-    table = np.empty((size * m, size * m), dtype=np.int32)
-    for c1, c2 in itertools.product(range(m), repeat=2):
-        centre = centre_add[centre_add[c1, c2], cocycle]
-        if spec.centre_first:
-            table[c1 * size:(c1 + 1) * size,
-                  c2 * size:(c2 + 1) * size] = centre * size + vadd
-        else:
-            table[c1::m, c2::m] = vadd * m + centre
+    # entry c size + v with the centre first in the key, v m + c with it
+    # last
+    scale, vadd = (size, vadd) if spec.centre_first else (1, vadd * m)
+    table = np.empty((size * m, size * m), dtype=INDEX)
+    # the block of (c1, c2) depends on c1 + c2 alone: one per sum
+    for total in range(m):
+        block = centre_add[total, cocycle]
+        block *= scale
+        block += vadd
+        for c1, c2 in np.argwhere(centre_add == total).tolist():
+            if spec.centre_first:
+                table[c1 * size:(c1 + 1) * size,
+                      c2 * size:(c2 + 1) * size] = block
+            else:
+                table[c1::m, c2::m] = block
     return table
 
 
@@ -857,7 +899,7 @@ class SubgroupHandle:
     def as_group(self) -> FiniteGroup:
         """Materialize this subgroup as a standalone FiniteGroup sharing the
         parent's element keys."""
-        remap = np.zeros(self.parent.order, dtype=np.int32)
+        remap = np.zeros(self.parent.order, dtype=INDEX)
         remap[list(self.members)] = np.arange(self.order)
         table = remap[self.parent.table[np.ix_(self.members, self.members)]]
         keys = [self.parent.elements[m] for m in self.members]
@@ -999,10 +1041,10 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
         that are consistent and injective, and the maps as rows (read on
         the members only)."""
         members, parent, pos, layers, steps = walks[len(images)]
-        img = np.empty((len(batch), len(images) + 1), dtype=np.int32)
+        img = np.empty((len(batch), len(images) + 1), dtype=INDEX)
         img[:, :-1] = images
         img[:, -1] = batch
-        phi = np.empty((len(batch), g.order), dtype=np.int32)
+        phi = np.empty((len(batch), g.order), dtype=INDEX)
         phi[:, g.identity] = h.identity
         for s in layers:
             phi[:, members[s]] = h.table[phi[:, parent[s]], img[:, pos[s]]]
@@ -1011,6 +1053,7 @@ def isomorphic(g: FiniteGroup, h: FiniteGroup):
         # generator
         ok = (phi[:, steps] == h.table[image[:, :, None], img[:, None, :]]
               ).all(axis=(1, 2))
+        # sorted, so no uint16 difference is negative and none wraps
         ok[ok] = (np.diff(np.sort(image[ok], axis=1), axis=1) != 0).all(axis=1)
         return ok, phi
 

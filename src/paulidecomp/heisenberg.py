@@ -27,7 +27,8 @@ whole arrays of its law, as every other table is.
 from __future__ import annotations
 
 from .algebra import CentralExtension, is_prime
-from .groupcore import FiniteGroup, extension_group, shared
+from .groupcore import (INDEX, FiniteGroup, extension_group,
+                        refuse_above_max_order, shared)
 
 import numpy as np
 
@@ -46,11 +47,14 @@ def extraspecial_e2(p: int) -> FiniteGroup:
     index x p + y."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"E2 is defined for odd primes p, got {p}")
+    refuse_above_max_order(p ** 3)
     x, y = np.arange(p * p, dtype=np.int32), np.arange(p, dtype=np.int32)
     # the x part is indexed [x1, y1, x2] and the y part [y1, y2]; their
-    # broadcast sum over [x1, y1, x2, y2] is the one full-size array made
-    xs = (x[:, None, None] + x * (1 + p * y[:, None])) % (p * p) * p
-    ys = (y[:, None] + y) % p
+    # broadcast sum over [x1, y1, x2, y2] is the one full-size array made,
+    # an INDEX sum that cannot wrap, as each entry is below p^3
+    xs = ((x[:, None, None] + x * (1 + p * y[:, None])) % (p * p)
+          * p).astype(INDEX)
+    ys = ((y[:, None] + y) % p).astype(INDEX)
     table = (xs[..., None] + ys[:, None]).reshape(p ** 3, p ** 3)
     elems = [(a, b) for a in range(p * p) for b in range(p)]
     return FiniteGroup(elems, table, name=f"E2({p})")

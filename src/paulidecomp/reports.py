@@ -1,7 +1,8 @@
 """The numpy-free, dataclass-free front that ``cli`` imports at start-up:
-the error types, the default caps of the commands, the verdict statuses
-and the one JSON serialiser, so that ``--help`` and a usage error load
-neither numpy nor ``dataclasses``.  Each record is defined beside its only
+the error types, the default caps of the commands, the largest order
+any group may have, the verdict statuses and the one JSON serialiser, so
+that ``--help`` and a usage error load neither numpy nor
+``dataclasses``.  Each record is defined beside its only
 builder, in ``products``, ``claims`` or ``census``, and the registered
 claims are the one table ``claims.CLAIMS``.
 
@@ -34,6 +35,9 @@ STATUSES = ("confirmed", "inconsistent_in_paper", "refuted_at_desk_scale")
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_SUBGROUP_CAP = 256
+# element indices are stored as uint16, so no group is larger; its table
+# alone would take 8.6 GB
+MAX_ORDER = 1 << 16
 
 
 class CapError(RuntimeError):

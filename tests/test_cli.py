@@ -196,8 +196,8 @@ def test_paper_figure_refused_before_any_group_is_built(spec, monkeypatch,
     monkeypatch.setattr(cli, "build_group", refuse)
     assert main(["lattice", spec, "--filter", "paper_figure"]) == 2
     assert capsys.readouterr().err == (
-        "error: paper_figure filter applies to d8, pauli:p=2,n=1, or "
-        "heis:R=gf(3),n=1\n")
+        "error: paper_figure filter applies to d8, pauli:p=2,n=1 and "
+        "heis:R=gf(3),n=1 and every spec of the same law\n")
 
 
 def test_out_write_failure_exits_2_and_leaves_no_file(tmp_path, monkeypatch,
@@ -314,6 +314,13 @@ EXIT_CODES = [
      3),
     (["lattice", "pauli:p=2,n=2", "--cap-subgroups", "10"], 3),
     (["lifted", "p=3,m=1,n=1", "--cap-closure", "26"], 3),
+    # no group has more than 65,536 elements, so no cap may be larger
+    (["build", "d8", "--cap-closure", "65536"], 0),
+    (["build", "d8", "--cap-closure", "65537"], 2),
+    (["census", "d8", "--cap-subgroups", "65537"], 2),
+    (["lattice", "d8", "--cap-subgroups", "65536"], 0),
+    (["lattice", "d8", "--cap-closure", str(2**64)], 2),
+    (["build", "pauli:p=2,n=8", "--cap-closure", "65536"], 3),
 ]
 
 
@@ -368,21 +375,25 @@ def test_refused_spec_exit_code(spec, code, capsys):
 def test_help_and_unknown_spec_leave_numpy_unimported():
     # the parser's defaults and the error types live in the numpy-free
     # reports module, and the family specs in the numpy-free algebra, so
-    # neither --help, a spec error, a family spec refused for its order nor
-    # a spec with no paper figure pays for numpy, and a spec answers its
-    # scalar law without it
-    refused = [(["build", "nosuch"], 2), (["build", "pauli:p=2,n=99"], 3),
+    # neither --help, a spec error, a cap above the largest order, a family
+    # spec refused for its order nor a spec with no paper figure pays for
+    # numpy, and a spec answers its scalar law without it
+    refused = [(["--help"], 0), (["build", "nosuch"], 2),
+               (["build", "d8", "--cap-closure", "65537"], 2),
+               (["build", "pauli:p=2,n=99"], 3),
                (["build", "pauli:p=4,n=1"], 2),
                (["build", "heis:R=gf(4096),n=1"], 3),
                (["census", "lifted:p=3,m=9,n=9"], 3),
                (["lifted", "pauli:p=3,n=1"], 2),
                (["lattice", "q8", "--filter", "paper_figure"], 2)]
+    # argparse exits with SystemExit on --help and on a bad cap value
     cli_code = ("from paulidecomp.cli import main\n"
-                "try:\n"
-                "    main(['--help'])\n"
-                "except SystemExit as exc:\n"
-                "    assert exc.code == 0, exc.code\n"
-                + "".join(f"assert main({argv!r}) == {code}\n"
+                "def run(argv):\n"
+                "    try:\n"
+                "        return main(argv)\n"
+                "    except SystemExit as exc:\n"
+                "        return exc.code\n"
+                + "".join(f"assert run({argv!r}) == {code}\n"
                           for argv, code in refused))
     spec_code = (
         "from paulidecomp.algebra import (field_make, heis_spec,\n"

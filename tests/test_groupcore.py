@@ -173,13 +173,25 @@ def test_empty_table_rejected():
         FiniteGroup([], np.zeros((0, 0), np.int32))
 
 
-@pytest.mark.parametrize("entry", [-1, 3, 4, 2**31 - 1])
+@pytest.mark.parametrize("entry", [-1, 3, 4, 2**16, 2**16 + 1, 2**31 - 1])
 def test_entries_outside_the_range_rejected(entry):
-    # Z_3 with one entry replaced: it neither indexes nor wraps
+    # Z_3 with one entry replaced: it neither indexes nor wraps, as
+    # 2**16 and 2**16 + 1 would to 0 and 1 if narrowed to uint16 unchecked
     table = (np.arange(3)[:, None] + np.arange(3)) % 3
     table[1, 2] = entry
     with pytest.raises(GroupStructureError, match=r"lie in \[0, 3\)"):
         FiniteGroup(range(3), table)
+
+
+def test_orders_above_the_index_limit_refused_before_any_table():
+    # uint16 indices number at most 2**16 elements; the table argument is
+    # never read, and no table of P(8,2) or E2(41) is allocated
+    with pytest.raises(CapError, match="65536"):
+        FiniteGroup(range(2**16 + 1), None)
+    with pytest.raises(CapError, match="65536"):
+        groupcore.extension_table(pauli_spec(2, 1, 8))
+    with pytest.raises(CapError, match="65536"):
+        extraspecial_e2(41)
 
 
 def test_element_without_finite_order_rejected():
@@ -611,3 +623,83 @@ def test_abelian_flags_against_each_subgroup_table(spec, monkeypatch):
     assert [h.is_abelian() for h in g.subgroups_all()] == expected
     monkeypatch.setattr(groupcore, "BLOCK", 4)
     assert g.abelian_flags(subs) == expected
+
+
+# -- the one index dtype --------------------------------------------------------
+
+def test_every_group_a_command_builds_holds_uint16_indices(monkeypatch,
+                                                           capsys):
+    # family specs, reference specs, E2, the trivial group, the p = 2
+    # pi-image, and the quotients and subgroup groups of ``verify all``
+    names, dtypes = set(), set()
+    finish = FiniteGroup._finish_init
+    as_group = groupcore.SubgroupHandle.as_group
+
+    def recorded(self, *args):
+        finish(self, *args)
+        names.add(self.name)
+        dtypes.add((self.table.dtype, self.inverse.dtype))
+
+    def noted_as_group(self):
+        names.add("as_group()")
+        return as_group(self)
+
+    monkeypatch.setattr(FiniteGroup, "_finish_init", recorded)
+    monkeypatch.setattr(groupcore.SubgroupHandle, "as_group", noted_as_group)
+    for argv in (["build", "pauli:p=2,n=2"], ["build", "heis:R=z(9),n=1"],
+                 ["build", "lifted:p=3,m=2,n=1"], ["build", "q8"],
+                 ["build", "e2:p=3"], ["build", "trivial"],
+                 ["lifted", "p=2,m=2,n=1"], ["verify", "all"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert {"E2(3)", "1", "Re Plift-image(1,4)", "as_group()"} <= names
+    assert any(name.endswith("/N") for name in names)
+    assert dtypes == {(np.dtype(np.uint16),) * 2}
+
+
+def test_order_4096_against_definitions_in_python_ints():
+    # at order 4096 a flat position row * |G| + col or a sum of indices
+    # leaves uint16; each result is checked against its definition read
+    # entry by entry from the table as Python ints, on the largest indices
+    # and a spread of others
+    g = extension_group(pauli_spec(2, 1, 5))
+    n, e = g.order, g.identity
+    assert (n, g.table.dtype) == (4096, np.dtype(np.uint16))
+
+    def mul(a, b):
+        return int(g.table[a, b])
+
+    def inv(x):
+        return g.table[x].tolist().index(e)
+
+    picks = sorted({*range(n - 8, n), *range(0, n, 337), 1, 2, 3})
+    conj = g.conjugates(picks, picks).tolist()
+    comm = g.commutators(picks, picks).tolist()
+    for i, x in enumerate(picks):
+        for k, y in enumerate(picks):
+            assert conj[i][k] == mul(mul(inv(x), y), x)
+            assert comm[i][k] == mul(mul(mul(inv(x), inv(y)), x), y)
+
+    def closure(seeds):
+        members, frontier = {e}, [e]
+        while frontier:
+            frontier = [z for z in {mul(a, s) for a in frontier
+                                    for s in seeds} if z not in members]
+            members.update(frontier)
+        return tuple(sorted(members))
+
+    for seeds in ([n - 1], [n - 1, n - 2, 1], picks[-6:], picks):
+        assert g.closure_indices(seeds) == closure(seeds)
+    # row k of a block of ``closures`` starts at flat position k |G|,
+    # past 2**16 from the 17th row on
+    assert len(picks) > 16
+    rows = g.closures([[x] for x in picks])
+    assert [tuple(np.flatnonzero(row).tolist()) for row in rows] == [
+        closure([x]) for x in picks]
+    quotient = g.quotient(g.center())
+    coset_of = {x: i for i, c in enumerate(quotient.elements) for x in c}
+    assert quotient.order == n // 4
+    for i in (0, 1, quotient.order - 2, quotient.order - 1):
+        a = quotient.elements[i][0]
+        assert quotient.table[i].tolist() == [
+            coset_of[mul(a, c[0])] for c in quotient.elements]
